@@ -1,9 +1,12 @@
-"""Buchberger engine and ideal-level operations.
+"""The Groebner/syzygy kernel and ideal-level operations.
 
-The engine works on plain dicts {monomial: coeff} with an explicit sort-key
-function, so Groebner bases under temporary orders (elimination blocks,
-variable-last saturations) never touch the ring's default order.  Ideal
-values are immutable apart from their per-order basis cache.
+One engine serves ideals and submodules of free modules.  It works on term
+dicts {(position, monomial): coeff} with an explicit position-over-term sort
+key, so Groebner bases under temporary orders (elimination blocks,
+variable-last saturations) never touch the ring's default order.  An ideal
+is the one-position case {(0, m): c}.  Intersections and colons are read
+off syzygies.  Ideal values are immutable apart from their per-order basis
+cache.
 """
 
 from __future__ import annotations
@@ -25,38 +28,56 @@ from .poly import (
     restrict_poly,
 )
 
-# -- dict-level engine ----------------------------------------------------------
+# -- dict-level kernel -------------------------------------------------------------
+
+
+def _mkeyf(keyf):
+    """Position-over-term key on (position, monomial), position 0 largest.
+
+    Memoized: the same module monomials recur constantly."""
+    cache = {}
+
+    def key(pm):
+        k = cache.get(pm)
+        if k is None:
+            k = (-pm[0],) + keyf(pm[1])
+            cache[pm] = k
+        return k
+
+    return key
+
+
+def _vec_to_dict(vec):
+    d = {}
+    for pos, f in enumerate(vec):
+        for m, c in f.terms:
+            d[(pos, m)] = c
+    return d
+
+
+def _dict_to_vec(d, ring, npos):
+    coords = [{} for _ in range(npos)]
+    for (pos, m), c in d.items():
+        coords[pos][m] = c
+    return tuple(ring.from_dict(cd) for cd in coords)
+
+
+def _prep(basis, mkey, p):
+    """Precompute (lm, lc^-1, tail) triples for the divisors."""
+    out = []
+    for g in basis:
+        lm = max(g, key=mkey)
+        lcinv = pow(g[lm], -1, p)
+        tail = tuple((pm, c) for pm, c in g.items() if pm != lm)
+        out.append((lm, lcinv, tail))
+    return out
 
 
 def _negkey(k):
     return tuple(-v for v in k)
 
 
-def _memo_key(keyf):
-    cache = {}
-
-    def key(m):
-        k = cache.get(m)
-        if k is None:
-            k = keyf(m)
-            cache[m] = k
-        return k
-
-    return key
-
-
-def _prep(basis, keyf, p):
-    """Precompute (lm, lc^-1, tail) triples for the divisors."""
-    out = []
-    for g in basis:
-        lm = max(g, key=keyf)
-        lcinv = pow(g[lm], -1, p)
-        tail = tuple((m, c) for m, c in g.items() if m != lm)
-        out.append((lm, lcinv, tail))
-    return out
-
-
-def nf_dict(f, prepped, keyf, p):
+def nf_dict(f, prepped, mkey, p):
     """Full normal form of the term dict `f` against prepared divisors."""
     if not f:
         return {}
@@ -64,31 +85,34 @@ def nf_dict(f, prepped, keyf, p):
         return dict(f)
     work = dict(f)
     out = {}
-    heap = [(_negkey(keyf(m)), m) for m in work]
+    heap = [(_negkey(mkey(pm)), pm) for pm in work]
     heap.sort()
     while heap:
-        _, m = heappop(heap)
-        c = work.get(m)
+        _, pm = heappop(heap)
+        c = work.get(pm)
         if c is None:
             continue
-        for lm, lcinv, tail in prepped:
-            q = mono_div(m, lm)
+        pos, m = pm
+        for (lpos, lmm), lcinv, tail in prepped:
+            if lpos != pos:
+                continue
+            q = mono_div(m, lmm)
             if q is not None:
                 break
         else:
-            out[m] = c
-            del work[m]
+            out[pm] = c
+            del work[pm]
             continue
-        del work[m]
+        del work[pm]
         factor = (c * lcinv) % p
-        for tm, tc in tail:
-            mm = mono_mul(tm, q)
+        for (tp, tm), tc in tail:
+            mm = (tp, mono_mul(tm, q))
             prev = work.get(mm)
             if prev is None:
                 v = (-factor * tc) % p
                 if v:
                     work[mm] = v
-                    heappush(heap, (_negkey(keyf(mm)), mm))
+                    heappush(heap, (_negkey(mkey(mm)), mm))
             else:
                 v = (prev - factor * tc) % p
                 if v:
@@ -98,39 +122,24 @@ def nf_dict(f, prepped, keyf, p):
     return out
 
 
-def _monic(d, keyf, p):
-    lm = max(d, key=keyf)
+def _monic(d, mkey, p):
+    lm = max(d, key=mkey)
     inv = pow(d[lm], -1, p)
     if inv == 1:
         return d
-    return {m: (c * inv) % p for m, c in d.items()}
+    return {pm: (c * inv) % p for pm, c in d.items()}
 
 
-def _spoly(gi, gj, lmi, lmj, keyf, p):
-    """S-polynomial of two monic dicts."""
-    lcm = mono_lcm(lmi, lmj)
-    qi = mono_div(lcm, lmi)
-    qj = mono_div(lcm, lmj)
-    d = {}
-    for m, c in gi.items():
-        d[mono_mul(m, qi)] = c
-    for m, c in gj.items():
-        mm = mono_mul(m, qj)
-        v = (d.get(mm, 0) - c) % p
-        if v:
-            d[mm] = v
-        elif mm in d:
-            del d[mm]
-    return d
+def buchberger(gens, mkey, p):
+    """Reduced Groebner basis (list of monic term dicts, ascending leading terms).
 
-
-def buchberger(gens, keyf, p):
-    """Reduced Groebner basis (list of monic dicts, ascending leading monomials).
-
-    Normal selection strategy with the product and chain criteria; S-pairs are
-    processed by (lcm degree, pair index) for reproducibility.
+    Normal selection strategy: S-pairs of elements with equal leading
+    positions, processed by (lcm degree, pair index) for reproducibility and
+    pruned by the chain criterion.  The product criterion (coprime leading
+    monomials) holds only for ideals, so it prunes only when every input
+    term lies in one position.
     """
-    keyf = _memo_key(keyf)
+    one_position = len({pm[0] for g in gens for pm in g}) <= 1
     G = []
     prepped = []
     pairs = []
@@ -138,31 +147,35 @@ def buchberger(gens, keyf, p):
 
     def add(d):
         idx = len(G)
-        lm = max(d, key=keyf)
+        lm = max(d, key=mkey)
         G.append(d)
-        prepped.append((lm, 1, tuple((m, c) for m, c in d.items() if m != lm)))
+        prepped.append((lm, 1, tuple((pm, c) for pm, c in d.items() if pm != lm)))
         for j in range(idx):
-            lcm = mono_lcm(prepped[j][0], lm)
-            heappush(pairs, (mono_deg(lcm), j, idx))
+            lj = prepped[j][0]
+            if lj[0] == lm[0]:
+                lcm = mono_lcm(lj[1], lm[1])
+                heappush(pairs, (mono_deg(lcm), j, idx))
 
     for g in gens:
         if g:
-            r = nf_dict(g, prepped, keyf, p)
+            r = nf_dict(g, prepped, mkey, p)
             if r:
-                add(_monic(r, keyf, p))
+                add(_monic(r, mkey, p))
 
     while pairs:
         _, i, j = heappop(pairs)
         done.add((i, j))
-        lmi, lmj = prepped[i][0], prepped[j][0]
-        lcm = mono_lcm(lmi, lmj)
-        if lcm == mono_mul(lmi, lmj):
+        (pi, mi) = prepped[i][0]
+        (pj, mj) = prepped[j][0]
+        lcm = mono_lcm(mi, mj)
+        if one_position and lcm == mono_mul(mi, mj):
             continue
         skip = False
         for k in range(len(G)):
             if k == i or k == j:
                 continue
-            if mono_div(lcm, prepped[k][0]) is not None:
+            (pk, mk) = prepped[k][0]
+            if pk == pi and mono_div(lcm, mk) is not None:
                 a = (k, i) if k < i else (i, k)
                 b = (k, j) if k < j else (j, k)
                 if a in done and b in done:
@@ -170,26 +183,37 @@ def buchberger(gens, keyf, p):
                     break
         if skip:
             continue
-        s = _spoly(G[i], G[j], lmi, lmj, keyf, p)
-        r = nf_dict(s, prepped, keyf, p)
+        qi = mono_div(lcm, mi)
+        qj = mono_div(lcm, mj)
+        s = {}
+        for (tp, tm), c in G[i].items():
+            s[(tp, mono_mul(tm, qi))] = c
+        for (tp, tm), c in G[j].items():
+            pm = (tp, mono_mul(tm, qj))
+            v = (s.get(pm, 0) - c) % p
+            if v:
+                s[pm] = v
+            elif pm in s:
+                del s[pm]
+        r = nf_dict(s, prepped, mkey, p)
         if r:
-            add(_monic(r, keyf, p))
+            add(_monic(r, mkey, p))
 
-    return _reduce_basis(G, keyf, p)
+    return _reduce_basis(G, mkey, p)
 
 
-def _reduce_basis(G, keyf, p):
-    """Unique reduced basis: minimal leading monomials, fully tail-reduced, monic."""
+def _reduce_basis(G, mkey, p):
+    """Unique reduced basis: minimal leading terms, fully tail-reduced, monic."""
     items = []
     for g in G:
         if g:
-            lm = max(g, key=keyf)
-            items.append((keyf(lm), lm, g))
+            lm = max(g, key=mkey)
+            items.append((mkey(lm), lm, g))
     items.sort(key=lambda t: t[0])
     kept = []
     kept_lms = []
     for _, lm, g in items:
-        if any(mono_div(lm, h) is not None for h in kept_lms):
+        if any(h[0] == lm[0] and mono_div(lm[1], h[1]) is not None for h in kept_lms):
             continue
         kept.append(dict(g))
         kept_lms.append(lm)
@@ -200,16 +224,55 @@ def _reduce_basis(G, keyf, p):
     while changed:
         changed = False
         prepped = [
-            (lm, pow(g[lm], -1, p), tuple((m, c) for m, c in g.items() if m != lm))
+            (lm, pow(g[lm], -1, p), tuple((pm, c) for pm, c in g.items() if pm != lm))
             for lm, g in zip(kept_lms, kept)
         ]
         for i in range(len(kept)):
             others = prepped[:i] + prepped[i + 1 :]
-            r = nf_dict(kept[i], others, keyf, p)
+            r = nf_dict(kept[i], others, mkey, p)
             if r != kept[i]:
                 kept[i] = r
                 changed = True
-    return [_monic(g, keyf, p) for g in kept]
+    return [_monic(g, mkey, p) for g in kept]
+
+
+def _syzygy_dicts(gens, npos, ring):
+    """Syzygies of the term dicts `gens` (positions below npos), as term dicts
+    on positions 0..len(gens)-1.
+
+    Generator i is tagged with position npos + i.  The target block leads in
+    position-over-term order, so the basis elements with no term below npos
+    are exactly the syzygies.
+    """
+    unit = (0,) * ring.nvars
+    tagged = []
+    for i, g in enumerate(gens):
+        d = dict(g)
+        d[(npos + i, unit)] = 1
+        tagged.append(d)
+    out = []
+    for g in buchberger(tagged, _mkeyf(ring.order.key), ring.char):
+        if all(pm[0] >= npos for pm in g):
+            out.append({(pos - npos, m): c for (pos, m), c in g.items()})
+    return out
+
+
+def _colon(v, cols, ring, npos) -> Ideal:
+    """(span(cols) :_R v) for term dicts of R^npos: the first coordinates of
+    the syzygies of [v] + cols."""
+    gens = []
+    for s in _syzygy_dicts([v] + cols, npos, ring):
+        f = {m: c for (pos, m), c in s.items() if pos == 0}
+        if f:
+            gens.append(ring.from_dict(f))
+    return Ideal(ring, gens)
+
+
+def _ideal_basis(polys, keyf, ring):
+    """Reduced Groebner basis of the ideal spanned by `polys` under the
+    monomial key `keyf`, as polynomials of `ring`."""
+    basis = buchberger([_vec_to_dict((f,)) for f in polys], _mkeyf(keyf), ring.char)
+    return [_dict_to_vec(d, ring, 1)[0] for d in basis]
 
 
 # -- Ideal -----------------------------------------------------------------------
@@ -241,9 +304,7 @@ class Ideal:
             order = self.ring.order
         cached = self._gb.get(order)
         if cached is None:
-            keyf = order.key
-            basis = buchberger([g.tdict() for g in self.gens], keyf, self.ring.char)
-            cached = tuple(self.ring.from_dict(d) for d in basis)
+            cached = tuple(_ideal_basis(self.gens, order.key, self.ring))
             self._gb[order] = cached
         return cached
 
@@ -282,10 +343,6 @@ class Ideal:
             raise RingMismatchError("ideal product across rings")
         return Ideal(self.ring, tuple(f * g for f in self.gens for g in other.gens))
 
-    def minimal_leading_monomials(self, order=None):
-        keyf = (order or self.ring.order).key
-        return tuple(max((m for m, _ in g.terms), key=keyf) for g in self.groebner_basis(order))
-
 
 def groebner_basis(I: Ideal, order: MonomialOrder | None = None):
     return I.groebner_basis(order)
@@ -297,9 +354,9 @@ def normal_form(f: Polynomial, G) -> Polynomial:
     if not G:
         return f
     ring = f.ring
-    keyf = ring.order.key
-    prepped = _prep([g.tdict() for g in G], keyf, ring.char)
-    return ring.from_dict(nf_dict(f.tdict(), prepped, keyf, ring.char))
+    mkey = _mkeyf(ring.order.key)
+    prepped = _prep([_vec_to_dict((g,)) for g in G], mkey, ring.char)
+    return _dict_to_vec(nf_dict(_vec_to_dict((f,)), prepped, mkey, ring.char), ring, 1)[0]
 
 
 def ideal_membership(f: Polynomial, I: Ideal) -> bool:
@@ -329,52 +386,41 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     return ring.from_dict(out)
 
 
-# -- elimination-based operations -----------------------------------------------
-
-_AUX = "#t"  # internal variable name; unreachable from the polynomial grammar
-
-
-def _aux_ring(ring: PolyRing) -> PolyRing:
-    return PolyRing(ring.char, (_AUX,) + ring.vars, elimination_order(ring.nvars + 1, (0,)))
-
-
-def _project_from_aux(ring, big, basis_dicts):
-    """Keep elements free of the auxiliary variable(s); map back to `ring`."""
-    out = []
-    for d in basis_dicts:
-        if all(m[0] == 0 for m in d):
-            out.append(restrict_poly(big.from_dict(d), ring))
-    return out
+# -- intersection and colon via syzygies ------------------------------------------
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I cap J via elimination of t from t*I + (1-t)*J."""
+    """I cap J read off the syzygies (a, b) of (I.gens, J.gens): each gives
+    the element sum a_i f_i."""
     if I.ring != J.ring:
         raise RingMismatchError("intersection across rings")
     ring = I.ring
     if I.is_zero() or J.is_zero():
         return Ideal(ring, ())
-    big = _aux_ring(ring)
-    t = big.var(0)
-    one = big.one()
-    gens = [t * embed_poly(f, big) for f in I.gens]
-    gens += [(one - t) * embed_poly(g, big) for g in J.gens]
-    basis = buchberger([g.tdict() for g in gens], big.order.key, big.char)
-    return Ideal(ring, _project_from_aux(ring, big, basis))
+    gens = I.gens + J.gens
+    out = []
+    for s in _syzygy_dicts([_vec_to_dict((f,)) for f in gens], 1, ring):
+        a = _dict_to_vec(s, ring, len(gens))
+        h = ring.zero()
+        for c, f in zip(a, I.gens):
+            if c:
+                h = h + c * f
+        out.append(h)
+    return Ideal(ring, out)
 
 
 def quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
-    """(J :_R I), computed generator-wise via (J : g) = (J cap (g))/g."""
+    """(J :_R I), the intersection of the colons (J : g) over generators g of I."""
     if J.ring != I.ring:
         raise RingMismatchError("quotient across rings")
     ring = J.ring
     if I.is_zero():
         warnings.warn("colon by the zero ideal; returning the unit ideal", stacklevel=2)
         return Ideal(ring, (ring.one(),))
+    cols = [_vec_to_dict((h,)) for h in J.gens]
     result = None
     for g in I.gens:
-        cap = intersect(J, Ideal(ring, (g,)))
-        Qg = Ideal(ring, tuple(exact_div(h, g) for h in cap.gens))
+        Qg = _colon(_vec_to_dict((g,)), cols, ring, 1)
         result = Qg if result is None else intersect(result, Qg)
         if result.is_zero():
             return result
@@ -400,19 +446,20 @@ def _divide_out_variable(f: Polynomial, i: int) -> Polynomial:
 def _saturate_variable_graded(I: Ideal, i: int) -> Ideal:
     # grevlex with x_i revlex-last: dividing the basis by x_i-content saturates
     ring = I.ring
-    keyf = GrevLexVarLast(i).key
-    basis = buchberger([g.tdict() for g in I.gens], keyf, ring.char)
-    return Ideal(ring, tuple(_divide_out_variable(ring.from_dict(d), i) for d in basis))
+    basis = _ideal_basis(I.gens, GrevLexVarLast(i).key, ring)
+    return Ideal(ring, tuple(_divide_out_variable(f, i) for f in basis))
 
 
 def _saturate_rabinowitsch(I: Ideal, f: Polynomial) -> Ideal:
+    """I + (t*f - 1) in R[t], with t eliminated."""
     ring = I.ring
-    big = _aux_ring(ring)
+    # "#t" is unreachable from the polynomial grammar, so it never clashes
+    big = PolyRing(ring.char, ("#t",) + ring.vars, elimination_order(ring.nvars + 1, (0,)))
     t = big.var(0)
     gens = [embed_poly(g, big) for g in I.gens]
     gens.append(t * embed_poly(f, big) - big.one())
-    basis = buchberger([g.tdict() for g in gens], big.order.key, big.char)
-    return Ideal(ring, _project_from_aux(ring, big, basis))
+    basis = _ideal_basis(gens, big.order.key, big)
+    return Ideal(ring, [restrict_poly(g, ring) for g in basis if all(m[0] == 0 for m, _ in g.terms)])
 
 
 def saturate(J: Ideal, f: Polynomial, want_exponent: bool = True):
@@ -457,14 +504,8 @@ def eliminate(I: Ideal, keep) -> Ideal:
     drop = tuple(i for i in range(ring.nvars) if i not in keep_idx)
     if not drop:
         return Ideal(ring, I.gens)
-    order = elimination_order(ring.nvars, drop)
-    basis = buchberger([g.tdict() for g in I.gens], order.key, ring.char)
-    dropset = set(drop)
-    out = []
-    for d in basis:
-        if all(all(m[i] == 0 for i in dropset) for m in d):
-            out.append(ring.from_dict(d))
-    return Ideal(ring, out)
+    basis = _ideal_basis(I.gens, elimination_order(ring.nvars, drop).key, ring)
+    return Ideal(ring, [g for g in basis if all(m[i] == 0 for m, _ in g.terms for i in drop)])
 
 
 # -- dimension, height, Hilbert function ------------------------------------------

@@ -1,257 +1,58 @@
 """Finitely presented graded modules: syzygies, resolutions, Ext, Fitting ideals.
 
-A module monomial is a pair (position, exponent vector); submodules of free
-modules get Groebner bases under a position-over-term order whose leading
-block is the target module, so elimination yields syzygies.  Presentations
-are stored column-wise (each column is one relation among the generators).
+Vectors are tuples of polynomials, one per free-module position; the
+Groebner/syzygy kernel in `groebner` works on their term dicts
+{(position, monomial): coeff}.  Presentations are stored column-wise (each
+column is one relation among the generators).
 """
 
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
 
 from .errors import ModcoreError, NotHomogeneousError, RingMismatchError
-from .groebner import Ideal, exact_div, intersect, quotient_ideal
-from .poly import Polynomial, PolyRing, mono_deg, mono_div, mono_lcm, mono_mul
+from .groebner import (
+    Ideal,
+    _colon,
+    _dict_to_vec,
+    _mkeyf,
+    _prep,
+    _syzygy_dicts,
+    _vec_to_dict,
+    buchberger,
+    exact_div,
+    intersect,
+    nf_dict,
+    quotient_ideal,
+)
+from .poly import Polynomial, PolyRing, mono_div
 
 Vector = tuple  # tuple of Polynomial, one per free-module position
 
 
-# -- module Groebner engine -------------------------------------------------------
-
-
-def _mkeyf(keyf):
-    # position-over-term, memoized: the same module monomials recur constantly
-    cache = {}
-
-    def key(pm):
-        k = cache.get(pm)
-        if k is None:
-            k = (-pm[0],) + keyf(pm[1])
-            cache[pm] = k
-        return k
-
-    return key
-
-
-def _vec_to_dict(vec):
-    d = {}
-    for pos, f in enumerate(vec):
-        for m, c in f.terms:
-            d[(pos, m)] = c
-    return d
-
-
-def _dict_to_vec(d, ring, npos):
-    coords = [{} for _ in range(npos)]
-    for (pos, m), c in d.items():
-        coords[pos][m] = c
-    return tuple(ring.from_dict(cd) for cd in coords)
-
-
-def _mod_prep(basis, mkey, p):
-    out = []
-    for g in basis:
-        lm = max(g, key=mkey)
-        lcinv = pow(g[lm], -1, p)
-        tail = tuple((pm, c) for pm, c in g.items() if pm != lm)
-        out.append((lm, lcinv, tail))
-    return out
-
-
-def _mneg(k):
-    return tuple(-v for v in k)
-
-
-def mod_nf_dict(f, prepped, mkey, p):
-    if not f:
-        return {}
-    if not prepped:
-        return dict(f)
-    work = dict(f)
-    out = {}
-    heap = [(_mneg(mkey(pm)), pm) for pm in work]
-    heap.sort()
-    while heap:
-        _, pm = heappop(heap)
-        c = work.get(pm)
-        if c is None:
-            continue
-        pos, m = pm
-        for (lpos, lmm), lcinv, tail in prepped:
-            if lpos != pos:
-                continue
-            q = mono_div(m, lmm)
-            if q is not None:
-                break
-        else:
-            out[pm] = c
-            del work[pm]
-            continue
-        del work[pm]
-        factor = (c * lcinv) % p
-        for (tp, tm), tc in tail:
-            mm = (tp, mono_mul(tm, q))
-            prev = work.get(mm)
-            if prev is None:
-                v = (-factor * tc) % p
-                if v:
-                    work[mm] = v
-                    heappush(heap, (_mneg(mkey(mm)), mm))
-            else:
-                v = (prev - factor * tc) % p
-                if v:
-                    work[mm] = v
-                else:
-                    del work[mm]
-    return out
-
-
-def _mod_monic(d, mkey, p):
-    lm = max(d, key=mkey)
-    inv = pow(d[lm], -1, p)
-    if inv == 1:
-        return d
-    return {pm: (c * inv) % p for pm, c in d.items()}
-
-
-def mod_buchberger(gens, mkey, p):
-    """Reduced module Groebner basis.  S-pairs need equal leading positions;
-    the coprimality shortcut is not sound for modules, so only the chain
-    criterion prunes pairs."""
-    G = []
-    prepped = []
-    pairs = []
-    done = set()
-
-    def add(d):
-        idx = len(G)
-        lm = max(d, key=mkey)
-        G.append(d)
-        prepped.append((lm, 1, tuple((pm, c) for pm, c in d.items() if pm != lm)))
-        for j in range(idx):
-            lj = prepped[j][0]
-            if lj[0] == lm[0]:
-                lcm = mono_lcm(lj[1], lm[1])
-                heappush(pairs, (mono_deg(lcm), j, idx))
-
-    for g in gens:
-        if g:
-            r = mod_nf_dict(g, prepped, mkey, p)
-            if r:
-                add(_mod_monic(r, mkey, p))
-
-    while pairs:
-        _, i, j = heappop(pairs)
-        done.add((i, j))
-        (pi, mi) = prepped[i][0]
-        (pj, mj) = prepped[j][0]
-        lcm = mono_lcm(mi, mj)
-        skip = False
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            (pk, mk) = prepped[k][0]
-            if pk == pi and mono_div(lcm, mk) is not None:
-                a = (k, i) if k < i else (i, k)
-                b = (k, j) if k < j else (j, k)
-                if a in done and b in done:
-                    skip = True
-                    break
-        if skip:
-            continue
-        qi = mono_div(lcm, mi)
-        qj = mono_div(lcm, mj)
-        s = {}
-        for (tp, tm), c in G[i].items():
-            s[(tp, mono_mul(tm, qi))] = c
-        for (tp, tm), c in G[j].items():
-            pm = (tp, mono_mul(tm, qj))
-            v = (s.get(pm, 0) - c) % p
-            if v:
-                s[pm] = v
-            elif pm in s:
-                del s[pm]
-        r = mod_nf_dict(s, prepped, mkey, p)
-        if r:
-            add(_mod_monic(r, mkey, p))
-
-    return _mod_reduce_basis(G, mkey, p)
-
-
-def _mod_reduce_basis(G, mkey, p):
-    items = []
-    for g in G:
-        if g:
-            lm = max(g, key=mkey)
-            items.append((mkey(lm), lm, g))
-    items.sort(key=lambda t: t[0])
-    kept = []
-    kept_lms = []
-    for _, lm, g in items:
-        if any(h[0] == lm[0] and mono_div(lm[1], h[1]) is not None for h in kept_lms):
-            continue
-        kept.append(dict(g))
-        kept_lms.append(lm)
-    # tail-reduce to the unique reduced basis; leading terms never move, so
-    # the divisor data is rebuilt once per pass (stale tails are still valid
-    # reducers, and the fixpoint pass certifies full reduction)
-    changed = True
-    while changed:
-        changed = False
-        prepped = [
-            (lm, pow(g[lm], -1, p), tuple((pm, c) for pm, c in g.items() if pm != lm))
-            for lm, g in zip(kept_lms, kept)
-        ]
-        for i in range(len(kept)):
-            others = prepped[:i] + prepped[i + 1 :]
-            r = mod_nf_dict(kept[i], others, mkey, p)
-            if r != kept[i]:
-                kept[i] = r
-                changed = True
-    return [_mod_monic(g, mkey, p) for g in kept]
+# -- submodules of free modules, on the kernel in groebner ---------------------
 
 
 def module_gb(vectors, ring: PolyRing):
     """Reduced Groebner basis of the span of `vectors` inside a free module."""
-    mkey = _mkeyf(ring.order.key)
-    return mod_buchberger([_vec_to_dict(v) for v in vectors], mkey, ring.char)
+    return buchberger([_vec_to_dict(v) for v in vectors], _mkeyf(ring.order.key), ring.char)
 
 
 def module_member(vec, gb_dicts, ring: PolyRing) -> bool:
     mkey = _mkeyf(ring.order.key)
-    prepped = _mod_prep(gb_dicts, mkey, ring.char)
-    return not mod_nf_dict(_vec_to_dict(vec), prepped, mkey, ring.char)
+    prepped = _prep(gb_dicts, mkey, ring.char)
+    return not nf_dict(_vec_to_dict(vec), prepped, mkey, ring.char)
 
 
 def syzygies(vectors, ring: PolyRing, npos: int):
     """Generators of the relations among `vectors` (elements of R^npos).
 
-    Returns vectors in R^k, k = len(vectors).  Position-over-term order with
-    the target block leading, so basis elements with zero target component
-    are exactly the syzygies.
+    Returns vectors in R^k, k = len(vectors).
     """
+    if any(len(v) != npos for v in vectors):
+        raise ModcoreError("vector length does not match the free module")
     k = len(vectors)
-    if k == 0:
-        return []
-    p = ring.char
-    mkey = _mkeyf(ring.order.key)
-    unit = (0,) * ring.nvars
-    gens = []
-    for i, v in enumerate(vectors):
-        if len(v) != npos:
-            raise ModcoreError("vector length does not match the free module")
-        d = _vec_to_dict(v)
-        d[(npos + i, unit)] = 1
-        gens.append(d)
-    basis = mod_buchberger(gens, mkey, p)
-    out = []
-    for g in basis:
-        if all(pm[0] >= npos for pm in g):
-            shifted = {(pm[0] - npos, pm[1]): c for pm, c in g.items()}
-            out.append(_dict_to_vec(shifted, ring, k))
-    return out
+    return [_dict_to_vec(s, ring, k) for s in _syzygy_dicts([_vec_to_dict(v) for v in vectors], npos, ring)]
 
 
 # -- vectors and matrices ----------------------------------------------------------
@@ -723,21 +524,16 @@ def first_nonzero_maximal_minor(E: PresentedModule) -> Polynomial:
 # -- annihilators and colons ---------------------------------------------------------
 
 
-def _colon_by_basis_vector(cols, pos, ring, npos) -> Ideal:
-    """{r in R : r * e_pos lies in the span of cols}."""
-    e = tuple(ring.one() if k == pos else ring.zero() for k in range(npos))
-    syz = syzygies([e] + list(cols), ring, npos)
-    gens = [s[0] for s in syz if s[0]]
-    return Ideal(ring, gens)
-
-
 def annihilator(E: PresentedModule) -> Ideal:
+    """The intersection of the colons (relations : e_i) over the generators."""
     ring = E.ring
     if E.n == 0:
         return Ideal(ring, (ring.one(),))
+    cols = [_vec_to_dict(c) for c in E.relations]
+    unit = (0,) * ring.nvars
     result = None
     for i in range(E.n):
-        Qi = _colon_by_basis_vector(E.relations, i, ring, E.n)
+        Qi = _colon({(i, unit): 1}, cols, ring, E.n)
         result = Qi if result is None else intersect(result, Qi)
         if result.is_zero():
             return result
@@ -798,11 +594,11 @@ class Submodule:
         """Generators normal-formed against the parent relations (for display)."""
         ring = self.parent.ring
         mkey = _mkeyf(ring.order.key)
-        prepped = _mod_prep(self.parent.relation_gb(), mkey, ring.char)
+        prepped = _prep(self.parent.relation_gb(), mkey, ring.char)
         out = []
         seen = set()
         for v in self.gens:
-            d = mod_nf_dict(_vec_to_dict(v), prepped, mkey, ring.char)
+            d = nf_dict(_vec_to_dict(v), prepped, mkey, ring.char)
             if d:
                 w = _dict_to_vec(d, ring, self.parent.n)
                 key = tuple(f.terms for f in w)
@@ -847,10 +643,13 @@ def colon_into(U: Submodule, E: PresentedModule | None = None) -> Ideal:
         raise ModcoreError("U is not a submodule of E")
     I = E._cache.get("from_ideal")
     if I is not None:
-        J = U.to_ideal()
-        if not J.gens:
-            J = Ideal(E.ring, ())
-        return quotient_ideal(J, I)
+        # E = I and U = J, its image ideal, so ann(E/U) = (J :_R I).  The
+        # ideal colon solves one syzygy problem in R^1 per generator of I;
+        # ann(E/U) would work in R^mu(I) with all the syzygies of I as extra
+        # relations, which is slower and takes more memory on ideal modules
+        # (the residual_an benchmark workload).  Direct sums and free modules
+        # take ann(E/U).
+        return quotient_ideal(U.to_ideal(), I)
     return annihilator(U.quotient_module())
 
 

@@ -138,9 +138,6 @@ class PolyRing:
         except KeyError:
             raise ParseError(f"unknown variable {name!r} in {self!r}") from None
 
-    def with_order(self, order: MonomialOrder) -> PolyRing:
-        return PolyRing(self.char, self.vars, order)
-
 
 class Polynomial:
     __slots__ = ("ring", "terms")
@@ -171,9 +168,6 @@ class Polynomial:
             raise ModcoreError("zero polynomial has no leading coefficient")
         return self.terms[0][1]
 
-    def lt(self):
-        return self.terms[0]
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -196,14 +190,6 @@ class Polynomial:
 
     def tdict(self) -> dict:
         return dict(self.terms)
-
-    def support_vars(self) -> set:
-        out = set()
-        for m, _ in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    out.add(i)
-        return out
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -454,24 +440,13 @@ class _PolyParser:
 
 def parse_poly(src: str, ring: PolyRing) -> Polynomial:
     """Parse `src` into a normal-form polynomial of `ring`."""
-    return _PolyParser(src, ring).parse()
+    try:
+        return _PolyParser(src, ring).parse()
+    except OverflowError:
+        raise ParseError(f"exponent too large (every exponent must stay below {_EXP_LIMIT})") from None
 
 
 # -- ring maps ----------------------------------------------------------------
-
-def map_poly(f: Polynomial, target: PolyRing, images: list) -> Polynomial:
-    """Ring map determined by variable images (a list of target polynomials)."""
-    if len(images) != f.ring.nvars:
-        raise ModcoreError("need one image per source variable")
-    out = target.zero()
-    for m, c in f.terms:
-        t = target.const(c)
-        for i, e in enumerate(m):
-            if e:
-                t = t * images[i] ** e
-        out = out + t
-    return out
-
 
 def embed_poly(f: Polynomial, target: PolyRing) -> Polynomial:
     """Inclusion into a ring whose variable set contains f's (matched by name)."""

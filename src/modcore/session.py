@@ -153,9 +153,9 @@ def _statements(src: str):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        if start is None:
-            start = lineno
         for ch in line:
+            if start is None and not ch.isspace():
+                start = lineno
             if ch == "(":
                 depth += 1
             elif ch == ")":
@@ -165,7 +165,7 @@ def _statements(src: str):
                 if stmt:
                     yield start, stmt
                 buf = []
-                start = lineno
+                start = None
             else:
                 buf.append(ch)
         buf.append(" ")
@@ -618,7 +618,10 @@ def run_session(session: Session) -> Report:
                 entry["value"] = json.loads(str(exc))
             except (json.JSONDecodeError, ValueError):
                 entry["value"] = {"cap": str(exc)}
-        except (ModcoreError, OverflowError) as exc:
+        except Exception as exc:
+            # the task boundary: a malformed task (a missing argument, a flag
+            # of the wrong kind) fails inside its handler, and that failure
+            # becomes this task's error entry while the session goes on
             entry["status"] = "error"
             entry["value"] = {"error": f"{type(exc).__name__}: {exc}"}
         entry["elapsed_ms"] = int((time.perf_counter() - t0) * 1000)

@@ -88,6 +88,14 @@ def test_syzygies_koszul(R2):
     assert syz == expected
 
 
+def test_module_gb_keeps_pairs_with_coprime_leading_monomials(R2):
+    # leading terms x*e0 and y*e0 are coprime, but their S-pair gives (0, y^2),
+    # which nothing else reduces: the product criterion holds for ideals only
+    x, y = R2.gens()
+    gb = module_gb([(x, y), (y, R2.zero())], R2)
+    assert {(1, (0, 2)): 1} in gb  # the term dict of (0, y^2)
+
+
 def test_syzygies_of_free_basis(R2):
     x, y = R2.gens()
     F_basis = [(R2.one(), R2.zero()), (R2.zero(), R2.one())]

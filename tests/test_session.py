@@ -181,6 +181,45 @@ def test_error_isolated_per_task():
     assert rep.payload["tasks"][1]["value"] == 2
 
 
+def _cli_run(tmp_path, src):
+    f = tmp_path / "s.mc"
+    f.write_text(src)
+    return subprocess.run(
+        [sys.executable, "-m", "modcore.cli", "run", str(f)], capture_output=True, text=True
+    )
+
+
+def test_task_missing_argument_is_an_error_entry(tmp_path):
+    out = _cli_run(tmp_path, "ring R = GF(32003)[x,y];\ntask height;\n")
+    assert out.returncode == 4 and "Traceback" not in out.stderr
+    task = json.loads(out.stdout)["tasks"][0]
+    assert task["status"] == "error"
+    assert "IndexError" in task["value"]["error"]
+
+
+def test_flag_of_wrong_kind_is_an_error_entry(tmp_path):
+    src = (
+        "ring R = GF(32003)[x,y];\n"
+        "ideal I = (x^2, x*y, y^2);\n"
+        "module E = ideal I;\n"
+        "task core E --samples abc --seed 1;\n"
+    )
+    out = _cli_run(tmp_path, src)
+    assert out.returncode == 4 and "Traceback" not in out.stderr
+    task = json.loads(out.stdout)["tasks"][0]
+    assert task["status"] == "error"
+    assert "TypeError" in task["value"]["error"]
+
+
+def test_exponent_overflow_is_a_parse_error(tmp_path):
+    src = "ring R = GF(32003)[x,y];\nideal I = (x^40000);\n"
+    with pytest.raises(ParseError, match="exponent too large.* at line 2"):
+        parse_session(src)
+    out = _cli_run(tmp_path, src)
+    assert out.returncode == 4 and "Traceback" not in out.stderr
+    assert "exponent too large" in out.stderr and "line 2" in out.stderr
+
+
 def test_determinism_byte_identical_modulo_timings():
     src = (CORPUS / "msq_core.mc").read_text()
     a = _normalize(emit_report(run_session(parse_session(src))))
