@@ -13,6 +13,7 @@ import json
 import re
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import __version__
 from .errors import CapExceededError, ModcoreError, ParseError
@@ -85,26 +86,25 @@ class Session:
     options: dict
     _coerced: dict = field(default_factory=dict)
 
-    def lookup_ideal(self, name, line=None):
-        if name in self.ideals:
-            return self.ideals[name]
-        raise ParseError(f"undeclared ideal {name!r}", line)
+    def declares(self, kind, name) -> bool:
+        """Whether `name` can stand for a `kind`: "ideal", "submodule", or
+        "module", which an ideal name also is."""
+        return name in self._table(kind) or (kind == "module" and name in self.ideals)
 
-    def lookup_module(self, name, line=None):
-        if name in self.modules:
-            return self.modules[name]
-        if name in self.ideals:
-            M = self._coerced.get(name)
-            if M is None:
-                M = module_from_ideal(self.ideals[name])
-                self._coerced[name] = M
-            return M
-        raise ParseError(f"undeclared module {name!r}", line)
+    def lookup(self, kind, name, line=None):
+        """The object `name` stands for as a `kind`; an ideal looked up as a
+        module becomes its module, once per session."""
+        table = self._table(kind)
+        if name in table:
+            return table[name]
+        if not self.declares(kind, name):
+            raise ParseError(f"undeclared {kind} {name!r}", line)
+        if name not in self._coerced:
+            self._coerced[name] = module_from_ideal(self.ideals[name])
+        return self._coerced[name]
 
-    def lookup_submodule(self, name, line=None):
-        if name in self.submodules:
-            return self.submodules[name]
-        raise ParseError(f"undeclared submodule {name!r}", line)
+    def _table(self, kind):
+        return {"ideal": self.ideals, "module": self.modules, "submodule": self.submodules}[kind]
 
 
 # -- parsing ------------------------------------------------------------------------
@@ -160,6 +160,8 @@ def _statements(src: str):
                 depth += 1
             elif ch == ")":
                 depth -= 1
+                if depth < 0:
+                    raise ParseError("unbalanced ')'", lineno)
             if ch == ";" and depth == 0:
                 stmt = "".join(buf).strip()
                 if stmt:
@@ -176,18 +178,6 @@ def _statements(src: str):
 def _names_unique(name, session, line):
     if name in session.ideals or name in session.modules or name in session.submodules:
         raise ParseError(f"name {name!r} already declared", line)
-
-
-RANDOMIZED_OPS = {
-    "random_reduction",
-    "reduction_number",
-    "core",
-    "residual_intersection",
-    "check_an",
-    "verify_balanced",
-    "verify_pd1_core",
-    "verify_free_quotient",
-}
 
 
 def parse_session(src: str, char_override: int | None = None, t_cap: int = 6, x_cap: int = 10) -> Session:
@@ -242,7 +232,7 @@ def parse_session(src: str, char_override: int | None = None, t_cap: int = 6, x_
             _require_ring(session, line)
             name = m.group("name")
             _names_unique(name, session, line)
-            parent = session.lookup_module(m.group("parent"), line)
+            parent = session.lookup("module", m.group("parent"), line)
             vecs = []
             for part in _split_top(m.group("body")):
                 if not part:
@@ -270,7 +260,8 @@ def parse_session(src: str, char_override: int | None = None, t_cap: int = 6, x_
             raise ParseError(f"unknown statement {head!r}", line)
     if session.ring is None and (session.ideals or session.modules or session.tasks):
         raise ParseError("no ring declared", 1)
-    _resolve_task_names(session)
+    for task in session.tasks:
+        _check_task(session, task)
     return session
 
 
@@ -289,7 +280,7 @@ def _parse_poly_at(src, ring, line):
 def _module_expr(body, session, line):
     if body.startswith("ideal "):
         iname = body[len("ideal "):].strip()
-        return module_from_ideal(session.lookup_ideal(iname, line))
+        return module_from_ideal(session.lookup("ideal", iname, line))
     m = re.match(r"^free\s+(\d+)\s+twist\s+(-?\d+)$", body)
     if m:
         return free_module(session.ring, int(m.group(1)), int(m.group(2)))
@@ -302,13 +293,16 @@ def _module_expr(body, session, line):
         if len(parts) != 2:
             raise ParseError("sum takes two module names", line)
         return direct_sum(
-            session.lookup_module(parts[0], line), session.lookup_module(parts[1], line)
+            session.lookup("module", parts[0], line), session.lookup("module", parts[1], line)
         )
     m = re.match(r"^power_sum\(\s*(\w+)\s*,\s*(\d+)\s*\)$", body)
     if m:
-        EI = module_from_ideal(session.lookup_ideal(m.group(1), line))
+        EI = module_from_ideal(session.lookup("ideal", m.group(1), line))
+        power = int(m.group(2))
+        if power < 1:
+            raise ParseError("power_sum needs a power of at least 1", line)
         E = EI
-        for _ in range(int(m.group(2)) - 1):
+        for _ in range(power - 1):
             E = direct_sum(E, EI)
         return E
     raise ParseError(f"unknown module expression {body!r}", line)
@@ -323,8 +317,10 @@ def _task_args(rest, line):
         t = toks[i]
         if t.startswith("--"):
             key = t[2:].replace("-", "_")
-            if i + 1 >= len(toks):
+            if i + 1 >= len(toks) or toks[i + 1].startswith("--"):
                 raise ParseError(f"flag {t} needs a value", line)
+            if key in flags:
+                raise ParseError(f"flag {t} given twice", line)
             val = toks[i + 1]
             try:
                 flags[key] = int(val)
@@ -340,23 +336,76 @@ def _task_args(rest, line):
     return args, flags
 
 
-def _resolve_task_names(session):
-    """Fail fast on tasks referencing undeclared objects."""
-    for task in session.tasks:
-        spec = TASKS.get(task.op)
-        if spec is None:
-            raise ParseError(f"unknown task op {task.op!r}", task.line)
-        for a in task.args:
-            if isinstance(a, str) and not (
-                a in session.ideals or a in session.modules or a in session.submodules
-            ):
-                raise ParseError(f"undeclared name {a!r} in task {task.op}", task.line)
-        sub = task.flags.get("submodule")
-        if isinstance(sub, str) and sub not in session.submodules:
-            raise ParseError(f"undeclared submodule {sub!r} in task {task.op}", task.line)
+def _check_task(session, task):
+    """Hold a task line to its op's spec: the number of arguments, the kind
+    of each argument and flag, and no flag the op does not take."""
+    spec = SPECS.get(task.op)
+    if spec is None:
+        raise ParseError(f"unknown task op {task.op!r}", task.line)
+    kinds = spec.args + spec.optional
+    if not len(spec.args) <= len(task.args) <= len(kinds):
+        usage = " ".join(list(spec.args) + [f"[{k}]" for k in spec.optional])
+        raise ParseError(f"task {task.op} takes `{usage}`, got {len(task.args)} argument(s)", task.line)
+    given = [(f"argument {i}", kind, a) for i, (kind, a) in enumerate(zip(kinds, task.args), 1)]
+    for key, value in task.flags.items():
+        if key not in spec.flags:
+            raise ParseError(f"task {task.op} has no flag --{key.replace('_', '-')}", task.line)
+        given.append((f"--{key.replace('_', '-')}", spec.flags[key], value))
+    for what, kind, value in given:
+        if kind == "int":
+            ok, want = isinstance(value, int), "an integer"
+        elif isinstance(kind, tuple):
+            ok, want = value in kind, "one of " + ", ".join(kind)
+        else:
+            ok, want = isinstance(value, str) and session.declares(kind, value), f"a declared {kind}"
+        if not ok:
+            raise ParseError(f"task {task.op}: {what} must be {want}, got {value!r}", task.line)
 
 
 # -- task execution -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Spec:
+    """What a task takes, and the handler that runs it.
+
+    `args` and `optional` are the kinds of the required and the optional
+    positional arguments; `flags` maps each flag, as a keyword, to its kind.
+    A kind is "ideal", "module" (an ideal name is taken too), "submodule",
+    "int", or a tuple of the words allowed.  The parser holds every task line
+    to its spec; calling the spec with (session, task) looks up the names
+    and runs `run(session, *args, **flags)`.  A flag not given takes the
+    handler's keyword default."""
+
+    run: Callable
+    args: tuple
+    optional: tuple = ()
+    flags: dict = field(default_factory=dict)
+
+    def __call__(self, session, task):
+        kinds = self.args + self.optional
+        args = [_value(session, kind, a) for kind, a in zip(kinds, task.args)]
+        flags = {key: _value(session, self.flags[key], v) for key, v in task.flags.items()}
+        try:
+            return self.run(session, *args, **flags)
+        except _Unseeded:
+            raise ModcoreError(f"task {task.op} is randomized; --seed is mandatory") from None
+
+
+def _value(session, kind, token):
+    return session.lookup(kind, token) if kind in ("ideal", "module", "submodule") else token
+
+
+class _Unseeded(Exception):
+    """A task drew at random without --seed; its spec names the op."""
+
+
+def _seed(seed):
+    """The seed of a random draw.  --seed is mandatory exactly where a task
+    draws, so every Monte Carlo value in a report carries its seed."""
+    if seed is None:
+        raise _Unseeded
+    return seed
 
 
 def _ideal_value(I: Ideal):
@@ -377,109 +426,37 @@ def _module_value(E: PresentedModule):
     }
 
 
-def _run_groebner(s, t):
-    return _ideal_value(s.lookup_ideal(t.args[0]))
+def _run_hilbert(session, I, deg):
+    cap = session.options["max_x_degree"]
+    if deg > cap:
+        raise CapExceededError(f"degree {deg} exceeds --max-x-degree {cap}")
+    return hilbert_function(I, deg)
 
 
-def _run_height(s, t):
-    return height(s.lookup_ideal(t.args[0]))
-
-
-def _run_dim(s, t):
-    return krull_dimension(s.lookup_ideal(t.args[0]))
-
-
-def _run_hilbert(s, t):
-    deg = int(t.args[1])
-    if deg > s.options["max_x_degree"]:
-        raise CapExceededError(f"degree {deg} exceeds --max-x-degree {s.options['max_x_degree']}")
-    return hilbert_function(s.lookup_ideal(t.args[0]), deg)
-
-
-def _run_mu(s, t):
-    return mu(s.lookup_module(t.args[0]))
-
-
-def _run_quotient(s, t):
-    return _ideal_value(quotient_ideal(s.lookup_ideal(t.args[0]), s.lookup_ideal(t.args[1])))
-
-
-def _run_intersect(s, t):
-    return _ideal_value(intersect(s.lookup_ideal(t.args[0]), s.lookup_ideal(t.args[1])))
-
-
-def _run_rank(s, t):
-    return rank(s.lookup_module(t.args[0]))
-
-
-def _run_pdim(s, t):
-    return projective_dimension(s.lookup_module(t.args[0]))
-
-
-def _run_depth(s, t):
-    d = depth(s.lookup_module(t.args[0]))
+def _run_depth(_, E):
+    d = depth(E)
     return "infinity" if d == float("inf") else d
 
 
-def _run_fitting(s, t):
-    return _ideal_value(fitting_ideal(s.lookup_module(t.args[0]), int(t.args[1])))
+def _run_random_reduction(_, E, *, count=None, seed=None):
+    U = random_reduction(E, count=count, rng=_seed(seed))
+    return {"seed": seed, "gens": _submodule_value(U)}
 
 
-def _run_spread(s, t):
-    return analytic_spread(s.lookup_module(t.args[0]))
-
-
-def _run_sym(s, t):
-    return _ideal_value(sym_ideal(s.lookup_module(t.args[0])))
-
-
-def _run_rees(s, t):
-    return _ideal_value(rees_ideal(s.lookup_module(t.args[0])))
-
-
-def _run_fiber(s, t):
-    return _ideal_value(fiber_ideal(s.lookup_module(t.args[0])))
-
-
-def _run_component(s, t):
-    E = s.lookup_module(t.args[0])
-    j = int(t.args[1])
-    Ej = graded_component(E, j, s.options["max_t_degree"])
-    return _module_value(Ej)
-
-
-def _run_is_reduction(s, t):
-    U = s.lookup_submodule(t.args[0])
-    return is_reduction(U, U.parent)
-
-
-def _run_random_reduction(s, t):
-    E = s.lookup_module(t.args[0])
-    U = random_reduction(E, count=t.flags.get("count"), rng=t.flags["seed"])
-    return {"seed": t.flags["seed"], "gens": _submodule_value(U)}
-
-
-def _run_reduction_number(s, t):
-    E = s.lookup_module(t.args[0])
-    sub = t.flags.get("submodule")
-    if sub is not None:
-        U = s.lookup_submodule(sub)
-    else:
-        U = random_reduction(E, rng=t.flags["seed"])
-    maxdeg = t.flags.get("max_degree", s.options["max_t_degree"])
-    r = reduction_number(U, E, maxdeg)
+def _run_reduction_number(session, E, *, submodule=None, max_degree=None, seed=None):
+    U = submodule if submodule is not None else random_reduction(E, rng=_seed(seed))
+    if max_degree is None:
+        max_degree = session.options["max_t_degree"]
+    r = reduction_number(U, E, max_degree)
     if not r.exact:
-        raise CapExceededError(json.dumps({"max_degree": maxdeg}))
-    return {"r": r.value, "seed": t.flags.get("seed"), "max_degree": maxdeg}
+        raise CapExceededError(json.dumps({"max_degree": max_degree}))
+    return {"r": r.value, "seed": seed, "max_degree": max_degree}
 
 
-def _run_core(s, t):
-    E = s.lookup_module(t.args[0])
-    samples = t.flags.get("samples", 12)
-    window = t.flags.get("window", 3)
-    C, used = core_monte_carlo(E, samples=samples, stabilization_window=window, rng=t.flags["seed"])
+def _run_core(_, E, *, samples=12, window=3, seed=None):
+    C, used = core_monte_carlo(E, samples=samples, stabilization_window=window, rng=_seed(seed))
     return {
-        "seed": t.flags["seed"],
+        "seed": seed,
         "samples": samples,
         "samples_used": used,
         "label": "Monte Carlo upper approximation",
@@ -487,90 +464,88 @@ def _run_core(s, t):
     }
 
 
-def _run_check_gs(s, t):
-    return check_gs(s.lookup_module(t.args[0]), int(t.args[1])).to_dict()
-
-
-def _run_residual(s, t):
-    E = s.lookup_module(t.args[0])
-    sub = t.flags.get("submodule")
-    W = s.lookup_submodule(sub) if sub is not None else whole_module(E)
-    cert = residual_intersection(E, W, int(t.flags.get("s", t.args[1] if len(t.args) > 1 else 1)), t.flags["seed"])
-    out = cert.to_dict()
-    out["seed"] = t.flags["seed"]
+def _run_residual(_, E, n=1, *, s=None, submodule=None, seed=None):
+    rng = _seed(seed)
+    W = submodule if submodule is not None else whole_module(E)
+    out = residual_intersection(E, W, n if s is None else s, rng).to_dict()
+    out["seed"] = seed
     return out
 
 
-def _run_check_an(s, t):
-    E = s.lookup_module(t.args[0])
-    rows = check_an(E, s=t.flags.get("s"), trials=t.flags.get("trials", 10), rng=t.flags["seed"])
-    return {"seed": t.flags["seed"], "rows": [r.to_dict() for r in rows]}
+def _run_check_an(_, E, *, s=None, trials=10, seed=None):
+    rows = check_an(E, s=s, trials=trials, rng=_seed(seed))
+    return {"seed": seed, "rows": [r.to_dict() for r in rows]}
 
 
-def _run_ext(s, t):
-    return check_ext_vanishing(s.lookup_module(t.args[0]), s.options["max_t_degree"]).to_dict()
-
-
-def _run_cm_rees(s, t):
-    return check_cm_rees(s.lookup_module(t.args[0])).to_dict()
-
-
-def _run_free_quotient(s, t):
-    E = s.lookup_module(t.args[0])
-    if len(t.args) > 1:
-        U = s.lookup_submodule(t.args[1])
-    else:
-        U = random_reduction(E, rng=t.flags["seed"])
+def _run_free_quotient(_, E, U=None, *, seed=None):
+    if U is None:
+        U = random_reduction(E, rng=_seed(seed))
     return verify_free_quotient(E, U).to_dict()
 
 
-def _run_balanced(s, t):
-    E = s.lookup_module(t.args[0])
-    rep = verify_balanced(E, reductions=t.flags.get("reductions", 6), rng=t.flags["seed"])
-    return rep
-
-
-def _run_pd1(s, t):
-    return verify_pd1_core(s.lookup_module(t.args[0]), rng=t.flags["seed"])
-
-
-def _run_ideal_module(s, t):
-    I = s.lookup_ideal(t.args[0])
-    E, verdicts = build_ideal_module(I, int(t.flags.get("rank", 2)), t.flags.get("mode", "plus_free"))
+def _run_ideal_module(_, I, *, rank=2, mode="plus_free"):
+    E, verdicts = build_ideal_module(I, rank, mode)
     return {"module": _module_value(E), "verdicts": verdicts.to_dict()}
 
 
-TASKS = {
-    "groebner": _run_groebner,
-    "height": _run_height,
-    "dim": _run_dim,
-    "hilbert": _run_hilbert,
-    "mu": _run_mu,
-    "quotient": _run_quotient,
-    "intersect": _run_intersect,
-    "rank": _run_rank,
-    "pdim": _run_pdim,
-    "depth": _run_depth,
-    "fitting": _run_fitting,
-    "analytic_spread": _run_spread,
-    "sym_ideal": _run_sym,
-    "rees_ideal": _run_rees,
-    "fiber_ideal": _run_fiber,
-    "graded_component": _run_component,
-    "is_reduction": _run_is_reduction,
-    "random_reduction": _run_random_reduction,
-    "reduction_number": _run_reduction_number,
-    "core": _run_core,
-    "check_gs": _run_check_gs,
-    "residual_intersection": _run_residual,
-    "check_an": _run_check_an,
-    "check_ext_vanishing": _run_ext,
-    "check_cm_rees": _run_cm_rees,
-    "verify_free_quotient": _run_free_quotient,
-    "verify_balanced": _run_balanced,
-    "verify_pd1_core": _run_pd1,
-    "ideal_module_verdicts": _run_ideal_module,
+# Handlers call the library through this module's names, never through a
+# reference taken when the table is built, so that tools which rebind those
+# names (such as the benchmark's tracer) see every call.
+SPECS = {
+    "groebner": Spec(lambda _, I: _ideal_value(I), ("ideal",)),
+    "height": Spec(lambda _, I: height(I), ("ideal",)),
+    "dim": Spec(lambda _, I: krull_dimension(I), ("ideal",)),
+    "hilbert": Spec(_run_hilbert, ("ideal", "int")),
+    "mu": Spec(lambda _, E: mu(E), ("module",)),
+    "quotient": Spec(lambda _, I, J: _ideal_value(quotient_ideal(I, J)), ("ideal", "ideal")),
+    "intersect": Spec(lambda _, I, J: _ideal_value(intersect(I, J)), ("ideal", "ideal")),
+    "rank": Spec(lambda _, E: rank(E), ("module",)),
+    "pdim": Spec(lambda _, E: projective_dimension(E), ("module",)),
+    "depth": Spec(_run_depth, ("module",)),
+    "fitting": Spec(lambda _, E, j: _ideal_value(fitting_ideal(E, j)), ("module", "int")),
+    "analytic_spread": Spec(lambda _, E: analytic_spread(E), ("module",)),
+    "sym_ideal": Spec(lambda _, E: _ideal_value(sym_ideal(E)), ("module",)),
+    "rees_ideal": Spec(lambda _, E: _ideal_value(rees_ideal(E)), ("module",)),
+    "fiber_ideal": Spec(lambda _, E: _ideal_value(fiber_ideal(E)), ("module",)),
+    "graded_component": Spec(
+        lambda session, E, j: _module_value(graded_component(E, j, session.options["max_t_degree"])),
+        ("module", "int"),
+    ),
+    "is_reduction": Spec(lambda _, U: is_reduction(U, U.parent), ("submodule",)),
+    "random_reduction": Spec(_run_random_reduction, ("module",), flags={"count": "int", "seed": "int"}),
+    "reduction_number": Spec(
+        _run_reduction_number,
+        ("module",),
+        flags={"submodule": "submodule", "max_degree": "int", "seed": "int"},
+    ),
+    "core": Spec(_run_core, ("module",), flags={"samples": "int", "window": "int", "seed": "int"}),
+    "check_gs": Spec(lambda _, E, s: check_gs(E, s).to_dict(), ("module", "int")),
+    "residual_intersection": Spec(
+        _run_residual, ("module",), ("int",), {"s": "int", "submodule": "submodule", "seed": "int"}
+    ),
+    "check_an": Spec(_run_check_an, ("module",), flags={"s": "int", "trials": "int", "seed": "int"}),
+    "check_ext_vanishing": Spec(
+        lambda session, E: check_ext_vanishing(E, session.options["max_t_degree"]).to_dict(), ("module",)
+    ),
+    "check_cm_rees": Spec(lambda _, E: check_cm_rees(E).to_dict(), ("module",)),
+    "verify_free_quotient": Spec(_run_free_quotient, ("module",), ("submodule",), {"seed": "int"}),
+    "verify_balanced": Spec(
+        lambda _, E, *, reductions=6, seed=None: verify_balanced(E, reductions=reductions, rng=_seed(seed)),
+        ("module",),
+        flags={"reductions": "int", "seed": "int"},
+    ),
+    "verify_pd1_core": Spec(
+        lambda _, E, *, seed=None: verify_pd1_core(E, rng=_seed(seed)), ("module",), flags={"seed": "int"}
+    ),
+    "ideal_module_verdicts": Spec(
+        _run_ideal_module, ("ideal",), flags={"rank": "int", "mode": ("plus_free", "power_sum")}
+    ),
 }
+
+# The handlers run_session calls: op -> callable(session, task).  A copy of
+# SPECS, so that a caller may wrap these (the benchmark times each task this
+# way) while the parser keeps checking task lines against the specs.
+TASKS = dict(SPECS)
 
 
 @dataclass
@@ -593,15 +568,7 @@ def run_session(session: Session) -> Report:
         }
         t0 = time.perf_counter()
         try:
-            needs_seed = task.op in RANDOMIZED_OPS and "seed" not in task.flags
-            if needs_seed and task.op == "reduction_number" and "submodule" in task.flags:
-                needs_seed = False
-            if needs_seed and task.op == "verify_free_quotient" and len(task.args) > 1:
-                needs_seed = False
-            if needs_seed:
-                raise ModcoreError(f"task {task.op} is randomized; --seed is mandatory")
-            handler = TASKS[task.op]
-            value = handler(session, task)
+            value = TASKS[task.op](session, task)
             status = "ok"
             if hasattr(value, "status"):  # balanced / pd1 verdict objects
                 status = {
@@ -619,9 +586,8 @@ def run_session(session: Session) -> Report:
             except (json.JSONDecodeError, ValueError):
                 entry["value"] = {"cap": str(exc)}
         except Exception as exc:
-            # the task boundary: a malformed task (a missing argument, a flag
-            # of the wrong kind) fails inside its handler, and that failure
-            # becomes this task's error entry while the session goes on
+            # the task boundary: whatever fails inside a task becomes its
+            # error entry, and the session goes on
             entry["status"] = "error"
             entry["value"] = {"error": f"{type(exc).__name__}: {exc}"}
         entry["elapsed_ms"] = int((time.perf_counter() - t0) * 1000)

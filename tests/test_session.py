@@ -1,6 +1,7 @@
 """Session DSL parsing, task running, report schema, CLI exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from modcore.errors import ParseError
-from modcore.session import emit_report, parse_session, run_session
+from modcore.session import SPECS, emit_report, parse_session, run_session
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -189,15 +190,14 @@ def _cli_run(tmp_path, src):
     )
 
 
-def test_task_missing_argument_is_an_error_entry(tmp_path):
+def test_task_missing_argument_is_a_parse_error(tmp_path):
     out = _cli_run(tmp_path, "ring R = GF(32003)[x,y];\ntask height;\n")
     assert out.returncode == 4 and "Traceback" not in out.stderr
-    task = json.loads(out.stdout)["tasks"][0]
-    assert task["status"] == "error"
-    assert "IndexError" in task["value"]["error"]
+    assert out.stdout == ""
+    assert "task height takes `ideal`, got 0 argument(s) at line 2" in out.stderr
 
 
-def test_flag_of_wrong_kind_is_an_error_entry(tmp_path):
+def test_flag_of_wrong_kind_is_a_parse_error(tmp_path):
     src = (
         "ring R = GF(32003)[x,y];\n"
         "ideal I = (x^2, x*y, y^2);\n"
@@ -206,9 +206,67 @@ def test_flag_of_wrong_kind_is_an_error_entry(tmp_path):
     )
     out = _cli_run(tmp_path, src)
     assert out.returncode == 4 and "Traceback" not in out.stderr
-    task = json.loads(out.stdout)["tasks"][0]
-    assert task["status"] == "error"
-    assert "TypeError" in task["value"]["error"]
+    assert out.stdout == ""
+    assert "task core: --samples must be an integer, got 'abc' at line 4" in out.stderr
+
+
+_HEADER = (
+    "ring R = GF(32003)[x,y];\n"
+    "ideal I = (x^2, x*y, y^2);\n"
+    "module E = ideal I;\n"
+    "submodule U = span(E; [1, 0, 0], [0, 0, 1]);\n"
+)
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("task hilbert I;", r"task hilbert takes `ideal int`, got 1 argument"),  # missing argument
+        ("task height I I;", r"task height takes `ideal`, got 2 argument"),  # extra argument
+        ("task verify_free_quotient E U U;", r"takes `module \[submodule\]`, got 3"),
+        ("task height E;", r"argument 1 must be a declared ideal, got 'E'"),  # wrong kind of name
+        ("task is_reduction E;", r"argument 1 must be a declared submodule, got 'E'"),
+        ("task fitting E I;", r"argument 2 must be an integer, got 'I'"),
+        ("task mu 3;", r"argument 1 must be a declared module, got 3"),
+        ("task mu I --bogus 3;", r"task mu has no flag --bogus"),  # unknown flag
+        ("task core E --samples abc --seed 1;", r"--samples must be an integer, got 'abc'"),
+        ("task core E --samples 4 --seed abc;", r"--seed must be an integer, got 'abc'"),
+        ("task reduction_number E --submodule E;", r"--submodule must be a declared submodule"),
+        ("task ideal_module_verdicts I --mode bogus;", r"--mode must be one of plus_free, power_sum"),
+        ("task core E --seed;", r"flag --seed needs a value"),  # flag with no value
+        ("task core E --seed --samples 4;", r"flag --seed needs a value"),
+        ("task core E --seed 1 --seed 2;", r"flag --seed given twice"),
+    ],
+)
+def test_malformed_task_line_is_a_parse_error_at_its_line(line, message):
+    with pytest.raises(ParseError, match=message + r".* at line 5$"):
+        parse_session(_HEADER + line + "\n")
+
+
+def test_unbalanced_close_paren_is_named_at_its_line():
+    src = "ring R = GF(32003)[x,y];\nideal I = (x));\ntask height I;\n"
+    with pytest.raises(ParseError, match=r"^unbalanced '\)' at line 2$"):
+        parse_session(src)
+
+
+def test_power_sum_needs_a_positive_power():
+    src = "ring R = GF(32003)[x,y];\nideal I = (x^2, x*y, y^2);\nmodule P = power_sum(I, 0);\n"
+    with pytest.raises(ParseError, match="power_sum needs a power of at least 1 at line 3"):
+        parse_session(src)
+    rep = run_session(parse_session(src.replace("0);", "2);") + "task mu P;\n"))
+    assert rep.payload["tasks"][0]["value"] == 6
+
+
+def test_readme_task_table_lists_every_spec():
+    """The README's task table names each op once, with exactly its flags."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Tasks", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|[^|]*\|([^|]*)\|$", section, re.M)
+    listed = {op: sorted(re.findall(r"(?:^|;)\s*`--([\w-]+)`", flags.strip())) for op, flags in rows}
+    assert len(listed) == len(rows)
+    assert listed == {
+        op: sorted(key.replace("_", "-") for key in spec.flags) for op, spec in SPECS.items()
+    }
 
 
 def test_exponent_overflow_is_a_parse_error(tmp_path):
