@@ -23,7 +23,6 @@ from .modalg import (
     Submodule,
     colon_into,
     cyclic_module,
-    depth,
     direct_sum,
     ext_module,
     fitting_ideal,
@@ -37,7 +36,8 @@ from .modalg import (
     projective_dimension,
     rank,
     span,
-    syzygies,
+    submodule_presentation,
+    vector_degree,
     whole_module,
 )
 from .rees import (
@@ -136,7 +136,7 @@ def _random_elements(W: Submodule, count: int, rng):
     Returns (ambient vectors, W-coordinate rows); the rows express each draw
     in W's generators, which the generator-drop check needs."""
     E = W.parent
-    degs = {d for v in W.gens for d in [_vector_degree_or_none(v, E)] if d is not None}
+    degs = {vector_degree(v, E.gen_degrees) for v in W.gens}
     if len(degs) > 1:
         raise DegreeMixError("W has generators in mixed degrees; cannot draw homogeneous elements")
     ring = E.ring
@@ -161,25 +161,21 @@ def _random_elements(W: Submodule, count: int, rng):
 def _mu_drop_holds(W: Submodule, coords, s: int) -> bool:
     """Theorem-2.2 statement (1) at the maximal ideal: the drawn elements cut
     the minimal generator count of W by exactly s (to a floor of zero)."""
-    from .modalg import PresentedModule, mu as mu_of
-
-    E = W.parent
-    ring = E.ring
-    P_W = _submodule_presentation(W)
+    ring = W.parent.ring
+    P_W = submodule_presentation(W)
     extra = [tuple(ring.const(c) for c in row) for row in coords]
     Q = PresentedModule(ring, P_W.gen_degrees, list(P_W.relations) + extra, _validate=False)
-    return mu_of(Q) == max(0, mu_of(P_W) - s)
+    return mu(Q) == max(0, mu(P_W) - s)
 
 
-def _vector_degree_or_none(v, E):
-    from .modalg import vector_degree
-
-    return vector_degree(v, E.gen_degrees)
-
-
-def _cm_of_quotient(ring, K: Ideal) -> bool:
-    Q = cyclic_module(ring, K)
-    return depth(Q) == krull_dimension(K)
+def _depth_and_dim(K: Ideal):
+    """(depth, dim) of R/K for a proper homogeneous K: depth from the minimal
+    resolution of R/K (graded Auslander-Buchsbaum), presented on K's reduced
+    basis, whose elements are homogeneous.  R/K is Cohen-Macaulay iff the
+    two agree."""
+    ring = K.ring
+    pd = projective_dimension(cyclic_module(ring, Ideal(ring, K.groebner_basis())))
+    return ring.nvars - pd, krull_dimension(K)
 
 
 def residual_intersection(
@@ -240,6 +236,10 @@ def residual_intersection(
         if ok:
             K = colon_into(span(E, elems), E)
             proper = not K.is_unit()
+            cm = None
+            if proper:
+                dep, dim = _depth_and_dim(K)
+                cm = dep == dim
             return ResidualCertificate(
                 s=s,
                 elements=elems,
@@ -248,7 +248,7 @@ def residual_intersection(
                 K=K,
                 proper=proper,
                 height_K=height(K),
-                cm=_cm_of_quotient(E.ring, K) if proper else None,
+                cm=cm,
                 mu_drop_ok=True,
                 retries=attempt,
                 failures=failures,
@@ -291,11 +291,15 @@ def check_an(E: PresentedModule, s: int | None = None, trials: int = 10, rng=Non
 
     An i whose construction preconditions fail (e.g. E is not G_i) gets a
     zero-trial row carrying the reason, not an exception."""
+    if trials < 1:
+        raise ModcoreError(f"check_an needs trials >= 1, got {trials}")
     rng = _rng(rng)
     e = rank(E)
     d = E.ring.nvars
     if s is None:
         s = d + e - 1
+    if s < e:
+        raise ModcoreError(f"check_an needs s >= rank(E) = {e}, got s = {s}")
     W = whole_module(E)
     rows = []
     for i in range(e, min(s, d + e - 1) + 1):
@@ -395,14 +399,7 @@ def check_cm_rees(E: PresentedModule) -> CmReesVerdict:
     cached = E._cache.get("cm_rees")
     if cached is not None:
         return cached
-    rp = rees_package(E)
-    big = rp.big_ring
-    rees = rp.rees_ideal()
-    # present on the reduced basis: its elements are homogeneous
-    Q = cyclic_module(big, Ideal(big, rees.groebner_basis()))
-    pd = projective_dimension(Q)
-    dep = big.nvars - pd
-    dim = krull_dimension(rees)
+    dep, dim = _depth_and_dim(rees_package(E).rees_ideal())
     verdict = CmReesVerdict(cm=dep == dim, depth=dep, dim=dim)
     E._cache["cm_rees"] = verdict
     return verdict
@@ -487,25 +484,11 @@ class FreeQuotientVerdict:
         }
 
 
-def _submodule_presentation(U: Submodule) -> PresentedModule:
-    """U as an abstract module: relations among its generators inside E."""
-    E = U.parent
-    k = len(U.gens)
-    degs = tuple(_vector_degree_or_none(v, E) for v in U.gens)
-    syz = syzygies(list(U.gens) + list(E.relations), E.ring, E.n)
-    cols = []
-    for s in syz:
-        head = tuple(s[:k])
-        if any(head):
-            cols.append(head)
-    return PresentedModule(E.ring, degs, cols, _validate=False)
-
-
 def verify_free_quotient(E: PresentedModule, U: Submodule) -> FreeQuotientVerdict:
     """U/(U:E)U free of rank ell over R/(U:E): checked as I_1(phi_U) <= (U:E)
     on a minimal ell-generator presentation of U."""
     ell = analytic_spread(E)
-    P = minimal_presentation(_submodule_presentation(U))
+    P = minimal_presentation(submodule_presentation(U))
     mu_U = P.n
     K = colon_into(U, E)
     if K.is_unit():
@@ -559,6 +542,8 @@ def verify_balanced(E: PresentedModule, reductions: int, rng=None, core_samples:
     and no equivalence is asserted; an inconclusive sub-computation (a degree
     cap, a non-stabilizing core) marks the report partial instead.
     """
+    if reductions < 1:
+        raise ModcoreError(f"verify_balanced needs reductions >= 1, got {reductions}")
     seed = rng
     rng = _rng(rng)
     hyp = hypothesis_report(E)

@@ -539,22 +539,26 @@ def height(I: Ideal) -> int:
 
 def _monomials_of_degree(nvars: int, deg: int):
     if nvars == 1:
-        yield (deg,)
+        if deg >= 0:
+            yield (deg,)
         return
     for e in range(deg + 1):
         for rest in _monomials_of_degree(nvars - 1, deg - e):
             yield (e,) + rest
 
 
+def _standard_count(nvars: int, leads, gen_degrees, deg: int) -> int:
+    """Number of module monomials m*e_pos of degree deg(m) + gen_degrees[pos]
+    = deg that no leading term (pos, lm) in `leads` divides: dim_k of the
+    degree-`deg` piece of the quotient by the span of the basis."""
+    return sum(
+        1
+        for pos, shift in enumerate(gen_degrees)
+        for m in _monomials_of_degree(nvars, deg - shift)
+        if all(lpos != pos or mono_div(m, lm) is None for lpos, lm in leads)
+    )
+
+
 def hilbert_function(I: Ideal, deg: int) -> int:
-    """dim_k (R/I)_deg, counted on standard monomials of the leading-term ideal."""
-    if deg < 0:
-        return 0
-    if I.is_unit():
-        return 0
-    lms = [g.lm() for g in I.groebner_basis()]
-    count = 0
-    for m in _monomials_of_degree(I.ring.nvars, deg):
-        if all(mono_div(m, lm) is None for lm in lms):
-            count += 1
-    return count
+    """dim_k (R/I)_deg: the one-position case of `_standard_count`."""
+    return _standard_count(I.ring.nvars, [(0, g.lm()) for g in I.groebner_basis()], (0,), deg)

@@ -3,7 +3,8 @@
 Vectors are tuples of polynomials, one per free-module position; the
 Groebner/syzygy kernel in `groebner` works on their term dicts
 {(position, monomial): coeff}.  Presentations are stored column-wise (each
-column is one relation among the generators).
+column is one relation among the generators).  Minimal presentations and
+resolutions are pruned on term dicts by one routine, `_prune_units`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .groebner import (
     _dict_to_vec,
     _mkeyf,
     _prep,
+    _standard_count,
     _syzygy_dicts,
     _vec_to_dict,
     buchberger,
@@ -25,7 +27,7 @@ from .groebner import (
     nf_dict,
     quotient_ideal,
 )
-from .poly import Polynomial, PolyRing, mono_div
+from .poly import Polynomial, PolyRing, mono_deg, mono_mul
 
 Vector = tuple  # tuple of Polynomial, one per free-module position
 
@@ -83,16 +85,8 @@ def _vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def _vec_scale(u, f):
-    return tuple(f * a for a in u)
-
-
 def _vec_is_zero(u):
     return all(not a for a in u)
-
-
-def _columns_degrees(cols, degrees):
-    return tuple(vector_degree(c, degrees) for c in cols)
 
 
 def poly_matrix_rank(cols, ring: PolyRing) -> int:
@@ -193,9 +187,6 @@ class PresentedModule:
         degs = set(self.gen_degrees)
         return degs.pop() if len(degs) == 1 else None
 
-    def zero_vector(self):
-        return _zero_vec(self.ring, self.n)
-
     def basis_vector(self, i):
         v = [self.ring.zero()] * self.n
         v[i] = self.ring.one()
@@ -203,26 +194,9 @@ class PresentedModule:
 
     def hilbert_function(self, deg: int) -> int:
         """dim_k E_deg via standard module monomials of the relation basis."""
-        from .groebner import _monomials_of_degree
-
-        lms = []
         keyf = _mkeyf(self.ring.order.key)
-        for g in self.relation_gb():
-            lms.append(max(g, key=keyf))
-        count = 0
-        for pos in range(self.n):
-            want = deg - self.gen_degrees[pos]
-            if want < 0:
-                continue
-            for m in _monomials_of_degree(self.ring.nvars, want):
-                ok = True
-                for lpos, lmm in lms:
-                    if lpos == pos and mono_div(m, lmm) is not None:
-                        ok = False
-                        break
-                if ok:
-                    count += 1
-        return count
+        leads = [max(g, key=keyf) for g in self.relation_gb()]
+        return _standard_count(self.ring.nvars, leads, self.gen_degrees, deg)
 
 
 def module_from_ideal(I: Ideal) -> PresentedModule:
@@ -276,54 +250,63 @@ def rank(E: PresentedModule) -> int:
 # -- minimal presentations and resolutions ---------------------------------------
 
 
-def _unit_entry(cols, startc=0):
-    for j in range(startc, len(cols)):
-        col = cols[j]
-        for i, f in enumerate(col):
-            if f and f.is_constant():
-                return i, j
-    return None
+def _prune_units(cols, npos, p):
+    """Cancel unit entries of the term-dict columns `cols` (positions below
+    `npos`) until none is left.
 
+    An entry is a unit when its only term at that position is the constant
+    one.  A unit u of column j at position i makes generator i a combination
+    of the others, so position i and column j both go: every other column
+    sheds its entry f at i by subtracting f/u times column j.  Columns are
+    taken in order, each at its lowest unit position.  On homogeneous
+    columns a cancellation adds terms of positive degree only, so no column
+    already passed gains a unit and one pass is enough.
 
-def _cancel_unit(cols, i, j, ring):
-    """Gaussian cancellation of a scalar entry: returns columns without row i, col j."""
-    p = ring.char
-    uinv = pow(cols[j][i].constant_coeff(), -1, p)
-    pivot_col = cols[j]
-    out = []
-    for c in range(len(cols)):
-        if c == j:
+    Returns (surviving positions, the nonzero columns renumbered onto them).
+    """
+    cols = [dict(c) for c in cols]
+    dropped = set()
+    j = 0
+    while j < len(cols):
+        pivot = cols[j]
+        units = [pm for pm in pivot if not any(pm[1]) and sum(q == pm[0] for q, _ in pivot) == 1]
+        if not units:
+            j += 1
             continue
-        col = cols[c]
-        f = col[i]
-        if f:
-            factor = f.scale(uinv)
-            newcol = tuple(
-                col[r] - factor * pivot_col[r] for r in range(len(col)) if r != i
-            )
-        else:
-            newcol = tuple(col[r] for r in range(len(col)) if r != i)
-        out.append(newcol)
-    return out
+        unit = min(units)
+        i = unit[0]
+        del cols[j]
+        uinv = pow(pivot.pop(unit), -1, p)
+        for col in cols:
+            for pm, c in [(pm, c) for pm, c in col.items() if pm[0] == i]:
+                del col[pm]
+                factor = c * uinv % p
+                for (r, m), pc in pivot.items():
+                    key = (r, mono_mul(pm[1], m))
+                    v = (col.get(key, 0) - factor * pc) % p
+                    if v:
+                        col[key] = v
+                    else:
+                        col.pop(key, None)
+        dropped.add(i)
+    kept = [q for q in range(npos) if q not in dropped]
+    renumber = {q: k for k, q in enumerate(kept)}
+    return kept, [{(renumber[q], m): c for (q, m), c in col.items()} for col in cols if col]
 
 
 def minimal_presentation(E: PresentedModule) -> PresentedModule:
-    """Prune scalar entries until the presentation is minimal."""
+    """Prune unit entries until the presentation is minimal."""
     cached = E._cache.get("minimal")
     if cached is not None:
         return cached
     ring = E.ring
-    degrees = list(E.gen_degrees)
-    cols = [tuple(c) for c in E.relations]
-    while True:
-        hit = _unit_entry(cols)
-        if hit is None:
-            break
-        i, j = hit
-        cols = _cancel_unit(cols, i, j, ring)
-        del degrees[i]
-        cols = [c for c in cols if not _vec_is_zero(c)]
-    M = PresentedModule(ring, tuple(degrees), cols, _validate=False)
+    kept, cols = _prune_units([_vec_to_dict(c) for c in E.relations], E.n, ring.char)
+    M = PresentedModule(
+        ring,
+        tuple(E.gen_degrees[q] for q in kept),
+        [_dict_to_vec(c, ring, len(kept)) for c in cols],
+        _validate=False,
+    )
     E._cache["minimal"] = M
     M._cache["minimal"] = M
     return M
@@ -352,6 +335,9 @@ class FreeResolution:
 
 
 def free_resolution(E: PresentedModule) -> FreeResolution:
+    """Minimal resolution, built on term dicts: each step takes the syzygies
+    of the last map and prunes their units; a unit at position q makes
+    column q of the last map redundant, so that column and its degree go."""
     res = E._cache.get("resolution")
     if res is not None:
         return res
@@ -359,29 +345,18 @@ def free_resolution(E: PresentedModule) -> FreeResolution:
     M = minimal_presentation(E)
     degrees = [M.gen_degrees]
     maps = []
-    cols = list(M.relations)
+    cols = [_vec_to_dict(c) for c in M.relations]
     while cols:
-        coldegs = _columns_degrees(cols, degrees[-1])
+        prev = degrees[-1]
         maps.append(cols)
-        degrees.append(coldegs)
-        syz = syzygies(cols, ring, len(degrees[-2]))
-        syz = [v for v in syz if not _vec_is_zero(v)]
-        # cancel scalar entries of the new step; each hit removes one generator
-        # of the previous free module (a redundant syzygy there)
-        while True:
-            hit = _unit_entry([tuple(v) for v in syz])
-            if hit is None:
-                break
-            i, j = hit
-            syz = _cancel_unit([tuple(v) for v in syz], i, j, ring)
-            syz = [v for v in syz if not _vec_is_zero(v)]
-            prev = maps[-1]
-            maps[-1] = [c for k, c in enumerate(prev) if k != i]
-            degrees[-1] = tuple(d for k, d in enumerate(degrees[-1]) if k != i)
-        cols = [tuple(v) for v in syz]
+        degrees.append(tuple(mono_deg(m) + prev[pos] for pos, m in (next(iter(c)) for c in cols)))
+        kept, cols = _prune_units(_syzygy_dicts(cols, len(prev), ring), len(cols), ring.char)
+        maps[-1] = [maps[-1][q] for q in kept]
+        degrees[-1] = tuple(degrees[-1][q] for q in kept)
         if len(maps) > ring.nvars + 2:
             raise ModcoreError("resolution exceeded the syzygy-theorem bound; bug")
-    res = FreeResolution(ring, degrees, maps)
+    vec_maps = [[_dict_to_vec(c, ring, len(d)) for c in m] for m, d in zip(maps, degrees)]
+    res = FreeResolution(ring, degrees, vec_maps)
     E._cache["resolution"] = res
     return res
 
@@ -415,30 +390,17 @@ def ext_module(E: PresentedModule, i: int):
     pd = res.length()
     if i > pd:
         return PresentedModule(ring, (), ()), True
-    dual_degs_i = tuple(-d for d in res.degrees[i])
-    n_i = len(dual_degs_i)
-    # image of M_i^T  (empty for i = 0)
+    # Ext^i = (kernel of M_{i+1}^T) / (image of M_i^T) inside the dual of F_i,
+    # presented as a submodule of D = F_i^* / image
     img = _transpose_cols(res.maps[i - 1], len(res.degrees[i - 1])) if i >= 1 else []
+    D = PresentedModule(ring, tuple(-d for d in res.degrees[i]), img, _validate=False)
     if i == pd:
-        kern = [tuple(ring.one() if r == j else ring.zero() for r in range(n_i)) for j in range(n_i)]
+        kern = [D.basis_vector(j) for j in range(D.n)]
     else:
-        A_cols = _transpose_cols(res.maps[i], len(res.degrees[i]))
-        kern = syzygies(A_cols, ring, len(res.degrees[i + 1]))
-        kern = [v for v in kern if not _vec_is_zero(v)]
+        kern = syzygies(_transpose_cols(res.maps[i], D.n), ring, len(res.degrees[i + 1]))
     if not kern:
         return PresentedModule(ring, (), ()), True
-    img_gb = module_gb(img, ring) if img else []
-    is_zero = all(module_member(v, img_gb, ring) for v in kern) if img else False
-    gen_degs = tuple(vector_degree(v, dual_degs_i) for v in kern)
-    rel = syzygies(list(kern) + list(img), ring, n_i)
-    r = len(kern)
-    cols = []
-    for s in rel:
-        head = tuple(s[:r])
-        if not _vec_is_zero(head):
-            cols.append(head)
-    M = PresentedModule(ring, gen_degs, cols, _validate=False)
-    return M, is_zero
+    return submodule_presentation(span(D, kern)), all(D.element_is_zero(v) for v in kern)
 
 
 # -- Fitting ideals ------------------------------------------------------------------
@@ -587,9 +549,6 @@ class Submodule:
     def __hash__(self):
         raise TypeError("unhashable")
 
-    def is_whole_module(self) -> bool:
-        return all(self.contains(self.parent.basis_vector(i)) for i in range(self.parent.n))
-
     def reduced_gens(self):
         """Generators normal-formed against the parent relations (for display)."""
         ring = self.parent.ring
@@ -651,6 +610,21 @@ def colon_into(U: Submodule, E: PresentedModule | None = None) -> Ideal:
         # take ann(E/U).
         return quotient_ideal(U.to_ideal(), I)
     return annihilator(U.quotient_module())
+
+
+def submodule_presentation(U: Submodule) -> PresentedModule:
+    """U as an abstract module on its generators: the relations are the
+    heads of the syzygies of U's generators and the parent's relations."""
+    E = U.parent
+    ring = E.ring
+    k = len(U.gens)
+    cols = []
+    for s in _syzygy_dicts([_vec_to_dict(v) for v in U.gens + E.relations], E.n, ring):
+        head = {pm: c for pm, c in s.items() if pm[0] < k}
+        if head:
+            cols.append(_dict_to_vec(head, ring, k))
+    degrees = tuple(vector_degree(v, E.gen_degrees) for v in U.gens)
+    return PresentedModule(ring, degrees, cols, _validate=False)
 
 
 def submodule_intersect(U1: Submodule, U2: Submodule) -> Submodule:

@@ -188,9 +188,6 @@ class Polynomial:
                 return c
         return 0
 
-    def tdict(self) -> dict:
-        return dict(self.terms)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other):

@@ -33,7 +33,6 @@ from .modalg import (
 from .poly import PolyRing, embed_poly, restrict_poly
 
 DEFAULT_T_CAP = 6
-DEFAULT_X_CAP = 10
 RETRY_CAP = 32
 
 
@@ -244,6 +243,8 @@ def random_reduction(E: PresentedModule, count: int | None = None, rng=None) -> 
     fiber criterion certifies a reduction."""
     if rng is None:
         raise ModcoreError("randomized operations require a seed")
+    if count is not None and count < 1:
+        raise ModcoreError(f"random_reduction needs count >= 1, got {count}")
     rng = _rng(rng)
     rp = rees_package(E)
     if count is None:
@@ -280,6 +281,8 @@ def reduction_number(U: Submodule, E: PresentedModule, max_degree: int = DEFAULT
     the quotient is generated in a single degree, so it vanishes iff the
     scalar parts of its relation columns have full rank.
     """
+    if max_degree < 0:
+        raise ModcoreError(f"reduction_number needs max_degree >= 0, got {max_degree}")
     rp = rees_package(E)
     p = E.ring.char
     lams = [rp._scalar_coords(v) for v in U.gens]
@@ -355,6 +358,8 @@ def core_monte_carlo(E: PresentedModule, samples: int = 12, stabilization_window
     """
     if rng is None:
         raise ModcoreError("randomized operations require a seed")
+    if stabilization_window < 1:
+        raise ModcoreError(f"core_monte_carlo needs stabilization_window >= 1, got {stabilization_window}")
     if samples < stabilization_window:
         raise ModcoreError("samples must be at least the stabilization window")
     rng = _rng(rng)

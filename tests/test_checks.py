@@ -212,14 +212,13 @@ def test_verify_free_quotient_random_H_plus(E_H_plus):
 
 def test_free_quotient_hilbert_oracle(R2, E_msq):
     # independent check that U/KU really is (R/K)^ell: Hilbert functions
-    from modcore.checks import _submodule_presentation
-    from modcore.modalg import PresentedModule, cyclic_module
+    from modcore.modalg import PresentedModule, cyclic_module, submodule_presentation
 
     one, zero = R2.one(), R2.zero()
     U = span(E_msq, [(one, zero, zero), (zero, zero, one)])
     K = colon_into(U, E_msq)
     ell = analytic_spread(E_msq)
-    P_U = _submodule_presentation(U)
+    P_U = submodule_presentation(U)
     KU_cols = [
         tuple(f if k == i else zero for k in range(P_U.n))
         for f in K.gens

@@ -22,6 +22,7 @@ from modcore.modalg import (
     free_resolution,
     module_from_ideal,
     projective_dimension,
+    vector_degree,
 )
 from modcore.poly import PolyRing, mono_div, mono_lcm
 
@@ -143,6 +144,13 @@ def suite_resolution_identities(n_cases=N_CASES):
         E = _random_graded_module(rng)
         res = free_resolution(E)
         ring = E.ring
+        for k, cols in enumerate(res.maps):
+            assert len(cols) == len(res.degrees[k + 1])
+            for col, deg in zip(cols, res.degrees[k + 1]):
+                # minimal: no entry is a nonzero constant
+                assert not any(f and f.is_constant() for f in col)
+                # homogeneous of its recorded degree
+                assert vector_degree(col, res.degrees[k]) == deg
         # consecutive composites vanish
         for k in range(len(res.maps) - 1):
             for col in res.maps[k + 1]:

@@ -1,6 +1,8 @@
 """Rees packages: symmetric vs Rees ideals, fibers, spreads, components,
 reductions, reduction numbers, Monte Carlo cores."""
 
+import random
+
 import pytest
 
 from modcore.errors import DegreeMixError, ModcoreError
@@ -283,6 +285,15 @@ def test_random_reduction_exhausts_below_spread(E_msq):
 
     with pytest.raises(RetryExhaustedError):
         random_reduction(E_msq, count=1, rng=3)  # one element never reduces
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_random_reduction_rejects_count_below_one_before_drawing(E_msq, count):
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ModcoreError, match=f"count >= 1, got {count}"):
+        random_reduction(E_msq, count=count, rng=rng)
+    assert rng.getstate() == state  # no draw was made
 
 
 def test_random_reduction_no_proper_reductions(E_H):

@@ -243,6 +243,27 @@ def test_malformed_task_line_is_a_parse_error_at_its_line(line, message):
         parse_session(_HEADER + line + "\n")
 
 
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("task random_reduction E --count 0 --seed 1;", r"random_reduction needs count >= 1, got 0"),
+        ("task random_reduction E --count -1 --seed 1;", r"random_reduction needs count >= 1, got -1"),
+        ("task check_an E --trials -1 --seed 1;", r"check_an needs trials >= 1, got -1"),
+        ("task check_an E --trials 0 --seed 1;", r"check_an needs trials >= 1, got 0"),
+        ("task check_an E --s 0 --seed 1;", r"check_an needs s >= rank\(E\) = 1, got s = 0"),
+        ("task reduction_number E --max-degree -1 --seed 1;", r"reduction_number needs max_degree >= 0, got -1"),
+        ("task core E --window 0 --seed 1;", r"core_monte_carlo needs stabilization_window >= 1, got 0"),
+        ("task verify_balanced E --reductions 0 --seed 1;", r"verify_balanced needs reductions >= 1, got 0"),
+    ],
+)
+def test_out_of_range_count_is_an_error_entry(line, message):
+    rep = run_session(parse_session(_HEADER + line + "\n"))
+    (task,) = rep.payload["tasks"]
+    assert task["status"] == "error"
+    assert re.fullmatch("ModcoreError: " + message, task["value"]["error"])
+    assert rep.exit_code() == 4
+
+
 def test_unbalanced_close_paren_is_named_at_its_line():
     src = "ring R = GF(32003)[x,y];\nideal I = (x));\ntask height I;\n"
     with pytest.raises(ParseError, match=r"^unbalanced '\)' at line 2$"):
