@@ -10,6 +10,7 @@ and redrawn, never silently accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import (
     CapExceededError,
@@ -17,7 +18,7 @@ from .errors import (
     ModcoreError,
     RetryExhaustedError,
 )
-from .groebner import Ideal, height, krull_dimension
+from .groebner import Ideal, _multiplicity, height, krull_dimension
 from .modalg import (
     PresentedModule,
     Submodule,
@@ -40,6 +41,7 @@ from .modalg import (
     vector_degree,
     whole_module,
 )
+from .poly import PolyRing, mono_mul
 from .rees import (
     DEFAULT_T_CAP,
     RETRY_CAP,
@@ -168,14 +170,71 @@ def _mu_drop_holds(W: Submodule, coords, s: int) -> bool:
     return mu(Q) == max(0, mu(P_W) - s)
 
 
-def _depth_and_dim(K: Ideal):
-    """(depth, dim) of R/K for a proper homogeneous K: depth from the minimal
-    resolution of R/K (graded Auslander-Buchsbaum), presented on K's reduced
-    basis, whose elements are homogeneous.  R/K is Cohen-Macaulay iff the
-    two agree."""
+def _substitute_last(f, forms, target: PolyRing, cache: dict):
+    """f with its last len(forms) variables replaced by the linear `forms` of
+    `target`, whose variables are f's first ones.  `cache` holds the images
+    of the replaced monomials across calls."""
+    k = target.nvars
+    out = {}
+    for m, c in f.terms:
+        tail = m[k:]
+        img = cache.get(tail)
+        if img is None:
+            img = target.one()
+            for l, e in zip(forms, tail):
+                if e:
+                    img = img * l**e
+            cache[tail] = img
+        head = m[:k]
+        for mm, cc in img.terms:
+            key = mono_mul(head, mm)
+            out[key] = out.get(key, 0) + c * cc
+    return target.from_dict(out)
+
+
+def _certified_cm(K: Ideal, d: int) -> bool:
+    """True when a certificate proves R/K Cohen-Macaulay, for a proper
+    homogeneous K with d = dim R/K, 0 < d < n: for linear forms l that are a
+    system of parameters of R/K, R/K is CM iff the length of R/(K + l)
+    equals the multiplicity e(R/K) (Matsumura, Commutative Ring Theory,
+    Thm 17.11).
+
+    Each draw replaces the last d variables by random linear forms in the
+    first n - d, and counts only when the image K' has dim 0, which proves
+    the forms a system of parameters; then the length is e(R/K') = dim_k of
+    R'/K'.  The generator is seeded here, so the verdict is reproducible.
+    False when R/K is not CM, or when RETRY_CAP draws find no system of
+    parameters (a small field may have none)."""
     ring = K.ring
+    n = ring.nvars
+    e = _multiplicity(K, d)
+    small = PolyRing(ring.char, ring.vars[: n - d])
+    variables = [g.lm() for g in small.gens()]
+    rng = _rng(0)
+    for _ in range(RETRY_CAP):
+        forms = [small.from_dict({v: rng.randrange(ring.char) for v in variables}) for _ in range(d)]
+        cache = {}
+        Kl = Ideal(small, [_substitute_last(g, forms, small, cache) for g in K.groebner_basis()])
+        if krull_dimension(Kl) == 0:
+            return _multiplicity(Kl, 0) == e
+    return False
+
+
+def _depth_and_dim(K: Ideal):
+    """(depth, dim) of R/K for a proper homogeneous K; R/K is Cohen-Macaulay
+    iff the two agree.
+
+    A CM verdict comes from `_certified_cm` and gives depth = dim.
+    The minimal resolution of R/K, presented on K's reduced basis (graded
+    Auslander-Buchsbaum), runs only when that certificate says not CM, for
+    the depth, or finds no system of parameters."""
+    ring = K.ring
+    d = krull_dimension(K)
+    # dim 0 is Artinian and dim n means K = 0: both are CM
+    if d in (0, ring.nvars) or _certified_cm(K, d):
+        return d, d
     pd = projective_dimension(cyclic_module(ring, Ideal(ring, K.groebner_basis())))
-    return ring.nvars - pd, krull_dimension(K)
+    return ring.nvars - pd, d
 
 
 def residual_intersection(
@@ -215,8 +274,6 @@ def residual_intersection(
                 ok = False
                 break
         if ok and s <= subset_limit:
-            from itertools import combinations
-
             for m in range(1, s + 1):
                 if m - e + 1 <= 0:
                     continue
@@ -236,10 +293,11 @@ def residual_intersection(
         if ok:
             K = colon_into(span(E, elems), E)
             proper = not K.is_unit()
-            cm = None
             if proper:
                 dep, dim = _depth_and_dim(K)
-                cm = dep == dim
+                cm, height_K = dep == dim, E.ring.nvars - dim
+            else:
+                cm, height_K = None, height(K)
             return ResidualCertificate(
                 s=s,
                 elements=elems,
@@ -247,7 +305,7 @@ def residual_intersection(
                 subset_checked=s <= subset_limit,
                 K=K,
                 proper=proper,
-                height_K=height(K),
+                height_K=height_K,
                 cm=cm,
                 mu_drop_ok=True,
                 retries=attempt,
@@ -392,10 +450,9 @@ class CmReesVerdict:
 
 
 def check_cm_rees(E: PresentedModule) -> CmReesVerdict:
-    """Depth = dim test for R(E) over the ambient polynomial ring on x's and T's.
-
-    The big-ring resolution dominates the cost, so the verdict is cached on
-    the module."""
+    """Depth = dim test for R(E) over the ambient polynomial ring on x's and T's,
+    by `_depth_and_dim` on the Rees ideal.  The verdict is cached on the
+    module, next to the Rees data it is read from."""
     cached = E._cache.get("cm_rees")
     if cached is not None:
         return cached

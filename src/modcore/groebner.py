@@ -14,6 +14,7 @@ from __future__ import annotations
 import warnings
 from heapq import heappop, heappush
 from itertools import combinations
+from math import comb
 
 from .errors import ModcoreError, RingMismatchError
 from .orders import GrevLexVarLast, MonomialOrder, elimination_order
@@ -547,16 +548,83 @@ def _monomials_of_degree(nvars: int, deg: int):
             yield (e,) + rest
 
 
+def _minimal_monomials(monos):
+    """The minimal generators of the monomial ideal spanned by `monos`."""
+    out = []
+    for m in sorted(set(monos), key=mono_deg):
+        if all(mono_div(m, g) is None for g in out):
+            out.append(m)
+    return out
+
+
+def _add_series(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return [c + (b[k] if k < len(b) else 0) for k, c in enumerate(a)]
+
+
+def _hilbert_numerator(monos) -> list:
+    """Coefficients of N(t) with HS(S/M) = N(t) / (1-t)^n, for the monomial
+    ideal M spanned by `monos` (exponent tuples) in n variables.
+
+    Bigatti's pivot recursion (JPAA 119, 1997): for a pivot p = x_i^a,
+    N(M) = N(M + (p)) + t^a N(M : p).  The pivot variable lies in the most
+    generators and a is the lower median of its positive exponents, so at
+    least two generators collapse into p on the first side while every
+    degree drops on the second.  Pairwise coprime generators end the
+    recursion with the product of the (1 - t^deg g).
+    """
+    gens = _minimal_monomials(monos)
+    if not gens:
+        return [1]
+    if not any(gens[0]):
+        return []  # the unit ideal: S/M = 0
+    n = len(gens[0])
+    counts = [sum(1 for m in gens if m[i]) for i in range(n)]
+    i = max(range(n), key=counts.__getitem__)
+    if counts[i] <= 1:
+        out = [1]
+        for m in gens:
+            out = _add_series(out, [0] * mono_deg(m) + [-c for c in out])
+        return out
+    a = sorted(m[i] for m in gens if m[i])[(counts[i] - 1) // 2]
+    pivot = tuple(a if j == i else 0 for j in range(n))
+    plus = [m for m in gens if m[i] < a] + [pivot]
+    colon = [m[:i] + (max(m[i] - a, 0),) + m[i + 1 :] for m in gens]
+    return _add_series(_hilbert_numerator(plus), [0] * a + _hilbert_numerator(colon))
+
+
+def _multiplicity(I: Ideal, dim: int) -> int:
+    """e(R/I) for a homogeneous I with dim R/I = dim: Q(1), where the Hilbert
+    numerator of in(I) is N = (1-t)^(n-dim) * Q.  For dim = 0 this is the
+    length of R/I."""
+    numer = _hilbert_numerator([g.lm() for g in I.groebner_basis()])
+    for _ in range(I.ring.nvars - dim):
+        # divide by (1 - t): Q_k is the k-th prefix sum of N, the remainder N(1) is 0
+        acc = 0
+        quot = []
+        for c in numer:
+            acc += c
+            quot.append(acc)
+        numer = quot[:-1]
+    return sum(numer)
+
+
 def _standard_count(nvars: int, leads, gen_degrees, deg: int) -> int:
     """Number of module monomials m*e_pos of degree deg(m) + gen_degrees[pos]
     = deg that no leading term (pos, lm) in `leads` divides: dim_k of the
-    degree-`deg` piece of the quotient by the span of the basis."""
-    return sum(
-        1
-        for pos, shift in enumerate(gen_degrees)
-        for m in _monomials_of_degree(nvars, deg - shift)
-        if all(lpos != pos or mono_div(m, lm) is None for lpos, lm in leads)
-    )
+    degree-`deg` piece of the quotient by the span of the basis.
+
+    Read off the Hilbert numerator N_pos of each position's monomial ideal:
+    the count there is sum_k N_pos[k] * C(deg - shift - k + n - 1, n - 1)."""
+    total = 0
+    for pos, shift in enumerate(gen_degrees):
+        numer = _hilbert_numerator([lm for lpos, lm in leads if lpos == pos])
+        for k, c in enumerate(numer):
+            m = deg - shift - k
+            if c and m >= 0:
+                total += c * comb(m + nvars - 1, nvars - 1)
+    return total
 
 
 def hilbert_function(I: Ideal, deg: int) -> int:

@@ -3,19 +3,24 @@ CM Rees rings, free quotients, balanced equivalences, ideal modules."""
 
 import pytest
 
+from modcore import checks
 from modcore.errors import ModcoreError
-from modcore.groebner import Ideal, height
+from modcore.groebner import Ideal, _multiplicity, height, intersect, krull_dimension
 from modcore.modalg import (
     colon_into,
+    cyclic_module,
     fitting_ideal,
     free_module,
     ideal_times_module,
+    projective_dimension,
     rank,
     span,
     whole_module,
 )
-from modcore.rees import analytic_spread, core_monte_carlo, random_reduction
+from modcore.poly import PolyRing
+from modcore.rees import analytic_spread, core_monte_carlo, random_reduction, rees_package
 from modcore.checks import (
+    _depth_and_dim,
     build_ideal_module,
     check_an,
     check_cm_rees,
@@ -27,6 +32,8 @@ from modcore.checks import (
     verify_free_quotient,
     verify_pd1_core,
 )
+
+from conftest import P, random_homogeneous_poly, seeded
 
 
 def test_check_gs_free(R2):
@@ -158,6 +165,94 @@ def test_depth_of_rees_powers(E_H_plus, E_minors43):
         for j in (1, 2):
             Ej = graded_component(E, j)
             assert depth_of(Ej) == d - j
+
+
+def _resolution_depth_and_dim(K):
+    ring = K.ring
+    return ring.nvars - projective_dimension(cyclic_module(ring, K)), krull_dimension(K)
+
+
+def _random_homogeneous_ideal(rng):
+    """A proper homogeneous ideal of k[x,y], k[x,y,z] or k[x1..x4]: random
+    forms (a monomial when nterms is 1), or the intersection of two ideals of
+    random linear forms, which is often not Cohen-Macaulay."""
+    n = rng.choice((2, 3, 4))
+    ring = PolyRing(P, ("x1", "x2", "x3", "x4")[:n])
+    if rng.random() < 0.3:
+        I, J = (
+            Ideal(ring, [random_homogeneous_poly(ring, rng, 1, nterms=rng.randrange(1, 3)) for _ in range(k)])
+            for k in (rng.randrange(1, 3), rng.randrange(1, 3))
+        )
+        return intersect(I, J)
+    gens = [
+        random_homogeneous_poly(ring, rng, rng.randrange(1, 4), nterms=rng.randrange(1, 4))
+        for _ in range(rng.randrange(1, 4))
+    ]
+    return Ideal(ring, gens)
+
+
+def test_depth_and_dim_matches_resolution():
+    # the length = multiplicity certificate against depth from the minimal
+    # resolution; both verdicts must occur among the seeded cases
+    rng = seeded(211)
+    verdicts = {True: 0, False: 0}
+    for _ in range(150):
+        K = _random_homogeneous_ideal(rng)
+        if K.is_zero() or K.is_unit():
+            continue
+        dep, dim = _resolution_depth_and_dim(K)
+        assert _depth_and_dim(K) == (dep, dim)
+        verdicts[dep == dim] += 1
+    assert verdicts[True] >= 20 and verdicts[False] >= 10
+
+
+def test_depth_and_dim_non_cm_cases(R2, R4):
+    x, y = R2.gens()
+    x1, x2, x3, x4 = R4.gens()
+    # two planes meeting in a point: dim 2, depth 1
+    planes = intersect(Ideal(R4, [x1, x2]), Ideal(R4, [x3, x4]))
+    # a line with an embedded point: dim 1, depth 0
+    embedded = Ideal(R2, [x**2, x * y])
+    for K, expected in ((planes, (1, 2)), (embedded, (0, 1))):
+        assert _depth_and_dim(K) == expected == _resolution_depth_and_dim(K)
+
+
+def test_multiplicity_oracles(R3, H, msq):
+    # complete intersection of degrees a, b: e = a*b
+    rng = seeded(212)
+    for a, b in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 3)):
+        K = Ideal(R3, [random_homogeneous_poly(R3, rng, deg, nterms=6) for deg in (a, b)])
+        assert krull_dimension(K) == 1
+        assert _multiplicity(K, 1) == a * b
+    assert _multiplicity(H, krull_dimension(H)) == 3  # twisted cubic
+    assert _multiplicity(msq, 0) == 3  # length of k[x,y]/m^2: 1, x, y
+
+
+def _no_resolution(E):
+    raise AssertionError("the resolution ran on a Cohen-Macaulay input")
+
+
+def test_cm_certificate_needs_no_resolution(monkeypatch, H, E_H, E_minors43):
+    monkeypatch.setattr(checks, "projective_dimension", _no_resolution)
+    for K in (H, rees_package(E_H).rees_ideal(), rees_package(E_minors43).rees_ideal()):
+        d = krull_dimension(K)
+        assert _depth_and_dim(K) == (d, d)
+
+
+def test_depth_and_dim_falls_back_without_system_of_parameters(monkeypatch):
+    # over GF(2) every linear form divides xy(x+y), so no draw is a system of
+    # parameters and the depth must come from the resolution
+    R = PolyRing(2, ("x", "y"))
+    x, y = R.gens()
+    calls = []
+
+    def counted(E):
+        calls.append(E)
+        return projective_dimension(E)
+
+    monkeypatch.setattr(checks, "projective_dimension", counted)
+    assert _depth_and_dim(Ideal(R, [x * y * (x + y)])) == (1, 1)
+    assert len(calls) == 1
 
 
 def test_ext_vanishing_vacuous(E_msq):
