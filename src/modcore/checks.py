@@ -291,7 +291,7 @@ def residual_intersection(
             failures.append((attempt, "generator drop"))
             ok = False
         if ok:
-            K = colon_into(span(E, elems), E)
+            K = Ki  # the last prefix colon, (a_1..a_s :_R E)
             proper = not K.is_unit()
             if proper:
                 dep, dim = _depth_and_dim(K)

@@ -5,8 +5,8 @@ dicts {(position, monomial): coeff} with an explicit position-over-term sort
 key, so Groebner bases under temporary orders (elimination blocks,
 variable-last saturations) never touch the ring's default order.  An ideal
 is the one-position case {(0, m): c}.  Intersections and colons are read
-off syzygies.  Ideal values are immutable apart from their per-order basis
-cache.
+off module bases by eliminating all positions but one.  Ideal values are
+immutable apart from their per-order basis cache.
 """
 
 from __future__ import annotations
@@ -204,7 +204,11 @@ def buchberger(gens, mkey, p):
 
 
 def _reduce_basis(G, mkey, p):
-    """Unique reduced basis: minimal leading terms, fully tail-reduced, monic."""
+    """Unique reduced basis: minimal leading terms, fully tail-reduced, monic.
+
+    One pass in ascending leading terms: every term of g_i other than its
+    leading one is smaller than lm(g_i), so only lm(g_0)..lm(g_(i-1)) can
+    divide it, and the normal form against the reduced prefix is final."""
     items = []
     for g in G:
         if g:
@@ -212,29 +216,14 @@ def _reduce_basis(G, mkey, p):
             items.append((mkey(lm), lm, g))
     items.sort(key=lambda t: t[0])
     kept = []
-    kept_lms = []
+    prepped = []
     for _, lm, g in items:
-        if any(h[0] == lm[0] and mono_div(lm[1], h[1]) is not None for h in kept_lms):
+        if any(h[0] == lm[0] and mono_div(lm[1], h[1]) is not None for h, _, _ in prepped):
             continue
-        kept.append(dict(g))
-        kept_lms.append(lm)
-    # leading terms are fixed from here on; rebuild divisor data once per
-    # pass (a stale tail is still a valid reducer, and the no-change pass
-    # certifies the basis is fully reduced)
-    changed = True
-    while changed:
-        changed = False
-        prepped = [
-            (lm, pow(g[lm], -1, p), tuple((pm, c) for pm, c in g.items() if pm != lm))
-            for lm, g in zip(kept_lms, kept)
-        ]
-        for i in range(len(kept)):
-            others = prepped[:i] + prepped[i + 1 :]
-            r = nf_dict(kept[i], others, mkey, p)
-            if r != kept[i]:
-                kept[i] = r
-                changed = True
-    return [_monic(g, mkey, p) for g in kept]
+        r = _monic(nf_dict(g, prepped, mkey, p), mkey, p)
+        kept.append(r)
+        prepped.append((lm, 1, tuple((pm, c) for pm, c in r.items() if pm != lm)))
+    return kept
 
 
 def _syzygy_dicts(gens, npos, ring):
@@ -258,15 +247,22 @@ def _syzygy_dicts(gens, npos, ring):
     return out
 
 
+def _eliminate_to(gens, last, ring) -> Ideal:
+    """The ideal that span(gens) meets in its last position `last`: that
+    position is the smallest in position-over-term order, so the basis
+    elements with every term there generate it (Greuel-Pfister, A Singular
+    Introduction to Commutative Algebra, 2.8)."""
+    basis = buchberger(gens, _mkeyf(ring.order.key), ring.char)
+    return Ideal(ring, [ring.from_dict({m: c for (_, m), c in g.items()})
+                        for g in basis if all(pm[0] == last for pm in g)])
+
+
 def _colon(v, cols, ring, npos) -> Ideal:
-    """(span(cols) :_R v) for term dicts of R^npos: the first coordinates of
-    the syzygies of [v] + cols."""
-    gens = []
-    for s in _syzygy_dicts([v] + cols, npos, ring):
-        f = {m: c for (pos, m), c in s.items() if pos == 0}
-        if f:
-            gens.append(ring.from_dict(f))
-    return Ideal(ring, gens)
+    """(span(cols) :_R v) for term dicts of R^npos: what span((v, 1),
+    (col, 0)) in R^npos + R meets in position npos."""
+    tagged = dict(v)
+    tagged[(npos, (0,) * ring.nvars)] = 1
+    return _eliminate_to([tagged] + cols, npos, ring)
 
 
 def _ideal_basis(polys, keyf, ring):
@@ -342,7 +338,7 @@ class Ideal:
             return Ideal(self.ring, tuple(g * other for g in self.gens))
         if self.ring != other.ring:
             raise RingMismatchError("ideal product across rings")
-        return Ideal(self.ring, tuple(f * g for f in self.gens for g in other.gens))
+        return Ideal(self.ring, tuple(dict.fromkeys(f * g for f in self.gens for g in other.gens)))
 
 
 def groebner_basis(I: Ideal, order: MonomialOrder | None = None):
@@ -387,27 +383,19 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     return ring.from_dict(out)
 
 
-# -- intersection and colon via syzygies ------------------------------------------
+# -- intersection and colon by elimination ----------------------------------------
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I cap J read off the syzygies (a, b) of (I.gens, J.gens): each gives
-    the element sum a_i f_i."""
+    """I cap J: what span((f, f), (g, 0)), f in I and g in J, in R^2 meets in
+    position 1."""
     if I.ring != J.ring:
         raise RingMismatchError("intersection across rings")
     ring = I.ring
     if I.is_zero() or J.is_zero():
         return Ideal(ring, ())
-    gens = I.gens + J.gens
-    out = []
-    for s in _syzygy_dicts([_vec_to_dict((f,)) for f in gens], 1, ring):
-        a = _dict_to_vec(s, ring, len(gens))
-        h = ring.zero()
-        for c, f in zip(a, I.gens):
-            if c:
-                h = h + c * f
-        out.append(h)
-    return Ideal(ring, out)
+    gens = [{(pos, m): c for m, c in f.terms for pos in (0, 1)} for f in I.gens]
+    return _eliminate_to(gens + [_vec_to_dict((g,)) for g in J.gens], 1, ring)
 
 
 def quotient_ideal(J: Ideal, I: Ideal) -> Ideal:

@@ -1,6 +1,8 @@
 """Theorem checkers: G_s, residual intersections, AN_s, Ext vanishing,
 CM Rees rings, free quotients, balanced equivalences, ideal modules."""
 
+from math import comb
+
 import pytest
 
 from modcore import checks
@@ -487,3 +489,23 @@ def test_balanced_nontrivial_boundary_case(R3, minors43, E_minors43):
     assert pd1.fitt == ["x", "y", "z"]
     core, _ = core_monte_carlo(E_minors43, rng=17)
     assert core == ideal_times_module(m, E_minors43)
+
+
+def test_residual_intersection_reuses_the_last_prefix_colon(E_msq, monkeypatch):
+    # one colon for (W : E), one per prefix a_1..a_i (i = 0..s), one per
+    # non-prefix subset; K is the last prefix colon, not a second computation
+    calls = []
+    colon = checks.colon_into
+
+    def counting(*args):
+        calls.append(args)
+        return colon(*args)
+
+    monkeypatch.setattr(checks, "colon_into", counting)
+    s = 2
+    cert = residual_intersection(E_msq, whole_module(E_msq), s, rng=11)
+    assert cert.retries == 0
+    e = rank(E_msq)
+    subsets = sum(comb(s, m) - 1 for m in range(1, s + 1) if m - e + 1 > 0)
+    assert len(calls) == 1 + (s + 1) + subsets
+    assert cert.K == colon(span(E_msq, cert.elements), E_msq)

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
+from modcore import groebner
 from modcore.errors import ModcoreError
-from modcore.groebner import Ideal, quotient_ideal
+from modcore.groebner import Ideal, _syzygy_dicts, _vec_to_dict, quotient_ideal
 from modcore.modalg import (
     PresentedModule,
     annihilator,
@@ -31,6 +32,7 @@ from modcore.modalg import (
 
 from conftest import (
     P,
+    random_homogeneous_poly,
     row_rank,
     seeded,
     submodule_degree_basis,
@@ -335,6 +337,83 @@ def test_colon_soundness_random(R2, E_msq):
             for i in range(E_msq.n):
                 v = tuple(f if k == i else R2.zero() for k in range(3))
                 assert U.contains(v)
+
+
+def _syzygy_colon(v, cols, ring, npos):
+    """Reference (span(cols) : v): the first coordinates of the syzygies of
+    [v] + cols."""
+    gens = []
+    for s in _syzygy_dicts([v] + cols, npos, ring):
+        f = {m: c for (pos, m), c in s.items() if pos == 0}
+        if f:
+            gens.append(ring.from_dict(f))
+    return Ideal(ring, gens)
+
+
+def _syzygy_intersect(I, J):
+    """Reference I cap J: each syzygy (a, b) of (I.gens, J.gens) gives the
+    element sum a_i f_i."""
+    ring = I.ring
+    out = []
+    for s in _syzygy_dicts([_vec_to_dict((f,)) for f in I.gens + J.gens], 1, ring):
+        h = ring.zero()
+        for i, f in enumerate(I.gens):
+            h = h + ring.from_dict({m: c for (pos, m), c in s.items() if pos == i}) * f
+        out.append(h)
+    return Ideal(ring, out)
+
+
+def _random_presented_module(ring, rng):
+    """2-3 generators in degrees 0 and 1; as many homogeneous relation
+    columns with no constant entry, or one more, so that the module has
+    rank 0 and a nonzero annihilator."""
+    degrees = tuple(rng.randrange(2) for _ in range(rng.randrange(2, 4)))
+    cols = []
+    for _ in range(len(degrees) + rng.randrange(2)):
+        d = max(degrees) + rng.randrange(1, 3)
+        cols.append(tuple(random_homogeneous_poly(ring, rng, d - e, nterms=2) for e in degrees))
+    return PresentedModule(ring, degrees, cols)
+
+
+def _assert_reduced_basis(G, mkey):
+    """Monic, strictly ascending leading terms, and no term of any element
+    divisible by another element's leading term in the same position."""
+    lms = [max(g, key=mkey) for g in G]
+    assert all(g[lm] == 1 for g, lm in zip(G, lms))
+    assert all(mkey(a) < mkey(b) for a, b in zip(lms, lms[1:]))
+    for i, g in enumerate(G):
+        for pos, m in g:
+            for j, (lpos, lm) in enumerate(lms):
+                if j != i and lpos == pos:
+                    assert any(a < b for a, b in zip(m, lm)), (g, lm)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_annihilator_matches_syzygy_route(R2, R3, seed, monkeypatch):
+    # the colon and intersection by elimination against the syzygy route
+    # they replaced; every basis the kernel returns on the way is reduced
+    ring = (R2, R3)[seed % 2]
+    E = _random_presented_module(ring, seeded(700 + seed))
+    bases = []
+    kernel = groebner.buchberger
+
+    def recording(gens, mkey, p):
+        G = kernel(gens, mkey, p)
+        bases.append((G, mkey))
+        return G
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    cols = [_vec_to_dict(c) for c in E.relations]
+    unit = (0,) * ring.nvars
+    reference = None
+    for i in range(E.n):
+        Qi = _syzygy_colon({(i, unit): 1}, cols, ring, E.n)
+        assert groebner._colon({(i, unit): 1}, cols, ring, E.n) == Qi
+        reference = Qi if reference is None else _syzygy_intersect(reference, Qi)
+    assert annihilator(E) == reference
+    assert bases
+    for G, mkey in bases:
+        _assert_reduced_basis(G, mkey)
 
 
 def test_fitting_raw_vs_minimalized(R2, msq):

@@ -417,3 +417,36 @@ def test_rees_independent_of_inverting_element(E_msq, msq):
     assert other is not None
     S, _ = saturate(rp.sym_ideal(), embed_poly(other, rp.big_ring), want_exponent=False)
     assert S == rp.rees_ideal()
+
+
+def test_ideal_product_keeps_each_distinct_product_once(minors43, E_minors43):
+    # J^3 for a minimal reduction J of the boundary cubics: 27 products of
+    # the three generators, 10 of them distinct
+    J = random_reduction(E_minors43, rng=5).to_ideal()
+    products = [f * g * h for f in J.gens for g in J.gens for h in J.gens]
+    first_seen = []
+    for f in products:
+        if f not in first_seen:
+            first_seen.append(f)
+    cube = J * J * J
+    assert list(cube.gens) == first_seen
+    assert len(cube.gens) == 10
+    assert cube.groebner_basis() == Ideal(J.ring, products).groebner_basis()
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_polini_ulrich_core_msq(R2, msq, E_msq, seed):
+    # core(I) = J^(r+1) : I^r (Polini-Ulrich, Math. Ann. 331) with r = 1:
+    # (J^2 : m^2) = m^3, the core that the msq_core golden pins
+    U = random_reduction(E_msq, rng=seed)
+    assert reduction_number(U, E_msq).value == 1
+    J = U.to_ideal()
+    assert quotient_ideal(J * J, msq) == Ideal(R2, list(R2.gens())) * msq
+
+
+def test_polini_ulrich_core_boundary_cubics(R3, minors43, E_minors43):
+    # r = 2: (J^3 : I^2) = (x, y, z) * I, the boundary_cubics core
+    U = random_reduction(E_minors43, rng=5)
+    assert reduction_number(U, E_minors43).value == 2
+    J = U.to_ideal()
+    assert quotient_ideal(J * J * J, minors43 * minors43) == Ideal(R3, list(R3.gens())) * minors43
