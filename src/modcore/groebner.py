@@ -12,40 +12,116 @@ immutable apart from their per-order basis cache.
 from __future__ import annotations
 
 import warnings
-from heapq import heappop, heappush
+from functools import cache, reduce
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import comb
+from operator import mul, or_
+from struct import Struct
 
-from .errors import ModcoreError, RingMismatchError
+from .errors import ModcoreError, OrderError, RingMismatchError
 from .orders import GrevLexVarLast, MonomialOrder, elimination_order
 from .poly import (
     Polynomial,
     PolyRing,
+    _EXP_LIMIT,
     embed_poly,
     mono_deg,
     mono_div,
-    mono_lcm,
-    mono_mul,
     restrict_poly,
 )
 
-# -- dict-level kernel -------------------------------------------------------------
+# -- the kernel on term codes ------------------------------------------------------
+#
+# The Buchberger loop and the normal form work on term codes: each module term
+# (position, monomial) is one int (`_Codec`), so a product is one addition,
+# a comparison one int compare and a divisibility test one subtraction.  The
+# boundary is the term dict {(position, monomial): coeff}: `buchberger`
+# encodes its input once and decodes its basis once.
+
+_FIELD_BITS = 16  # one field per exponent; its top bit is the guard bit
+_FIELD = _EXP_LIMIT - 1  # the exponent bits of a field
+_POS_BITS = 16
+_POS_MASK = (1 << _POS_BITS) - 1
 
 
-def _mkeyf(keyf):
+def _mkeyf(order):
     """Position-over-term key on (position, monomial), position 0 largest.
 
-    Memoized: the same module monomials recur constantly."""
-    cache = {}
+    `key.order` is the order itself: the kernel codes terms by it (`_Codec`)."""
+    keyf = order.key
 
     def key(pm):
-        k = cache.get(pm)
-        if k is None:
-            k = (-pm[0],) + keyf(pm[1])
-            cache[pm] = k
-        return k
+        return (-pm[0],) + keyf(pm[1])
 
+    key.order = order
     return key
+
+
+class _Codec:
+    """Term codes for one monomial order on `nvars` variables.
+
+    The code of (pos, m) is one int, laid out high to low as
+      - the position-over-term key (-pos, k_1(m), ..., k_r(m)), as the digits
+        of a number in base 2^b;
+      - pos, in _POS_BITS bits;
+      - the exponents of m, one _FIELD_BITS-bit field each, whose top bit is
+        a guard bit.
+    Every k_j is a linear form in the exponents, zero at the monomial 1
+    (orders.py), and 2^b exceeds the spread of every digit over exponents
+    below 2^15, so the code is a linear form in (pos, m) and int order is
+    term order.  Hence code(pos, m) + code(0, q) = code(pos, m*q) as long as
+    m*q sets no guard bit, and lm divides m in the same position exactly when
+    (code(pos, m) | guard) - code(pos, lm) keeps every guard bit; the
+    difference minus the guard bits is then code(0, m / lm).
+    """
+
+    def __init__(self, order, nvars):
+        zero = order.key((0,) * nvars)
+        units = [order.key(tuple(int(i == j) for j in range(nvars))) for i in range(nvars)]
+        probe = tuple(range(1, nvars + 1))
+        if any(zero) or tuple(order.key(probe)) != tuple(
+                sum(e * u[k] for e, u in zip(probe, units)) for k in range(len(zero))):
+            raise OrderError(f"{order!r} has no linear sort key")
+        r = len(zero)
+        b = (max(sum(abs(u[k]) for u in units) for k in range(r)) * _FIELD).bit_length()
+        shifts = tuple(_FIELD_BITS * (nvars - 1 - i) for i in range(nvars))
+        self.ebits = _FIELD_BITS * nvars
+        low = self.ebits + _POS_BITS
+        digits = [1 << (b * (r - 1 - k)) for k in range(r)]
+        self.units = tuple((sum(map(mul, u, digits)) << low) + (1 << s) for u, s in zip(units, shifts))
+        self.pos_unit = (1 << self.ebits) - (1 << (b * r + low))
+        self.guard = sum(1 << (s + _FIELD_BITS - 1) for s in shifts)
+        self.emask = (1 << self.ebits) - 1
+        self.low_mask = (1 << low) - 1
+        self.unpack = Struct(f">{nvars + 1}H").unpack  # (pos, m) from the 16-bit fields of the low part
+
+    def code(self, pos, m):
+        if pos >> _POS_BITS:
+            raise ModcoreError(f"position {pos} does not fit in a term code ({_POS_BITS} bits)")
+        if max(m) > _FIELD:
+            raise OverflowError("monomial exponent overflow")
+        return pos * self.pos_unit + sum(map(mul, m, self.units))
+
+    def term(self, code):
+        v = self.unpack((code & self.low_mask).to_bytes(2 + self.ebits // 8, "big"))
+        return v[0], v[1:]
+
+    def pos(self, code):
+        return (code >> self.ebits) & _POS_MASK
+
+    def encode(self, d):
+        code = self.code
+        return {code(pos, m): c for (pos, m), c in d.items()}
+
+    def decode(self, d):
+        term = self.term
+        return {term(t): c for t, c in d.items()}
+
+
+@cache
+def _codec(order, nvars):
+    return _Codec(order, nvars)
 
 
 def _vec_to_dict(vec):
@@ -63,76 +139,93 @@ def _dict_to_vec(d, ring, npos):
     return tuple(ring.from_dict(cd) for cd in coords)
 
 
-def _prep(basis, mkey, p):
-    """Precompute (lm, lc^-1, tail) triples for the divisors."""
-    out = []
+def _add_divisor(divs, d, codec, p):
+    """File the code dict `d` under its leading position in `divs` as a
+    divisor (lead, lc^-1, tail, bound), and return it.
+
+    bound is the fieldwise OR of the exponents of d: when bound + code(0, q)
+    sets no guard bit, no tail term times q overflows."""
+    items = sorted(d.items(), reverse=True)
+    lead, lc = items[0]
+    div = (lead, pow(lc, -1, p), tuple(items[1:]), reduce(or_, d) & codec.emask)
+    divs.setdefault(codec.pos(lead), []).append(div)
+    return div
+
+
+def _reducer(basis, ring):
+    """Normal form against the term dicts `basis` (ring's order), as a
+    function on term dicts; the divisors are encoded once."""
+    p = ring.char
+    codec = _codec(ring.order, ring.nvars)
+    divs = {}
     for g in basis:
-        lm = max(g, key=mkey)
-        lcinv = pow(g[lm], -1, p)
-        tail = tuple((pm, c) for pm, c in g.items() if pm != lm)
-        out.append((lm, lcinv, tail))
-    return out
+        _add_divisor(divs, codec.encode(g), codec, p)
+    return lambda d: codec.decode(nf_dict(codec.encode(d), divs, codec, p))
 
 
-def _negkey(k):
-    return tuple(-v for v in k)
+def _overflows(tail, q, guard):
+    """Whether some tail term times code(0, q) sets a guard bit."""
+    return any((t + q) & guard for t, _ in tail)
 
 
-def nf_dict(f, prepped, mkey, p):
-    """Full normal form of the term dict `f` against prepared divisors."""
+def nf_dict(f, divs, codec, p):
+    """Full normal form of the code dict `f` against the divisors `divs`
+    (by leading position, as `_add_divisor` files them); the first divisor
+    whose leading term divides is used."""
     if not f:
         return {}
-    if not prepped:
+    if not divs:
         return dict(f)
+    guard, ebits, pmask = codec.guard, codec.ebits, _POS_MASK
     work = dict(f)
     out = {}
-    heap = [(_negkey(mkey(pm)), pm) for pm in work]
-    heap.sort()
+    heap = [-t for t in work]
+    heapify(heap)
     while heap:
-        _, pm = heappop(heap)
-        c = work.get(pm)
+        t = -heappop(heap)
+        c = work.pop(t, None)
         if c is None:
             continue
-        pos, m = pm
-        for (lpos, lmm), lcinv, tail in prepped:
-            if lpos != pos:
-                continue
-            q = mono_div(m, lmm)
-            if q is not None:
+        probe = t | guard
+        for lead, lcinv, tail, bound in divs.get((t >> ebits) & pmask, ()):
+            q = probe - lead
+            if q & guard == guard:
                 break
         else:
-            out[pm] = c
-            del work[pm]
+            out[t] = c
             continue
-        del work[pm]
+        q -= guard
+        if (bound + q) & guard and _overflows(tail, q, guard):
+            raise OverflowError("monomial exponent overflow")
         factor = (c * lcinv) % p
-        for (tp, tm), tc in tail:
-            mm = (tp, mono_mul(tm, q))
-            prev = work.get(mm)
+        for tt, tc in tail:
+            tt += q
+            prev = work.get(tt)
             if prev is None:
                 v = (-factor * tc) % p
                 if v:
-                    work[mm] = v
-                    heappush(heap, (_negkey(mkey(mm)), mm))
+                    work[tt] = v
+                    heappush(heap, -tt)
             else:
                 v = (prev - factor * tc) % p
                 if v:
-                    work[mm] = v
+                    work[tt] = v
                 else:
-                    del work[mm]
+                    del work[tt]
     return out
 
 
-def _monic(d, mkey, p):
-    lm = max(d, key=mkey)
+def _monic(d, p):
+    lm = max(d)
     inv = pow(d[lm], -1, p)
     if inv == 1:
         return d
-    return {pm: (c * inv) % p for pm, c in d.items()}
+    return {t: (c * inv) % p for t, c in d.items()}
 
 
 def buchberger(gens, mkey, p):
-    """Reduced Groebner basis (list of monic term dicts, ascending leading terms).
+    """Reduced Groebner basis (list of monic term dicts, ascending leading terms)
+    of the term dicts `gens` under the position-over-term key `mkey`.
 
     Normal selection strategy: S-pairs of elements with equal leading
     positions, processed by (lcm degree, pair index) for reproducibility and
@@ -140,43 +233,51 @@ def buchberger(gens, mkey, p):
     monomials) holds only for ideals, so it prunes only when every input
     term lies in one position.
     """
+    gens = [g for g in gens if g]
+    if not gens:
+        return []
     one_position = len({pm[0] for g in gens for pm in g}) <= 1
-    G = []
-    prepped = []
+    codec = _codec(mkey.order, len(next(iter(gens[0]))[1]))
+    guard = codec.guard
+    G = []  # monic code dicts
+    D = []  # their divisors
+    leads = []
+    lterms = []  # the leading terms as (position, monomial)
+    at = {}  # position -> indices of the elements leading there
+    divs = {}
     pairs = []
     done = set()
 
     def add(d):
         idx = len(G)
-        lm = max(d, key=mkey)
         G.append(d)
-        prepped.append((lm, 1, tuple((pm, c) for pm, c in d.items() if pm != lm)))
-        for j in range(idx):
-            lj = prepped[j][0]
-            if lj[0] == lm[0]:
-                lcm = mono_lcm(lj[1], lm[1])
-                heappush(pairs, (mono_deg(lcm), j, idx))
+        div = _add_divisor(divs, d, codec, p)
+        D.append(div)
+        leads.append(div[0])
+        pos, m = codec.term(div[0])
+        lterms.append((pos, m))
+        same = at.setdefault(pos, [])
+        for j in same:
+            heappush(pairs, (sum(map(max, lterms[j][1], m)), j, idx))
+        same.append(idx)
 
     for g in gens:
-        if g:
-            r = nf_dict(g, prepped, mkey, p)
-            if r:
-                add(_monic(r, mkey, p))
+        r = nf_dict(codec.encode(g), divs, codec, p)
+        if r:
+            add(_monic(r, p))
 
     while pairs:
         _, i, j = heappop(pairs)
         done.add((i, j))
-        (pi, mi) = prepped[i][0]
-        (pj, mj) = prepped[j][0]
-        lcm = mono_lcm(mi, mj)
-        if one_position and lcm == mono_mul(mi, mj):
+        pi, mi = lterms[i]
+        mj = lterms[j][1]
+        if one_position and not any(map(min, mi, mj)):
             continue
+        lcm = codec.code(pi, tuple(map(max, mi, mj)))
+        probe = lcm | guard
         skip = False
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            (pk, mk) = prepped[k][0]
-            if pk == pi and mono_div(lcm, mk) is not None:
+        for k in at[pi]:
+            if k != i and k != j and (probe - leads[k]) & guard == guard:
                 a = (k, i) if k < i else (i, k)
                 b = (k, j) if k < j else (j, k)
                 if a in done and b in done:
@@ -184,45 +285,47 @@ def buchberger(gens, mkey, p):
                     break
         if skip:
             continue
-        qi = mono_div(lcm, mi)
-        qj = mono_div(lcm, mj)
-        s = {}
-        for (tp, tm), c in G[i].items():
-            s[(tp, mono_mul(tm, qi))] = c
-        for (tp, tm), c in G[j].items():
-            pm = (tp, mono_mul(tm, qj))
-            v = (s.get(pm, 0) - c) % p
+        # the monic leading terms cancel: s is the difference of the shifted tails
+        _, _, tail_i, bound_i = D[i]
+        _, _, tail_j, bound_j = D[j]
+        qi = lcm - leads[i]
+        qj = lcm - leads[j]
+        if ((bound_i + qi) & guard and _overflows(tail_i, qi, guard)
+                or (bound_j + qj) & guard and _overflows(tail_j, qj, guard)):
+            raise OverflowError("monomial exponent overflow")
+        s = {t + qi: c for t, c in tail_i}
+        for t, c in tail_j:
+            t += qj
+            v = (s.get(t, 0) - c) % p
             if v:
-                s[pm] = v
-            elif pm in s:
-                del s[pm]
-        r = nf_dict(s, prepped, mkey, p)
+                s[t] = v
+            elif t in s:
+                del s[t]
+        r = nf_dict(s, divs, codec, p)
         if r:
-            add(_monic(r, mkey, p))
+            add(_monic(r, p))
 
-    return _reduce_basis(G, mkey, p)
+    return [codec.decode(g) for g in _reduce_basis(G, codec, p)]
 
 
-def _reduce_basis(G, mkey, p):
-    """Unique reduced basis: minimal leading terms, fully tail-reduced, monic.
+def _reduce_basis(G, codec, p):
+    """Unique reduced basis of the code dicts G: minimal leading terms, fully
+    tail-reduced, monic.
 
     One pass in ascending leading terms: every term of g_i other than its
     leading one is smaller than lm(g_i), so only lm(g_0)..lm(g_(i-1)) can
     divide it, and the normal form against the reduced prefix is final."""
-    items = []
-    for g in G:
-        if g:
-            lm = max(g, key=mkey)
-            items.append((mkey(lm), lm, g))
-    items.sort(key=lambda t: t[0])
+    guard = codec.guard
     kept = []
-    prepped = []
-    for _, lm, g in items:
-        if any(h[0] == lm[0] and mono_div(lm[1], h[1]) is not None for h, _, _ in prepped):
+    divs = {}
+    for g in sorted(G, key=max):
+        lead = max(g)
+        probe = lead | guard
+        if any((probe - h[0]) & guard == guard for h in divs.get(codec.pos(lead), ())):
             continue
-        r = _monic(nf_dict(g, prepped, mkey, p), mkey, p)
+        r = _monic(nf_dict(g, divs, codec, p), p)
         kept.append(r)
-        prepped.append((lm, 1, tuple((pm, c) for pm, c in r.items() if pm != lm)))
+        _add_divisor(divs, r, codec, p)
     return kept
 
 
@@ -241,7 +344,7 @@ def _syzygy_dicts(gens, npos, ring):
         d[(npos + i, unit)] = 1
         tagged.append(d)
     out = []
-    for g in buchberger(tagged, _mkeyf(ring.order.key), ring.char):
+    for g in buchberger(tagged, _mkeyf(ring.order), ring.char):
         if all(pm[0] >= npos for pm in g):
             out.append({(pos - npos, m): c for (pos, m), c in g.items()})
     return out
@@ -252,7 +355,7 @@ def _eliminate_to(gens, last, ring) -> Ideal:
     position is the smallest in position-over-term order, so the basis
     elements with every term there generate it (Greuel-Pfister, A Singular
     Introduction to Commutative Algebra, 2.8)."""
-    basis = buchberger(gens, _mkeyf(ring.order.key), ring.char)
+    basis = buchberger(gens, _mkeyf(ring.order), ring.char)
     return Ideal(ring, [ring.from_dict({m: c for (_, m), c in g.items()})
                         for g in basis if all(pm[0] == last for pm in g)])
 
@@ -265,10 +368,10 @@ def _colon(v, cols, ring, npos) -> Ideal:
     return _eliminate_to([tagged] + cols, npos, ring)
 
 
-def _ideal_basis(polys, keyf, ring):
+def _ideal_basis(polys, order, ring):
     """Reduced Groebner basis of the ideal spanned by `polys` under the
-    monomial key `keyf`, as polynomials of `ring`."""
-    basis = buchberger([_vec_to_dict((f,)) for f in polys], _mkeyf(keyf), ring.char)
+    monomial order `order`, as polynomials of `ring`."""
+    basis = buchberger([_vec_to_dict((f,)) for f in polys], _mkeyf(order), ring.char)
     return [_dict_to_vec(d, ring, 1)[0] for d in basis]
 
 
@@ -301,7 +404,7 @@ class Ideal:
             order = self.ring.order
         cached = self._gb.get(order)
         if cached is None:
-            cached = tuple(_ideal_basis(self.gens, order.key, self.ring))
+            cached = tuple(_ideal_basis(self.gens, order, self.ring))
             self._gb[order] = cached
         return cached
 
@@ -351,9 +454,8 @@ def normal_form(f: Polynomial, G) -> Polynomial:
     if not G:
         return f
     ring = f.ring
-    mkey = _mkeyf(ring.order.key)
-    prepped = _prep([_vec_to_dict((g,)) for g in G], mkey, ring.char)
-    return _dict_to_vec(nf_dict(_vec_to_dict((f,)), prepped, mkey, ring.char), ring, 1)[0]
+    nf = _reducer([_vec_to_dict((g,)) for g in G], ring)
+    return _dict_to_vec(nf(_vec_to_dict((f,))), ring, 1)[0]
 
 
 def ideal_membership(f: Polynomial, I: Ideal) -> bool:
@@ -435,7 +537,7 @@ def _divide_out_variable(f: Polynomial, i: int) -> Polynomial:
 def _saturate_variable_graded(I: Ideal, i: int) -> Ideal:
     # grevlex with x_i revlex-last: dividing the basis by x_i-content saturates
     ring = I.ring
-    basis = _ideal_basis(I.gens, GrevLexVarLast(i).key, ring)
+    basis = _ideal_basis(I.gens, GrevLexVarLast(i), ring)
     return Ideal(ring, tuple(_divide_out_variable(f, i) for f in basis))
 
 
@@ -447,7 +549,7 @@ def _saturate_rabinowitsch(I: Ideal, f: Polynomial) -> Ideal:
     t = big.var(0)
     gens = [embed_poly(g, big) for g in I.gens]
     gens.append(t * embed_poly(f, big) - big.one())
-    basis = _ideal_basis(gens, big.order.key, big)
+    basis = _ideal_basis(gens, big.order, big)
     return Ideal(ring, [restrict_poly(g, ring) for g in basis if all(m[0] == 0 for m, _ in g.terms)])
 
 
@@ -493,7 +595,7 @@ def eliminate(I: Ideal, keep) -> Ideal:
     drop = tuple(i for i in range(ring.nvars) if i not in keep_idx)
     if not drop:
         return Ideal(ring, I.gens)
-    basis = _ideal_basis(I.gens, elimination_order(ring.nvars, drop).key, ring)
+    basis = _ideal_basis(I.gens, elimination_order(ring.nvars, drop), ring)
     return Ideal(ring, [g for g in basis if all(m[i] == 0 for m, _ in g.terms for i in drop)])
 
 

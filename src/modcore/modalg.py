@@ -10,6 +10,7 @@ resolutions are pruned on term dicts by one routine, `_prune_units`.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 from .errors import ModcoreError, NotHomogeneousError, RingMismatchError
 from .groebner import (
@@ -17,14 +18,13 @@ from .groebner import (
     _colon,
     _dict_to_vec,
     _mkeyf,
-    _prep,
+    _reducer,
     _standard_count,
     _syzygy_dicts,
     _vec_to_dict,
     buchberger,
     exact_div,
     intersect,
-    nf_dict,
     quotient_ideal,
 )
 from .poly import Polynomial, PolyRing, mono_deg, mono_mul
@@ -37,13 +37,11 @@ Vector = tuple  # tuple of Polynomial, one per free-module position
 
 def module_gb(vectors, ring: PolyRing):
     """Reduced Groebner basis of the span of `vectors` inside a free module."""
-    return buchberger([_vec_to_dict(v) for v in vectors], _mkeyf(ring.order.key), ring.char)
+    return buchberger([_vec_to_dict(v) for v in vectors], _mkeyf(ring.order), ring.char)
 
 
 def module_member(vec, gb_dicts, ring: PolyRing) -> bool:
-    mkey = _mkeyf(ring.order.key)
-    prepped = _prep(gb_dicts, mkey, ring.char)
-    return not nf_dict(_vec_to_dict(vec), prepped, mkey, ring.char)
+    return not _reducer(gb_dicts, ring)(_vec_to_dict(vec))
 
 
 def syzygies(vectors, ring: PolyRing, npos: int):
@@ -194,7 +192,7 @@ class PresentedModule:
 
     def hilbert_function(self, deg: int) -> int:
         """dim_k E_deg via standard module monomials of the relation basis."""
-        keyf = _mkeyf(self.ring.order.key)
+        keyf = _mkeyf(self.ring.order)
         leads = [max(g, key=keyf) for g in self.relation_gb()]
         return _standard_count(self.ring.nvars, leads, self.gen_degrees, deg)
 
@@ -448,8 +446,6 @@ def fitting_ideal(E: PresentedModule, t: int) -> Ideal:
     cols = E.relations
     if size > min(n, len(cols)):
         return Ideal(ring, ())
-    from itertools import combinations
-
     det = _minor_fn(cols, ring)
     gens = []
     seen = set()
@@ -472,8 +468,6 @@ def first_nonzero_maximal_minor(E: PresentedModule) -> Polynomial:
     size = E.n - e
     if size == 0:
         return ring.one()
-    from itertools import combinations
-
     det = _minor_fn(E.relations, ring)
     for rset in combinations(range(E.n), size):
         for cset in combinations(range(len(E.relations)), size):
@@ -552,12 +546,11 @@ class Submodule:
     def reduced_gens(self):
         """Generators normal-formed against the parent relations (for display)."""
         ring = self.parent.ring
-        mkey = _mkeyf(ring.order.key)
-        prepped = _prep(self.parent.relation_gb(), mkey, ring.char)
+        nf = _reducer(self.parent.relation_gb(), ring)
         out = []
         seen = set()
         for v in self.gens:
-            d = nf_dict(_vec_to_dict(v), prepped, mkey, ring.char)
+            d = nf(_vec_to_dict(v))
             if d:
                 w = _dict_to_vec(d, ring, self.parent.n)
                 key = tuple(f.terms for f in w)

@@ -1,9 +1,10 @@
 """Monomial orders, realized as flat integer sort keys on exponent vectors.
 
 Every order produces a key tuple such that ordinary tuple comparison of keys
-agrees with the monomial order; larger key = larger monomial.  Keys are flat
-tuples of ints, so elementwise negation gives the reversed order (used by the
-min-heaps in the division algorithm).
+agrees with the monomial order; larger key = larger monomial.  Each key
+component is a linear form in the exponents, zero at the monomial 1: the
+Groebner kernel packs keys into one int per term on that contract
+(`groebner._Codec`), and refuses an order that breaks it.
 """
 
 from __future__ import annotations

@@ -2,8 +2,11 @@
 
 import pytest
 
+from modcore.errors import ModcoreError, OrderError
 from modcore.groebner import (
     Ideal,
+    _codec,
+    _mkeyf,
     eliminate,
     exact_div,
     height,
@@ -15,7 +18,8 @@ from modcore.groebner import (
     quotient_ideal,
     saturate,
 )
-from modcore.poly import PolyRing, mono_lcm, mono_div, parse_poly
+from modcore.orders import GrevLex, GrevLexVarLast, Lex, MonomialOrder, WeightedGrevLex, elimination_order
+from modcore.poly import _EXP_LIMIT, PolyRing, mono_lcm, mono_div, parse_poly
 
 from conftest import (
     P,
@@ -285,3 +289,64 @@ def test_gb_deterministic(R3):
 
 def test_hilbert_function_msq(R2, msq):
     assert [hilbert_function(msq, d) for d in range(4)] == [1, 2, 0, 0]
+
+
+# -- term codes ------------------------------------------------------------------------
+
+CODE_ORDERS = [GrevLex(), Lex(), WeightedGrevLex((1, 2, 3)), elimination_order(3, (0, 1)), GrevLexVarLast(1)]
+
+
+@pytest.mark.parametrize("order", CODE_ORDERS, ids=lambda o: type(o).__name__)
+def test_term_codes_follow_the_order(order):
+    # int order is the position-over-term order, a product is one addition,
+    # and decoding gives the term back, with exponents up to the guard bound
+    codec = _codec(order, 3)
+    rng = seeded(17)
+    top = _EXP_LIMIT - 1
+
+    def exponent():
+        return rng.choice((0, 1, top - 1, top, rng.randrange(_EXP_LIMIT)))
+
+    terms = {(rng.randrange(41), tuple(exponent() for _ in range(3))) for _ in range(400)}
+    terms |= {(pos, m) for pos in (0, 1, 40) for m in ((0, 0, 0), (top, top, top), (top, 0, 0), (0, 0, top))}
+    code = {pm: codec.code(*pm) for pm in terms}
+    assert sorted(terms, key=_mkeyf(order)) == sorted(terms, key=code.__getitem__)
+    for (pos, m), c in code.items():
+        assert codec.term(c) == (pos, m)
+        q = tuple(rng.randrange(top - e + 1) for e in m)
+        mq = tuple(a + b for a, b in zip(m, q))
+        assert c + codec.code(0, q) == codec.code(pos, mq)
+        if any(m):
+            # one more of a variable m has breaks the bound: the guard bit shows it
+            over = tuple(top - e + (i == m.index(max(m))) for i, e in enumerate(m))
+            assert (c + codec.code(0, over)) & codec.guard
+
+
+def test_term_codes_refuse_a_nonlinear_key():
+    class Squares(MonomialOrder):
+        def key(self, m):
+            return tuple(e * e for e in m)
+
+    with pytest.raises(OrderError, match="linear"):
+        _codec(Squares(), 2)
+
+
+def test_term_code_position_out_of_range():
+    with pytest.raises(ModcoreError, match="position"):
+        _codec(GrevLex(), 2).code(1 << 16, (0, 0))
+
+
+def test_kernel_overflow_in_s_polynomial(R2):
+    # y^17001 * y^16999 = y^34000 arises while building the S-polynomial
+    x, y = R2.gens()
+    I = Ideal(R2, [x**17000 * y + y**17001, x * y**17000])
+    with pytest.raises(OverflowError):
+        I.groebner_basis()
+    assert not I._gb
+
+
+def test_kernel_overflow_in_reduction(R2):
+    # each step trades x^2 for y: y passes 2^15 - 1 long before x runs out
+    x, y = R2.gens()
+    with pytest.raises(OverflowError):
+        normal_form(x**2000 * y**32000, [x**2 - y])
