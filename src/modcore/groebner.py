@@ -5,8 +5,9 @@ dicts {(position, monomial): coeff} with an explicit position-over-term sort
 key, so Groebner bases under temporary orders (elimination blocks,
 variable-last saturations) never touch the ring's default order.  An ideal
 is the one-position case {(0, m): c}.  Intersections and colons are read
-off module bases by eliminating all positions but one.  Ideal values are
-immutable apart from their per-order basis cache.
+off module bases by eliminating all positions but one; a colon is one
+Buchberger call over block copies of a reduced basis it already knows.
+Ideal values are immutable apart from their per-order basis cache.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def _monic(d, p):
     return {t: (c * inv) % p for t, c in d.items()}
 
 
-def buchberger(gens, mkey, p):
+def buchberger(gens, mkey, p, known=0):
     """Reduced Groebner basis (list of monic term dicts, ascending leading terms)
     of the term dicts `gens` under the position-over-term key `mkey`.
 
@@ -232,6 +233,12 @@ def buchberger(gens, mkey, p):
     pruned by the chain criterion.  The product criterion (coprime leading
     monomials) holds only for ideals, so it prunes only when every input
     term lies in one position.
+
+    The first `known` inputs must form a reduced Groebner basis under `mkey`
+    (monic, as `buchberger` returns it).  They are taken as they are: no
+    reduction, and no S-pair between two of them, since each such pair
+    reduces to zero against them (Gebauer-Moeller, J. Symb. Comp. 6, 1988);
+    the chain criterion counts those pairs as done.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -258,10 +265,15 @@ def buchberger(gens, mkey, p):
         lterms.append((pos, m))
         same = at.setdefault(pos, [])
         for j in same:
-            heappush(pairs, (sum(map(max, lterms[j][1], m)), j, idx))
+            if idx < known:
+                done.add((j, idx))
+            else:
+                heappush(pairs, (sum(map(max, lterms[j][1], m)), j, idx))
         same.append(idx)
 
-    for g in gens:
+    for g in gens[:known]:
+        add(codec.encode(g))
+    for g in gens[known:]:
         r = nf_dict(codec.encode(g), divs, codec, p)
         if r:
             add(_monic(r, p))
@@ -305,27 +317,32 @@ def buchberger(gens, mkey, p):
         if r:
             add(_monic(r, p))
 
-    return [codec.decode(g) for g in _reduce_basis(G, codec, p)]
+    return [codec.decode(g) for g in _reduce_basis(G, D, codec, p)]
 
 
-def _reduce_basis(G, codec, p):
-    """Unique reduced basis of the code dicts G: minimal leading terms, fully
-    tail-reduced, monic.
+def _reduce_basis(G, D, codec, p):
+    """Unique reduced basis of the monic code dicts G, whose divisors are D:
+    minimal leading terms, fully tail-reduced, monic.
 
     One pass in ascending leading terms: every term of g_i other than its
     leading one is smaller than lm(g_i), so only lm(g_0)..lm(g_(i-1)) can
-    divide it, and the normal form against the reduced prefix is final."""
+    divide it, and the normal form against the reduced prefix is final.  An
+    element the normal form leaves as it is keeps its divisor."""
     guard = codec.guard
     kept = []
     divs = {}
-    for g in sorted(G, key=max):
-        lead = max(g)
+    for g, div in sorted(zip(G, D), key=lambda gd: gd[1][0]):
+        lead = div[0]
+        pos = codec.pos(lead)
         probe = lead | guard
-        if any((probe - h[0]) & guard == guard for h in divs.get(codec.pos(lead), ())):
+        if any((probe - h[0]) & guard == guard for h in divs.get(pos, ())):
             continue
-        r = _monic(nf_dict(g, divs, codec, p), p)
+        r = nf_dict(g, divs, codec, p)
         kept.append(r)
-        _add_divisor(divs, r, codec, p)
+        if r == g:
+            divs.setdefault(pos, []).append(div)
+        else:
+            _add_divisor(divs, r, codec, p)
     return kept
 
 
@@ -350,22 +367,29 @@ def _syzygy_dicts(gens, npos, ring):
     return out
 
 
-def _eliminate_to(gens, last, ring) -> Ideal:
-    """The ideal that span(gens) meets in its last position `last`: that
-    position is the smallest in position-over-term order, so the basis
-    elements with every term there generate it (Greuel-Pfister, A Singular
-    Introduction to Commutative Algebra, 2.8)."""
-    basis = buchberger(gens, _mkeyf(ring.order), ring.char)
+def _eliminate_to(basis, last, ring) -> Ideal:
+    """The ideal that a module with reduced basis `basis` meets in its last
+    position `last`: that position is the smallest in position-over-term
+    order, so the basis elements with every term there generate it
+    (Greuel-Pfister, A Singular Introduction to Commutative Algebra, 2.8)."""
     return Ideal(ring, [ring.from_dict({m: c for (_, m), c in g.items()})
                         for g in basis if all(pm[0] == last for pm in g)])
 
 
-def _colon(v, cols, ring, npos) -> Ideal:
-    """(span(cols) :_R v) for term dicts of R^npos: what span((v, 1),
-    (col, 0)) in R^npos + R meets in position npos."""
-    tagged = dict(v)
-    tagged[(npos, (0,) * ring.nvars)] = 1
-    return _eliminate_to([tagged] + cols, npos, ring)
+def _colon(vs, basis, ring, npos) -> Ideal:
+    """(span(basis) :_R span(vs)) for term dicts of R^npos, `basis` a reduced
+    basis under the ring's order.
+
+    r*v_i lies in span(basis) for every i exactly when r*(v_1, ..., v_k)
+    lies in the block sum of k copies of span(basis), so the colon is what
+    span((v_1, ..., v_k, 1), (b in block i, 0)) meets in position k*npos.
+    Shifted copies of a reduced basis that lead in disjoint positions are a
+    reduced basis, so one `buchberger` call takes them as known."""
+    blocks = [{(pos + i * npos, m): c for (pos, m), c in b.items()} for i in range(len(vs)) for b in basis]
+    tagged = {(pos + i * npos, m): c for i, v in enumerate(vs) for (pos, m), c in v.items()}
+    last = len(vs) * npos
+    tagged[(last, (0,) * ring.nvars)] = 1
+    return _eliminate_to(buchberger(blocks + [tagged], _mkeyf(ring.order), ring.char, known=len(blocks)), last, ring)
 
 
 def _ideal_basis(polys, order, ring):
@@ -497,25 +521,20 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     if I.is_zero() or J.is_zero():
         return Ideal(ring, ())
     gens = [{(pos, m): c for m, c in f.terms for pos in (0, 1)} for f in I.gens]
-    return _eliminate_to(gens + [_vec_to_dict((g,)) for g in J.gens], 1, ring)
+    gens += [_vec_to_dict((g,)) for g in J.gens]
+    return _eliminate_to(buchberger(gens, _mkeyf(ring.order), ring.char), 1, ring)
 
 
 def quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
-    """(J :_R I), the intersection of the colons (J : g) over generators g of I."""
+    """(J :_R I): one colon over J's reduced basis by all generators of I."""
     if J.ring != I.ring:
         raise RingMismatchError("quotient across rings")
     ring = J.ring
     if I.is_zero():
         warnings.warn("colon by the zero ideal; returning the unit ideal", stacklevel=2)
         return Ideal(ring, (ring.one(),))
-    cols = [_vec_to_dict((h,)) for h in J.gens]
-    result = None
-    for g in I.gens:
-        Qg = _colon(_vec_to_dict((g,)), cols, ring, 1)
-        result = Qg if result is None else intersect(result, Qg)
-        if result.is_zero():
-            return result
-    return result
+    basis = [_vec_to_dict((h,)) for h in J.groebner_basis()]
+    return _colon([_vec_to_dict((g,)) for g in I.gens], basis, ring, 1)
 
 
 def _is_std_homogeneous(I: Ideal) -> bool:

@@ -24,7 +24,6 @@ from .groebner import (
     _vec_to_dict,
     buchberger,
     exact_div,
-    intersect,
     quotient_ideal,
 )
 from .poly import Polynomial, PolyRing, mono_deg, mono_mul
@@ -481,19 +480,12 @@ def first_nonzero_maximal_minor(E: PresentedModule) -> Polynomial:
 
 
 def annihilator(E: PresentedModule) -> Ideal:
-    """The intersection of the colons (relations : e_i) over the generators."""
+    """(relations :_R span(e_1, ..., e_n)): one colon over the relation basis."""
     ring = E.ring
     if E.n == 0:
         return Ideal(ring, (ring.one(),))
-    cols = [_vec_to_dict(c) for c in E.relations]
     unit = (0,) * ring.nvars
-    result = None
-    for i in range(E.n):
-        Qi = _colon({(i, unit): 1}, cols, ring, E.n)
-        result = Qi if result is None else intersect(result, Qi)
-        if result.is_zero():
-            return result
-    return result
+    return _colon([{(i, unit): 1} for i in range(E.n)], E.relation_gb(), ring, E.n)
 
 
 class Submodule:
@@ -564,14 +556,20 @@ class Submodule:
         I = self.parent._cache.get("from_ideal")
         if I is None:
             raise ModcoreError("parent module does not come from an ideal")
+        ring = self.parent.ring
+        p = ring.char
         gens = []
         for v in self.gens:
-            f = self.parent.ring.zero()
+            d = {}
             for c, g in zip(v, I.gens):
-                f = f + c * g
+                for m1, c1 in c.terms:
+                    for m2, c2 in g.terms:
+                        m = mono_mul(m1, m2)
+                        d[m] = (d.get(m, 0) + c1 * c2) % p
+            f = ring.from_dict(d)
             if f:
                 gens.append(f)
-        return Ideal(self.parent.ring, gens)
+        return Ideal(ring, gens)
 
     def quotient_module(self) -> PresentedModule:
         """E/U, presented on E's generators."""
@@ -596,11 +594,11 @@ def colon_into(U: Submodule, E: PresentedModule | None = None) -> Ideal:
     I = E._cache.get("from_ideal")
     if I is not None:
         # E = I and U = J, its image ideal, so ann(E/U) = (J :_R I).  The
-        # ideal colon solves one syzygy problem in R^1 per generator of I;
-        # ann(E/U) would work in R^mu(I) with all the syzygies of I as extra
-        # relations, which is slower and takes more memory on ideal modules
-        # (the residual_an benchmark workload).  Direct sums and free modules
-        # take ann(E/U).
+        # ideal colon takes one copy of J's basis in R^1 per generator of I;
+        # ann(E/U) would take one copy of a basis in R^k per generator, with
+        # all the syzygies of I as extra relations, which is slower and takes
+        # more memory on ideal modules (the residual_an benchmark workload).
+        # Direct sums and free modules take ann(E/U).
         return quotient_ideal(U.to_ideal(), I)
     return annihilator(U.quotient_module())
 

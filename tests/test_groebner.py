@@ -7,6 +7,7 @@ from modcore.groebner import (
     Ideal,
     _codec,
     _mkeyf,
+    buchberger,
     eliminate,
     exact_div,
     height,
@@ -350,3 +351,32 @@ def test_kernel_overflow_in_reduction(R2):
     x, y = R2.gens()
     with pytest.raises(OverflowError):
         normal_form(x**2000 * y**32000, [x**2 - y])
+
+
+# -- a known reduced basis -----------------------------------------------------------
+
+
+def _random_module_dicts(ring, rng, count, npos=2):
+    """`count` random term dicts in R^npos, up to three terms of degree up to 2."""
+    out = []
+    for _ in range(count):
+        d = {}
+        for pos in rng.sample(range(npos), rng.randrange(1, npos + 1)):
+            d.update({(pos, m): c for m, c in random_poly(ring, rng, nterms=rng.randrange(1, 3)).terms})
+        out.append(d)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("order", CODE_ORDERS, ids=lambda o: type(o).__name__)
+def test_known_reduced_basis_is_taken_as_is(order, seed):
+    # a reduced basis B, or k block-shifted copies of it, passed as known
+    # gives the same reduced basis as the full run
+    ring = PolyRing(P, ("x", "y", "z"), order)
+    rng = seeded(300 + seed)
+    mkey = _mkeyf(order)
+    B = buchberger(_random_module_dicts(ring, rng, 4), mkey, P)
+    blocks = [{(pos + 2 * i, m): c for (pos, m), c in b.items()} for i in range(1 + seed % 3) for b in B]
+    for known in (B, blocks):
+        extra = _random_module_dicts(ring, rng, rng.randrange(1, 3), npos=2 * (1 + seed % 3) + 1)
+        assert buchberger(known + extra, mkey, P, known=len(known)) == buchberger(known + extra, mkey, P)

@@ -6,7 +6,7 @@ import pytest
 
 from modcore import groebner
 from modcore.errors import ModcoreError
-from modcore.groebner import Ideal, _syzygy_dicts, _vec_to_dict, quotient_ideal
+from modcore.groebner import Ideal, _syzygy_dicts, _vec_to_dict, intersect, quotient_ideal
 from modcore.modalg import (
     PresentedModule,
     annihilator,
@@ -363,11 +363,11 @@ def _syzygy_intersect(I, J):
     return Ideal(ring, out)
 
 
-def _random_presented_module(ring, rng):
-    """2-3 generators in degrees 0 and 1; as many homogeneous relation
-    columns with no constant entry, or one more, so that the module has
-    rank 0 and a nonzero annihilator."""
-    degrees = tuple(rng.randrange(2) for _ in range(rng.randrange(2, 4)))
+def _random_presented_module(ring, rng, least=2):
+    """`least` to 3 generators in degrees 0 and 1; as many homogeneous
+    relation columns with no constant entry, or one more, so that the module
+    has rank 0 and a nonzero annihilator."""
+    degrees = tuple(rng.randrange(2) for _ in range(rng.randrange(least, 4)))
     cols = []
     for _ in range(len(degrees) + rng.randrange(2)):
         d = max(degrees) + rng.randrange(1, 3)
@@ -397,23 +397,97 @@ def test_annihilator_matches_syzygy_route(R2, R3, seed, monkeypatch):
     bases = []
     kernel = groebner.buchberger
 
-    def recording(gens, mkey, p):
-        G = kernel(gens, mkey, p)
+    def recording(gens, mkey, p, known=0):
+        G = kernel(gens, mkey, p, known)
         bases.append((G, mkey))
         return G
 
     monkeypatch.setattr(groebner, "buchberger", recording)
     cols = [_vec_to_dict(c) for c in E.relations]
+    basis = groebner.buchberger(cols, groebner._mkeyf(ring.order), ring.char)
     unit = (0,) * ring.nvars
     reference = None
     for i in range(E.n):
         Qi = _syzygy_colon({(i, unit): 1}, cols, ring, E.n)
-        assert groebner._colon({(i, unit): 1}, cols, ring, E.n) == Qi
+        assert groebner._colon([{(i, unit): 1}], basis, ring, E.n) == Qi
         reference = Qi if reference is None else _syzygy_intersect(reference, Qi)
     assert annihilator(E) == reference
     assert bases
     for G, mkey in bases:
         _assert_reduced_basis(G, mkey)
+
+
+def _tagged_colon(v, cols, ring, npos):
+    """Reference (span(cols) : v) by one-tag elimination: the basis elements
+    of span((v, 1), (col, 0)) in R^npos + R with every term in position npos."""
+    tagged = dict(v)
+    tagged[(npos, (0,) * ring.nvars)] = 1
+    basis = groebner.buchberger([tagged] + cols, groebner._mkeyf(ring.order), ring.char)
+    return Ideal(ring, [ring.from_dict({m: c for (_, m), c in g.items()})
+                        for g in basis if all(pm[0] == npos for pm in g)])
+
+
+def _loop_colon(vs, cols, ring, npos):
+    """Reference (span(cols) : span(vs)): one tagged colon per v, intersected."""
+    result = None
+    for v in vs:
+        Q = _tagged_colon(v, cols, ring, npos)
+        result = Q if result is None else intersect(result, Q)
+        if result.is_zero():
+            break
+    return result
+
+
+def _loop_quotient(J, I):
+    return _loop_colon([_vec_to_dict((g,)) for g in I.gens], [_vec_to_dict((h,)) for h in J.gens], J.ring, 1)
+
+
+def _loop_annihilator(E):
+    unit = (0,) * E.ring.nvars
+    cols = [_vec_to_dict(c) for c in E.relations]
+    return _loop_colon([{(i, unit): 1} for i in range(E.n)], cols, E.ring, E.n)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_quotient_matches_loop_route(R2, R3, seed):
+    # J holds multiples of I's generators, so (J : I) is more than J; the
+    # one-call colon returns the same reduced basis as the per-generator loop
+    ring = (R2, R3)[seed % 2]
+    rng = seeded(900 + seed)
+    I = Ideal(ring, [random_homogeneous_poly(ring, rng, rng.randrange(1, 3), nterms=2)
+                     for _ in range(rng.randrange(1, 5))])
+    J = Ideal(ring, [random_homogeneous_poly(ring, rng, 1, nterms=2) * rng.choice(I.gens)
+                     if rng.randrange(3) else random_homogeneous_poly(ring, rng, 3)
+                     for _ in range(rng.randrange(1, 5))])
+    Q = quotient_ideal(J, I)
+    assert Q.gens == _loop_quotient(J, I).gens
+    assert J <= Q
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_annihilator_matches_loop_route(R2, R3, seed):
+    ring = (R2, R3)[seed % 2]
+    E = _random_presented_module(ring, seeded(1000 + seed), least=1)
+    A = annihilator(E)
+    assert not A.is_zero()
+    assert A.gens == _loop_annihilator(E).gens
+
+
+def test_colon_edge_cases_match_loop_route(R2, msq):
+    x, y = R2.gens()
+    zero = Ideal(R2, [])
+    # (0 : I) = 0
+    assert quotient_ideal(zero, msq).is_zero()
+    assert quotient_ideal(zero, msq).gens == _loop_quotient(zero, msq).gens
+    # a free module has annihilator 0
+    F = free_module(R2, 2)
+    assert annihilator(F).is_zero()
+    assert annihilator(F).gens == _loop_annihilator(F).gens
+    # a repeated generator of I changes nothing
+    J = Ideal(R2, [x**3, x * y**2])
+    twice = Ideal(R2, [x * y, x**2, x * y])
+    assert quotient_ideal(J, twice).gens == _loop_quotient(J, twice).gens
+    assert quotient_ideal(J, twice).gens == quotient_ideal(J, Ideal(R2, [x * y, x**2])).gens
 
 
 def test_fitting_raw_vs_minimalized(R2, msq):

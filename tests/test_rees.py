@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from modcore import groebner
 from modcore.errors import DegreeMixError, ModcoreError
 from modcore.groebner import (
     Ideal,
@@ -450,3 +451,23 @@ def test_polini_ulrich_core_boundary_cubics(R3, minors43, E_minors43):
     assert reduction_number(U, E_minors43).value == 2
     J = U.to_ideal()
     assert quotient_ideal(J * J * J, minors43 * minors43) == Ideal(R3, list(R3.gens())) * minors43
+
+
+def test_big_colon_is_one_kernel_call(R3, minors43, E_minors43, monkeypatch):
+    # (J^3 : I^2) on the boundary cubics takes two Buchberger calls, the
+    # basis of J^3 and one colon over block copies of it, and 343 normal
+    # forms; a colon per generator of I^2 and their intersections took 19
+    # calls and 2024 normal forms
+    J = random_reduction(E_minors43, rng=5).to_ideal()
+    counts = {"buchberger": 0, "nf_dict": 0}
+    for name in counts:
+        kernel = getattr(groebner, name)
+
+        def counting(*args, kernel=kernel, name=name, **kwargs):
+            counts[name] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(groebner, name, counting)
+    quotient_ideal(J * J * J, minors43 * minors43)
+    assert counts["buchberger"] == 2
+    assert counts["nf_dict"] <= 400
