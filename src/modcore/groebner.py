@@ -4,9 +4,9 @@ One engine serves ideals and submodules of free modules.  It works on term
 dicts {(position, monomial): coeff} with an explicit position-over-term sort
 key, so Groebner bases under temporary orders (elimination blocks,
 variable-last saturations) never touch the ring's default order.  An ideal
-is the one-position case {(0, m): c}.  Intersections and colons are read
-off module bases by eliminating all positions but one; a colon is one
-Buchberger call over block copies of a reduced basis it already knows.
+is the one-position case {(0, m): c}.  Syzygies, intersections and colons
+are all read off a module basis by one helper, `_eliminate_to`; a colon is
+one Buchberger call over block copies of a reduced basis it already knows.
 Ideal values are immutable apart from their per-order basis cache.
 """
 
@@ -42,7 +42,7 @@ from .poly import (
 
 _FIELD_BITS = 16  # one field per exponent; its top bit is the guard bit
 _FIELD = _EXP_LIMIT - 1  # the exponent bits of a field
-_POS_BITS = 16
+_POS_BITS = 32
 _POS_MASK = (1 << _POS_BITS) - 1
 
 
@@ -95,7 +95,7 @@ class _Codec:
         self.guard = sum(1 << (s + _FIELD_BITS - 1) for s in shifts)
         self.emask = (1 << self.ebits) - 1
         self.low_mask = (1 << low) - 1
-        self.unpack = Struct(f">{nvars + 1}H").unpack  # (pos, m) from the 16-bit fields of the low part
+        self.unpack = Struct(f">I{nvars}H").unpack  # (pos, m) from the fields of the low part
 
     def code(self, pos, m):
         if pos >> _POS_BITS:
@@ -105,7 +105,7 @@ class _Codec:
         return pos * self.pos_unit + sum(map(mul, m, self.units))
 
     def term(self, code):
-        v = self.unpack((code & self.low_mask).to_bytes(2 + self.ebits // 8, "big"))
+        v = self.unpack((code & self.low_mask).to_bytes(_POS_BITS // 8 + self.ebits // 8, "big"))
         return v[0], v[1:]
 
     def pos(self, code):
@@ -346,34 +346,32 @@ def _reduce_basis(G, D, codec, p):
     return kept
 
 
+def _eliminate_to(basis, first):
+    """What a module with reduced basis `basis` meets in the positions from
+    `first` on, as a reduced basis shifted down by `first`.
+
+    Those positions are the smallest in position-over-term order, so the
+    basis elements with every term there are a reduced basis of that meet
+    (Greuel-Pfister, A Singular Introduction to Commutative Algebra, 2.8)."""
+    return [{(pos - first, m): c for (pos, m), c in g.items()}
+            for g in basis if all(pm[0] >= first for pm in g)]
+
+
 def _syzygy_dicts(gens, npos, ring):
     """Syzygies of the term dicts `gens` (positions below npos), as term dicts
-    on positions 0..len(gens)-1.
-
-    Generator i is tagged with position npos + i.  The target block leads in
-    position-over-term order, so the basis elements with no term below npos
-    are exactly the syzygies.
-    """
+    on positions 0..len(gens)-1: generator i is tagged with position
+    npos + i, and the syzygies are what the span meets from npos on."""
     unit = (0,) * ring.nvars
-    tagged = []
-    for i, g in enumerate(gens):
-        d = dict(g)
-        d[(npos + i, unit)] = 1
-        tagged.append(d)
-    out = []
-    for g in buchberger(tagged, _mkeyf(ring.order), ring.char):
-        if all(pm[0] >= npos for pm in g):
-            out.append({(pos - npos, m): c for (pos, m), c in g.items()})
-    return out
+    tagged = [{**g, (npos + i, unit): 1} for i, g in enumerate(gens)]
+    return _eliminate_to(buchberger(tagged, _mkeyf(ring.order), ring.char), npos)
 
 
-def _eliminate_to(basis, last, ring) -> Ideal:
-    """The ideal that a module with reduced basis `basis` meets in its last
-    position `last`: that position is the smallest in position-over-term
-    order, so the basis elements with every term there generate it
-    (Greuel-Pfister, A Singular Introduction to Commutative Algebra, 2.8)."""
-    return Ideal(ring, [ring.from_dict({m: c for (_, m), c in g.items()})
-                        for g in basis if all(pm[0] == last for pm in g)])
+def _meet(pairs, n, ring):
+    """{sum r_i b_i : sum r_i a_i = 0} for the pairs (a_i, b_i) of term
+    dicts on R^n: what span((a_i, b_i)) in R^n + R^n meets in the second
+    block, as a reduced basis of R^n."""
+    gens = [{**a, **{(pos + n, m): c for (pos, m), c in b.items()}} for a, b in pairs]
+    return _eliminate_to(buchberger(gens, _mkeyf(ring.order), ring.char), n)
 
 
 def _colon(vs, basis, ring, npos) -> Ideal:
@@ -389,7 +387,8 @@ def _colon(vs, basis, ring, npos) -> Ideal:
     tagged = {(pos + i * npos, m): c for i, v in enumerate(vs) for (pos, m), c in v.items()}
     last = len(vs) * npos
     tagged[(last, (0,) * ring.nvars)] = 1
-    return _eliminate_to(buchberger(blocks + [tagged], _mkeyf(ring.order), ring.char, known=len(blocks)), last, ring)
+    basis = buchberger(blocks + [tagged], _mkeyf(ring.order), ring.char, known=len(blocks))
+    return Ideal(ring, [_dict_to_vec(g, ring, 1)[0] for g in _eliminate_to(basis, last)])
 
 
 def _ideal_basis(polys, order, ring):
@@ -513,16 +512,14 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I cap J: what span((f, f), (g, 0)), f in I and g in J, in R^2 meets in
-    position 1."""
+    """I cap J: the meet of the pairs (f, f), f in I, and (g, 0), g in J."""
     if I.ring != J.ring:
         raise RingMismatchError("intersection across rings")
     ring = I.ring
     if I.is_zero() or J.is_zero():
         return Ideal(ring, ())
-    gens = [{(pos, m): c for m, c in f.terms for pos in (0, 1)} for f in I.gens]
-    gens += [_vec_to_dict((g,)) for g in J.gens]
-    return _eliminate_to(buchberger(gens, _mkeyf(ring.order), ring.char), 1, ring)
+    pairs = [(_vec_to_dict((f,)),) * 2 for f in I.gens] + [(_vec_to_dict((g,)), {}) for g in J.gens]
+    return Ideal(ring, [_dict_to_vec(d, ring, 1)[0] for d in _meet(pairs, 1, ring)])
 
 
 def quotient_ideal(J: Ideal, I: Ideal) -> Ideal:

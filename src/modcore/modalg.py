@@ -17,6 +17,7 @@ from .groebner import (
     Ideal,
     _colon,
     _dict_to_vec,
+    _meet,
     _mkeyf,
     _reducer,
     _standard_count,
@@ -71,15 +72,6 @@ def vector_degree(vec, degrees):
         elif deg != d:
             raise NotHomogeneousError("vector coordinates disagree in degree")
     return deg
-
-
-def _zero_vec(ring, n):
-    z = ring.zero()
-    return (z,) * n
-
-
-def _vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def _vec_is_zero(u):
@@ -619,24 +611,16 @@ def submodule_presentation(U: Submodule) -> PresentedModule:
 
 
 def submodule_intersect(U1: Submodule, U2: Submodule) -> Submodule:
-    """U1 cap U2 inside their common parent (cosets modulo the relations)."""
+    """U1 cap U2 inside their common parent (cosets modulo the relations):
+    the reduced basis of (U1 + N) cap (U2 + N), N the relations, as the meet
+    of the pairs (u, u), u in U1 + N, and (w, 0), w in U2 + N."""
     E = U1.parent
     if U2.parent is not E and U2.parent.relations != E.relations:
         raise ModcoreError("parent mismatch")
     ring = E.ring
-    W1 = list(U1.gens) + list(E.relations)
-    W2 = list(U2.gens) + list(E.relations)
-    syz = syzygies(W1 + W2, ring, E.n)
-    k1 = len(W1)
-    out = []
-    for s in syz:
-        v = _zero_vec(ring, E.n)
-        for c, w in zip(s[:k1], W1):
-            if c:
-                v = _vec_add(v, tuple(c * a for a in w))
-        if not _vec_is_zero(v):
-            out.append(v)
-    return Submodule(E, out)
+    pairs = [(_vec_to_dict(u),) * 2 for u in U1.gens + E.relations]
+    pairs += [(_vec_to_dict(w), {}) for w in U2.gens + E.relations]
+    return Submodule(E, [_dict_to_vec(d, ring, E.n) for d in _meet(pairs, E.n, ring)])
 
 
 def ideal_times_module(K: Ideal, E: PresentedModule) -> Submodule:
@@ -662,8 +646,9 @@ def is_torsionfree(E: PresentedModule) -> bool:
     """True iff the kernel of E -> E_a vanishes, a the fixed maximal minor.
 
     E_a is free of rank e for any nonzero maximal minor a, so that kernel is
-    exactly the torsion submodule; it is computed as ((relations) : a) by a
-    syzygy projection, and torsion vanishes iff the colon adds nothing.
+    exactly the torsion submodule.  It vanishes iff a*v in N forces v in N,
+    N the relations: (N :_F a) is the meet of the pairs (a*e_i, e_i) and
+    (col, 0), and every element of its basis must reduce to 0 modulo N.
     """
     cached = E._cache.get("torsionfree")
     if cached is not None:
@@ -673,16 +658,10 @@ def is_torsionfree(E: PresentedModule) -> bool:
     if E.n > 0 and E.relations:
         a = first_nonzero_maximal_minor(E)
         if not a.is_constant():
-            cols = list(E.relations)
-            scaled = [tuple(a * c for c in basis) for basis in
-                      [tuple(ring.one() if k == i else ring.zero() for k in range(E.n)) for i in range(E.n)]]
-            syz = syzygies(cols + scaled, ring, E.n)
-            k1 = len(cols)
-            relgb = E.relation_gb()
-            for s in syz:
-                w = tuple(s[k1:])
-                if not _vec_is_zero(w) and not module_member(w, relgb, ring):
-                    ans = False
-                    break
+            unit = (0,) * ring.nvars
+            pairs = [({(i, m): c for m, c in a.terms}, {(i, unit): 1}) for i in range(E.n)]
+            pairs += [(_vec_to_dict(col), {}) for col in E.relations]
+            nf = _reducer(E.relation_gb(), ring)
+            ans = not any(nf(v) for v in _meet(pairs, E.n, ring))
     E._cache["torsionfree"] = ans
     return ans

@@ -334,7 +334,7 @@ def test_term_codes_refuse_a_nonlinear_key():
 
 def test_term_code_position_out_of_range():
     with pytest.raises(ModcoreError, match="position"):
-        _codec(GrevLex(), 2).code(1 << 16, (0, 0))
+        _codec(GrevLex(), 2).code(1 << 32, (0, 0))
 
 
 def test_kernel_overflow_in_s_polynomial(R2):

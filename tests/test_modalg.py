@@ -15,6 +15,7 @@ from modcore.modalg import (
     depth,
     direct_sum,
     ext_module,
+    first_nonzero_maximal_minor,
     fitting_ideal,
     free_module,
     free_resolution,
@@ -488,6 +489,86 @@ def test_colon_edge_cases_match_loop_route(R2, msq):
     twice = Ideal(R2, [x * y, x**2, x * y])
     assert quotient_ideal(J, twice).gens == _loop_quotient(J, twice).gens
     assert quotient_ideal(J, twice).gens == quotient_ideal(J, Ideal(R2, [x * y, x**2])).gens
+
+
+@pytest.mark.parametrize("relations", [0, 1])
+def test_annihilator_of_256_generators(R2, relations):
+    # the colon works in n^2 + 1 positions, past what 16 bits of position hold
+    x, y = R2.gens()
+    cols = [(x,) + (R2.zero(),) * 255][:relations]
+    assert annihilator(PresentedModule(R2, (0,) * 256, cols)).is_zero()
+
+
+def _syzygy_submodule_intersect(U1, U2):
+    """Reference U1 cap U2: each syzygy s of (U1 + N, U2 + N), N the
+    relations, gives the element sum s_i w_i over the first block."""
+    E = U1.parent
+    ring = E.ring
+    W1 = list(U1.gens) + list(E.relations)
+    W2 = list(U2.gens) + list(E.relations)
+    out = []
+    for s in syzygies(W1 + W2, ring, E.n):
+        v = (ring.zero(),) * E.n
+        for c, w in zip(s[: len(W1)], W1):
+            if c:
+                v = tuple(a + c * b for a, b in zip(v, w))
+        out.append(v)
+    return span(E, out)
+
+
+def _syzygy_is_torsionfree(E):
+    """Reference torsion test: the tails w of the syzygies of
+    (relations, a*e_1, ..., a*e_n) span (N :_F a), which must lie in N."""
+    ring = E.ring
+    if not E.n or not E.relations:
+        return True
+    a = first_nonzero_maximal_minor(E)
+    if a.is_constant():
+        return True
+    cols = list(E.relations)
+    scaled = [tuple(a if k == i else ring.zero() for k in range(E.n)) for i in range(E.n)]
+    return all(E.element_is_zero(tuple(s[len(cols):])) for s in syzygies(cols + scaled, ring, E.n))
+
+
+def _random_vector(E, rng):
+    """A homogeneous vector of E's free module, one or two degrees above its
+    highest generator."""
+    deg = max(E.gen_degrees) + rng.randrange(1, 3)
+    return tuple(random_homogeneous_poly(E.ring, rng, deg - e, nterms=2) for e in E.gen_degrees)
+
+
+def _reference_module(ring, rng, kind):
+    """An ideal module, an ideal module plus R(-d), the cokernel of a random
+    linear matrix, or one of those plus R/(f), which has torsion."""
+    I = Ideal(ring, [random_homogeneous_poly(ring, rng, 2, nterms=2) for _ in range(rng.randrange(2, 4))])
+    if kind == "ideal":
+        return module_from_ideal(I)
+    if kind == "ideal+free":
+        return direct_sum(module_from_ideal(I), free_module(ring, 1), twist=rng.randrange(1, 3))
+    n = rng.randrange(2, 4)
+    linear = PresentedModule(ring, (0,) * n, [tuple(random_homogeneous_poly(ring, rng, 1, nterms=2)
+                                                    for _ in range(n)) for _ in range(rng.randrange(1, n + 1))])
+    if kind == "linear":
+        return linear
+    f = random_homogeneous_poly(ring, rng, rng.randrange(1, 3), nterms=2)
+    return direct_sum(rng.choice([linear, module_from_ideal(I)]), cyclic_module(ring, Ideal(ring, [f])))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_intersection_and_torsion_match_syzygy_route(R2, R3, seed):
+    # the two-block meets against the syzygy projections they replaced
+    ring = (R2, R3)[seed % 2]
+    rng = seeded(1100 + seed)
+    kind = ("ideal", "ideal+free", "linear", "plus torsion")[seed // 2 % 4]
+    E = _reference_module(ring, rng, kind)
+    U1 = span(E, [_random_vector(E, rng) for _ in range(rng.randrange(1, 3))])
+    U2 = span(E, [_random_vector(E, rng) for _ in range(rng.randrange(1, 3))])
+    C = submodule_intersect(U1, U2)
+    assert C == _syzygy_submodule_intersect(U1, U2)
+    assert C.gens == submodule_intersect(U2, U1).gens
+    assert is_torsionfree(E) == _syzygy_is_torsionfree(E)
+    if kind == "plus torsion":
+        assert not is_torsionfree(E)
 
 
 def test_fitting_raw_vs_minimalized(R2, msq):

@@ -392,6 +392,13 @@ def test_core_msq_plus_free(R2, E_msq_plus):
     assert C == ideal_times_module(Ideal(R2, [x, y]), E_msq_plus)
 
 
+def test_core_prints_the_same_generators_for_every_seed(E_msq):
+    # the intersection is a reduced basis, so seeds that reach the same core
+    # print the same generators, not those of their own random reductions
+    gens = [core_monte_carlo(E_msq, samples=8, rng=s)[0].reduced_gens() for s in (42, 7, 3)]
+    assert gens[0] == gens[1] == gens[2]
+
+
 def test_reduction_number_edge_ideal_cross_route(edge, E_edge):
     # the graded Nakayama route against the ideal-power oracle: for proper
     # minimal reductions J of the edge ideal, J*I = I^2 with J != I, so r = 1
