@@ -41,7 +41,7 @@ from .modalg import (
     vector_degree,
     whole_module,
 )
-from .poly import PolyRing, mono_mul
+from .poly import PolyRing, substitute
 from .rees import (
     DEFAULT_T_CAP,
     RETRY_CAP,
@@ -170,28 +170,6 @@ def _mu_drop_holds(W: Submodule, coords, s: int) -> bool:
     return mu(Q) == max(0, mu(P_W) - s)
 
 
-def _substitute_last(f, forms, target: PolyRing, cache: dict):
-    """f with its last len(forms) variables replaced by the linear `forms` of
-    `target`, whose variables are f's first ones.  `cache` holds the images
-    of the replaced monomials across calls."""
-    k = target.nvars
-    out = {}
-    for m, c in f.terms:
-        tail = m[k:]
-        img = cache.get(tail)
-        if img is None:
-            img = target.one()
-            for l, e in zip(forms, tail):
-                if e:
-                    img = img * l**e
-            cache[tail] = img
-        head = m[:k]
-        for mm, cc in img.terms:
-            key = mono_mul(head, mm)
-            out[key] = out.get(key, 0) + c * cc
-    return target.from_dict(out)
-
-
 def _certified_cm(K: Ideal, d: int) -> bool:
     """True when a certificate proves R/K Cohen-Macaulay, for a proper
     homogeneous K with d = dim R/K, 0 < d < n: for linear forms l that are a
@@ -214,7 +192,7 @@ def _certified_cm(K: Ideal, d: int) -> bool:
     for _ in range(RETRY_CAP):
         forms = [small.from_dict({v: rng.randrange(ring.char) for v in variables}) for _ in range(d)]
         cache = {}
-        Kl = Ideal(small, [_substitute_last(g, forms, small, cache) for g in K.groebner_basis()])
+        Kl = Ideal(small, [substitute(g, small, range(n - d), forms, cache) for g in K.groebner_basis()])
         if krull_dimension(Kl) == 0:
             return _multiplicity(Kl, 0) == e
     return False
@@ -623,16 +601,17 @@ def verify_balanced(E: PresentedModule, reductions: int, rng=None, core_samples:
     Ks = [colon_into(U, E) for U in Us]
     independent = all(K == Ks[0] for K in Ks[1:])
     products = []
-    KEs = []
+    KEs = []  # (K, K*E) once per distinct K
     for U, K in zip(Us, Ks):
-        KE = ideal_times_module(K, E)
-        KU = ideal_times_submodule(K, U)
-        KEs.append(KE)
-        products.append(KE == KU)
+        KE = next((KE for K0, KE in KEs if K0 == K), None)
+        if KE is None:
+            KE = ideal_times_module(K, E)
+            KEs.append((K, KE))
+        products.append(KE == ideal_times_submodule(K, U))
     products_equal = all(products)
     try:
         core, used = core_monte_carlo(E, samples=core_samples, stabilization_window=3, rng=rng)
-        equals_core = all(KE == core for KE in KEs)
+        equals_core = all(KE == core for _, KE in KEs)
         status = "ok"
     except RetryExhaustedError:
         used = None

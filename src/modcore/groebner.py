@@ -134,10 +134,23 @@ def _vec_to_dict(vec):
 
 
 def _dict_to_vec(d, ring, npos):
+    """The vector of the term dict `d`, whose terms may come in any order."""
     coords = [{} for _ in range(npos)]
     for (pos, m), c in d.items():
         coords[pos][m] = c
     return tuple(ring.from_dict(cd) for cd in coords)
+
+
+def _ordered_to_vec(d, ring, npos):
+    """The vector of a kernel output `d` under the ring's order.
+
+    `nf_dict`, and so `buchberger`, return their terms in descending
+    position-over-term order, so each coordinate's terms already come
+    sorted, with coefficients in [1, p): no second sort is needed."""
+    coords = [[] for _ in range(npos)]
+    for (pos, m), c in d.items():
+        coords[pos].append((m, c))
+    return tuple(Polynomial(ring, tuple(t)) for t in coords)
 
 
 def _add_divisor(divs, d, codec, p):
@@ -172,11 +185,12 @@ def _overflows(tail, q, guard):
 def nf_dict(f, divs, codec, p):
     """Full normal form of the code dict `f` against the divisors `divs`
     (by leading position, as `_add_divisor` files them); the first divisor
-    whose leading term divides is used."""
+    whose leading term divides is used.  The terms of the result come in
+    descending order."""
     if not f:
         return {}
     if not divs:
-        return dict(f)
+        return {t: f[t] for t in sorted(f, reverse=True)}
     guard, ebits, pmask = codec.guard, codec.ebits, _POS_MASK
     work = dict(f)
     out = {}
@@ -388,14 +402,27 @@ def _colon(vs, basis, ring, npos) -> Ideal:
     last = len(vs) * npos
     tagged[(last, (0,) * ring.nvars)] = 1
     basis = buchberger(blocks + [tagged], _mkeyf(ring.order), ring.char, known=len(blocks))
-    return Ideal(ring, [_dict_to_vec(g, ring, 1)[0] for g in _eliminate_to(basis, last)])
+    return _basis_ideal(ring, _eliminate_to(basis, last))
+
+
+def _basis_ideal(ring, basis) -> Ideal:
+    """The ideal whose reduced basis under the ring's order is `basis`, term
+    dicts in position 0 as `buchberger` returns them (ascending, monic,
+    reduced).  Those are its generators, and its basis cache starts with
+    them, so no later `groebner_basis` call recomputes them."""
+    gens = tuple(_ordered_to_vec(d, ring, 1)[0] for d in basis)
+    I = Ideal(ring, gens)
+    I._gb[ring.order] = gens
+    return I
 
 
 def _ideal_basis(polys, order, ring):
     """Reduced Groebner basis of the ideal spanned by `polys` under the
-    monomial order `order`, as polynomials of `ring`."""
+    monomial order `order`, as polynomials of `ring`.  A basis under another
+    order than the ring's has its terms sorted again."""
     basis = buchberger([_vec_to_dict((f,)) for f in polys], _mkeyf(order), ring.char)
-    return [_dict_to_vec(d, ring, 1)[0] for d in basis]
+    to_vec = _ordered_to_vec if order == ring.order else _dict_to_vec
+    return [to_vec(d, ring, 1)[0] for d in basis]
 
 
 # -- Ideal -----------------------------------------------------------------------
@@ -478,7 +505,7 @@ def normal_form(f: Polynomial, G) -> Polynomial:
         return f
     ring = f.ring
     nf = _reducer([_vec_to_dict((g,)) for g in G], ring)
-    return _dict_to_vec(nf(_vec_to_dict((f,))), ring, 1)[0]
+    return _ordered_to_vec(nf(_vec_to_dict((f,))), ring, 1)[0]
 
 
 def ideal_membership(f: Polynomial, I: Ideal) -> bool:
@@ -519,7 +546,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     if I.is_zero() or J.is_zero():
         return Ideal(ring, ())
     pairs = [(_vec_to_dict((f,)),) * 2 for f in I.gens] + [(_vec_to_dict((g,)), {}) for g in J.gens]
-    return Ideal(ring, [_dict_to_vec(d, ring, 1)[0] for d in _meet(pairs, 1, ring)])
+    return _basis_ideal(ring, _meet(pairs, 1, ring))
 
 
 def quotient_ideal(J: Ideal, I: Ideal) -> Ideal:

@@ -19,6 +19,7 @@ from .groebner import (
     _dict_to_vec,
     _meet,
     _mkeyf,
+    _ordered_to_vec,
     _reducer,
     _standard_count,
     _syzygy_dicts,
@@ -52,7 +53,7 @@ def syzygies(vectors, ring: PolyRing, npos: int):
     if any(len(v) != npos for v in vectors):
         raise ModcoreError("vector length does not match the free module")
     k = len(vectors)
-    return [_dict_to_vec(s, ring, k) for s in _syzygy_dicts([_vec_to_dict(v) for v in vectors], npos, ring)]
+    return [_ordered_to_vec(s, ring, k) for s in _syzygy_dicts([_vec_to_dict(v) for v in vectors], npos, ring)]
 
 
 # -- vectors and matrices ----------------------------------------------------------
@@ -471,13 +472,16 @@ def first_nonzero_maximal_minor(E: PresentedModule) -> Polynomial:
 # -- annihilators and colons ---------------------------------------------------------
 
 
+def _colon_by_free(basis, ring, n) -> Ideal:
+    """(span(basis) :_R R^n) for a reduced basis `basis` of a submodule of
+    R^n: one colon by the unit vectors."""
+    unit = (0,) * ring.nvars
+    return _colon([{(i, unit): 1} for i in range(n)], basis, ring, n)
+
+
 def annihilator(E: PresentedModule) -> Ideal:
     """(relations :_R span(e_1, ..., e_n)): one colon over the relation basis."""
-    ring = E.ring
-    if E.n == 0:
-        return Ideal(ring, (ring.one(),))
-    unit = (0,) * ring.nvars
-    return _colon([{(i, unit): 1} for i in range(E.n)], E.relation_gb(), ring, E.n)
+    return _colon_by_free(E.relation_gb(), E.ring, E.n)
 
 
 class Submodule:
@@ -504,7 +508,8 @@ class Submodule:
         return f"Submodule({len(self.gens)} gens of {self.parent!r})"
 
     def coset_gb(self):
-        """Module basis of U + relations; membership modulo the relations."""
+        """Module basis of U + relations; membership modulo the relations.
+        `submodule_intersect` stores it with its result."""
         gb = self._cache.get("gb")
         if gb is None:
             gb = module_gb(list(self.gens) + list(self.parent.relations), self.parent.ring)
@@ -536,7 +541,7 @@ class Submodule:
         for v in self.gens:
             d = nf(_vec_to_dict(v))
             if d:
-                w = _dict_to_vec(d, ring, self.parent.n)
+                w = _ordered_to_vec(d, ring, self.parent.n)
                 key = tuple(f.terms for f in w)
                 if key not in seen:
                     seen.add(key)
@@ -563,14 +568,14 @@ class Submodule:
                 gens.append(f)
         return Ideal(ring, gens)
 
-    def quotient_module(self) -> PresentedModule:
-        """E/U, presented on E's generators."""
-        E = self.parent
-        return PresentedModule(E.ring, E.gen_degrees, tuple(E.relations) + self.gens)
-
 
 def whole_module(E: PresentedModule) -> Submodule:
-    return Submodule(E, [E.basis_vector(i) for i in range(E.n)])
+    """E as a submodule of itself, cached on E."""
+    W = E._cache.get("whole")
+    if W is None:
+        W = Submodule(E, [E.basis_vector(i) for i in range(E.n)])
+        E._cache["whole"] = W
+    return W
 
 
 def span(E: PresentedModule, vectors) -> Submodule:
@@ -578,26 +583,37 @@ def span(E: PresentedModule, vectors) -> Submodule:
 
 
 def colon_into(U: Submodule, E: PresentedModule | None = None) -> Ideal:
-    """(U :_R E) = ann(E/U).  Uses the ideal route when E came from an ideal."""
+    """(U :_R E) = ann(E/U), cached on U.  Uses the ideal route when E came
+    from an ideal."""
     if E is None:
         E = U.parent
     elif E is not U.parent:
         raise ModcoreError("U is not a submodule of E")
-    I = E._cache.get("from_ideal")
-    if I is not None:
-        # E = I and U = J, its image ideal, so ann(E/U) = (J :_R I).  The
-        # ideal colon takes one copy of J's basis in R^1 per generator of I;
-        # ann(E/U) would take one copy of a basis in R^k per generator, with
-        # all the syzygies of I as extra relations, which is slower and takes
-        # more memory on ideal modules (the residual_an benchmark workload).
-        # Direct sums and free modules take ann(E/U).
-        return quotient_ideal(U.to_ideal(), I)
-    return annihilator(U.quotient_module())
+    K = U._cache.get("colon")
+    if K is None:
+        I = E._cache.get("from_ideal")
+        if I is not None:
+            # E = I and U = J, its image ideal, so ann(E/U) = (J :_R I).  The
+            # ideal colon takes one copy of J's basis in R^1 per generator of
+            # I; ann(E/U) would take one copy of a basis in R^k per generator,
+            # with all the syzygies of I as extra relations, which is slower
+            # and takes more memory on ideal modules (the residual_an
+            # benchmark workload).  Direct sums and free modules take
+            # ann(E/U), over the basis of U + relations.
+            K = quotient_ideal(U.to_ideal(), I)
+        else:
+            K = _colon_by_free(U.coset_gb(), E.ring, E.n)
+        U._cache["colon"] = K
+    return K
 
 
 def submodule_presentation(U: Submodule) -> PresentedModule:
-    """U as an abstract module on its generators: the relations are the
-    heads of the syzygies of U's generators and the parent's relations."""
+    """U as an abstract module on its generators, cached on U: the relations
+    are the heads of the syzygies of U's generators and the parent's
+    relations."""
+    P = U._cache.get("presentation")
+    if P is not None:
+        return P
     E = U.parent
     ring = E.ring
     k = len(U.gens)
@@ -605,9 +621,11 @@ def submodule_presentation(U: Submodule) -> PresentedModule:
     for s in _syzygy_dicts([_vec_to_dict(v) for v in U.gens + E.relations], E.n, ring):
         head = {pm: c for pm, c in s.items() if pm[0] < k}
         if head:
-            cols.append(_dict_to_vec(head, ring, k))
+            cols.append(_ordered_to_vec(head, ring, k))
     degrees = tuple(vector_degree(v, E.gen_degrees) for v in U.gens)
-    return PresentedModule(ring, degrees, cols, _validate=False)
+    P = PresentedModule(ring, degrees, cols, _validate=False)
+    U._cache["presentation"] = P
+    return P
 
 
 def submodule_intersect(U1: Submodule, U2: Submodule) -> Submodule:
@@ -620,7 +638,12 @@ def submodule_intersect(U1: Submodule, U2: Submodule) -> Submodule:
     ring = E.ring
     pairs = [(_vec_to_dict(u),) * 2 for u in U1.gens + E.relations]
     pairs += [(_vec_to_dict(w), {}) for w in U2.gens + E.relations]
-    return Submodule(E, [_dict_to_vec(d, ring, E.n) for d in _meet(pairs, E.n, ring)])
+    basis = _meet(pairs, E.n, ring)
+    C = Submodule(E, [_ordered_to_vec(d, ring, E.n) for d in basis])
+    # the basis spans a module that contains N, so it is also the reduced
+    # basis of C's generators and N: C's coset basis
+    C._cache["gb"] = basis
+    return C
 
 
 def ideal_times_module(K: Ideal, E: PresentedModule) -> Submodule:

@@ -458,6 +458,30 @@ def embed_poly(f: Polynomial, target: PolyRing) -> Polynomial:
     return target.from_dict(d)
 
 
+def substitute(f: Polynomial, target: PolyRing, keep, forms, cache: dict) -> Polynomial:
+    """The image of f in `target` under the ring map that sends variable
+    keep[j] of f to variable j of target and the other variables of f, in
+    ascending order, to the polynomials `forms` of target.  `cache` holds the
+    images of the replaced monomials across calls with one map."""
+    kept = set(keep)
+    rest = [i for i in range(f.ring.nvars) if i not in kept]
+    out = {}
+    for m, c in f.terms:
+        tail = tuple(m[i] for i in rest)
+        img = cache.get(tail)
+        if img is None:
+            img = target.one()
+            for l, e in zip(forms, tail):
+                if e:
+                    img = img * l**e
+            cache[tail] = img
+        head = tuple(m[i] for i in keep)
+        for mm, cc in img.terms:
+            key = mono_mul(head, mm)
+            out[key] = out.get(key, 0) + c * cc
+    return target.from_dict(out)
+
+
 def restrict_poly(f: Polynomial, target: PolyRing) -> Polynomial:
     """Inverse of embed_poly for polynomials supported on target's variables."""
     idx = []

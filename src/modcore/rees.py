@@ -30,7 +30,7 @@ from .modalg import (
     submodule_intersect,
     whole_module,
 )
-from .poly import PolyRing, embed_poly, restrict_poly
+from .poly import PolyRing, embed_poly, restrict_poly, substitute
 
 DEFAULT_T_CAP = 6
 RETRY_CAP = 32
@@ -184,26 +184,33 @@ class ReesPackage:
             out.append(f.constant_coeff() if f else 0)
         return out
 
-    def fiber_image(self, vec):
-        """Image in F(E)_1 of an element of E: a linear form of k[T]."""
-        coeffs = []
-        for f in vec:
-            coeffs.append(f.constant_coeff() if f else 0)
-        d = {}
-        n = len(self.tvars)
-        for i, c in enumerate(coeffs):
-            if c:
-                m = [0] * n
-                m[i] = 1
-                d[tuple(m)] = c
-        return self.fiber_ring.from_dict(d)
-
     def is_reduction(self, U: Submodule) -> bool:
-        """Fiber criterion: U reduces E iff its fiber image is a homogeneous
-        system of parameters of F(E)."""
-        images = [self.fiber_image(v) for v in U.gens]
-        J = self.fiber_ideal() + Ideal(self.fiber_ring, images)
-        return krull_dimension(J) <= 0
+        """Fiber criterion: U reduces E iff its image in F(E)_1, the linear
+        forms L of k[T] with the constant parts of U's generators as
+        coefficients, is a homogeneous system of parameters of F(E), that is
+        dim k[T]/(Fib + L) <= 0.
+
+        Row reduction of L over GF(p) writes each pivot variable as a linear
+        form in the free ones, so k[T]/(Fib + L) is k[T_free]/phi(Fib), phi
+        that substitution.  No free variable leaves dimension <= 0; with a
+        zero fiber ideal the dimension is the number of free variables;
+        otherwise phi(Fib) decides, in the free variables only."""
+        p = self.ring.char
+        n = len(self.tvars)
+        echelon = _row_echelon([[f.constant_coeff() if f else 0 for f in v] for v in U.gens], n, p)
+        pivots = {col for col, _ in echelon}
+        free = [i for i in range(n) if i not in pivots]
+        if not free:
+            return True
+        fib = self.fiber_ideal()
+        if fib.is_zero():
+            return False
+        target = PolyRing(p, [self.tvars[i] for i in free])
+        units = [g.lm() for g in target.gens()]
+        forms = [target.from_dict({u: -row[i] for u, i in zip(units, free)}) for _, row in echelon]
+        cache = {}
+        phi = [substitute(g, target, free, forms, cache) for g in fib.groebner_basis()]
+        return krull_dimension(Ideal(target, phi)) <= 0
 
 
 def rees_package(E: PresentedModule) -> ReesPackage:
@@ -312,7 +319,8 @@ def reduction_number(U: Submodule, E: PresentedModule, max_degree: int = DEFAULT
                         shifted[i] += 1
                         col[basis[tuple(shifted)]] = (col[basis[tuple(shifted)]] + c) % p
                 cols.append(col)
-        return _rank_mod_p(cols, len(basis), p) == len(basis)
+        # the columns go in as rows: rank is symmetric
+        return len(_row_echelon(cols, len(basis), p)) == len(basis)
 
     hit = None
     for r in range(max_degree + 1):
@@ -326,9 +334,14 @@ def reduction_number(U: Submodule, E: PresentedModule, max_degree: int = DEFAULT
     return ReductionNumber(hit, True, max_degree)
 
 
-def _rank_mod_p(cols, width, p) -> int:
-    rows = [list(c) for c in cols]  # row-reduce the transpose; rank is symmetric
+def _row_echelon(rows, width, p):
+    """Reduced row echelon form over GF(p) of `rows` (each of length
+    `width`), as (pivot column, row) for its nonzero rows, pivots ascending:
+    each row is 1 at its pivot and 0 at every other pivot.  Its length is
+    the rank."""
+    rows = [list(r) for r in rows]
     rk = 0
+    pivots = []
     for col in range(width):
         piv = None
         for k in range(rk, len(rows)):
@@ -344,10 +357,11 @@ def _rank_mod_p(cols, width, p) -> int:
             if k != rk and rows[k][col] % p:
                 f = rows[k][col]
                 rows[k] = [(a - f * b) % p for a, b in zip(rows[k], rows[rk])]
+        pivots.append(col)
         rk += 1
         if rk == len(rows):
             break
-    return rk
+    return list(zip(pivots, rows))
 
 
 def core_monte_carlo(E: PresentedModule, samples: int = 12, stabilization_window: int = 3, rng=None):

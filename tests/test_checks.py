@@ -5,15 +5,17 @@ from math import comb
 
 import pytest
 
-from modcore import checks
+from modcore import checks, groebner, modalg
 from modcore.errors import ModcoreError
-from modcore.groebner import Ideal, _multiplicity, height, intersect, krull_dimension
+from modcore.groebner import Ideal, _multiplicity, _vec_to_dict, height, intersect, krull_dimension
 from modcore.modalg import (
     colon_into,
     cyclic_module,
+    direct_sum,
     fitting_ideal,
     free_module,
     ideal_times_module,
+    module_from_ideal,
     projective_dimension,
     rank,
     span,
@@ -21,6 +23,7 @@ from modcore.modalg import (
 )
 from modcore.poly import PolyRing
 from modcore.rees import analytic_spread, core_monte_carlo, random_reduction, rees_package
+from modcore.session import parse_session, run_session
 from modcore.checks import (
     _depth_and_dim,
     build_ideal_module,
@@ -509,3 +512,44 @@ def test_residual_intersection_reuses_the_last_prefix_colon(E_msq, monkeypatch):
     subsets = sum(comb(s, m) - 1 for m in range(1, s + 1) if m - e + 1 > 0)
     assert len(calls) == 1 + (s + 1) + subsets
     assert cert.K == colon(span(E_msq, cert.elements), E_msq)
+
+
+def test_residual_session_takes_one_colon_of_its_module(monkeypatch):
+    # the 20 residual tasks of one session share W = E (cached on E) and so
+    # its colon (cached on W): one (I : I) for the session, not one per task
+    src = "ring R = GF(32003)[x,y];\nideal I = (x^2, x*y, y^2);\nmodule E = ideal I;\n"
+    src += "".join(f"task residual_intersection E 2 --seed {seed};\n" for seed in range(1, 21))
+    session = parse_session(src)
+    I = session.ideals["I"]
+    of_I = ([_vec_to_dict((g,)) for g in I.gens], [_vec_to_dict((g,)) for g in I.groebner_basis()])
+    calls = []
+    kernel = groebner._colon
+
+    def recording(vs, basis, ring, npos):
+        calls.append((vs, basis))
+        return kernel(vs, basis, ring, npos)
+
+    monkeypatch.setattr(groebner, "_colon", recording)
+    report = run_session(session)
+    assert [t["status"] for t in report.payload["tasks"]] == ["ok"] * 20
+    assert calls.count(of_I) == 1
+
+
+def test_verify_balanced_kernel_calls(R2, monkeypatch):
+    # on a module built here (cold caches): colon and meet results carry
+    # their bases, K*E is built once per distinct K, and the fiber test is
+    # linear algebra plus one basis in the free variables; 66 calls before
+    x, y = R2.gens()
+    E = direct_sum(module_from_ideal(Ideal(R2, [x**2, x * y, y**2])), free_module(R2, 1), twist=2)
+    count = [0]
+    kernel = groebner.buchberger
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    monkeypatch.setattr(modalg, "buchberger", counting)
+    rep = verify_balanced(E, 6, rng=5)
+    assert (rep.status, rep.independent, rep.products_equal, rep.equals_core) == ("ok", True, True, True)
+    assert count[0] == 48

@@ -6,7 +6,11 @@ from modcore.errors import ModcoreError, OrderError
 from modcore.groebner import (
     Ideal,
     _codec,
+    _dict_to_vec,
     _mkeyf,
+    _ordered_to_vec,
+    _reducer,
+    _vec_to_dict,
     buchberger,
     eliminate,
     exact_div,
@@ -380,3 +384,34 @@ def test_known_reduced_basis_is_taken_as_is(order, seed):
     for known in (B, blocks):
         extra = _random_module_dicts(ring, rng, rng.randrange(1, 3), npos=2 * (1 + seed % 3) + 1)
         assert buchberger(known + extra, mkey, P, known=len(known)) == buchberger(known + extra, mkey, P)
+
+
+# -- ordered decode ---------------------------------------------------------------------
+
+
+def _sorted_again(f):
+    """f rebuilt by from_dict, which sorts its terms by the ring's order."""
+    return f.ring.from_dict(dict(f.terms))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("order", CODE_ORDERS, ids=lambda o: type(o).__name__)
+def test_ordered_decode_matches_from_dict(order, seed):
+    # the bases, colons, meets and normal forms built straight from kernel
+    # output equal the from_dict route on the same terms, under every ring
+    # order; a basis under another order than the ring's is sorted again
+    ring = PolyRing(P, ("x", "y", "z"), order)
+    rng = seeded(1200 + seed)
+    I = Ideal(ring, [random_poly(ring, rng, maxdeg=3) for _ in range(rng.randrange(1, 4))])
+    J = Ideal(ring, [random_poly(ring, rng, maxdeg=3) for _ in range(rng.randrange(1, 4))])
+    polys = list(I.groebner_basis()) + list(I.groebner_basis(Lex() if order != Lex() else GrevLex()))
+    polys += list(quotient_ideal(J, I).gens) + list(intersect(I, J).gens)
+    polys += [normal_form(random_poly(ring, rng, maxdeg=4, nterms=6), I.groebner_basis()),
+              normal_form(random_poly(ring, rng, maxdeg=4, nterms=6), [])]
+    assert any(len(f.terms) > 1 for f in polys)
+    for f in polys:
+        assert f == _sorted_again(f)
+    # kernel input in any term order comes out sorted, with or without divisors
+    shuffled = [dict(reversed(_vec_to_dict((f,)).items())) for f in I.gens]
+    for d in buchberger(shuffled, _mkeyf(order), P) + [_reducer([], ring)(shuffled[0])]:
+        assert _ordered_to_vec(d, ring, 1) == _dict_to_vec(d, ring, 1)

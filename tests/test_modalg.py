@@ -6,7 +6,15 @@ import pytest
 
 from modcore import groebner
 from modcore.errors import ModcoreError
-from modcore.groebner import Ideal, _syzygy_dicts, _vec_to_dict, intersect, quotient_ideal
+from modcore.groebner import (
+    Ideal,
+    _ordered_to_vec,
+    _syzygy_dicts,
+    _vec_to_dict,
+    intersect,
+    normal_form,
+    quotient_ideal,
+)
 from modcore.modalg import (
     PresentedModule,
     annihilator,
@@ -27,6 +35,7 @@ from modcore.modalg import (
     rank,
     span,
     submodule_intersect,
+    submodule_presentation,
     syzygies,
     whole_module,
 )
@@ -554,12 +563,15 @@ def _reference_module(ring, rng, kind):
     return direct_sum(rng.choice([linear, module_from_ideal(I)]), cyclic_module(ring, Ideal(ring, [f])))
 
 
+_KINDS = ("ideal", "ideal+free", "linear", "plus torsion")
+
+
 @pytest.mark.parametrize("seed", range(16))
 def test_intersection_and_torsion_match_syzygy_route(R2, R3, seed):
     # the two-block meets against the syzygy projections they replaced
     ring = (R2, R3)[seed % 2]
     rng = seeded(1100 + seed)
-    kind = ("ideal", "ideal+free", "linear", "plus torsion")[seed // 2 % 4]
+    kind = _KINDS[seed // 2 % 4]
     E = _reference_module(ring, rng, kind)
     U1 = span(E, [_random_vector(E, rng) for _ in range(rng.randrange(1, 3))])
     U2 = span(E, [_random_vector(E, rng) for _ in range(rng.randrange(1, 3))])
@@ -569,6 +581,55 @@ def test_intersection_and_torsion_match_syzygy_route(R2, R3, seed):
     assert is_torsionfree(E) == _syzygy_is_torsionfree(E)
     if kind == "plus torsion":
         assert not is_torsionfree(E)
+
+
+def _quotient_colon(U):
+    """Reference (U :_R E) as the annihilator of E/U, presented on E's
+    generators with U's generators as extra relations."""
+    E = U.parent
+    return annihilator(PresentedModule(E.ring, E.gen_degrees, tuple(E.relations) + U.gens))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_results_carry_their_reduced_basis(R2, R3, seed):
+    # colons and meets return their reduced basis as generators and cache it:
+    # recomputing the basis from the generators gives them back, and a meet's
+    # coset basis is what module_gb gives on its generators and relations;
+    # the modules are built here, so no cache is warm from another test
+    ring = (R2, R3)[seed % 2]
+    rng = seeded(1300 + seed)
+    E = _reference_module(ring, rng, _KINDS[seed // 2 % 4])
+    U1 = span(E, [_random_vector(E, rng) for _ in range(rng.randrange(1, 3))])
+    U2 = span(E, [_random_vector(E, rng) for _ in range(rng.randrange(1, 3))])
+    I = Ideal(ring, [random_homogeneous_poly(ring, rng, rng.randrange(1, 3), nterms=2) for _ in range(2)])
+    J = Ideal(ring, [random_homogeneous_poly(ring, rng, 3, nterms=2) for _ in range(rng.randrange(1, 4))])
+    K = colon_into(U1)
+    assert K.gens == _quotient_colon(U1).gens
+    for Q in (quotient_ideal(J, I), intersect(I, J), K):
+        assert Ideal(ring, Q.gens).groebner_basis() == Q.gens
+        assert Q.groebner_basis() == Q.gens
+    C = submodule_intersect(U1, U2)
+    assert module_gb(list(C.gens) + list(E.relations), ring) == C.coset_gb()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_module_sites_decode_in_order(R2, R3, seed):
+    # the vectors built straight from kernel output equal the from_dict route
+    # on the same terms; over a free module the normal form has no divisor
+    # and sorts the terms itself
+    ring = (R2, R3)[seed % 2]
+    rng = seeded(1400 + seed)
+    E = free_module(ring, 2) if seed % 5 == 4 else _reference_module(ring, rng, _KINDS[seed % 5])
+    U1 = span(E, [_random_vector(E, rng) for _ in range(rng.randrange(2, 4))])
+    U2 = span(E, [_random_vector(E, rng) for _ in range(rng.randrange(1, 3))])
+    vectors = list(U1.reduced_gens()) + list(submodule_intersect(U1, U2).gens)
+    vectors += list(submodule_presentation(U1).relations) + syzygies(list(U1.gens + U2.gens), ring, E.n)
+    vectors += [_ordered_to_vec(d, ring, E.n) for d in U1.coset_gb()]
+    vectors += [(f,) for f in colon_into(U1).gens]
+    vectors += [(normal_form(_random_vector(E, rng)[0], colon_into(U2).groebner_basis()),)]
+    assert any(len(f.terms) > 1 for v in vectors for f in v)
+    for v in vectors:
+        assert v == tuple(f.ring.from_dict(dict(f.terms)) for f in v)
 
 
 def test_fitting_raw_vs_minimalized(R2, msq):

@@ -12,6 +12,7 @@ from modcore.groebner import (
     eliminate,
     hilbert_function,
     ideal_membership,
+    krull_dimension,
     quotient_ideal,
 )
 from modcore.modalg import (
@@ -478,3 +479,54 @@ def test_big_colon_is_one_kernel_call(R3, minors43, E_minors43, monkeypatch):
     quotient_ideal(J * J * J, minors43 * minors43)
     assert counts["buchberger"] == 2
     assert counts["nf_dict"] <= 400
+
+
+def _gb_is_reduction(rp, U):
+    """Reference fiber criterion: a Groebner basis of Fib + L in all of k[T],
+    L the linear forms with the constant parts of U's generators."""
+    units = [g.lm() for g in rp.fiber_ring.gens()]
+    images = [rp.fiber_ring.from_dict({u: f.constant_coeff() for u, f in zip(units, v) if f}) for v in U.gens]
+    return krull_dimension(rp.fiber_ideal() + Ideal(rp.fiber_ring, images)) <= 0
+
+
+def _fiber_draws(E, rng, count):
+    """`count` submodules of E: fewer than ell vectors, ell vectors with
+    coefficients in {0, 1, -1} (often dependent), mu vectors, a repeated
+    vector, a zero vector, and entries with non-constant terms."""
+    ring = E.ring
+    p = ring.char
+    ell = analytic_spread(E)
+    x = ring.gens()[0]
+
+    def vec(coeffs=None):
+        return tuple(ring.const(rng.choice(coeffs) if coeffs else rng.randrange(p)) for _ in range(E.n))
+
+    for k in range(count):
+        kind = k % 6
+        if kind == 0:
+            gens = [vec() for _ in range(rng.randrange(ell))]
+        elif kind == 1:
+            gens = [vec((0, 1, p - 1)) for _ in range(ell)]
+        elif kind == 2:
+            gens = [vec() for _ in range(mu(E))]
+        elif kind == 3:
+            gens = [vec() for _ in range(max(ell - 1, 1))]
+            gens.append(rng.choice(gens))
+        elif kind == 4:
+            gens = [vec() for _ in range(ell - 1)] + [(ring.zero(),) * E.n]
+        else:
+            gens = [tuple(f + x * ring.const(rng.randrange(p)) for f in vec((0, 1, 2))) for _ in range(ell)]
+        yield span(E, gens)
+
+
+@pytest.mark.parametrize("name", ["E_msq", "E_msq_plus", "E_edge", "E_tri", "E_H", "E_minors43"])
+def test_linear_fiber_test_matches_groebner_route(name, request):
+    # row reduction plus a basis in the free variables only gives the verdict
+    # of a basis of Fib + L in all of k[T], on every draw
+    E = request.getfixturevalue(name)
+    rp = rees_package(E)
+    verdicts = []
+    for U in _fiber_draws(E, random.Random(f"fiber:{name}"), 216):
+        verdicts.append(rp.is_reduction(U))
+        assert verdicts[-1] == _gb_is_reduction(rp, U), U.gens
+    assert True in verdicts and False in verdicts
