@@ -18,7 +18,7 @@ from .errors import (
     RetryExhaustedError,
     TorsionError,
 )
-from .groebner import Ideal, krull_dimension, saturate, _monomials_of_degree
+from .groebner import Ideal, hilbert_function, krull_dimension, saturate, _monomials_of_degree
 from .modalg import (
     PresentedModule,
     Submodule,
@@ -184,33 +184,37 @@ class ReesPackage:
             out.append(f.constant_coeff() if f else 0)
         return out
 
-    def is_reduction(self, U: Submodule) -> bool:
-        """Fiber criterion: U reduces E iff its image in F(E)_1, the linear
-        forms L of k[T] with the constant parts of U's generators as
-        coefficients, is a homogeneous system of parameters of F(E), that is
-        dim k[T]/(Fib + L) <= 0.
+    def fiber_quotient(self, U: Submodule, coords):
+        """F(E)/U*F(E) = k[T]/(Fib + L) as phi(Fib) in k[T_free], L the linear
+        forms with the rows coords(v) of U's generators v as coefficients;
+        None when L spans k[T]_1, that is when U covers F(E)_1.
 
         Row reduction of L over GF(p) writes each pivot variable as a linear
-        form in the free ones, so k[T]/(Fib + L) is k[T_free]/phi(Fib), phi
-        that substitution.  No free variable leaves dimension <= 0; with a
-        zero fiber ideal the dimension is the number of free variables;
-        otherwise phi(Fib) decides, in the free variables only."""
+        form in the free ones; phi is that substitution, so the quotient
+        keeps its grading."""
+        if U.parent is not self.E:
+            raise ModcoreError("U is not a submodule of E")
         p = self.ring.char
         n = len(self.tvars)
-        echelon = _row_echelon([[f.constant_coeff() if f else 0 for f in v] for v in U.gens], n, p)
+        echelon = _row_echelon([coords(v) for v in U.gens], n, p)
         pivots = {col for col, _ in echelon}
         free = [i for i in range(n) if i not in pivots]
         if not free:
-            return True
-        fib = self.fiber_ideal()
-        if fib.is_zero():
-            return False
+            return None
         target = PolyRing(p, [self.tvars[i] for i in free])
         units = [g.lm() for g in target.gens()]
         forms = [target.from_dict({u: -row[i] for u, i in zip(units, free)}) for _, row in echelon]
         cache = {}
-        phi = [substitute(g, target, free, forms, cache) for g in fib.groebner_basis()]
-        return krull_dimension(Ideal(target, phi)) <= 0
+        phi = [substitute(g, target, free, forms, cache) for g in self.fiber_ideal().groebner_basis()]
+        return Ideal(target, phi)
+
+    def is_reduction(self, U: Submodule) -> bool:
+        """Fiber criterion: U reduces E iff its image in F(E)_1, the linear
+        forms with the constant parts of U's generators as coefficients, is a
+        homogeneous system of parameters of F(E), that is
+        dim F(E)/U*F(E) <= 0."""
+        quotient = self.fiber_quotient(U, lambda v: [f.constant_coeff() if f else 0 for f in v])
+        return quotient is None or krull_dimension(quotient) <= 0
 
 
 def rees_package(E: PresentedModule) -> ReesPackage:
@@ -282,56 +286,21 @@ class ReductionNumber:
 
 
 def reduction_number(U: Submodule, E: PresentedModule, max_degree: int = DEFAULT_T_CAP) -> ReductionNumber:
-    """Least r with U * [R(E)]_r = [R(E)]_{r+1}, stable at r+1.
+    """Least r <= max_degree with U * E^r = E^(r+1).
 
-    Each graded-piece equality is decided by a Nakayama rank test over GF(p):
-    the quotient is generated in a single degree, so it vanishes iff the
-    scalar parts of its relation columns have full rank.
+    By graded Nakayama that equality holds iff F(E)/U*F(E) vanishes in
+    degree r + 1, read off the Hilbert function of `fiber_quotient`; a
+    standard graded algebra that vanishes in one degree vanishes in every
+    higher one.  U's generators must be field combinations of E's.
     """
     if max_degree < 0:
         raise ModcoreError(f"reduction_number needs max_degree >= 0, got {max_degree}")
     rp = rees_package(E)
-    p = E.ring.char
-    lams = [rp._scalar_coords(v) for v in U.gens]
-    nT = len(rp.tvars)
-
-    def piece_is_covered(r: int) -> bool:
-        basis = {m: i for i, m in enumerate(rp.t_monomials(r + 1))}
-        cols = []
-        for g in rp.rees_ideal().groebner_basis():
-            if any(g.lm()[: rp.nx]):
-                continue  # positive x-degree: no scalar part
-            t = rp._tdeg(g)
-            if t > r + 1:
-                continue
-            tonly = {m[rp.nx:]: c for m, c in g.terms}
-            for beta in _monomials_of_degree(nT, r + 1 - t):
-                col = [0] * len(basis)
-                for tm, c in tonly.items():
-                    col[basis[tuple(a + b for a, b in zip(tm, beta))]] = c
-                cols.append(col)
-        for lam in lams:
-            for beta in _monomials_of_degree(nT, r):
-                col = [0] * len(basis)
-                for i, c in enumerate(lam):
-                    if c:
-                        shifted = list(beta)
-                        shifted[i] += 1
-                        col[basis[tuple(shifted)]] = (col[basis[tuple(shifted)]] + c) % p
-                cols.append(col)
-        # the columns go in as rows: rank is symmetric
-        return len(_row_echelon(cols, len(basis), p)) == len(basis)
-
-    hit = None
+    quotient = rp.fiber_quotient(U, rp._scalar_coords)
     for r in range(max_degree + 1):
-        if piece_is_covered(r):
-            hit = r
-            break
-    if hit is None:
-        return ReductionNumber(None, False, max_degree)
-    if not piece_is_covered(hit + 1):
-        raise ModcoreError("graded pieces failed to stabilize; bug")
-    return ReductionNumber(hit, True, max_degree)
+        if quotient is None or hilbert_function(quotient, r + 1) == 0:
+            return ReductionNumber(r, True, max_degree)
+    return ReductionNumber(None, False, max_degree)
 
 
 def _row_echelon(rows, width, p):

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from modcore.groebner import Ideal, _monomials_of_degree
-from modcore.modalg import direct_sum, free_module, module_from_ideal
+from modcore.modalg import PresentedModule, direct_sum, free_module, module_from_ideal
 from modcore.poly import PolyRing
 
 P = 32003
@@ -114,6 +114,27 @@ def E_H(H):
 @pytest.fixture(scope="session")
 def E_H_plus(E_H, RH):
     return direct_sum(E_H, free_module(RH, 1), twist=2)
+
+
+def generic_cokernel(nvars, n, m):
+    """Cokernel of an n x m matrix of linear forms in nvars variables, with
+    coefficients drawn by random.Random(1).  For m = n - 2 it is a pd-1
+    module of rank 2 with r = ell - e, the paper's example class."""
+    ring = PolyRing(P, tuple(f"x{i + 1}" for i in range(nvars)))
+    rng = random.Random(1)
+
+    def form():
+        f = ring.zero()
+        for x in ring.gens():
+            f = f + ring.const(rng.randrange(P)) * x
+        return f
+
+    return PresentedModule(ring, (0,) * n, [tuple(form() for _ in range(n)) for _ in range(m)])
+
+
+@pytest.fixture(scope="session")
+def E_coker53():
+    return generic_cokernel(3, 5, 3)
 
 
 # -- oracle-side linear algebra over GF(p) -------------------------------------

@@ -9,6 +9,7 @@ from modcore import groebner
 from modcore.errors import DegreeMixError, ModcoreError
 from modcore.groebner import (
     Ideal,
+    _monomials_of_degree,
     eliminate,
     hilbert_function,
     ideal_membership,
@@ -27,6 +28,9 @@ from modcore.modalg import (
 )
 from modcore.poly import PolyRing, embed_poly, restrict_poly
 from modcore.rees import (
+    DEFAULT_T_CAP,
+    ReductionNumber,
+    _row_echelon,
     analytic_spread,
     core_monte_carlo,
     fiber_ideal,
@@ -38,6 +42,8 @@ from modcore.rees import (
     rees_package,
     sym_ideal,
 )
+
+from conftest import generic_cokernel
 
 
 
@@ -356,6 +362,19 @@ def test_reduction_number_inconclusive_flag(R2, E_msq):
     assert not r.exact and r.value is None and r.max_degree == 2
 
 
+def test_reduction_tests_reject_a_submodule_of_another_module(R2, E_msq):
+    # U inside F = (x, y) against E = m^2, and the other way round: the
+    # coordinates of U mean nothing over the other module's generators
+    x, y = R2.gens()
+    one, zero = R2.one(), R2.zero()
+    F = module_from_ideal(Ideal(R2, [x, y]))
+    for U, E in ((span(F, [(one, zero)]), E_msq), (span(E_msq, [(one, zero, zero)]), F)):
+        with pytest.raises(ModcoreError, match="^U is not a submodule of E$"):
+            reduction_number(U, E)
+        with pytest.raises(ModcoreError, match="^U is not a submodule of E$"):
+            is_reduction(U, E)
+
+
 def test_core_monte_carlo_msq(R2, E_msq, msq):
     x, y = R2.gens()
     C, used = core_monte_carlo(E_msq, samples=12, stabilization_window=3, rng=42)
@@ -530,3 +549,74 @@ def test_linear_fiber_test_matches_groebner_route(name, request):
         verdicts.append(rp.is_reduction(U))
         assert verdicts[-1] == _gb_is_reduction(rp, U), U.gens
     assert True in verdicts and False in verdicts
+
+
+def _rank_reduction_number(rp, U, max_degree=DEFAULT_T_CAP):
+    """Reference reduction number by dense rank tests over GF(p): U * E^r =
+    E^(r+1) iff the scalar parts of the Rees relations of T-degree r + 1 and
+    of U * T^beta, |beta| = r, span all T-monomials of degree r + 1 (graded
+    Nakayama).  The next piece must then be covered too."""
+    p = rp.ring.char
+    lams = [rp._scalar_coords(v) for v in U.gens]
+    nT = len(rp.tvars)
+
+    def piece_is_covered(r):
+        basis = {m: i for i, m in enumerate(rp.t_monomials(r + 1))}
+        cols = []
+        for g in rp.rees_ideal().groebner_basis():
+            if any(g.lm()[: rp.nx]):
+                continue  # positive x-degree: no scalar part
+            t = rp._tdeg(g)
+            if t > r + 1:
+                continue
+            tonly = {m[rp.nx:]: c for m, c in g.terms}
+            for beta in _monomials_of_degree(nT, r + 1 - t):
+                col = [0] * len(basis)
+                for tm, c in tonly.items():
+                    col[basis[tuple(a + b for a, b in zip(tm, beta))]] = c
+                cols.append(col)
+        for lam in lams:
+            for beta in _monomials_of_degree(nT, r):
+                col = [0] * len(basis)
+                for i, c in enumerate(lam):
+                    if c:
+                        shifted = list(beta)
+                        shifted[i] += 1
+                        col[basis[tuple(shifted)]] = (col[basis[tuple(shifted)]] + c) % p
+                cols.append(col)
+        return len(_row_echelon(cols, len(basis), p)) == len(basis)
+
+    for r in range(max_degree + 1):
+        if piece_is_covered(r):
+            assert piece_is_covered(r + 1)
+            return ReductionNumber(r, True, max_degree)
+    return ReductionNumber(None, False, max_degree)
+
+
+@pytest.mark.parametrize("name", ["E_msq", "E_msq_plus", "E_edge", "E_tri", "E_H", "E_minors43", "E_coker53"])
+def test_reduction_number_matches_rank_route(name, request):
+    # the Hilbert function of F(E)/U*F(E) against dense rank tests of each
+    # graded piece, on 30 draws per module: every kind of `_fiber_draws` but
+    # the one with non-constant entries.  No reduction here has r > 2, and
+    # the dense pieces of T-degree 5 to 7 would take a minute on the cokernel.
+    E = request.getfixturevalue(name)
+    rp = rees_package(E)
+    values = set()
+    for k, U in enumerate(_fiber_draws(E, random.Random(f"rank:{name}"), 36)):
+        if k % 6 == 5:
+            continue
+        r = reduction_number(U, E, max_degree=3)
+        assert r == _rank_reduction_number(rp, U, max_degree=3), U.gens
+        values.add(r.value)
+    assert None in values and len(values) > 1
+
+
+@pytest.mark.parametrize("nvars,n,r", [(3, 5, 2), (4, 6, 3)])
+def test_reduction_number_is_ell_minus_e_on_generic_cokernels(nvars, n, r):
+    # the pd-1 core formula needs r(E) <= ell - e; on generic linear
+    # n x (n - 2) cokernels it holds with equality, for every minimal reduction
+    E = generic_cokernel(nvars, n, n - 2)
+    assert analytic_spread(E) - rank(E) == r
+    for seed in range(3):
+        U = random_reduction(E, rng=seed)
+        assert reduction_number(U, E) == ReductionNumber(r, True, DEFAULT_T_CAP)

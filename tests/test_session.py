@@ -254,13 +254,30 @@ def test_malformed_task_line_is_a_parse_error_at_its_line(line, message):
         ("task reduction_number E --max-degree -1 --seed 1;", r"reduction_number needs max_degree >= 0, got -1"),
         ("task core E --window 0 --seed 1;", r"core_monte_carlo needs stabilization_window >= 1, got 0"),
         ("task verify_balanced E --reductions 0 --seed 1;", r"verify_balanced needs reductions >= 1, got 0"),
+        # a submodule of F = (x, y) against E = m^2, and U against F
+        (
+            "ideal J = (x, y); module F = ideal J; submodule V = span(F; [1, 0]);"
+            " task reduction_number E --submodule V;",
+            r"U is not a submodule of E",
+        ),
+        (
+            "ideal J = (x, y); module F = ideal J; task reduction_number F --submodule U;",
+            r"U is not a submodule of E",
+        ),
+        (
+            "submodule V = span(E; [1 + x, 0, 0]); task reduction_number E --submodule V;",
+            r"DegreeMixError: reduction elements must be field combinations of the generators",
+        ),
     ],
 )
 def test_out_of_range_count_is_an_error_entry(line, message):
+    # a message names its error class unless that is ModcoreError itself
     rep = run_session(parse_session(_HEADER + line + "\n"))
     (task,) = rep.payload["tasks"]
     assert task["status"] == "error"
-    assert re.fullmatch("ModcoreError: " + message, task["value"]["error"])
+    if not re.match(r"\w+Error: ", message):
+        message = "ModcoreError: " + message
+    assert re.fullmatch(message, task["value"]["error"])
     assert rep.exit_code() == 4
 
 
