@@ -6,7 +6,8 @@ key, so Groebner bases under temporary orders (elimination blocks,
 variable-last saturations) never touch the ring's default order.  An ideal
 is the one-position case {(0, m): c}.  Syzygies, intersections and colons
 are all read off a module basis by one helper, `_eliminate_to`; a colon is
-one Buchberger call over block copies of a reduced basis it already knows.
+one Buchberger call over block copies of a reduced basis it already knows,
+one copy per GF(p)-independent normal form of its divisors.
 Ideal values are immutable apart from their per-order basis cache.
 """
 
@@ -388,19 +389,57 @@ def _meet(pairs, n, ring):
     return _eliminate_to(buchberger(gens, _mkeyf(ring.order), ring.char), n)
 
 
+def _independent_normal_forms(vs, basis, ring):
+    """A GF(p)-basis of the span of the normal forms of the term dicts `vs`
+    modulo the reduced basis `basis` (ring's order), in echelon form by
+    leading term: each normal form is cleared at the leading terms of the
+    rows kept before it and kept if anything is left.  A GF(p)-combination of
+    normal forms is a normal form, so every row is one."""
+    p = ring.char
+    codec = _codec(ring.order, ring.nvars)
+    divs = {}
+    for g in basis:
+        _add_divisor(divs, codec.encode(g), codec, p)
+    rows = {}  # leading code -> monic row
+    for v in vs:
+        r = nf_dict(codec.encode(v), divs, codec, p)
+        while r:
+            lead = max(r)
+            row = rows.get(lead)
+            if row is None:
+                rows[lead] = _monic(r, p)
+                break
+            c = r[lead]
+            for t, a in row.items():
+                x = (r.get(t, 0) - c * a) % p
+                if x:
+                    r[t] = x
+                else:
+                    del r[t]
+    return [codec.decode(r) for r in rows.values()]
+
+
 def _colon(vs, basis, ring, npos) -> Ideal:
     """(span(basis) :_R span(vs)) for term dicts of R^npos, `basis` a reduced
     basis under the ring's order.
 
-    r*v_i lies in span(basis) for every i exactly when r*(v_1, ..., v_k)
-    lies in the block sum of k copies of span(basis), so the colon is what
-    span((v_1, ..., v_k, 1), (b in block i, 0)) meets in position k*npos.
-    Shifted copies of a reduced basis that lead in disjoint positions are a
-    reduced basis, so one `buchberger` call takes them as known."""
-    blocks = [{(pos + i * npos, m): c for (pos, m), c in b.items()} for i in range(len(vs)) for b in basis]
-    tagged = {(pos + i * npos, m): c for i, v in enumerate(vs) for (pos, m), c in v.items()}
-    last = len(vs) * npos
-    tagged[(last, (0,) * ring.nvars)] = 1
+    r*v lies in span(basis) exactly when r*NF(v) does, and a colon by a set
+    depends only on its R-span modulo span(basis); so vs gives way to a
+    GF(p)-basis w_1, ..., w_k of the span of its normal forms, and k = 0
+    gives the unit ideal.  r*w_i lies in span(basis) for every i exactly
+    when r*(w_1, ..., w_k) lies in the block sum of k copies of span(basis),
+    so the colon is what span((w_1, ..., w_k, 1), (b in block i, 0)) meets
+    in position k*npos.  Shifted copies of a reduced basis that lead in
+    disjoint positions are a reduced basis, so one `buchberger` call takes
+    them as known."""
+    ws = _independent_normal_forms(vs, basis, ring)
+    unit = (0,) * ring.nvars
+    if not ws:
+        return _basis_ideal(ring, [{(0, unit): 1}])
+    blocks = [{(pos + i * npos, m): c for (pos, m), c in b.items()} for i in range(len(ws)) for b in basis]
+    tagged = {(pos + i * npos, m): c for i, w in enumerate(ws) for (pos, m), c in w.items()}
+    last = len(ws) * npos
+    tagged[(last, unit)] = 1
     basis = buchberger(blocks + [tagged], _mkeyf(ring.order), ring.char, known=len(blocks))
     return _basis_ideal(ring, _eliminate_to(basis, last))
 

@@ -594,12 +594,12 @@ def colon_into(U: Submodule, E: PresentedModule | None = None) -> Ideal:
         I = E._cache.get("from_ideal")
         if I is not None:
             # E = I and U = J, its image ideal, so ann(E/U) = (J :_R I).  The
-            # ideal colon takes one copy of J's basis in R^1 per generator of
-            # I; ann(E/U) would take one copy of a basis in R^k per generator,
-            # with all the syzygies of I as extra relations, which is slower
-            # and takes more memory on ideal modules (the residual_an
-            # benchmark workload).  Direct sums and free modules take
-            # ann(E/U), over the basis of U + relations.
+            # ideal colon takes copies of J's basis in R^1; ann(E/U) would
+            # take copies of a basis in R^k, with all the syzygies of I as
+            # extra relations, which is slower and takes more memory on
+            # ideal modules (the residual_an benchmark workload).  Direct
+            # sums and free modules take ann(E/U), over the basis of U +
+            # relations.
             K = quotient_ideal(U.to_ideal(), I)
         else:
             K = _colon_by_free(U.coset_gb(), E.ring, E.n)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import __version__
-from .errors import CapExceededError, ModcoreError, ParseError
+from .errors import CapExceededError, ModcoreError, NotHomogeneousError, ParseError
 from .groebner import (
     Ideal,
     height,
@@ -37,6 +37,7 @@ from .modalg import (
     projective_dimension,
     rank,
     span,
+    vector_degree,
 )
 from .poly import PolyRing, parse_poly
 from .rees import (
@@ -249,6 +250,10 @@ def parse_session(src: str, char_override: int | None = None, t_cap: int = 6, x_
                         f"vector has {len(coords)} coordinates, module has {parent.n} generators",
                         line,
                     )
+                try:
+                    vector_degree(coords, parent.gen_degrees)
+                except NotHomogeneousError as exc:
+                    raise ParseError(f"submodule vector {part} is not homogeneous ({exc})", line) from None
                 vecs.append(tuple(coords))
             session.submodules[name] = span(parent, vecs)
         elif head == "task":

@@ -39,6 +39,7 @@ from modcore.modalg import (
     syzygies,
     whole_module,
 )
+from modcore.rees import random_reduction
 
 from conftest import (
     P,
@@ -498,6 +499,127 @@ def test_colon_edge_cases_match_loop_route(R2, msq):
     twice = Ideal(R2, [x * y, x**2, x * y])
     assert quotient_ideal(J, twice).gens == _loop_quotient(J, twice).gens
     assert quotient_ideal(J, twice).gens == quotient_ideal(J, Ideal(R2, [x * y, x**2])).gens
+
+
+def _record_known(monkeypatch):
+    """Patch `groebner.buchberger` to record each call's `known` count: in a
+    colon, the number of block copies times the length of the basis."""
+    counts = []
+    kernel = groebner.buchberger
+
+    def recording(gens, mkey, p, known=0):
+        counts.append(known)
+        return kernel(gens, mkey, p, known)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    return counts
+
+
+def _scalar_combinations(ring, gens, count, rng):
+    return [sum((ring.const(rng.randrange(1, P)) * g for g in gens), ring.zero()) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name, copies", [("E_msq_plus", 1), ("E_H_plus", 0), ("tri_plus", 0)])
+def test_scalar_reduction_colon_takes_n_minus_ell_copies(name, copies, request, monkeypatch):
+    # for a scalar reduction U of rank ell inside E with n generators, ell
+    # unit vectors are field combinations of the other n - ell modulo
+    # U + relations: m^2 plus R(-2) has n = 4 and ell = 3, while H and
+    # (xy,xz,yz) plus R(-2) have ell = n, so their colon is the unit ideal
+    if name == "tri_plus":
+        tri = request.getfixturevalue("tri")
+        E = direct_sum(module_from_ideal(tri), free_module(tri.ring, 1), twist=2)
+    else:
+        E = request.getfixturevalue(name)
+    U = random_reduction(E, rng=3)
+    basis = U.coset_gb()
+    known = _record_known(monkeypatch)
+    K = colon_into(U, E)
+    assert known == ([copies * len(basis)] if copies else [])
+    assert K.is_unit() == (copies == 0)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_quotient_by_scalar_combinations_takes_mu_minus_s_copies(R2, msq, s, monkeypatch):
+    # J spanned by s field combinations of I = (x^2, xy, y^2): the normal
+    # forms of I's generators modulo J span a space of dimension 3 - s
+    J = Ideal(R2, _scalar_combinations(R2, msq.gens, s, seeded(1500 + s)))
+    basis = J.groebner_basis()
+    known = _record_known(monkeypatch)
+    Q = quotient_ideal(J, msq)
+    assert known == ([(3 - s) * len(basis)] if s < 3 else [])
+    assert Q.gens == _loop_quotient(J, msq).gens
+    assert Q.is_unit() == (s == 3)
+    if s == 3:
+        assert Q.gens == (R2.one(),)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["msq", "tri", "H", "coker53"])
+def test_scalar_reduction_colon_matches_loop_route(name, seed, request):
+    # both routes of colon_into against the per-generator loop: the ideal
+    # route on I, the annihilator route on I plus R(-2) and on the 5 x 3
+    # generic cokernel
+    if name == "coker53":
+        cases = [(request.getfixturevalue("E_coker53"), None)]
+    else:
+        I = request.getfixturevalue(name)
+        cases = [(module_from_ideal(I), I), (direct_sum(module_from_ideal(I), free_module(I.ring, 1), twist=2), None)]
+    for E, I in cases:
+        U = random_reduction(E, rng=40 + seed)
+        unit = (0,) * E.ring.nvars
+        cols = [_vec_to_dict(v) for v in U.gens + E.relations]
+        K = colon_into(U, E)
+        assert K.gens == _loop_colon([{(i, unit): 1} for i in range(E.n)], cols, E.ring, E.n).gens
+        if I is not None:
+            assert K.gens == _loop_quotient(U.to_ideal(), I).gens
+
+
+def test_colon_keeps_normal_forms_independent_over_the_field(R2, monkeypatch):
+    # x*f and y*f are dependent over R but not over GF(p), so both copies stay
+    x, y = R2.gens()
+    J = Ideal(R2, [x**3, y**3])
+    f = x + y
+    I = Ideal(R2, [x * f, y * f])
+    basis = J.groebner_basis()
+    known = _record_known(monkeypatch)
+    Q = quotient_ideal(J, I)
+    assert known == [2 * len(basis)]
+    assert Q.gens == _loop_quotient(J, I).gens
+
+
+def test_colon_by_repeated_zero_and_contained_divisors(R2, monkeypatch):
+    x, y = R2.gens()
+    J = Ideal(R2, [x**3, x * y**2])
+    cols = [_vec_to_dict((h,)) for h in J.gens]
+    basis = [_vec_to_dict((h,)) for h in J.groebner_basis()]
+
+    def v(f):
+        return _vec_to_dict((f,))
+
+    cases = [
+        ([v(x * y), v(x * y), v(R2.const(3) * x * y)], 1),  # repeated, and a scalar multiple
+        ([{}, v(x**2), {}], 1),  # zero divisors
+        ([v(x**3), v(x * y), v(x**2 * y**2)], 1),  # contained in J
+        ([v(x * y + x**3), v(x * y), v(y**2)], 2),  # equal normal forms
+        ([v(x**4), {}], 0),  # all in J: the unit ideal
+    ]
+    known = _record_known(monkeypatch)
+    for vs, copies in cases:
+        known.clear()
+        Q = groebner._colon(vs, basis, R2, 1)
+        assert known == ([copies * len(basis)] if copies else [])
+        assert Q.gens == _loop_colon(vs, cols, R2, 1).gens
+
+
+def test_annihilator_by_dependent_unit_vectors(R2, monkeypatch):
+    # e_1 = e_2 modulo the relations, so ann(E) takes one copy
+    x, y = R2.gens()
+    E = PresentedModule(R2, (0, 0), [(R2.one(), -R2.one()), (x * y, R2.zero()), (R2.zero(), x**2)])
+    basis = E.relation_gb()
+    known = _record_known(monkeypatch)
+    A = annihilator(E)
+    assert known == [len(basis)]
+    assert A.gens == _loop_annihilator(E).gens
 
 
 @pytest.mark.parametrize("relations", [0, 1])

@@ -93,6 +93,28 @@ def test_submodule_vector_length_checked():
         parse_session(src)
 
 
+@pytest.mark.parametrize("vector, why", [
+    ("[1 + x, 0, 0]", "coordinate 0 is not homogeneous"),
+    ("[x, 1, 0]", "vector coordinates disagree in degree"),
+])
+def test_submodule_vector_must_be_homogeneous(vector, why):
+    # a non-graded V used to pass `is_reduction` (which reads only constant
+    # parts) while `verify_free_quotient E V` ended in NotHomogeneousError
+    src = (
+        "ring R = GF(32003)[x,y];\n"
+        "ideal I = (x^2, x*y, y^2);\n"
+        "module E = ideal I;\n"
+        f"submodule V = span(E; {vector}, [0, 0, 1]);\n"
+        "task is_reduction V;\n"
+    )
+    with pytest.raises(ParseError, match=re.escape(f"submodule vector {vector} is not homogeneous ({why}) at line 4")):
+        parse_session(src)
+    # twisted generator degrees count: x*e_1 + e_4 is homogeneous in E + R(-3)
+    graded = src.replace("module E = ideal I;", "module MI = ideal I;\nmodule F = free 1 twist 3;\nmodule E = sum(MI, F);")
+    ok = graded.replace(f"{vector}, [0, 0, 1]", "[x, 0, 0, 1]")
+    assert len(parse_session(ok).submodules["V"].gens) == 1
+
+
 def test_wide_task_vocabulary():
     src = (
         "ring R = GF(32003)[x,y];\n"
@@ -264,8 +286,10 @@ def test_malformed_task_line_is_a_parse_error_at_its_line(line, message):
             "ideal J = (x, y); module F = ideal J; task reduction_number F --submodule U;",
             r"U is not a submodule of E",
         ),
+        # homogeneous, but not a field combination of the generators; a
+        # vector that is not homogeneous is a ParseError at its span(...)
         (
-            "submodule V = span(E; [1 + x, 0, 0]); task reduction_number E --submodule V;",
+            "submodule V = span(E; [x, 0, 0]); task reduction_number E --submodule V;",
             r"DegreeMixError: reduction elements must be field combinations of the generators",
         ),
     ],
