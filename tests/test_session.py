@@ -13,6 +13,8 @@ from modcore.session import SPECS, emit_report, parse_session, run_session
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# a session that runs most task ops, its report pinned byte for byte
+ALL_TASKS = Path(__file__).resolve().parent / "all_tasks.mc"
 
 
 def _normalize(payload_bytes):
@@ -116,32 +118,7 @@ def test_submodule_vector_must_be_homogeneous(vector, why):
 
 
 def test_wide_task_vocabulary():
-    src = (
-        "ring R = GF(32003)[x,y];\n"
-        "ideal I = (x^2, x*y, y^2);\n"
-        "ideal J = (x^2, y^2);\n"
-        "module E = ideal I;\n"
-        "task groebner I;\n"
-        "task dim I;\n"
-        "task hilbert I 1;\n"
-        "task quotient J I;\n"
-        "task intersect I J;\n"
-        "task rank E;\n"
-        "task pdim E;\n"
-        "task depth E;\n"
-        "task fitting E 2;\n"
-        "task sym_ideal E;\n"
-        "task fiber_ideal E;\n"
-        "task graded_component E 2;\n"
-        "task check_gs E 2;\n"
-        "task check_ext_vanishing E;\n"
-        "task check_cm_rees E;\n"
-        "task random_reduction E --seed 3;\n"
-        "task residual_intersection E --s 2 --seed 3;\n"
-        "task check_an E --trials 2 --seed 3;\n"
-        "task verify_free_quotient E --seed 3;\n"
-        "task verify_pd1_core E --seed 3;\n"
-    )
+    src = ALL_TASKS.read_text()
     rep = run_session(parse_session(src))
     statuses = [t["status"] for t in rep.payload["tasks"]]
     assert statuses == ["ok"] * len(statuses)
@@ -365,6 +342,14 @@ def test_corpus_golden(name, expected_exit):
     golden_path = GOLDEN / (name.replace(".mc", ".json"))
     golden = json.loads(golden_path.read_text())
     assert got == golden
+
+
+def test_all_tasks_golden():
+    # bytes, not parsed JSON: key order and value types of every verdict are
+    # part of the report format
+    rep = run_session(parse_session(ALL_TASKS.read_text()))
+    got = re.sub(rb'"elapsed_ms": \d+', b'"elapsed_ms": 0', emit_report(rep))
+    assert got == (GOLDEN / "all_tasks.json").read_bytes()
 
 
 def test_cli_end_to_end_exit_codes(tmp_path):
