@@ -55,10 +55,6 @@ from .rees import (
 )
 
 
-def _ideal_str(I: Ideal):
-    return sorted(str(g) for g in I.groebner_basis())
-
-
 def _height_at_least(I: Ideal, bound: int) -> bool:
     """ht(I) >= bound, with the unit ideal passing vacuously (no prime
     contains it, so height conditions on its primes hold trivially)."""
@@ -74,14 +70,6 @@ class GsVerdict:
     ok: bool
     failing_t: int | None
     heights: dict  # t -> (height of Fitt_{t+e-1}, required t+1)
-
-    def to_dict(self):
-        return {
-            "s": self.s,
-            "ok": self.ok,
-            "failing_t": self.failing_t,
-            "heights": {str(t): list(v) for t, v in self.heights.items()},
-        }
 
 
 def check_gs(E: PresentedModule, s: int) -> GsVerdict:
@@ -115,21 +103,6 @@ class ResidualCertificate:
     mu_drop_ok: bool  # mu(W / sum Ra_j) = max(0, mu(W) - s) at the maximal ideal
     retries: int
     failures: list  # (attempt, failing prefix or subset) log
-
-    def to_dict(self):
-        return {
-            "s": self.s,
-            "elements": [[str(c) for c in v] for v in self.elements],
-            "prefix_heights": self.prefix_heights,
-            "subset_checked": self.subset_checked,
-            "K": _ideal_str(self.K),
-            "proper": self.proper,
-            "height_K": self.height_K,
-            "cm": self.cm,
-            "mu_drop_ok": self.mu_drop_ok,
-            "retries": self.retries,
-            "failures": self.failures,
-        }
 
 
 def _random_elements(W: Submodule, count: int, rng):
@@ -308,18 +281,6 @@ class AnRow:
     failures: list
     note: str = ""
 
-    def to_dict(self):
-        return {
-            "i": self.i,
-            "trials": self.trials,
-            "proper": self.proper,
-            "improper": self.improper,
-            "cm_passes": self.cm_passes,
-            "tight_heights": self.tight_heights,
-            "failures": self.failures,
-            "note": self.note,
-        }
-
 
 def check_an(E: PresentedModule, s: int | None = None, trials: int = 10, rng=None):
     """AN_s evidence: for each e <= i <= min(s, d+e-1), `trials` random
@@ -381,16 +342,6 @@ class ExtVanishingReport:
     def inconclusive(self) -> bool:
         return any(v == "inconclusive" for v in self.verdicts.values())
 
-    def to_dict(self):
-        return {
-            "ell": self.ell,
-            "e": self.e,
-            "jrange": self.jrange,
-            "verdicts": {str(j): v for j, v in self.verdicts.items()},
-            "ok": self.ok,
-            "vacuous": self.vacuous,
-        }
-
 
 def check_ext_vanishing(E: PresentedModule, t_cap: int = DEFAULT_T_CAP) -> ExtVanishingReport:
     """Ext^{j+1}(E^j, R) = 0 for 1 <= j <= ell-e-1 (vacuous when the range is empty)."""
@@ -423,9 +374,6 @@ class CmReesVerdict:
     dim: int
     note: str = "CM implies (S_2); a non-CM verdict does not refute (S_2)"
 
-    def to_dict(self):
-        return {"cm": self.cm, "depth": self.depth, "dim": self.dim, "note": self.note}
-
 
 def check_cm_rees(E: PresentedModule) -> CmReesVerdict:
     """Depth = dim test for R(E) over the ambient polynomial ring on x's and T's,
@@ -451,26 +399,11 @@ class HypothesisReport:
     d: int
     mu: int
     gs: GsVerdict
-    ext: ExtVanishingReport
+    ext_vanishing: ExtVanishingReport
     cm_rees: CmReesVerdict
     orientability: str
     torsionfree: bool
     ok: bool
-
-    def to_dict(self):
-        return {
-            "module": self.module,
-            "e": self.e,
-            "ell": self.ell,
-            "d": self.d,
-            "mu": self.mu,
-            "gs": self.gs.to_dict(),
-            "ext_vanishing": self.ext.to_dict(),
-            "cm_rees": self.cm_rees.to_dict(),
-            "orientability": self.orientability,
-            "torsionfree": self.torsionfree,
-            "ok": self.ok,
-        }
 
 
 def hypothesis_report(E: PresentedModule, label: str = "E") -> HypothesisReport:
@@ -490,7 +423,7 @@ def hypothesis_report(E: PresentedModule, label: str = "E") -> HypothesisReport:
         d=E.ring.nvars,
         mu=mu(E),
         gs=gs,
-        ext=ext,
+        ext_vanishing=ext,
         cm_rees=cm,
         orientability=f"finite projective dimension (pd = {pd})",
         torsionfree=tf,
@@ -508,15 +441,6 @@ class FreeQuotientVerdict:
     ell: int
     K: Ideal
     entries_in_K: bool
-
-    def to_dict(self):
-        return {
-            "ok": self.ok,
-            "mu_U": self.mu_U,
-            "ell": self.ell,
-            "K": _ideal_str(self.K),
-            "entries_in_K": self.entries_in_K,
-        }
 
 
 def verify_free_quotient(E: PresentedModule, U: Submodule) -> FreeQuotientVerdict:
@@ -546,26 +470,12 @@ class BalancedReport:
     hypothesis: HypothesisReport
     reductions: int
     seed: object
-    K_values: list
+    K_values: list  # the ideals (U_i : E)
     independent: bool | None  # (iii): (U:E) same for all sampled U
     products_equal: bool | None  # (ii): (U:E)U = (U:E)E for each sample
     equals_core: bool | None  # (ii): these equal the Monte Carlo core
     core_samples: int | None
     core_label: str | None
-
-    def to_dict(self):
-        return {
-            "status": self.status,
-            "hypothesis": self.hypothesis.to_dict(),
-            "reductions": self.reductions,
-            "seed": self.seed,
-            "K_values": self.K_values,
-            "independent": self.independent,
-            "products_equal": self.products_equal,
-            "equals_core": self.equals_core,
-            "core_samples": self.core_samples,
-            "core_label": self.core_label,
-        }
 
 
 def verify_balanced(E: PresentedModule, reductions: int, rng=None, core_samples: int = 12) -> BalancedReport:
@@ -583,7 +493,8 @@ def verify_balanced(E: PresentedModule, reductions: int, rng=None, core_samples:
     rng = _rng(rng)
     hyp = hypothesis_report(E)
     if not hyp.ok:
-        status = "partial" if (hyp.ext.inconclusive() and not hyp.ext.refuted()
+        ext = hyp.ext_vanishing
+        status = "partial" if (ext.inconclusive() and not ext.refuted()
                                and hyp.gs.ok and hyp.cm_rees.cm and hyp.torsionfree) else "failed-hypothesis"
         return BalancedReport(
             status=status,
@@ -627,7 +538,7 @@ def verify_balanced(E: PresentedModule, reductions: int, rng=None, core_samples:
         hypothesis=hyp,
         reductions=reductions,
         seed=seed,
-        K_values=[_ideal_str(K) for K in Ks],
+        K_values=Ks,
         independent=independent,
         products_equal=products_equal,
         equals_core=equals_core,
@@ -649,20 +560,7 @@ class Pd1CoreVerdict:
     r_bound: int
     fitting_equals_core: bool | None
     colons_equal_fitting: bool | None
-    fitt: list | None
-
-    def to_dict(self):
-        return {
-            "status": self.status,
-            "pd": self.pd,
-            "torsionfree": self.torsionfree,
-            "gs_ok": self.gs_ok,
-            "r_value": self.r_value,
-            "r_bound": self.r_bound,
-            "fitting_equals_core": self.fitting_equals_core,
-            "colons_equal_fitting": self.colons_equal_fitting,
-            "fitting_ideal": self.fitt,
-        }
+    fitting_ideal: Ideal | None  # Fitt_ell(E), once the hypotheses hold
 
 
 def verify_pd1_core(E: PresentedModule, rng=None, samples: int = 5) -> Pd1CoreVerdict:
@@ -687,7 +585,7 @@ def verify_pd1_core(E: PresentedModule, rng=None, samples: int = 5) -> Pd1CoreVe
             r_bound=bound,
             fitting_equals_core=None,
             colons_equal_fitting=None,
-            fitt=None,
+            fitting_ideal=None,
         )
     F = fitting_ideal(E, ell)
     core, _ = core_monte_carlo(E, rng=rng)
@@ -707,7 +605,7 @@ def verify_pd1_core(E: PresentedModule, rng=None, samples: int = 5) -> Pd1CoreVe
         r_bound=bound,
         fitting_equals_core=fit_core,
         colons_equal_fitting=colons_ok,
-        fitt=_ideal_str(F),
+        fitting_ideal=F,
     )
 
 
@@ -728,22 +626,6 @@ class IdealModuleVerdicts:
     mu_E: int
     mu_expected: int
     mu_exceeds_spread: bool
-
-    def to_dict(self):
-        return {
-            "mode": self.mode,
-            "e": self.e,
-            "ell_I": self.ell_I,
-            "ell_E": self.ell_E,
-            "spread_additive": self.spread_additive,
-            "nonfree_codim": self.nonfree_codim,
-            "height_I": self.height_I,
-            "nonfree_matches_height": self.nonfree_matches_height,
-            "mu_I": self.mu_I,
-            "mu_E": self.mu_E,
-            "mu_expected": self.mu_expected,
-            "mu_exceeds_spread": self.mu_exceeds_spread,
-        }
 
 
 def build_ideal_module(I: Ideal, e: int, mode: str = "plus_free"):

@@ -12,7 +12,7 @@ import hashlib
 import json
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable
 
 from . import __version__
@@ -39,7 +39,7 @@ from .modalg import (
     span,
     vector_degree,
 )
-from .poly import PolyRing, parse_poly
+from .poly import Polynomial, PolyRing, parse_poly
 from .rees import (
     analytic_spread,
     core_monte_carlo,
@@ -53,7 +53,6 @@ from .rees import (
 )
 from .modalg import whole_module
 from .checks import (
-    _ideal_str,
     build_ideal_module,
     check_an,
     check_cm_rees,
@@ -414,8 +413,26 @@ def _seed(seed):
     return seed
 
 
-def _submodule_value(U: Submodule):
-    return [[str(c) for c in v] for v in U.reduced_gens()]
+def _report_value(value):
+    """A task's value as report data, the one place verdicts become JSON.
+
+    A dataclass becomes its fields in declaration order, an ideal its sorted
+    reduced basis, a submodule its generators reduced modulo the parent's
+    relations, and a polynomial its text; dict keys become strings and
+    tuples lists."""
+    if isinstance(value, Ideal):
+        return sorted(str(g) for g in value.groebner_basis())
+    if isinstance(value, Submodule):
+        return _report_value(value.reduced_gens())
+    if isinstance(value, Polynomial):
+        return str(value)
+    if is_dataclass(value):
+        return {f.name: _report_value(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {str(k): _report_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_report_value(v) for v in value]
+    return value
 
 
 def _module_value(E: PresentedModule):
@@ -442,7 +459,7 @@ def _run_depth(_, E):
 
 def _run_random_reduction(_, E, *, count=None, seed=None):
     U = random_reduction(E, count=count, rng=_seed(seed))
-    return {"seed": seed, "gens": _submodule_value(U)}
+    return {"seed": seed, "gens": U}
 
 
 def _run_reduction_number(session, E, *, submodule=None, max_degree=None, seed=None):
@@ -462,53 +479,51 @@ def _run_core(_, E, *, samples=12, window=3, seed=None):
         "samples": samples,
         "samples_used": used,
         "label": "Monte Carlo upper approximation",
-        "gens": _submodule_value(C),
+        "gens": C,
     }
 
 
 def _run_residual(_, E, n=1, *, s=None, submodule=None, seed=None):
     rng = _seed(seed)
     W = submodule if submodule is not None else whole_module(E)
-    out = residual_intersection(E, W, n if s is None else s, rng).to_dict()
-    out["seed"] = seed
-    return out
+    cert = residual_intersection(E, W, n if s is None else s, rng)
+    return {**vars(cert), "seed": seed}
 
 
 def _run_check_an(_, E, *, s=None, trials=10, seed=None):
-    rows = check_an(E, s=s, trials=trials, rng=_seed(seed))
-    return {"seed": seed, "rows": [r.to_dict() for r in rows]}
+    return {"seed": seed, "rows": check_an(E, s=s, trials=trials, rng=_seed(seed))}
 
 
 def _run_free_quotient(_, E, U=None, *, seed=None):
     if U is None:
         U = random_reduction(E, rng=_seed(seed))
-    return verify_free_quotient(E, U).to_dict()
+    return verify_free_quotient(E, U)
 
 
 def _run_ideal_module(_, I, *, rank=2, mode="plus_free"):
     E, verdicts = build_ideal_module(I, rank, mode)
-    return {"module": _module_value(E), "verdicts": verdicts.to_dict()}
+    return {"module": _module_value(E), "verdicts": verdicts}
 
 
 # Handlers call the library through this module's names, never through a
 # reference taken when the table is built, so that tools which rebind those
 # names (such as the benchmark's tracer) see every call.
 SPECS = {
-    "groebner": Spec(lambda _, I: _ideal_str(I), ("ideal",)),
+    "groebner": Spec(lambda _, I: I, ("ideal",)),
     "height": Spec(lambda _, I: height(I), ("ideal",)),
     "dim": Spec(lambda _, I: krull_dimension(I), ("ideal",)),
     "hilbert": Spec(_run_hilbert, ("ideal", "int")),
     "mu": Spec(lambda _, E: mu(E), ("module",)),
-    "quotient": Spec(lambda _, I, J: _ideal_str(quotient_ideal(I, J)), ("ideal", "ideal")),
-    "intersect": Spec(lambda _, I, J: _ideal_str(intersect(I, J)), ("ideal", "ideal")),
+    "quotient": Spec(lambda _, I, J: quotient_ideal(I, J), ("ideal", "ideal")),
+    "intersect": Spec(lambda _, I, J: intersect(I, J), ("ideal", "ideal")),
     "rank": Spec(lambda _, E: rank(E), ("module",)),
     "pdim": Spec(lambda _, E: projective_dimension(E), ("module",)),
     "depth": Spec(_run_depth, ("module",)),
-    "fitting": Spec(lambda _, E, j: _ideal_str(fitting_ideal(E, j)), ("module", "int")),
+    "fitting": Spec(lambda _, E, j: fitting_ideal(E, j), ("module", "int")),
     "analytic_spread": Spec(lambda _, E: analytic_spread(E), ("module",)),
-    "sym_ideal": Spec(lambda _, E: _ideal_str(sym_ideal(E)), ("module",)),
-    "rees_ideal": Spec(lambda _, E: _ideal_str(rees_ideal(E)), ("module",)),
-    "fiber_ideal": Spec(lambda _, E: _ideal_str(fiber_ideal(E)), ("module",)),
+    "sym_ideal": Spec(lambda _, E: sym_ideal(E), ("module",)),
+    "rees_ideal": Spec(lambda _, E: rees_ideal(E), ("module",)),
+    "fiber_ideal": Spec(lambda _, E: fiber_ideal(E), ("module",)),
     "graded_component": Spec(
         lambda session, E, j: _module_value(graded_component(E, j, session.options["max_t_degree"])),
         ("module", "int"),
@@ -521,15 +536,15 @@ SPECS = {
         flags={"submodule": "submodule", "max_degree": "int", "seed": "int"},
     ),
     "core": Spec(_run_core, ("module",), flags={"samples": "int", "window": "int", "seed": "int"}),
-    "check_gs": Spec(lambda _, E, s: check_gs(E, s).to_dict(), ("module", "int")),
+    "check_gs": Spec(lambda _, E, s: check_gs(E, s), ("module", "int")),
     "residual_intersection": Spec(
         _run_residual, ("module",), ("int",), {"s": "int", "submodule": "submodule", "seed": "int"}
     ),
     "check_an": Spec(_run_check_an, ("module",), flags={"s": "int", "trials": "int", "seed": "int"}),
     "check_ext_vanishing": Spec(
-        lambda session, E: check_ext_vanishing(E, session.options["max_t_degree"]).to_dict(), ("module",)
+        lambda session, E: check_ext_vanishing(E, session.options["max_t_degree"]), ("module",)
     ),
-    "check_cm_rees": Spec(lambda _, E: check_cm_rees(E).to_dict(), ("module",)),
+    "check_cm_rees": Spec(lambda _, E: check_cm_rees(E), ("module",)),
     "verify_free_quotient": Spec(_run_free_quotient, ("module",), ("submodule",), {"seed": "int"}),
     "verify_balanced": Spec(
         lambda _, E, *, reductions=6, seed=None: verify_balanced(E, reductions=reductions, rng=_seed(seed)),
@@ -578,9 +593,8 @@ def run_session(session: Session) -> Report:
                     "hypotheses-unmet": "failed-hypothesis",
                     "partial": "inconclusive",
                 }.get(value.status, "ok")
-                value = value.to_dict()
             entry["status"] = status
-            entry["value"] = value
+            entry["value"] = _report_value(value)
         except CapExceededError as exc:
             entry["status"] = "inconclusive"
             try:

@@ -23,7 +23,7 @@ from modcore.modalg import (
 )
 from modcore.poly import PolyRing
 from modcore.rees import analytic_spread, core_monte_carlo, random_reduction, rees_package
-from modcore.session import parse_session, run_session
+from modcore.session import _report_value, parse_session, run_session
 from modcore.checks import (
     _depth_and_dim,
     build_ideal_module,
@@ -335,7 +335,7 @@ def test_hypothesis_report_fields(E_H_plus):
     rep = hypothesis_report(E_H_plus, "E")
     assert rep.ok and rep.e == 2 and rep.ell == 4 and rep.d == 4
     assert "finite projective dimension" in rep.orientability
-    d = rep.to_dict()
+    d = _report_value(rep)
     assert d["gs"]["ok"] and d["cm_rees"]["cm"]
 
 
@@ -343,7 +343,8 @@ def test_verify_balanced_msq(R2, E_msq):
     rep = verify_balanced(E_msq, reductions=8, rng=42)
     assert rep.status == "ok"
     assert rep.independent and rep.products_equal and rep.equals_core
-    assert all(K == ["x", "y"] for K in rep.K_values)
+    x, y = R2.gens()
+    assert all(K == Ideal(R2, [x, y]) for K in rep.K_values)
 
 
 def test_verify_balanced_trivial(E_H_plus):
@@ -366,7 +367,7 @@ def test_verify_balanced_partial_on_inconclusive(E_msq):
 
     hyp = hypothesis_report(E_msq)
     forced = ExtVanishingReport(
-        ell=hyp.ext.ell, e=hyp.ext.e, jrange=[1], verdicts={1: "inconclusive"},
+        ell=hyp.ext_vanishing.ell, e=hyp.ext_vanishing.e, jrange=[1], verdicts={1: "inconclusive"},
         ok=False, vacuous=False,
     )
     assert forced.inconclusive() and not forced.refuted()
@@ -402,7 +403,8 @@ def test_verify_pd1_core_msq(R2, E_msq):
     assert v.status == "ok"
     assert v.r_value == 1 and v.r_bound == 1
     assert v.fitting_equals_core and v.colons_equal_fitting
-    assert v.fitt == ["x", "y"]
+    x, y = R2.gens()
+    assert v.fitting_ideal == Ideal(R2, [x, y])
 
 
 def test_verify_pd1_core_msq_plus(R2, E_msq_plus):
@@ -446,10 +448,7 @@ def test_balanced_internal_consistency(E_msq, E_msq_plus):
     for E, seed in ((E_msq, 71), (E_msq_plus, 72)):
         rep = verify_balanced(E, reductions=5, rng=seed)
         if rep.status == "ok" and rep.independent:
-            K_gens = rep.K_values[0]
-            KE = ideal_times_module(
-                Ideal(E.ring, [E.ring.parse(g) for g in K_gens]), E
-            )
+            KE = ideal_times_module(rep.K_values[0], E)
             for s in range(3):
                 V = random_reduction(E, rng=900 + seed + s)
                 for g in KE.gens:
@@ -484,12 +483,12 @@ def test_balanced_nontrivial_boundary_case(R3, minors43, E_minors43):
     bal = verify_balanced(E_minors43, reductions=5, rng=11)
     assert bal.status == "ok"
     assert bal.independent and bal.products_equal and bal.equals_core
-    assert bal.K_values[0] == ["x", "y", "z"]
+    assert bal.K_values[0] == m
     pd1 = verify_pd1_core(E_minors43, rng=13)
     assert pd1.status == "ok"
     assert pd1.r_value == 2 and pd1.r_bound == 2
     assert pd1.fitting_equals_core and pd1.colons_equal_fitting
-    assert pd1.fitt == ["x", "y", "z"]
+    assert pd1.fitting_ideal == m
     core, _ = core_monte_carlo(E_minors43, rng=17)
     assert core == ideal_times_module(m, E_minors43)
 
