@@ -555,25 +555,6 @@ def ideal_membership(f: Polynomial, I: Ideal) -> bool:
     return not normal_form(f, I.groebner_basis())
 
 
-def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f / g when g divides f exactly; raises otherwise."""
-    if not g:
-        raise ModcoreError("division by zero polynomial")
-    ring = f.ring
-    p = ring.char
-    ginv = pow(g.lc(), -1, p)
-    out = {}
-    num = f
-    while num:
-        q = mono_div(num.lm(), g.lm())
-        if q is None:
-            raise ModcoreError("exact_div: division is not exact")
-        c = (num.lc() * ginv) % p
-        out[q] = c
-        num = num - ring.monomial(q, c) * g
-    return ring.from_dict(out)
-
-
 # -- intersection and colon by elimination ----------------------------------------
 
 
@@ -782,16 +763,16 @@ def _multiplicity(I: Ideal, dim: int) -> int:
     return sum(numer)
 
 
-def _standard_count(nvars: int, leads, gen_degrees, deg: int) -> int:
+def _standard_count(nvars: int, numerators, gen_degrees, deg: int) -> int:
     """Number of module monomials m*e_pos of degree deg(m) + gen_degrees[pos]
-    = deg that no leading term (pos, lm) in `leads` divides: dim_k of the
-    degree-`deg` piece of the quotient by the span of the basis.
+    = deg that no leading term of a basis divides: dim_k of the degree-`deg`
+    piece of the quotient by the span of the basis.
 
-    Read off the Hilbert numerator N_pos of each position's monomial ideal:
-    the count there is sum_k N_pos[k] * C(deg - shift - k + n - 1, n - 1)."""
+    numerators[pos] is the Hilbert numerator N_pos of the leading monomials
+    at position pos; the count there is
+    sum_k N_pos[k] * C(deg - shift - k + n - 1, n - 1)."""
     total = 0
-    for pos, shift in enumerate(gen_degrees):
-        numer = _hilbert_numerator([lm for lpos, lm in leads if lpos == pos])
+    for numer, shift in zip(numerators, gen_degrees):
         for k, c in enumerate(numer):
             m = deg - shift - k
             if c and m >= 0:
@@ -801,4 +782,5 @@ def _standard_count(nvars: int, leads, gen_degrees, deg: int) -> int:
 
 def hilbert_function(I: Ideal, deg: int) -> int:
     """dim_k (R/I)_deg: the one-position case of `_standard_count`."""
-    return _standard_count(I.ring.nvars, [(0, g.lm()) for g in I.groebner_basis()], (0,), deg)
+    numer = _hilbert_numerator([g.lm() for g in I.groebner_basis()])
+    return _standard_count(I.ring.nvars, [numer], (0,), deg)

@@ -17,6 +17,7 @@ from .groebner import (
     Ideal,
     _colon,
     _dict_to_vec,
+    _hilbert_numerator,
     _meet,
     _mkeyf,
     _ordered_to_vec,
@@ -25,7 +26,6 @@ from .groebner import (
     _syzygy_dicts,
     _vec_to_dict,
     buchberger,
-    exact_div,
     quotient_ideal,
 )
 from .poly import Polynomial, PolyRing, mono_deg, mono_mul
@@ -77,46 +77,6 @@ def vector_degree(vec, degrees):
 
 def _vec_is_zero(u):
     return all(not a for a in u)
-
-
-def poly_matrix_rank(cols, ring: PolyRing) -> int:
-    """Rank over Quot(R) by Bareiss fraction-free elimination.
-
-    Intermediate entries are minors of the input, so divisions are exact and
-    degree growth stays linear.
-    """
-    if not cols:
-        return 0
-    nrows = len(cols[0])
-    B = [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
-    ncols = len(cols)
-    prev = ring.one()
-    r = 0
-    for _ in range(min(nrows, ncols)):
-        piv = None
-        for i in range(r, nrows):
-            for j in range(r, ncols):
-                if B[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        pi, pj = piv
-        if pi != r:
-            B[r], B[pi] = B[pi], B[r]
-        if pj != r:
-            for row in B:
-                row[r], row[pj] = row[pj], row[r]
-        pivot = B[r][r]
-        for i in range(r + 1, nrows):
-            for j in range(r + 1, ncols):
-                B[i][j] = exact_div(B[i][j] * pivot - B[i][r] * B[r][j], prev)
-            B[i][r] = ring.zero()
-        prev = pivot
-        r += 1
-    return r
 
 
 # -- presented modules ---------------------------------------------------------------
@@ -182,11 +142,25 @@ class PresentedModule:
         v[i] = self.ring.one()
         return tuple(v)
 
+    def hilbert_numerators(self):
+        """N_pos for each generator position: the Hilbert numerator of the
+        leading monomials of the relation basis there, so that
+        HS_E(t) = sum_pos t^gen_degrees[pos] N_pos(t) / (1-t)^n.  E is graded,
+        so in(N) has the Hilbert function of the relations N."""
+        numers = self._cache.get("numerators")
+        if numers is None:
+            keyf = _mkeyf(self.ring.order)
+            leads = [[] for _ in self.gen_degrees]
+            for g in self.relation_gb():
+                pos, m = max(g, key=keyf)
+                leads[pos].append(m)
+            numers = [_hilbert_numerator(ms) for ms in leads]
+            self._cache["numerators"] = numers
+        return numers
+
     def hilbert_function(self, deg: int) -> int:
         """dim_k E_deg via standard module monomials of the relation basis."""
-        keyf = _mkeyf(self.ring.order)
-        leads = [max(g, key=keyf) for g in self.relation_gb()]
-        return _standard_count(self.ring.nvars, leads, self.gen_degrees, deg)
+        return _standard_count(self.ring.nvars, self.hilbert_numerators(), self.gen_degrees, deg)
 
 
 def module_from_ideal(I: Ideal) -> PresentedModule:
@@ -229,12 +203,11 @@ def direct_sum(E1: PresentedModule, E2: PresentedModule, twist: int = 0) -> Pres
 
 
 def rank(E: PresentedModule) -> int:
-    """n minus the presentation's rank over the fraction field."""
-    r = E._cache.get("rank")
-    if r is None:
-        r = E.n - poly_matrix_rank(E.relations, E.ring)
-        E._cache["rank"] = r
-    return r
+    """Rank over the fraction field: sum_pos N_pos(1) over the Hilbert
+    numerators of the relation basis.  Their sum at t = 1 is the alternating
+    sum of the Betti numbers, which is rank E (Bruns-Herzog, Cohen-Macaulay
+    Rings, 4.1)."""
+    return sum(map(sum, E.hilbert_numerators()))
 
 
 # -- minimal presentations and resolutions ---------------------------------------

@@ -13,7 +13,6 @@ from modcore.groebner import (
     _vec_to_dict,
     buchberger,
     eliminate,
-    exact_div,
     height,
     hilbert_function,
     ideal_membership,
@@ -274,14 +273,6 @@ def test_dimension_height_consistency(R3):
     for _ in range(20):
         I = Ideal(R3, [random_poly(R3, rng), random_poly(R3, rng)])
         assert height(I) + krull_dimension(I) == 3
-
-
-def test_exact_div(R2):
-    x, y = R2.gens()
-    f = (x + y) * (x**2 - y)
-    assert exact_div(f, x + y) == x**2 - y
-    with pytest.raises(Exception, match="not exact"):
-        exact_div(x**2 + y, x)
 
 
 def test_gb_deterministic(R3):

@@ -43,6 +43,7 @@ from modcore.rees import random_reduction
 
 from conftest import (
     P,
+    generic_cokernel,
     random_homogeneous_poly,
     row_rank,
     seeded,
@@ -250,17 +251,49 @@ def test_rank_examples(R2, E_msq, E_msq_plus):
     assert rank(E_msq_plus) == 2
 
 
+def _rank_at_points(E, seed):
+    """Oracle for rank(E): n minus the largest rank of the presentation
+    matrix evaluated at 3 seeded points of GF(p)^nvars.  A point only lowers
+    the rank over the fraction field, and a random one rarely does."""
+    rng = seeded(seed)
+    best = 0
+    for _ in range(3):
+        point = [rng.randrange(P) for _ in range(E.ring.nvars)]
+
+        def at(f):
+            return sum(c * math.prod(pow(a, k, P) for a, k in zip(point, m)) for m, c in f.terms) % P
+
+        best = max(best, row_rank([[at(f) for f in col] for col in E.relations]))
+    return E.n - best
+
+
 def test_rank_additivity_random(R2):
     rng = seeded(17)
     from conftest import random_homogeneous_poly
 
-    for _ in range(10):
+    for i in range(10):
         I = Ideal(R2, [random_homogeneous_poly(R2, rng, 2) for _ in range(2)])
         if I.is_zero():
             continue
         E1 = module_from_ideal(I)
         E2 = free_module(R2, rng.randrange(1, 3))
-        assert rank(direct_sum(E1, E2, twist=2)) == rank(E1) + rank(E2)
+        E = direct_sum(E1, E2, twist=2)
+        assert rank(E) == rank(E1) + rank(E2)
+        for M in (E1, E2, E):
+            assert rank(M) == _rank_at_points(M, i)
+
+
+@pytest.mark.parametrize("name", ["msq", "edge", "tri", "minors43", "H"])
+def test_rank_of_ideal_plus_free_matches_evaluation(name, request):
+    I = request.getfixturevalue(name)
+    E = direct_sum(module_from_ideal(I), free_module(I.ring, 1), twist=2)
+    assert rank(E) == _rank_at_points(E, 5) == 2
+
+
+def test_rank_of_generic_cokernels_matches_evaluation(E_coker53):
+    # n x (n - 2) linear matrices: rank 2
+    for E in (E_coker53, generic_cokernel(4, 6, 4)):
+        assert rank(E) == _rank_at_points(E, 6) == 2
 
 
 def test_mu_examples(E_edge, E_msq_plus, R2):
