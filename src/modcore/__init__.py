@@ -9,7 +9,6 @@ from .poly import PolyRing, Polynomial, parse_poly, render_poly
 from .groebner import (
     Ideal,
     eliminate,
-    groebner_basis,
     height,
     hilbert_function,
     ideal_membership,

@@ -54,6 +54,9 @@ from .rees import (
     _rng,
 )
 
+SUBSET_LIMIT = 5  # residual_intersection checks every index subset up to this s
+COLON_SAMPLES = 5  # further reductions whose colon verify_pd1_core compares with the Fitting ideal
+
 
 def _height_at_least(I: Ideal, bound: int) -> bool:
     """ht(I) >= bound, with the unit ideal passing vacuously (no prime
@@ -193,14 +196,13 @@ def residual_intersection(
     W: Submodule,
     s: int,
     rng,
-    subset_limit: int = 5,
-    retry_cap: int = RETRY_CAP,
 ) -> ResidualCertificate:
     """Draw s random elements of W and certify Theorem-style height bounds.
 
     Verifies ht((a_1..a_i) :_R E) >= i-e+1 along the prefix chain, and over
-    every index subset when s <= subset_limit (2^s colons; prefixes only
-    beyond that).  Failed draws are logged and retried.
+    every index subset when s <= SUBSET_LIMIT (2^s colons; prefixes only
+    beyond that).  Failed draws are logged and retried, RETRY_CAP draws in
+    all.
     """
     rng = _rng(rng)
     e = rank(E)
@@ -213,7 +215,7 @@ def residual_intersection(
         raise ModcoreError(f"E is not G_{s} (fails at t = {gs.failing_t})")
 
     failures = []
-    for attempt in range(retry_cap):
+    for attempt in range(RETRY_CAP):
         elems, coords = _random_elements(W, s, rng)
         prefix_heights = []
         ok = True
@@ -224,7 +226,7 @@ def residual_intersection(
                 failures.append((attempt, f"prefix {i}"))
                 ok = False
                 break
-        if ok and s <= subset_limit:
+        if ok and s <= SUBSET_LIMIT:
             for m in range(1, s + 1):
                 if m - e + 1 <= 0:
                     continue
@@ -253,7 +255,7 @@ def residual_intersection(
                 s=s,
                 elements=elems,
                 prefix_heights=prefix_heights,
-                subset_checked=s <= subset_limit,
+                subset_checked=s <= SUBSET_LIMIT,
                 K=K,
                 proper=proper,
                 height_K=height_K,
@@ -263,7 +265,7 @@ def residual_intersection(
                 failures=failures,
             )
     raise RetryExhaustedError(
-        f"height verification failed {retry_cap} times; last failures: {failures[-3:]}"
+        f"height verification failed {RETRY_CAP} times; last failures: {failures[-3:]}"
     )
 
 
@@ -478,7 +480,7 @@ class BalancedReport:
     core_label: str | None
 
 
-def verify_balanced(E: PresentedModule, reductions: int, rng=None, core_samples: int = 12) -> BalancedReport:
+def verify_balanced(E: PresentedModule, reductions: int, rng=None) -> BalancedReport:
     """Machine form of the balanced-core equivalences.
 
     Samples minimal reductions U_i, sets K_i = (U_i : E), and reports whether
@@ -521,7 +523,7 @@ def verify_balanced(E: PresentedModule, reductions: int, rng=None, core_samples:
         products.append(KE == ideal_times_submodule(K, U))
     products_equal = all(products)
     try:
-        core, used = core_monte_carlo(E, samples=core_samples, stabilization_window=3, rng=rng)
+        core, used = core_monte_carlo(E, rng=rng)
         equals_core = all(KE == core for _, KE in KEs)
         status = "ok"
     except RetryExhaustedError:
@@ -563,9 +565,10 @@ class Pd1CoreVerdict:
     fitting_ideal: Ideal | None  # Fitt_ell(E), once the hypotheses hold
 
 
-def verify_pd1_core(E: PresentedModule, rng=None, samples: int = 5) -> Pd1CoreVerdict:
+def verify_pd1_core(E: PresentedModule, rng=None) -> Pd1CoreVerdict:
     """core(E) = Fitt_ell(E)*E and (U:E) = Fitt_ell(E), gated on pd = 1,
-    torsionfreeness, G_{ell-e+1}, and the confirmed bound r(E) <= ell-e."""
+    torsionfreeness, G_{ell-e+1}, and the confirmed bound r(E) <= ell-e;
+    the colon equality is tested on COLON_SAMPLES further reductions."""
     rng = _rng(rng)
     e = rank(E)
     ell = analytic_spread(E)
@@ -591,7 +594,7 @@ def verify_pd1_core(E: PresentedModule, rng=None, samples: int = 5) -> Pd1CoreVe
     core, _ = core_monte_carlo(E, rng=rng)
     fit_core = ideal_times_module(F, E) == core
     colons_ok = True
-    for _ in range(samples):
+    for _ in range(COLON_SAMPLES):
         Ui = random_reduction(E, rng=rng)
         if colon_into(Ui, E) != F:
             colons_ok = False

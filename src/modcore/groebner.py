@@ -8,7 +8,7 @@ is the one-position case {(0, m): c}.  Syzygies, intersections and colons
 are all read off a module basis by one helper, `_eliminate_to`; a colon is
 one Buchberger call over block copies of a reduced basis it already knows,
 one copy per GF(p)-independent normal form of its divisors.
-Ideal values are immutable apart from their per-order basis cache.
+Ideal values are immutable apart from their cached reduced basis.
 """
 
 from __future__ import annotations
@@ -22,15 +22,14 @@ from operator import mul, or_
 from struct import Struct
 
 from .errors import ModcoreError, OrderError, RingMismatchError
-from .orders import GrevLexVarLast, MonomialOrder, elimination_order
+from .orders import GrevLexVarLast, elimination_order
 from .poly import (
     Polynomial,
     PolyRing,
     _EXP_LIMIT,
-    embed_poly,
+    map_poly,
     mono_deg,
     mono_div,
-    restrict_poly,
 )
 
 # -- the kernel on term codes ------------------------------------------------------
@@ -451,7 +450,7 @@ def _basis_ideal(ring, basis) -> Ideal:
     them, so no later `groebner_basis` call recomputes them."""
     gens = tuple(_ordered_to_vec(d, ring, 1)[0] for d in basis)
     I = Ideal(ring, gens)
-    I._gb[ring.order] = gens
+    object.__setattr__(I, "_gb", gens)
     return I
 
 
@@ -468,7 +467,8 @@ def _ideal_basis(polys, order, ring):
 
 
 class Ideal:
-    """Finitely generated ideal with lazily cached reduced Groebner bases."""
+    """Finitely generated ideal with its lazily cached reduced Groebner basis
+    under the ring's order."""
 
     __slots__ = ("ring", "gens", "_gb")
 
@@ -479,7 +479,7 @@ class Ideal:
                 raise RingMismatchError("generator from a different ring")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "_gb", {})
+        object.__setattr__(self, "_gb", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Ideal is immutable")
@@ -487,15 +487,12 @@ class Ideal:
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.gens) or '0'})"
 
-    def groebner_basis(self, order: MonomialOrder | None = None):
-        """Reduced Groebner basis as a tuple of monic polynomials, ascending."""
-        if order is None:
-            order = self.ring.order
-        cached = self._gb.get(order)
-        if cached is None:
-            cached = tuple(_ideal_basis(self.gens, order, self.ring))
-            self._gb[order] = cached
-        return cached
+    def groebner_basis(self):
+        """Reduced Groebner basis under the ring's order, as a tuple of monic
+        polynomials, ascending."""
+        if self._gb is None:
+            object.__setattr__(self, "_gb", tuple(_ideal_basis(self.gens, self.ring.order, self.ring)))
+        return self._gb
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -525,16 +522,10 @@ class Ideal:
             raise RingMismatchError("ideal sum across rings")
         return Ideal(self.ring, self.gens + other.gens)
 
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            return Ideal(self.ring, tuple(g * other for g in self.gens))
+    def __mul__(self, other: "Ideal") -> "Ideal":
         if self.ring != other.ring:
             raise RingMismatchError("ideal product across rings")
         return Ideal(self.ring, tuple(dict.fromkeys(f * g for f in self.gens for g in other.gens)))
-
-
-def groebner_basis(I: Ideal, order: MonomialOrder | None = None):
-    return I.groebner_basis(order)
 
 
 def normal_form(f: Polynomial, G) -> Polynomial:
@@ -610,43 +601,27 @@ def _saturate_rabinowitsch(I: Ideal, f: Polynomial) -> Ideal:
     # "#t" is unreachable from the polynomial grammar, so it never clashes
     big = PolyRing(ring.char, ("#t",) + ring.vars, elimination_order(ring.nvars + 1, (0,)))
     t = big.var(0)
-    gens = [embed_poly(g, big) for g in I.gens]
-    gens.append(t * embed_poly(f, big) - big.one())
+    gens = [map_poly(g, big) for g in I.gens]
+    gens.append(t * map_poly(f, big) - big.one())
     basis = _ideal_basis(gens, big.order, big)
-    return Ideal(ring, [restrict_poly(g, ring) for g in basis if all(m[0] == 0 for m, _ in g.terms)])
+    return Ideal(ring, [map_poly(g, ring) for g in basis if all(m[0] == 0 for m, _ in g.terms)])
 
 
-def saturate(J: Ideal, f: Polynomial, want_exponent: bool = True):
-    """(J : f^infinity); returns (ideal, k) with k the stabilization exponent.
-
-    The ideal comes from the extra-variable elimination (or, for a single
-    variable of a homogeneous ideal, from the grevlex-variable-last divide
-    out); the exponent is the least k with f^k * result <= J.
-    """
+def saturate(J: Ideal, f: Polynomial) -> Ideal:
+    """(J : f^infinity), from the extra-variable elimination, or, for a
+    monomial f and a homogeneous J, from the grevlex-variable-last divide out
+    of each of f's variables."""
     if not f:
         raise ModcoreError("saturation by zero")
-    ring = J.ring
     if f.is_constant() or J.is_zero():
-        return (J, 0) if want_exponent else (J, None)
+        return J
     if len(f.terms) == 1 and _is_std_homogeneous(J):
         S = J
         for i, e in enumerate(f.lm()):
             if e:
                 S = _saturate_variable_graded(S, i)
-    else:
-        S = _saturate_rabinowitsch(J, f)
-    if not want_exponent:
-        return S, None
-    gb = J.groebner_basis()
-    power = ring.one()
-    k = 0
-    while True:
-        if all(not normal_form(power * g, gb) for g in S.gens):
-            return S, k
-        power = power * f
-        k += 1
-        if k > 512:
-            raise ModcoreError("saturation exponent failed to stabilize")
+        return S
+    return _saturate_rabinowitsch(J, f)
 
 
 def eliminate(I: Ideal, keep) -> Ideal:

@@ -399,47 +399,43 @@ def _minor_fn(cols, ring):
     return det
 
 
+def _nonzero_minors(E: PresentedModule, size: int):
+    """The nonzero size-minors of E's presentation matrix, in lexicographic
+    (rows, columns) subset order."""
+    cols = E.relations
+    det = _minor_fn(cols, E.ring)
+    for rset in combinations(range(E.n), size):
+        for cset in combinations(range(len(cols)), size):
+            v = det(rset, cset)
+            if v:
+                yield v
+
+
 def fitting_ideal(E: PresentedModule, t: int) -> Ideal:
     """Fitt_t(E): ideal of (n-t)-minors of the presentation matrix."""
     if t < 0:
         raise ModcoreError("Fitting index must be nonnegative")
     ring = E.ring
-    n = E.n
-    size = n - t
+    size = E.n - t
     if size <= 0:
         return Ideal(ring, (ring.one(),))
-    cols = E.relations
-    if size > min(n, len(cols)):
-        return Ideal(ring, ())
-    det = _minor_fn(cols, ring)
-    gens = []
-    seen = set()
-    for rset in combinations(range(n), size):
-        for cset in combinations(range(len(cols)), size):
-            v = det(rset, cset)
-            if v:
-                vm = v.monic()
-                if vm.terms not in seen:
-                    seen.add(vm.terms)
-                    gens.append(vm)
-    return Ideal(ring, gens)
+    gens = {}
+    for v in _nonzero_minors(E, size):
+        vm = v.monic()
+        gens.setdefault(vm.terms, vm)
+    return Ideal(ring, gens.values())
 
 
 def first_nonzero_maximal_minor(E: PresentedModule) -> Polynomial:
     """The fixed inverting element of Fitt_e(E): first nonzero (n-e)-minor in
     lexicographic (rows, cols) subset order."""
-    ring = E.ring
-    e = rank(E)
-    size = E.n - e
+    size = E.n - rank(E)
     if size == 0:
-        return ring.one()
-    det = _minor_fn(E.relations, ring)
-    for rset in combinations(range(E.n), size):
-        for cset in combinations(range(len(E.relations)), size):
-            v = det(rset, cset)
-            if v:
-                return v
-    raise ModcoreError("presentation rank is lower than expected")
+        return E.ring.one()
+    v = next(_nonzero_minors(E, size), None)
+    if v is None:
+        raise ModcoreError("presentation rank is lower than expected")
+    return v
 
 
 # -- annihilators and colons ---------------------------------------------------------

@@ -129,9 +129,6 @@ class PolyRing:
         items.sort(key=lambda t: keyf(t[0]), reverse=True)
         return Polynomial(self, tuple(items))
 
-    def parse(self, src: str) -> Polynomial:
-        return parse_poly(src, self)
-
     def var_index(self, name: str) -> int:
         try:
             return self._var_index[name]
@@ -445,15 +442,19 @@ def parse_poly(src: str, ring: PolyRing) -> Polynomial:
 
 # -- ring maps ----------------------------------------------------------------
 
-def embed_poly(f: Polynomial, target: PolyRing) -> Polynomial:
-    """Inclusion into a ring whose variable set contains f's (matched by name)."""
-    idx = [target.var_index(v) for v in f.ring.vars]
-    n = target.nvars
+def map_poly(f: Polynomial, target: PolyRing) -> Polynomial:
+    """The image of f in `target` under the ring map that sends each variable
+    to the variable of `target` with the same name; every variable that f
+    uses must exist there."""
+    idx = [target._var_index.get(v, -1) for v in f.ring.vars]
     d = {}
     for m, c in f.terms:
-        mm = [0] * n
+        mm = [0] * target.nvars
         for i, e in enumerate(m):
-            mm[idx[i]] = e
+            if e:
+                if idx[i] < 0:
+                    raise ModcoreError(f"polynomial involves {f.ring.vars[i]}, not a target variable")
+                mm[idx[i]] = e
         d[tuple(mm)] = c
     return target.from_dict(d)
 
@@ -480,20 +481,3 @@ def substitute(f: Polynomial, target: PolyRing, keep, forms, cache: dict) -> Pol
             key = mono_mul(head, mm)
             out[key] = out.get(key, 0) + c * cc
     return target.from_dict(out)
-
-
-def restrict_poly(f: Polynomial, target: PolyRing) -> Polynomial:
-    """Inverse of embed_poly for polynomials supported on target's variables."""
-    idx = []
-    for v in f.ring.vars:
-        idx.append(target._var_index.get(v, -1))
-    d = {}
-    for m, c in f.terms:
-        mm = [0] * target.nvars
-        for i, e in enumerate(m):
-            if e:
-                if idx[i] < 0:
-                    raise ModcoreError(f"polynomial involves {f.ring.vars[i]}, not a target variable")
-                mm[idx[i]] = e
-        d[tuple(mm)] = c
-    return target.from_dict(d)

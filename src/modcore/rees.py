@@ -30,13 +30,17 @@ from .modalg import (
     submodule_intersect,
     whole_module,
 )
-from .poly import PolyRing, embed_poly, restrict_poly, substitute
+from .poly import PolyRing, map_poly, substitute
 
 DEFAULT_T_CAP = 6
 RETRY_CAP = 32
 
 
 def _rng(seed):
+    """`seed` itself when it is a generator, else one seeded by it; no seed
+    is an error, so that every randomized result can be reproduced."""
+    if seed is None:
+        raise ModcoreError("randomized operations require a seed")
     return seed if isinstance(seed, random.Random) else random.Random(seed)
 
 
@@ -84,14 +88,14 @@ class ReesPackage:
                 g = big.zero()
                 for i, f in enumerate(col):
                     if f:
-                        g = g + embed_poly(f, big) * big.var(self.nx + i)
+                        g = g + map_poly(f, big) * big.var(self.nx + i)
                 if g:
                     gens.append(g)
             self._sym = Ideal(big, gens)
         return self._sym
 
     def inverting_element(self):
-        return embed_poly(first_nonzero_maximal_minor(self.E), self.big_ring)
+        return map_poly(first_nonzero_maximal_minor(self.E), self.big_ring)
 
     def rees_ideal(self) -> Ideal:
         if self._rees is None:
@@ -99,7 +103,7 @@ class ReesPackage:
             if sym.is_zero():
                 self._rees = sym
             else:
-                self._rees, _ = saturate(sym, self.inverting_element(), want_exponent=False)
+                self._rees = saturate(sym, self.inverting_element())
         return self._rees
 
     def fiber_ideal(self) -> Ideal:
@@ -109,7 +113,7 @@ class ReesPackage:
             for g in self.rees_ideal().groebner_basis():
                 kept = {m: c for m, c in g.terms if not any(m[: self.nx])}
                 if kept:
-                    gens.append(restrict_poly(self.big_ring.from_dict(kept), self.fiber_ring))
+                    gens.append(map_poly(self.big_ring.from_dict(kept), self.fiber_ring))
             self._fiber = Ideal(self.fiber_ring, gens)
         return self._fiber
 
@@ -252,8 +256,6 @@ def is_reduction(U: Submodule, E: PresentedModule) -> bool:
 def random_reduction(E: PresentedModule, count: int | None = None, rng=None) -> Submodule:
     """`count` random field combinations of the generators, retried until the
     fiber criterion certifies a reduction."""
-    if rng is None:
-        raise ModcoreError("randomized operations require a seed")
     if count is not None and count < 1:
         raise ModcoreError(f"random_reduction needs count >= 1, got {count}")
     rng = _rng(rng)
@@ -339,8 +341,6 @@ def core_monte_carlo(E: PresentedModule, samples: int = 12, stabilization_window
     Returns (submodule, samples_used).  The value is a Monte Carlo upper
     approximation of core(E) unless a theorem route confirms it.
     """
-    if rng is None:
-        raise ModcoreError("randomized operations require a seed")
     if stabilization_window < 1:
         raise ModcoreError(f"core_monte_carlo needs stabilization_window >= 1, got {stabilization_window}")
     if samples < stabilization_window:

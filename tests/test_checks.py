@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from modcore import checks, groebner, modalg
-from modcore.errors import ModcoreError
+from modcore.errors import ModcoreError, RetryExhaustedError
 from modcore.groebner import Ideal, _multiplicity, _vec_to_dict, height, intersect, krull_dimension
 from modcore.modalg import (
     colon_into,
@@ -114,6 +114,47 @@ def test_residual_intersection_requires_height(E_msq):
     U = span(E_msq, [E_msq.basis_vector(0)])
     with pytest.raises(ModcoreError, match="ht"):
         residual_intersection(E_msq, U, 2, rng=1)
+
+
+def test_residual_intersection_retries_failed_draws(monkeypatch):
+    # over GF(3) two random elements of m^2 are often too special: seed 0
+    # fails at the second prefix twice, seed 2 at the first prefix once
+    R = PolyRing(3, ("x", "y"))
+    x, y = R.gens()
+    E = module_from_ideal(Ideal(R, [x**2, x * y, y**2]))
+    W = whole_module(E)
+    cert = residual_intersection(E, W, 2, rng=0)
+    assert cert.retries == 2
+    assert cert.failures == [(0, "prefix 2"), (1, "prefix 2")]
+    assert residual_intersection(E, W, 2, rng=2).failures == [(0, "prefix 1")]
+    # the accepted draw is a verified one: its prefixes meet i - e + 1, and
+    # its K is that of a draw accepted at once, (x, y): proper, CM, height 2
+    assert all(h >= i - rank(E) + 1 for i, h in enumerate(cert.prefix_heights))
+    first = residual_intersection(E, W, 2, rng=1)
+    assert first.retries == 0 and not first.failures
+    assert cert.K == first.K == Ideal(R, [x, y]) and cert.proper
+    assert (cert.cm, cert.height_K) == (first.cm, first.height_K) == (True, 2)
+    monkeypatch.setattr(checks, "RETRY_CAP", 2)
+    with pytest.raises(RetryExhaustedError, match="failed 2 times"):
+        residual_intersection(E, W, 2, rng=0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda E: check_an(E, trials=2),
+        lambda E: verify_balanced(E, 2),
+        verify_pd1_core,
+        lambda E: residual_intersection(E, whole_module(E), 2, None),
+        random_reduction,
+        core_monte_carlo,
+    ],
+    ids=["check_an", "verify_balanced", "verify_pd1_core", "residual_intersection",
+         "random_reduction", "core_monte_carlo"],
+)
+def test_randomized_entry_points_require_a_seed(E_msq, call):
+    with pytest.raises(ModcoreError, match="require a seed"):
+        call(E_msq)
 
 
 def test_check_an_msq(E_msq):

@@ -11,6 +11,7 @@ from modcore.groebner import (
     _ordered_to_vec,
     _syzygy_dicts,
     _vec_to_dict,
+    height,
     intersect,
     normal_form,
     quotient_ideal,
@@ -195,6 +196,28 @@ def test_ext_detects_depth(R4, edge):
     _, z2 = ext_module(E, 2)
     _, z3 = ext_module(E, 3)
     assert not z2 and z3
+
+
+@pytest.mark.parametrize(
+    "gens, zero",
+    [
+        (lambda x, y, z: [x, y], [True, True, False, True, True]),
+        (lambda x, y, z: [x, y, z], [True, True, True, False, True]),
+        (lambda x, y, z: [x * y, x * z, y * z], [True, True, False, True, True]),
+        (lambda x, y, z: [x**2, y**2], [True, True, False, True, True]),
+    ],
+    ids=["xy", "xyz", "xy_xz_yz", "x2_y2"],
+)
+def test_ext_of_cyclic_module_vanishes_below_the_grade(R3, gens, zero):
+    # grade I = min{i : Ext^i(R/I, R) != 0}, and R is Cohen-Macaulay, so the
+    # grade is the height; below pd, Ext^i is read off the kernel of the dual
+    # map, and at i = 0 that kernel is empty (Hom(R/I, R) = 0 for I != 0)
+    I = Ideal(R3, gens(*R3.gens()))
+    M = cyclic_module(R3, I)
+    got = [ext_module(M, i)[1] for i in range(5)]
+    assert got == zero
+    assert got.index(False) == height(I)
+    assert ext_module(M, 0)[0].n == 0
 
 
 def test_fitting_examples(R2, E_msq, E_msq_plus):

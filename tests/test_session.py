@@ -152,6 +152,28 @@ def test_seed_mandatory_for_randomized_tasks():
     assert "seed" in rep.payload["tasks"][0]["value"]["error"]
 
 
+def test_caps_and_ring_variables_named_like_rees_variables():
+    # the ring's own T1, T2 push the Rees variables to TT1..TT3, and a degree
+    # above a cap makes its task inconclusive, not an error
+    src = (
+        "ring R = GF(32003)[T1,T2];\n"
+        "ideal I = (T1^2, T1*T2, T2^2);\n"
+        "module E = ideal I;\n"
+        "task analytic_spread E;\n"
+        "task fiber_ideal E;\n"
+        "task graded_component E 7;\n"
+        "task hilbert I 11;\n"
+    )
+    rep = run_session(parse_session(src))
+    tasks = rep.payload["tasks"]
+    assert [t["status"] for t in tasks] == ["ok", "ok", "inconclusive", "inconclusive"]
+    assert tasks[0]["value"] == 2
+    assert tasks[1]["value"] == ["TT2^2 - TT1*TT3"]
+    assert tasks[2]["value"] == {"cap": "T-degree 7 exceeds the cap 6"}
+    assert tasks[3]["value"] == {"cap": "degree 11 exceeds --max-x-degree 10"}
+    assert rep.exit_code() == 2
+
+
 def test_reduction_number_inconclusive_status():
     src = (
         "ring R = GF(32003)[x,y];\n"
