@@ -22,6 +22,7 @@ from .groebner import Ideal, _multiplicity, height, krull_dimension
 from .modalg import (
     PresentedModule,
     Submodule,
+    _memo,
     colon_into,
     cyclic_module,
     direct_sum,
@@ -359,9 +360,8 @@ def check_ext_vanishing(E: PresentedModule, t_cap: int = DEFAULT_T_CAP) -> ExtVa
             verdicts[j] = "inconclusive"
             ok = False
             continue
-        _, iszero = ext_module(Ej, j + 1)
-        verdicts[j] = iszero
-        if not iszero:
+        verdicts[j] = ext_module(Ej, j + 1)
+        if not verdicts[j]:
             ok = False
     return ExtVanishingReport(ell, e, js, verdicts, ok, vacuous=not js)
 
@@ -377,17 +377,13 @@ class CmReesVerdict:
     note: str = "CM implies (S_2); a non-CM verdict does not refute (S_2)"
 
 
+@_memo
 def check_cm_rees(E: PresentedModule) -> CmReesVerdict:
     """Depth = dim test for R(E) over the ambient polynomial ring on x's and T's,
-    by `_depth_and_dim` on the Rees ideal.  The verdict is cached on the
+    by `_depth_and_dim` on the Rees ideal.  The verdict is computed once per
     module, next to the Rees data it is read from."""
-    cached = E._cache.get("cm_rees")
-    if cached is not None:
-        return cached
     dep, dim = _depth_and_dim(rees_package(E).rees_ideal())
-    verdict = CmReesVerdict(cm=dep == dim, depth=dep, dim=dim)
-    E._cache["cm_rees"] = verdict
-    return verdict
+    return CmReesVerdict(cm=dep == dim, depth=dep, dim=dim)
 
 
 # -- hypothesis report ------------------------------------------------------------------

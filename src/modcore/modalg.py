@@ -9,6 +9,7 @@ resolutions are pruned on term dicts by one routine, `_prune_units`.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations
 
@@ -31,6 +32,35 @@ from .groebner import (
 from .poly import Polynomial, PolyRing, mono_deg, mono_mul
 
 Vector = tuple  # tuple of Polynomial, one per free-module position
+
+
+# -- derived data, computed once per owning object -------------------------------
+
+
+_MISSING = object()  # no memo yet; any value a function returns is a memo
+
+
+def _memo(fn):
+    """Compute fn(obj, *args) once per owner `obj`, and keep the value in
+    obj._cache under fn's name and `args`.  A value found there is returned
+    as it is, whatever it is (False, 0 and [] included)."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def memo(obj, *args):
+        key = (name, args)
+        value = obj._cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = obj._cache[key] = fn(obj, *args)
+        return value
+
+    return memo
+
+
+def _remember(obj, name, value):
+    """Store `value` as the memo of the function called `name` at obj: a
+    value known before anyone asks for it."""
+    obj._cache[(name, ())] = value
 
 
 # -- submodules of free modules, on the kernel in groebner ---------------------
@@ -119,12 +149,9 @@ class PresentedModule:
     def __repr__(self):
         return f"PresentedModule({self.n} gens, {len(self.relations)} relations, degrees {list(self.gen_degrees)})"
 
+    @_memo
     def relation_gb(self):
-        gb = self._cache.get("relgb")
-        if gb is None:
-            gb = module_gb(self.relations, self.ring)
-            self._cache["relgb"] = gb
-        return gb
+        return module_gb(self.relations, self.ring)
 
     def element_is_zero(self, vec) -> bool:
         return module_member(vec, self.relation_gb(), self.ring)
@@ -142,21 +169,18 @@ class PresentedModule:
         v[i] = self.ring.one()
         return tuple(v)
 
+    @_memo
     def hilbert_numerators(self):
         """N_pos for each generator position: the Hilbert numerator of the
         leading monomials of the relation basis there, so that
         HS_E(t) = sum_pos t^gen_degrees[pos] N_pos(t) / (1-t)^n.  E is graded,
         so in(N) has the Hilbert function of the relations N."""
-        numers = self._cache.get("numerators")
-        if numers is None:
-            keyf = _mkeyf(self.ring.order)
-            leads = [[] for _ in self.gen_degrees]
-            for g in self.relation_gb():
-                pos, m = max(g, key=keyf)
-                leads[pos].append(m)
-            numers = [_hilbert_numerator(ms) for ms in leads]
-            self._cache["numerators"] = numers
-        return numers
+        keyf = _mkeyf(self.ring.order)
+        leads = [[] for _ in self.gen_degrees]
+        for g in self.relation_gb():
+            pos, m = max(g, key=keyf)
+            leads[pos].append(m)
+        return [_hilbert_numerator(ms) for ms in leads]
 
     def hilbert_function(self, deg: int) -> int:
         """dim_k E_deg via standard module monomials of the relation basis."""
@@ -257,11 +281,9 @@ def _prune_units(cols, npos, p):
     return kept, [{(renumber[q], m): c for (q, m), c in col.items()} for col in cols if col]
 
 
+@_memo
 def minimal_presentation(E: PresentedModule) -> PresentedModule:
     """Prune unit entries until the presentation is minimal."""
-    cached = E._cache.get("minimal")
-    if cached is not None:
-        return cached
     ring = E.ring
     kept, cols = _prune_units([_vec_to_dict(c) for c in E.relations], E.n, ring.char)
     M = PresentedModule(
@@ -270,8 +292,7 @@ def minimal_presentation(E: PresentedModule) -> PresentedModule:
         [_dict_to_vec(c, ring, len(kept)) for c in cols],
         _validate=False,
     )
-    E._cache["minimal"] = M
-    M._cache["minimal"] = M
+    _remember(M, "minimal_presentation", M)
     return M
 
 
@@ -297,13 +318,11 @@ class FreeResolution:
         return [len(d) for d in self.degrees]
 
 
+@_memo
 def free_resolution(E: PresentedModule) -> FreeResolution:
     """Minimal resolution, built on term dicts: each step takes the syzygies
     of the last map and prunes their units; a unit at position q makes
     column q of the last map redundant, so that column and its degree go."""
-    res = E._cache.get("resolution")
-    if res is not None:
-        return res
     ring = E.ring
     M = minimal_presentation(E)
     degrees = [M.gen_degrees]
@@ -319,9 +338,7 @@ def free_resolution(E: PresentedModule) -> FreeResolution:
         if len(maps) > ring.nvars + 2:
             raise ModcoreError("resolution exceeded the syzygy-theorem bound; bug")
     vec_maps = [[_dict_to_vec(c, ring, len(d)) for c in m] for m, d in zip(maps, degrees)]
-    res = FreeResolution(ring, degrees, vec_maps)
-    E._cache["resolution"] = res
-    return res
+    return FreeResolution(ring, degrees, vec_maps)
 
 
 def projective_dimension(E: PresentedModule) -> int:
@@ -344,26 +361,24 @@ def _transpose_cols(cols, nrows):
     return [tuple(cols[j][i] for j in range(ncols)) for i in range(nrows)]
 
 
-def ext_module(E: PresentedModule, i: int):
-    """Ext^i_R(E, R) as a presented module, plus an is_zero flag."""
+def ext_module(E: PresentedModule, i: int) -> bool:
+    """Whether Ext^i_R(E, R) vanishes."""
     if i < 0:
         raise ModcoreError("Ext index must be nonnegative")
     ring = E.ring
     res = free_resolution(E)
     pd = res.length()
     if i > pd:
-        return PresentedModule(ring, (), ()), True
-    # Ext^i = (kernel of M_{i+1}^T) / (image of M_i^T) inside the dual of F_i,
-    # presented as a submodule of D = F_i^* / image
+        return True
+    # Ext^i = (kernel of M_{i+1}^T) / (image of M_i^T) inside the dual of F_i:
+    # it vanishes when every kernel generator is zero in D = F_i^* / image
     img = _transpose_cols(res.maps[i - 1], len(res.degrees[i - 1])) if i >= 1 else []
     D = PresentedModule(ring, tuple(-d for d in res.degrees[i]), img, _validate=False)
     if i == pd:
         kern = [D.basis_vector(j) for j in range(D.n)]
     else:
         kern = syzygies(_transpose_cols(res.maps[i], D.n), ring, len(res.degrees[i + 1]))
-    if not kern:
-        return PresentedModule(ring, (), ()), True
-    return submodule_presentation(span(D, kern)), all(D.element_is_zero(v) for v in kern)
+    return all(D.element_is_zero(v) for v in kern)
 
 
 # -- Fitting ideals ------------------------------------------------------------------
@@ -411,6 +426,7 @@ def _nonzero_minors(E: PresentedModule, size: int):
                 yield v
 
 
+@_memo
 def fitting_ideal(E: PresentedModule, t: int) -> Ideal:
     """Fitt_t(E): ideal of (n-t)-minors of the presentation matrix."""
     if t < 0:
@@ -476,14 +492,11 @@ class Submodule:
     def __repr__(self):
         return f"Submodule({len(self.gens)} gens of {self.parent!r})"
 
+    @_memo
     def coset_gb(self):
         """Module basis of U + relations; membership modulo the relations.
         `submodule_intersect` stores it with its result."""
-        gb = self._cache.get("gb")
-        if gb is None:
-            gb = module_gb(list(self.gens) + list(self.parent.relations), self.parent.ring)
-            self._cache["gb"] = gb
-        return gb
+        return module_gb(list(self.gens) + list(self.parent.relations), self.parent.ring)
 
     def contains(self, vec) -> bool:
         return module_member(vec, self.coset_gb(), self.parent.ring)
@@ -538,13 +551,10 @@ class Submodule:
         return Ideal(ring, gens)
 
 
+@_memo
 def whole_module(E: PresentedModule) -> Submodule:
-    """E as a submodule of itself, cached on E."""
-    W = E._cache.get("whole")
-    if W is None:
-        W = Submodule(E, [E.basis_vector(i) for i in range(E.n)])
-        E._cache["whole"] = W
-    return W
+    """E as a submodule of itself, one per E."""
+    return Submodule(E, [E.basis_vector(i) for i in range(E.n)])
 
 
 def span(E: PresentedModule, vectors) -> Submodule:
@@ -552,37 +562,33 @@ def span(E: PresentedModule, vectors) -> Submodule:
 
 
 def colon_into(U: Submodule, E: PresentedModule | None = None) -> Ideal:
-    """(U :_R E) = ann(E/U), cached on U.  Uses the ideal route when E came
-    from an ideal."""
-    if E is None:
-        E = U.parent
-    elif E is not U.parent:
+    """(U :_R E) = ann(E/U), computed once per U.  Uses the ideal route when
+    E came from an ideal."""
+    if E is not None and E is not U.parent:
         raise ModcoreError("U is not a submodule of E")
-    K = U._cache.get("colon")
-    if K is None:
-        I = E._cache.get("from_ideal")
-        if I is not None:
-            # E = I and U = J, its image ideal, so ann(E/U) = (J :_R I).  The
-            # ideal colon takes copies of J's basis in R^1; ann(E/U) would
-            # take copies of a basis in R^k, with all the syzygies of I as
-            # extra relations, which is slower and takes more memory on
-            # ideal modules (the residual_an benchmark workload).  Direct
-            # sums and free modules take ann(E/U), over the basis of U +
-            # relations.
-            K = quotient_ideal(U.to_ideal(), I)
-        else:
-            K = _colon_by_free(U.coset_gb(), E.ring, E.n)
-        U._cache["colon"] = K
-    return K
+    return _colon_into(U)
 
 
+@_memo
+def _colon_into(U: Submodule) -> Ideal:
+    E = U.parent
+    I = E._cache.get("from_ideal")
+    if I is not None:
+        # E = I and U = J, its image ideal, so ann(E/U) = (J :_R I).  The
+        # ideal colon takes copies of J's basis in R^1; ann(E/U) would take
+        # copies of a basis in R^k, with all the syzygies of I as extra
+        # relations, which is slower and takes more memory on ideal modules
+        # (the residual_an benchmark workload).  Direct sums and free
+        # modules take ann(E/U), over the basis of U + relations.
+        return quotient_ideal(U.to_ideal(), I)
+    return _colon_by_free(U.coset_gb(), E.ring, E.n)
+
+
+@_memo
 def submodule_presentation(U: Submodule) -> PresentedModule:
-    """U as an abstract module on its generators, cached on U: the relations
-    are the heads of the syzygies of U's generators and the parent's
-    relations."""
-    P = U._cache.get("presentation")
-    if P is not None:
-        return P
+    """U as an abstract module on its generators, computed once per U: the
+    relations are the heads of the syzygies of U's generators and the
+    parent's relations."""
     E = U.parent
     ring = E.ring
     k = len(U.gens)
@@ -592,9 +598,7 @@ def submodule_presentation(U: Submodule) -> PresentedModule:
         if head:
             cols.append(_ordered_to_vec(head, ring, k))
     degrees = tuple(vector_degree(v, E.gen_degrees) for v in U.gens)
-    P = PresentedModule(ring, degrees, cols, _validate=False)
-    U._cache["presentation"] = P
-    return P
+    return PresentedModule(ring, degrees, cols, _validate=False)
 
 
 def submodule_intersect(U1: Submodule, U2: Submodule) -> Submodule:
@@ -611,7 +615,7 @@ def submodule_intersect(U1: Submodule, U2: Submodule) -> Submodule:
     C = Submodule(E, [_ordered_to_vec(d, ring, E.n) for d in basis])
     # the basis spans a module that contains N, so it is also the reduced
     # basis of C's generators and N: C's coset basis
-    C._cache["gb"] = basis
+    _remember(C, "coset_gb", basis)
     return C
 
 
@@ -634,6 +638,7 @@ def ideal_times_submodule(K: Ideal, U: Submodule) -> Submodule:
 # -- torsion -------------------------------------------------------------------------
 
 
+@_memo
 def is_torsionfree(E: PresentedModule) -> bool:
     """True iff the kernel of E -> E_a vanishes, a the fixed maximal minor.
 
@@ -642,18 +647,14 @@ def is_torsionfree(E: PresentedModule) -> bool:
     N the relations: (N :_F a) is the meet of the pairs (a*e_i, e_i) and
     (col, 0), and every element of its basis must reduce to 0 modulo N.
     """
-    cached = E._cache.get("torsionfree")
-    if cached is not None:
-        return cached
+    if E.n == 0 or not E.relations:
+        return True
+    a = first_nonzero_maximal_minor(E)
+    if a.is_constant():
+        return True
     ring = E.ring
-    ans = True
-    if E.n > 0 and E.relations:
-        a = first_nonzero_maximal_minor(E)
-        if not a.is_constant():
-            unit = (0,) * ring.nvars
-            pairs = [({(i, m): c for m, c in a.terms}, {(i, unit): 1}) for i in range(E.n)]
-            pairs += [(_vec_to_dict(col), {}) for col in E.relations]
-            nf = _reducer(E.relation_gb(), ring)
-            ans = not any(nf(v) for v in _meet(pairs, E.n, ring))
-    E._cache["torsionfree"] = ans
-    return ans
+    unit = (0,) * ring.nvars
+    pairs = [({(i, m): c for m, c in a.terms}, {(i, unit): 1}) for i in range(E.n)]
+    pairs += [(_vec_to_dict(col), {}) for col in E.relations]
+    nf = _reducer(E.relation_gb(), ring)
+    return not any(nf(v) for v in _meet(pairs, E.n, ring))

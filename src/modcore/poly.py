@@ -14,6 +14,7 @@ from .errors import ModcoreError, ParseError, RingMismatchError
 from .orders import GrevLex, MonomialOrder
 
 _EXP_LIMIT = 1 << 15  # overflow guard; corpus degrees stay far below this
+_NEST_LIMIT = 100  # parentheses a polynomial may nest; each level costs the parser 3 frames
 
 
 def _is_prime(n: int) -> bool:
@@ -358,6 +359,7 @@ class _PolyParser:
         self.toks = _tokenize(src)
         self.i = 0
         self.ring = ring
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -426,8 +428,12 @@ class _PolyParser:
                 return v ** int(e.text)
             return v
         if t.kind == "OP" and t.text == "(":
+            if self.depth == _NEST_LIMIT:
+                raise ParseError(f"parentheses nested deeper than {_NEST_LIMIT}", col=t.pos + 1)
+            self.depth += 1
             f = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return f
         raise ParseError(f"expected a factor, found {t.text or 'end of input'!r}", col=t.pos + 1)
 

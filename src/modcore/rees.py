@@ -22,6 +22,7 @@ from .groebner import Ideal, hilbert_function, krull_dimension, saturate, _monom
 from .modalg import (
     PresentedModule,
     Submodule,
+    _memo,
     first_nonzero_maximal_minor,
     is_torsionfree,
     mu,
@@ -72,55 +73,44 @@ class ReesPackage:
         self.big_ring = PolyRing(self.ring.char, self.ring.vars + self.tvars)
         self.fiber_ring = PolyRing(self.ring.char, self.tvars)
         self.nx = self.ring.nvars
-        self._sym = None
-        self._rees = None
-        self._fiber = None
-        self._ell = None
-        self._components = {}
+        self._cache = {}
 
     # -- ideals -------------------------------------------------------------
 
+    @_memo
     def sym_ideal(self) -> Ideal:
-        if self._sym is None:
-            big = self.big_ring
-            gens = []
-            for col in self.E.relations:
-                g = big.zero()
-                for i, f in enumerate(col):
-                    if f:
-                        g = g + map_poly(f, big) * big.var(self.nx + i)
-                if g:
-                    gens.append(g)
-            self._sym = Ideal(big, gens)
-        return self._sym
+        big = self.big_ring
+        gens = []
+        for col in self.E.relations:
+            g = big.zero()
+            for i, f in enumerate(col):
+                if f:
+                    g = g + map_poly(f, big) * big.var(self.nx + i)
+            if g:
+                gens.append(g)
+        return Ideal(big, gens)
 
     def inverting_element(self):
         return map_poly(first_nonzero_maximal_minor(self.E), self.big_ring)
 
+    @_memo
     def rees_ideal(self) -> Ideal:
-        if self._rees is None:
-            sym = self.sym_ideal()
-            if sym.is_zero():
-                self._rees = sym
-            else:
-                self._rees = saturate(sym, self.inverting_element())
-        return self._rees
+        sym = self.sym_ideal()
+        return sym if sym.is_zero() else saturate(sym, self.inverting_element())
 
+    @_memo
     def fiber_ideal(self) -> Ideal:
         """Image of the Rees ideal in k[T] under x -> 0."""
-        if self._fiber is None:
-            gens = []
-            for g in self.rees_ideal().groebner_basis():
-                kept = {m: c for m, c in g.terms if not any(m[: self.nx])}
-                if kept:
-                    gens.append(map_poly(self.big_ring.from_dict(kept), self.fiber_ring))
-            self._fiber = Ideal(self.fiber_ring, gens)
-        return self._fiber
+        gens = []
+        for g in self.rees_ideal().groebner_basis():
+            kept = {m: c for m, c in g.terms if not any(m[: self.nx])}
+            if kept:
+                gens.append(map_poly(self.big_ring.from_dict(kept), self.fiber_ring))
+        return Ideal(self.fiber_ring, gens)
 
+    @_memo
     def analytic_spread(self) -> int:
-        if self._ell is None:
-            self._ell = krull_dimension(self.fiber_ideal())
-        return self._ell
+        return krull_dimension(self.fiber_ideal())
 
     # -- T-graded structure ---------------------------------------------------
 
@@ -167,13 +157,12 @@ class ReesPackage:
             raise ModcoreError("graded components are defined for j >= 1")
         if j > t_cap:
             raise CapExceededError(f"T-degree {j} exceeds the cap {t_cap}")
-        cached = self._components.get(j)
-        if cached is None:
-            nmon = len(self.t_monomials(j))
-            degrees = (self.gen_degree * j,) * nmon
-            cached = PresentedModule(self.ring, degrees, self.component_relations(j))
-            self._components[j] = cached
-        return cached
+        return self._component(j)
+
+    @_memo
+    def _component(self, j: int) -> PresentedModule:
+        degrees = (self.gen_degree * j,) * len(self.t_monomials(j))
+        return PresentedModule(self.ring, degrees, self.component_relations(j))
 
     # -- reductions -------------------------------------------------------------
 
@@ -221,12 +210,9 @@ class ReesPackage:
         return quotient is None or krull_dimension(quotient) <= 0
 
 
+@_memo
 def rees_package(E: PresentedModule) -> ReesPackage:
-    rp = E._cache.get("rees")
-    if rp is None:
-        rp = ReesPackage(E)
-        E._cache["rees"] = rp
-    return rp
+    return ReesPackage(E)
 
 
 def sym_ideal(E: PresentedModule) -> Ideal:

@@ -391,26 +391,11 @@ class Spec:
         kinds = self.args + self.optional
         args = [_value(session, kind, a) for kind, a in zip(kinds, task.args)]
         flags = {key: _value(session, self.flags[key], v) for key, v in task.flags.items()}
-        try:
-            return self.run(session, *args, **flags)
-        except _Unseeded:
-            raise ModcoreError(f"task {task.op} is randomized; --seed is mandatory") from None
+        return self.run(session, *args, **flags)
 
 
 def _value(session, kind, token):
     return session.lookup(kind, token) if kind in ("ideal", "module", "submodule") else token
-
-
-class _Unseeded(Exception):
-    """A task drew at random without --seed; its spec names the op."""
-
-
-def _seed(seed):
-    """The seed of a random draw.  --seed is mandatory exactly where a task
-    draws, so every Monte Carlo value in a report carries its seed."""
-    if seed is None:
-        raise _Unseeded
-    return seed
 
 
 def _report_value(value):
@@ -458,12 +443,12 @@ def _run_depth(_, E):
 
 
 def _run_random_reduction(_, E, *, count=None, seed=None):
-    U = random_reduction(E, count=count, rng=_seed(seed))
+    U = random_reduction(E, count=count, rng=seed)
     return {"seed": seed, "gens": U}
 
 
 def _run_reduction_number(session, E, *, submodule=None, max_degree=None, seed=None):
-    U = submodule if submodule is not None else random_reduction(E, rng=_seed(seed))
+    U = submodule if submodule is not None else random_reduction(E, rng=seed)
     if max_degree is None:
         max_degree = session.options["max_t_degree"]
     r = reduction_number(U, E, max_degree)
@@ -473,7 +458,7 @@ def _run_reduction_number(session, E, *, submodule=None, max_degree=None, seed=N
 
 
 def _run_core(_, E, *, samples=12, window=3, seed=None):
-    C, used = core_monte_carlo(E, samples=samples, stabilization_window=window, rng=_seed(seed))
+    C, used = core_monte_carlo(E, samples=samples, stabilization_window=window, rng=seed)
     return {
         "seed": seed,
         "samples": samples,
@@ -483,20 +468,24 @@ def _run_core(_, E, *, samples=12, window=3, seed=None):
     }
 
 
-def _run_residual(_, E, n=1, *, s=None, submodule=None, seed=None):
-    rng = _seed(seed)
+def _run_residual(_, E, n=None, *, s=None, submodule=None, seed=None):
+    """s is the optional argument or --s, not both; 1 when neither is given."""
+    if s is None:
+        s = 1 if n is None else n
+    elif n is not None:
+        raise ModcoreError(f"residual_intersection takes s once, got the argument {n} and --s {s}")
     W = submodule if submodule is not None else whole_module(E)
-    cert = residual_intersection(E, W, n if s is None else s, rng)
+    cert = residual_intersection(E, W, s, seed)
     return {**vars(cert), "seed": seed}
 
 
 def _run_check_an(_, E, *, s=None, trials=10, seed=None):
-    return {"seed": seed, "rows": check_an(E, s=s, trials=trials, rng=_seed(seed))}
+    return {"seed": seed, "rows": check_an(E, s=s, trials=trials, rng=seed)}
 
 
 def _run_free_quotient(_, E, U=None, *, seed=None):
     if U is None:
-        U = random_reduction(E, rng=_seed(seed))
+        U = random_reduction(E, rng=seed)
     return verify_free_quotient(E, U)
 
 
@@ -547,12 +536,12 @@ SPECS = {
     "check_cm_rees": Spec(lambda _, E: check_cm_rees(E), ("module",)),
     "verify_free_quotient": Spec(_run_free_quotient, ("module",), ("submodule",), {"seed": "int"}),
     "verify_balanced": Spec(
-        lambda _, E, *, reductions=6, seed=None: verify_balanced(E, reductions=reductions, rng=_seed(seed)),
+        lambda _, E, *, reductions=6, seed=None: verify_balanced(E, reductions=reductions, rng=seed),
         ("module",),
         flags={"reductions": "int", "seed": "int"},
     ),
     "verify_pd1_core": Spec(
-        lambda _, E, *, seed=None: verify_pd1_core(E, rng=_seed(seed)), ("module",), flags={"seed": "int"}
+        lambda _, E, *, seed=None: verify_pd1_core(E, rng=seed), ("module",), flags={"seed": "int"}
     ),
     "ideal_module_verdicts": Spec(
         _run_ideal_module, ("ideal",), flags={"rank": "int", "mode": ("plus_free", "power_sum")}

@@ -575,6 +575,29 @@ def test_residual_session_takes_one_colon_of_its_module(monkeypatch):
     assert calls.count(of_I) == 1
 
 
+def test_residual_session_takes_each_fitting_ideal_once(monkeypatch):
+    # check_gs(E, s) reads Fitt_1 .. Fitt_(s-1); over 20 residual tasks on two
+    # modules the minors of each (E, size) are listed once, not once per task
+    src = "ring R = GF(32003)[x,y,z];\nideal J = (x*y, x*z, y*z);\nideal C = (x^2, y^2, z^2);\n"
+    src += "module E = ideal J;\nmodule F = ideal C;\n"
+    src += "".join(
+        f"task residual_intersection {name} {s} --seed {seed};\n"
+        for name in "EF" for s in (2, 3) for seed in range(1, 6)
+    )
+    session = parse_session(src)
+    calls = []
+    minors = modalg._nonzero_minors
+
+    def recording(E, size):
+        calls.append((id(E), size))
+        return minors(E, size)
+
+    monkeypatch.setattr(modalg, "_nonzero_minors", recording)
+    report = run_session(session)
+    assert [t["status"] for t in report.payload["tasks"]] == ["ok"] * 20
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 4
+
+
 def test_verify_balanced_kernel_calls(R2, monkeypatch):
     # on a module built here (cold caches): colon and meet results carry
     # their bases, K*E is built once per distinct K, and the fiber test is

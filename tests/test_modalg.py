@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from modcore import groebner
+from modcore import groebner, modalg
 from modcore.errors import ModcoreError
 from modcore.groebner import (
     Ideal,
@@ -18,6 +18,7 @@ from modcore.groebner import (
 )
 from modcore.modalg import (
     PresentedModule,
+    _memo,
     annihilator,
     colon_into,
     cyclic_module,
@@ -29,6 +30,7 @@ from modcore.modalg import (
     free_module,
     free_resolution,
     is_torsionfree,
+    minimal_presentation,
     module_from_ideal,
     module_gb,
     mu,
@@ -40,7 +42,7 @@ from modcore.modalg import (
     syzygies,
     whole_module,
 )
-from modcore.rees import random_reduction
+from modcore.rees import random_reduction, rees_package
 
 from conftest import (
     P,
@@ -180,22 +182,17 @@ def test_depth_zero_module(R2):
 
 def test_ext_examples(R2, E_msq):
     F = free_module(R2, 2)
-    _, z = ext_module(F, 1)
-    assert z
+    assert ext_module(F, 1)
     # Ext^i = 0 for i > pd
-    _, z2 = ext_module(E_msq, 2)
-    assert z2
+    assert ext_module(E_msq, 2)
     # Ext^1(m^2, R) != 0: depth(R/m^2) = 0 forces nonvanishing
-    _, z1 = ext_module(E_msq, 1)
-    assert not z1
+    assert not ext_module(E_msq, 1)
 
 
 def test_ext_detects_depth(R4, edge):
     # pd(edge module) = 2, so Ext^2(E, R) != 0 and Ext^3(E, R) = 0
     E = module_from_ideal(edge)
-    _, z2 = ext_module(E, 2)
-    _, z3 = ext_module(E, 3)
-    assert not z2 and z3
+    assert not ext_module(E, 2) and ext_module(E, 3)
 
 
 @pytest.mark.parametrize(
@@ -214,10 +211,9 @@ def test_ext_of_cyclic_module_vanishes_below_the_grade(R3, gens, zero):
     # map, and at i = 0 that kernel is empty (Hom(R/I, R) = 0 for I != 0)
     I = Ideal(R3, gens(*R3.gens()))
     M = cyclic_module(R3, I)
-    got = [ext_module(M, i)[1] for i in range(5)]
+    got = [ext_module(M, i) for i in range(5)]
     assert got == zero
     assert got.index(False) == height(I)
-    assert ext_module(M, 0)[0].n == 0
 
 
 def test_fitting_examples(R2, E_msq, E_msq_plus):
@@ -811,8 +807,6 @@ def test_module_sites_decode_in_order(R2, R3, seed):
 
 
 def test_fitting_raw_vs_minimalized(R2, msq):
-    from modcore.modalg import minimal_presentation
-
     x, y = R2.gens()
     # non-minimal presentation of m^2 (redundant generator), then minimalize
     E = module_from_ideal(Ideal(R2, [x**2, x * y, y**2, x**2 + y**2]))
@@ -840,3 +834,83 @@ def test_presentation_validation(R2):
 def test_submodule_wrong_length(R2, E_msq):
     with pytest.raises(ModcoreError):
         span(E_msq, [(R2.one(), R2.zero())])
+
+
+# -- the memo of derived module data ------------------------------------------------
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_memo_returns_a_falsy_value_without_recomputing():
+    class Owner:
+        def __init__(self):
+            self._cache = {}
+            self.calls = 0
+
+        @_memo
+        def value(self, i):
+            self.calls += 1
+            return (False, 0, [], None)[i]
+
+    for i, want in enumerate((False, 0, [], None)):
+        owner = Owner()
+        assert owner.value(i) == want and owner.value(i) == want
+        assert owner.calls == 1
+
+
+def test_memo_keeps_a_false_torsion_verdict(R2, monkeypatch):
+    x, y = R2.gens()
+    Q = cyclic_module(R2, Ideal(R2, [x]))  # R/(x) is all torsion
+    meets = _counting(monkeypatch, modalg, "_meet")
+    assert not is_torsionfree(Q) and not is_torsionfree(Q)
+    assert len(meets) == 1
+
+
+def test_memo_keys_on_the_arguments(R2, monkeypatch):
+    x, y = R2.gens()
+    E = module_from_ideal(Ideal(R2, [x**2, x * y, y**2]))
+    minors = _counting(monkeypatch, modalg, "_nonzero_minors")
+    F1, F2 = fitting_ideal(E, 1), fitting_ideal(E, 2)
+    assert fitting_ideal(E, 1) is F1 and fitting_ideal(E, 2) is F2
+    assert F1 != F2 and [size for _, size in minors] == [2, 1]
+
+
+def test_modules_built_apart_from_one_ideal_share_nothing(R2, monkeypatch):
+    x, y = R2.gens()
+    I = Ideal(R2, [x**2, x * y, y**2])
+    E1, E2 = module_from_ideal(I), module_from_ideal(I)
+    minors = _counting(monkeypatch, modalg, "_nonzero_minors")
+    for fn in (minimal_presentation, free_resolution, whole_module, rees_package, lambda E: fitting_ideal(E, 1)):
+        assert fn(E1) is fn(E1) and fn(E1) is not fn(E2)
+    assert fitting_ideal(E1, 1) == fitting_ideal(E2, 1)
+    # each module lists its own minors twice: for Fitt_1 and for the first
+    # maximal minor of its torsion test
+    owners = [id(E) for E, _ in minors]
+    assert owners.count(id(E1)) == owners.count(id(E2)) == 2 == len(minors) / 2
+
+
+def test_prefilled_memos_are_hits(R2, monkeypatch):
+    x, y = R2.gens()
+    E = module_from_ideal(Ideal(R2, [x**2, x * y, y**2, x**2 + y**2]))
+    prunes = _counting(monkeypatch, modalg, "_prune_units")
+    M = minimal_presentation(E)
+    assert minimal_presentation(M) is M and minimal_presentation(E) is M
+    assert len(prunes) == 1
+    # the meet of submodule_intersect is its result's coset basis
+    U1 = span(E, [E.basis_vector(0), E.basis_vector(1)])
+    U2 = span(E, [E.basis_vector(1), E.basis_vector(2)])
+    C = submodule_intersect(U1, U2)
+    bases = _counting(monkeypatch, modalg, "module_gb")
+    assert C.coset_gb() == module_gb(list(C.gens) + list(E.relations), R2)
+    assert bases == []  # the reference basis is built through this module's name

@@ -304,6 +304,36 @@ def test_out_of_range_count_is_an_error_entry(line, message):
     assert rep.exit_code() == 4
 
 
+@pytest.mark.parametrize(
+    "declaration",
+    ["ideal J = (x, {poly});", "submodule V = span(E; [{poly}, 0, 0]);"],
+    ids=["ideal", "span_vector"],
+)
+def test_deeply_nested_parentheses_are_a_parse_error(tmp_path, declaration):
+    # the parser recurses once per level; past its fixed limit the nesting
+    # is a ParseError at its line, never a RecursionError
+    poly = "(" * 400 + "x^2" + ")" * 400
+    src = _HEADER + declaration.format(poly=poly) + "\n"
+    with pytest.raises(ParseError, match=r"parentheses nested deeper than 100 at col 101 at line 5$"):
+        parse_session(src)
+    out = _cli_run(tmp_path, src)
+    assert out.returncode == 4 and "Traceback" not in out.stderr
+    assert "nested deeper than 100" in out.stderr and "line 5" in out.stderr
+    shallow = "(" * 100 + "x^2" + ")" * 100
+    parse_session(_HEADER + declaration.format(poly=shallow) + "\n")
+
+
+def test_residual_s_is_the_argument_or_the_flag_not_both():
+    tasks = ["task residual_intersection E 2 --seed 3;", "task residual_intersection E --s 2 --seed 3;",
+             "task residual_intersection E 1 --s 2 --seed 3;"]
+    rep = run_session(parse_session(_HEADER + "\n".join(tasks) + "\n"))
+    positional, flag, both = rep.payload["tasks"]
+    assert positional["status"] == flag["status"] == "ok"
+    assert positional["value"] == flag["value"] and flag["value"]["s"] == 2
+    assert both["status"] == "error" and rep.exit_code() == 4
+    assert both["value"]["error"] == "ModcoreError: residual_intersection takes s once, got the argument 1 and --s 2"
+
+
 def test_unbalanced_close_paren_is_named_at_its_line():
     src = "ring R = GF(32003)[x,y];\nideal I = (x));\ntask height I;\n"
     with pytest.raises(ParseError, match=r"^unbalanced '\)' at line 2$"):
