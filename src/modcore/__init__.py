@@ -4,11 +4,10 @@ polynomial rings, with an exact Groebner-basis kernel over GF(p)."""
 __version__ = "0.1.0"
 
 from .errors import ModcoreError, ParseError
-from .orders import BlockOrder, GrevLex, Lex, WeightedGrevLex, monomial_cmp
+from .orders import BlockOrder, GrevLex
 from .poly import PolyRing, Polynomial, parse_poly, render_poly
 from .groebner import (
     Ideal,
-    eliminate,
     height,
     hilbert_function,
     ideal_membership,
@@ -22,7 +21,6 @@ from .modalg import (
     FreeResolution,
     PresentedModule,
     Submodule,
-    annihilator,
     colon_into,
     cyclic_module,
     depth,

@@ -347,7 +347,12 @@ class ExtVanishingReport:
 
 
 def check_ext_vanishing(E: PresentedModule, t_cap: int = DEFAULT_T_CAP) -> ExtVanishingReport:
-    """Ext^{j+1}(E^j, R) = 0 for 1 <= j <= ell-e-1 (vacuous when the range is empty)."""
+    """Ext^{j+1}(E^j, R) = 0 for 1 <= j <= ell-e-1 (vacuous when the range is empty).
+
+    This reading checks one index per j, j + 1.  It is not the condition
+    Polini-Ulrich put on ideals, depth R/I^j >= d - g - j + 1, which asks
+    for Ext^i(R/I^j, R) = 0 at every i above g + j - 1; that condition is
+    not checked here."""
     ell = analytic_spread(E)
     e = rank(E)
     js = list(range(1, ell - e))
@@ -404,7 +409,7 @@ class HypothesisReport:
     ok: bool
 
 
-def hypothesis_report(E: PresentedModule, label: str = "E") -> HypothesisReport:
+def hypothesis_report(E: PresentedModule) -> HypothesisReport:
     """The Theorem-4.2-style hypothesis suite for the balanced-core check."""
     e = rank(E)
     ell = analytic_spread(E)
@@ -415,7 +420,7 @@ def hypothesis_report(E: PresentedModule, label: str = "E") -> HypothesisReport:
     tf = is_torsionfree(E)
     ok = gs.ok and ext.ok and cm.cm and tf
     return HypothesisReport(
-        module=label,
+        module="E",
         e=e,
         ell=ell,
         d=E.ring.nvars,

@@ -624,19 +624,6 @@ def saturate(J: Ideal, f: Polynomial) -> Ideal:
     return _saturate_rabinowitsch(J, f)
 
 
-def eliminate(I: Ideal, keep) -> Ideal:
-    """I cap GF(p)[kept variables], returned as an ideal of the same ring."""
-    ring = I.ring
-    keep_idx = set()
-    for v in keep:
-        keep_idx.add(ring.var_index(v) if isinstance(v, str) else int(v))
-    drop = tuple(i for i in range(ring.nvars) if i not in keep_idx)
-    if not drop:
-        return Ideal(ring, I.gens)
-    basis = _ideal_basis(I.gens, elimination_order(ring.nvars, drop), ring)
-    return Ideal(ring, [g for g in basis if all(m[i] == 0 for m, _ in g.terms for i in drop)])
-
-
 # -- dimension, height, Hilbert function ------------------------------------------
 
 

@@ -31,8 +31,6 @@ from .groebner import (
 )
 from .poly import Polynomial, PolyRing, mono_deg, mono_mul
 
-Vector = tuple  # tuple of Polynomial, one per free-module position
-
 
 # -- derived data, computed once per owning object -------------------------------
 
@@ -314,9 +312,6 @@ class FreeResolution:
     def length(self) -> int:
         return len(self.maps)
 
-    def betti(self):
-        return [len(d) for d in self.degrees]
-
 
 @_memo
 def free_resolution(E: PresentedModule) -> FreeResolution:
@@ -442,6 +437,7 @@ def fitting_ideal(E: PresentedModule, t: int) -> Ideal:
     return Ideal(ring, gens.values())
 
 
+@_memo
 def first_nonzero_maximal_minor(E: PresentedModule) -> Polynomial:
     """The fixed inverting element of Fitt_e(E): first nonzero (n-e)-minor in
     lexicographic (rows, cols) subset order."""
@@ -462,11 +458,6 @@ def _colon_by_free(basis, ring, n) -> Ideal:
     R^n: one colon by the unit vectors."""
     unit = (0,) * ring.nvars
     return _colon([{(i, unit): 1} for i in range(n)], basis, ring, n)
-
-
-def annihilator(E: PresentedModule) -> Ideal:
-    """(relations :_R span(e_1, ..., e_n)): one colon over the relation basis."""
-    return _colon_by_free(E.relation_gb(), E.ring, E.n)
 
 
 class Submodule:

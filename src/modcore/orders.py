@@ -22,10 +22,6 @@ class MonomialOrder:
     def key(self, m: Mono) -> tuple:
         raise NotImplementedError
 
-    def cmp(self, a: Mono, b: Mono) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
 
 @dataclass(frozen=True)
 class GrevLex(MonomialOrder):
@@ -33,27 +29,6 @@ class GrevLex(MonomialOrder):
 
     def key(self, m: Mono) -> tuple:
         return (sum(m), *(-e for e in reversed(m)))
-
-
-@dataclass(frozen=True)
-class Lex(MonomialOrder):
-    def key(self, m: Mono) -> tuple:
-        return tuple(m)
-
-
-@dataclass(frozen=True)
-class WeightedGrevLex(MonomialOrder):
-    """Weighted degree first, grevlex tie-break.  Weights strictly positive."""
-
-    weights: tuple
-
-    def __post_init__(self):
-        if not self.weights or any(w <= 0 for w in self.weights):
-            raise OrderError("weights must be strictly positive")
-
-    def key(self, m: Mono) -> tuple:
-        wd = sum(w * e for w, e in zip(self.weights, m))
-        return (wd, *(-e for e in reversed(m)))
 
 
 @dataclass(frozen=True)
@@ -98,10 +73,3 @@ def elimination_order(nvars: int, drop: tuple) -> BlockOrder:
     if not dropset or not keep:
         raise OrderError("elimination needs a proper nonempty block")
     return BlockOrder((tuple(sorted(dropset)), keep))
-
-
-def monomial_cmp(m1: Mono, m2: Mono, order: MonomialOrder) -> int:
-    """-1, 0 or 1 as m1 <, =, > m2 in the given order."""
-    if len(m1) != len(m2):
-        raise OrderError(f"exponent vectors of unequal length: {len(m1)} vs {len(m2)}")
-    return order.cmp(tuple(m1), tuple(m2))

@@ -47,10 +47,6 @@ def mono_div(a, b):
     return tuple(out)
 
 
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def mono_deg(m):
     return sum(m)
 
@@ -113,9 +109,6 @@ class PolyRing:
 
     def gens(self):
         return [self.var(i) for i in range(self.nvars)]
-
-    def monomial(self, m, c: int = 1) -> Polynomial:
-        return self.from_dict({tuple(m): c})
 
     def from_dict(self, d: dict) -> Polynomial:
         p = self.char

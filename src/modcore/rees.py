@@ -35,6 +35,7 @@ from .poly import PolyRing, map_poly, substitute
 
 DEFAULT_T_CAP = 6
 RETRY_CAP = 32
+STABILIZATION_WINDOW = 3  # unchanged draws in a row that end core_monte_carlo
 
 
 def _rng(seed):
@@ -321,16 +322,15 @@ def _row_echelon(rows, width, p):
     return list(zip(pivots, rows))
 
 
-def core_monte_carlo(E: PresentedModule, samples: int = 12, stabilization_window: int = 3, rng=None):
-    """Intersection of successive random minimal reductions.
+def core_monte_carlo(E: PresentedModule, samples: int = 12, rng=None):
+    """Intersection of successive random minimal reductions, stopped once
+    STABILIZATION_WINDOW draws in a row leave it unchanged.
 
     Returns (submodule, samples_used).  The value is a Monte Carlo upper
     approximation of core(E) unless a theorem route confirms it.
     """
-    if stabilization_window < 1:
-        raise ModcoreError(f"core_monte_carlo needs stabilization_window >= 1, got {stabilization_window}")
-    if samples < stabilization_window:
-        raise ModcoreError("samples must be at least the stabilization window")
+    if samples < STABILIZATION_WINDOW:
+        raise ModcoreError(f"core_monte_carlo needs samples >= {STABILIZATION_WINDOW}, got {samples}")
     rng = _rng(rng)
     rp = rees_package(E)
     if rp.analytic_spread() == mu(E):
@@ -346,6 +346,6 @@ def core_monte_carlo(E: PresentedModule, samples: int = 12, stabilization_window
         else:
             stable = 0
             current = nxt
-        if stable >= stabilization_window:
+        if stable >= STABILIZATION_WINDOW:
             return current, k
     raise RetryExhaustedError(f"core failed to stabilize within {samples} samples")

@@ -65,6 +65,7 @@ from .checks import (
 )
 
 SCHEMA_VERSION = 1
+_EXCERPT = 40  # characters of a polynomial that a parse error in it quotes
 
 
 @dataclass
@@ -279,7 +280,15 @@ def _parse_poly_at(src, ring, line):
     try:
         return parse_poly(src, ring)
     except ParseError as exc:
-        raise ParseError(f"in polynomial {src!r}: {exc}", line) from None
+        raise ParseError(f"in polynomial {_excerpt(src, exc.col)!r}: {exc}", line) from None
+
+
+def _excerpt(src, col):
+    """At most _EXCERPT characters of `src` around column `col` (1-based, or
+    None for the start), with '...' on each side that is cut."""
+    start = max(0, min((col or 1) - 1 - _EXCERPT // 2, len(src) - _EXCERPT))
+    end = start + _EXCERPT
+    return ("..." if start else "") + src[start:end] + ("..." if end < len(src) else "")
 
 
 def _module_expr(body, session, line):
@@ -457,8 +466,8 @@ def _run_reduction_number(session, E, *, submodule=None, max_degree=None, seed=N
     return {"r": r.value, "seed": seed, "max_degree": max_degree}
 
 
-def _run_core(_, E, *, samples=12, window=3, seed=None):
-    C, used = core_monte_carlo(E, samples=samples, stabilization_window=window, rng=seed)
+def _run_core(_, E, *, samples=12, seed=None):
+    C, used = core_monte_carlo(E, samples=samples, rng=seed)
     return {
         "seed": seed,
         "samples": samples,
@@ -524,7 +533,7 @@ SPECS = {
         ("module",),
         flags={"submodule": "submodule", "max_degree": "int", "seed": "int"},
     ),
-    "core": Spec(_run_core, ("module",), flags={"samples": "int", "window": "int", "seed": "int"}),
+    "core": Spec(_run_core, ("module",), flags={"samples": "int", "seed": "int"}),
     "check_gs": Spec(lambda _, E, s: check_gs(E, s), ("module", "int")),
     "residual_intersection": Spec(
         _run_residual, ("module",), ("int",), {"s": "int", "submodule": "submodule", "seed": "int"}

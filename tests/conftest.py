@@ -7,8 +7,9 @@ import random
 
 import pytest
 
-from modcore.groebner import Ideal, _monomials_of_degree
+from modcore.groebner import Ideal, _ideal_basis, _monomials_of_degree
 from modcore.modalg import PresentedModule, direct_sum, free_module, module_from_ideal
+from modcore.orders import elimination_order
 from modcore.poly import PolyRing
 
 P = 32003
@@ -196,7 +197,7 @@ def ideal_degree_basis(I, deg):
         if gd > deg:
             continue
         for m in monomials_of_degree(ring.nvars, deg - gd):
-            shifted = ring.monomial(m) * g
+            shifted = ring.from_dict({m: 1}) * g
             rows.append(poly_coeff_vector(shifted, monos))
     return rows, monos
 
@@ -217,7 +218,7 @@ def submodule_degree_basis(vectors, gen_degrees, ring, deg):
         if vd is None or vd > deg:
             continue
         for m in monomials_of_degree(ring.nvars, deg - vd):
-            shift = ring.monomial(m)
+            shift = ring.from_dict({m: 1})
             row = [0] * len(cells)
             for pos, f in enumerate(v):
                 if f:
@@ -250,3 +251,15 @@ def random_homogeneous_poly(ring, rng, deg, nterms=3):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def eliminate(I, keep):
+    """Oracle: I cap GF(p)[kept variables], an ideal of the same ring, read
+    off the reduced basis under an order that eliminates the other variables."""
+    ring = I.ring
+    keep_idx = {ring.var_index(v) for v in keep}
+    drop = tuple(i for i in range(ring.nvars) if i not in keep_idx)
+    if not drop:
+        return Ideal(ring, I.gens)
+    basis = _ideal_basis(I.gens, elimination_order(ring.nvars, drop), ring)
+    return Ideal(ring, [g for g in basis if all(m[i] == 0 for m, _ in g.terms for i in drop)])

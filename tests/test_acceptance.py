@@ -104,7 +104,7 @@ def test_criterion_03_msq_core_identities(R2, msq, E_msq):
             assert K == m
             assert K * msq == m3
             assert K * J == m3
-        core, _ = core_monte_carlo(E_msq, samples=12, stabilization_window=3, rng=42)
+        core, _ = core_monte_carlo(E_msq, samples=12, rng=42)
         assert core.to_ideal() == m3
         assert core == ideal_times_module(m, E_msq)
         F = fitting_ideal(E_msq, 2)
@@ -116,7 +116,7 @@ def test_criterion_04_module_core_formula(R2, E_msq_plus):
     with budget(4, 120, "m^2+R(-2): core = Fitt_3(E)E = (x,y)E = (U:E)E = (U:E)U, 5 seeds"):
         x, y = R2.gens()
         m = Ideal(R2, [x, y])
-        core, _ = core_monte_carlo(E_msq_plus, samples=8, stabilization_window=3, rng=4)
+        core, _ = core_monte_carlo(E_msq_plus, samples=8, rng=4)
         F = fitting_ideal(E_msq_plus, 3)
         assert F == m
         mE = ideal_times_module(m, E_msq_plus)

@@ -373,7 +373,7 @@ def test_free_quotient_hilbert_oracle(R2, E_msq):
 
 
 def test_hypothesis_report_fields(E_H_plus):
-    rep = hypothesis_report(E_H_plus, "E")
+    rep = hypothesis_report(E_H_plus)
     assert rep.ok and rep.e == 2 and rep.ell == 4 and rep.d == 4
     assert "finite projective dimension" in rep.orientability
     d = _report_value(rep)

@@ -24,7 +24,7 @@ from modcore.modalg import (
     projective_dimension,
     vector_degree,
 )
-from modcore.poly import PolyRing, mono_div, mono_lcm
+from modcore.poly import PolyRing, mono_div
 
 from conftest import P, random_homogeneous_poly, random_poly, seeded
 
@@ -58,9 +58,9 @@ def _random_graded_module(rng):
 
 def _spoly(f, g):
     ring = f.ring
-    L = mono_lcm(f.lm(), g.lm())
-    mf = ring.monomial(mono_div(L, f.lm()), pow(f.lc(), -1, ring.char))
-    mg = ring.monomial(mono_div(L, g.lm()), pow(g.lc(), -1, ring.char))
+    L = tuple(map(max, f.lm(), g.lm()))
+    mf = ring.from_dict({mono_div(L, f.lm()): pow(f.lc(), -1, ring.char)})
+    mg = ring.from_dict({mono_div(L, g.lm()): pow(g.lc(), -1, ring.char)})
     return mf * f - mg * g
 
 

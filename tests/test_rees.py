@@ -5,13 +5,12 @@ import random
 
 import pytest
 
-from modcore import groebner
+from modcore import groebner, modalg
 from modcore.errors import DegreeMixError, ModcoreError
 from modcore.groebner import (
     Ideal,
     _ideal_basis,
     _monomials_of_degree,
-    eliminate,
     hilbert_function,
     ideal_membership,
     krull_dimension,
@@ -44,7 +43,7 @@ from modcore.rees import (
     sym_ideal,
 )
 
-from conftest import generic_cokernel
+from conftest import eliminate, generic_cokernel
 
 
 
@@ -75,6 +74,22 @@ def test_sym_ideal_koszul(R2):
     T1, T2 = big.var(2), big.var(3)
     xb, yb = big.var(0), big.var(1)
     assert S == Ideal(big, [xb * T2 - yb * T1])
+
+
+def test_rees_ideal_expands_the_maximal_minors_once(R2, msq, monkeypatch):
+    # the torsion check and the saturation take the same first nonzero
+    # maximal minor: the minors of a module are expanded once
+    built = []
+    minor_fn = modalg._minor_fn
+
+    def counting(cols, ring):
+        built.append(len(cols))
+        return minor_fn(cols, ring)
+
+    monkeypatch.setattr(modalg, "_minor_fn", counting)
+    E = module_from_ideal(Ideal(R2, msq.gens))
+    assert not rees_package(E).rees_ideal().is_zero()
+    assert built == [2]
 
 
 def test_sym_ideal_msq_rows(E_msq):
@@ -378,7 +393,7 @@ def test_reduction_tests_reject_a_submodule_of_another_module(R2, E_msq):
 
 def test_core_monte_carlo_msq(R2, E_msq, msq):
     x, y = R2.gens()
-    C, used = core_monte_carlo(E_msq, samples=12, stabilization_window=3, rng=42)
+    C, used = core_monte_carlo(E_msq, samples=12, rng=42)
     m = Ideal(R2, [x, y])
     # classical value: core(m^2) = m^3
     assert C == ideal_times_module(m, E_msq)
@@ -395,12 +410,12 @@ def test_core_monte_carlo_msq(R2, E_msq, msq):
 
 
 def test_core_no_proper_reductions(E_H):
-    C, used = core_monte_carlo(E_H, samples=6, stabilization_window=3, rng=1)
+    C, used = core_monte_carlo(E_H, samples=6, rng=1)
     assert C == whole_module(E_H)
 
 
 def test_core_contained_in_sampled_reductions(E_msq):
-    C, _ = core_monte_carlo(E_msq, samples=12, stabilization_window=3, rng=9)
+    C, _ = core_monte_carlo(E_msq, samples=12, rng=9)
     for seed in (21, 22, 23):
         U = random_reduction(E_msq, rng=seed)
         for g in C.gens:
@@ -409,7 +424,7 @@ def test_core_contained_in_sampled_reductions(E_msq):
 
 def test_core_msq_plus_free(R2, E_msq_plus):
     x, y = R2.gens()
-    C, _ = core_monte_carlo(E_msq_plus, samples=8, stabilization_window=3, rng=7)
+    C, _ = core_monte_carlo(E_msq_plus, samples=8, rng=7)
     assert C == ideal_times_module(Ideal(R2, [x, y]), E_msq_plus)
 
 

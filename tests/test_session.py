@@ -257,6 +257,7 @@ _HEADER = (
         ("task core E --seed;", r"flag --seed needs a value"),  # flag with no value
         ("task core E --seed --samples 4;", r"flag --seed needs a value"),
         ("task core E --seed 1 --seed 2;", r"flag --seed given twice"),
+        ("task core E --window 3 --seed 1;", r"task core has no flag --window"),  # a fixed window of 3
     ],
 )
 def test_malformed_task_line_is_a_parse_error_at_its_line(line, message):
@@ -273,7 +274,7 @@ def test_malformed_task_line_is_a_parse_error_at_its_line(line, message):
         ("task check_an E --trials 0 --seed 1;", r"check_an needs trials >= 1, got 0"),
         ("task check_an E --s 0 --seed 1;", r"check_an needs s >= rank\(E\) = 1, got s = 0"),
         ("task reduction_number E --max-degree -1 --seed 1;", r"reduction_number needs max_degree >= 0, got -1"),
-        ("task core E --window 0 --seed 1;", r"core_monte_carlo needs stabilization_window >= 1, got 0"),
+        ("task core E --samples 2 --seed 1;", r"core_monte_carlo needs samples >= 3, got 2"),
         ("task verify_balanced E --reductions 0 --seed 1;", r"verify_balanced needs reductions >= 1, got 0"),
         # a submodule of F = (x, y) against E = m^2, and U against F
         (
@@ -321,6 +322,20 @@ def test_deeply_nested_parentheses_are_a_parse_error(tmp_path, declaration):
     assert "nested deeper than 100" in out.stderr and "line 5" in out.stderr
     shallow = "(" * 100 + "x^2" + ")" * 100
     parse_session(_HEADER + declaration.format(poly=shallow) + "\n")
+
+
+def test_polynomial_parse_errors_quote_a_short_excerpt():
+    # a long polynomial is quoted only around the faulty column; the message
+    # still names the column and the line
+    deep = "(" * 5000 + "x^2" + ")" * 5000
+    long_sum = "x + " * 100 + "* y"
+    for poly, tail, col in ((deep, "((((...'", 101), (long_sum, "+ x + * y'", 401)):
+        with pytest.raises(ParseError) as exc:
+            parse_session(_HEADER + f"ideal J = (x, {poly});\n")
+        message = str(exc.value)
+        assert len(message) < 200
+        assert "in polynomial '..." in message and tail in message
+        assert message.endswith(f" at col {col} at line 5")
 
 
 def test_residual_s_is_the_argument_or_the_flag_not_both():
