@@ -29,7 +29,6 @@ from .modalg import (
     fitting_ideal,
     free_module,
     free_resolution,
-    ideal_times_module,
     ideal_times_submodule,
     is_torsionfree,
     module_from_ideal,
@@ -42,7 +41,6 @@ from .modalg import (
     whole_module,
 )
 from .rees import (
-    ReesPackage,
     analytic_spread,
     core_monte_carlo,
     fiber_ideal,
@@ -51,7 +49,6 @@ from .rees import (
     random_reduction,
     reduction_number,
     rees_ideal,
-    rees_package,
     sym_ideal,
 )
 from .checks import (

@@ -29,7 +29,6 @@ from .modalg import (
     ext_module,
     fitting_ideal,
     free_module,
-    ideal_times_module,
     ideal_times_submodule,
     is_torsionfree,
     minimal_presentation,
@@ -51,7 +50,7 @@ from .rees import (
     graded_component,
     random_reduction,
     reduction_number,
-    rees_package,
+    rees_ideal,
     _rng,
 )
 
@@ -387,7 +386,7 @@ def check_cm_rees(E: PresentedModule) -> CmReesVerdict:
     """Depth = dim test for R(E) over the ambient polynomial ring on x's and T's,
     by `_depth_and_dim` on the Rees ideal.  The verdict is computed once per
     module, next to the Rees data it is read from."""
-    dep, dim = _depth_and_dim(rees_package(E).rees_ideal())
+    dep, dim = _depth_and_dim(rees_ideal(E))
     return CmReesVerdict(cm=dep == dim, depth=dep, dim=dim)
 
 
@@ -519,7 +518,7 @@ def verify_balanced(E: PresentedModule, reductions: int, rng=None) -> BalancedRe
     for U, K in zip(Us, Ks):
         KE = next((KE for K0, KE in KEs if K0 == K), None)
         if KE is None:
-            KE = ideal_times_module(K, E)
+            KE = ideal_times_submodule(K, whole_module(E))
             KEs.append((K, KE))
         products.append(KE == ideal_times_submodule(K, U))
     products_equal = all(products)
@@ -579,13 +578,13 @@ def verify_pd1_core(E: PresentedModule, rng=None) -> Pd1CoreVerdict:
     bound = ell - e
     U = random_reduction(E, rng=rng)
     r = reduction_number(U, E)
-    if pd != 1 or not tf or not gs.ok or not r.exact or r.value > bound:
+    if pd != 1 or not tf or not gs.ok or r is None or r > bound:
         return Pd1CoreVerdict(
             status="hypotheses-unmet",
             pd=pd,
             torsionfree=tf,
             gs_ok=gs.ok,
-            r_value=r.value if r.exact else None,
+            r_value=r,
             r_bound=bound,
             fitting_equals_core=None,
             colons_equal_fitting=None,
@@ -593,7 +592,7 @@ def verify_pd1_core(E: PresentedModule, rng=None) -> Pd1CoreVerdict:
         )
     F = fitting_ideal(E, ell)
     core, _ = core_monte_carlo(E, rng=rng)
-    fit_core = ideal_times_module(F, E) == core
+    fit_core = ideal_times_submodule(F, whole_module(E)) == core
     colons_ok = True
     for _ in range(COLON_SAMPLES):
         Ui = random_reduction(E, rng=rng)
@@ -605,7 +604,7 @@ def verify_pd1_core(E: PresentedModule, rng=None) -> Pd1CoreVerdict:
         pd=pd,
         torsionfree=tf,
         gs_ok=gs.ok,
-        r_value=r.value,
+        r_value=r,
         r_bound=bound,
         fitting_equals_core=fit_core,
         colons_equal_fitting=colons_ok,

@@ -610,14 +610,6 @@ def submodule_intersect(U1: Submodule, U2: Submodule) -> Submodule:
     return C
 
 
-def ideal_times_module(K: Ideal, E: PresentedModule) -> Submodule:
-    gens = []
-    for f in K.gens:
-        for i in range(E.n):
-            gens.append(tuple(f if k == i else E.ring.zero() for k in range(E.n)))
-    return Submodule(E, gens)
-
-
 def ideal_times_submodule(K: Ideal, U: Submodule) -> Submodule:
     gens = []
     for f in K.gens:

@@ -219,6 +219,11 @@ class Polynomial:
         self._check(other)
         if not self.terms or not other.terms:
             return self.ring.zero()
+        # a constant factor keeps the other's terms in order: no re-sort
+        if len(other.terms) == 1 and not any(other.terms[0][0]):
+            return self.scale(other.terms[0][1])
+        if len(self.terms) == 1 and not any(self.terms[0][0]):
+            return other.scale(self.terms[0][1])
         p = self.ring.char
         d = {}
         for m1, c1 in self.terms:

@@ -461,9 +461,9 @@ def _run_reduction_number(session, E, *, submodule=None, max_degree=None, seed=N
     if max_degree is None:
         max_degree = session.options["max_t_degree"]
     r = reduction_number(U, E, max_degree)
-    if not r.exact:
+    if r is None:
         raise CapExceededError(json.dumps({"max_degree": max_degree}))
-    return {"r": r.value, "seed": seed, "max_degree": max_degree}
+    return {"r": r, "seed": seed, "max_degree": max_degree}
 
 
 def _run_core(_, E, *, samples=12, seed=None):

@@ -18,7 +18,6 @@ from modcore.groebner import Ideal, height, ideal_membership, quotient_ideal
 from modcore.modalg import (
     colon_into,
     fitting_ideal,
-    ideal_times_module,
     ideal_times_submodule,
     module_from_ideal,
     mu,
@@ -31,7 +30,6 @@ from modcore.rees import (
     random_reduction,
     reduction_number,
     rees_ideal,
-    rees_package,
     sym_ideal,
 )
 from modcore.checks import (
@@ -106,10 +104,10 @@ def test_criterion_03_msq_core_identities(R2, msq, E_msq):
             assert K * J == m3
         core, _ = core_monte_carlo(E_msq, samples=12, rng=42)
         assert core.to_ideal() == m3
-        assert core == ideal_times_module(m, E_msq)
+        assert core == ideal_times_submodule(m, whole_module(E_msq))
         F = fitting_ideal(E_msq, 2)
         assert F == m
-        assert ideal_times_module(F, E_msq) == core
+        assert ideal_times_submodule(F, whole_module(E_msq)) == core
 
 
 def test_criterion_04_module_core_formula(R2, E_msq_plus):
@@ -119,14 +117,14 @@ def test_criterion_04_module_core_formula(R2, E_msq_plus):
         core, _ = core_monte_carlo(E_msq_plus, samples=8, rng=4)
         F = fitting_ideal(E_msq_plus, 3)
         assert F == m
-        mE = ideal_times_module(m, E_msq_plus)
+        mE = ideal_times_submodule(m, whole_module(E_msq_plus))
         assert core == mE
-        assert ideal_times_module(F, E_msq_plus) == mE
+        assert ideal_times_submodule(F, whole_module(E_msq_plus)) == mE
         for seed in range(5):
             U = random_reduction(E_msq_plus, rng=2000 + seed)
             K = colon_into(U, E_msq_plus)
             assert K == m
-            assert ideal_times_module(K, E_msq_plus) == mE
+            assert ideal_times_submodule(K, whole_module(E_msq_plus)) == mE
             assert ideal_times_submodule(K, U) == mE
 
 
@@ -140,8 +138,7 @@ def test_criterion_05_theorem_45_corpus(H, E_H, E_H_plus):
             U = random_reduction(E_H, rng=300 + seed)
             J = U.to_ideal()
             assert J * H == H * H          # the stated oracle: r_U(H) <= 1
-            r = reduction_number(U, E_H)
-            assert r.exact and r.value == 0
+            assert reduction_number(U, E_H) == 0
         assert check_cm_rees(E_H).cm
         assert check_gs(E_H_plus, 3).ok
         ext = check_ext_vanishing(E_H_plus)
@@ -213,12 +210,11 @@ def test_criterion_10_linear_type_checks(R2, E_msq):
         EK = module_from_ideal(Ideal(R2, [x, y]))
         assert rees_ideal(EK) == sym_ideal(EK)
         assert rees_ideal(free_module(R2, 3)).is_zero()
-        rp = rees_package(E_msq)
-        big = rp.big_ring
+        big = rees_ideal(E_msq).ring
         T1, T2, T3 = big.var(2), big.var(3), big.var(4)
         extra = T1 * T3 - T2**2
-        S = rp.sym_ideal() + Ideal(big, [extra])
-        R = rp.rees_ideal()
+        S = sym_ideal(E_msq) + Ideal(big, [extra])
+        R = rees_ideal(E_msq)
         assert ideal_membership(extra, R)
         for g in S.gens:
             assert ideal_membership(g, R)

@@ -14,7 +14,7 @@ from modcore.modalg import (
     direct_sum,
     fitting_ideal,
     free_module,
-    ideal_times_module,
+    ideal_times_submodule,
     module_from_ideal,
     projective_dimension,
     rank,
@@ -22,7 +22,7 @@ from modcore.modalg import (
     whole_module,
 )
 from modcore.poly import PolyRing
-from modcore.rees import analytic_spread, core_monte_carlo, random_reduction, rees_package
+from modcore.rees import analytic_spread, core_monte_carlo, random_reduction, rees_ideal
 from modcore.session import _report_value, parse_session, run_session
 from modcore.checks import (
     _depth_and_dim,
@@ -280,7 +280,7 @@ def _no_resolution(E):
 
 def test_cm_certificate_needs_no_resolution(monkeypatch, H, E_H, E_minors43):
     monkeypatch.setattr(checks, "projective_dimension", _no_resolution)
-    for K in (H, rees_package(E_H).rees_ideal(), rees_package(E_minors43).rees_ideal()):
+    for K in (H, rees_ideal(E_H), rees_ideal(E_minors43)):
         d = krull_dimension(K)
         assert _depth_and_dim(K) == (d, d)
 
@@ -489,7 +489,7 @@ def test_balanced_internal_consistency(E_msq, E_msq_plus):
     for E, seed in ((E_msq, 71), (E_msq_plus, 72)):
         rep = verify_balanced(E, reductions=5, rng=seed)
         if rep.status == "ok" and rep.independent:
-            KE = ideal_times_module(rep.K_values[0], E)
+            KE = ideal_times_submodule(rep.K_values[0], whole_module(E))
             for s in range(3):
                 V = random_reduction(E, rng=900 + seed + s)
                 for g in KE.gens:
@@ -531,7 +531,7 @@ def test_balanced_nontrivial_boundary_case(R3, minors43, E_minors43):
     assert pd1.fitting_equals_core and pd1.colons_equal_fitting
     assert pd1.fitting_ideal == m
     core, _ = core_monte_carlo(E_minors43, rng=17)
-    assert core == ideal_times_module(m, E_minors43)
+    assert core == ideal_times_submodule(m, whole_module(E_minors43))
 
 
 def test_residual_intersection_reuses_the_last_prefix_colon(E_msq, monkeypatch):

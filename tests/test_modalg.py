@@ -1,6 +1,8 @@
 """Presented modules: syzygies, resolutions, Ext, Fitting ideals, colons."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
@@ -41,7 +43,7 @@ from modcore.modalg import (
     syzygies,
     whole_module,
 )
-from modcore.rees import random_reduction, rees_package
+from modcore.rees import random_reduction, rees_ideal
 
 from conftest import (
     P,
@@ -890,12 +892,26 @@ def test_memo_keys_on_the_arguments(R2, monkeypatch):
     assert F1 != F2 and [size for _, size in minors] == [2, 1]
 
 
+def test_memoized_functions_have_distinct_names():
+    # the memo key is the function's name, so two memoized functions of one
+    # name would return each other's values on a shared owner
+    names = []
+    for path in sorted(Path(modalg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(d, ast.Name) and d.id == "_memo" for d in node.decorator_list
+            ):
+                names.append(node.name)
+    assert len(names) >= 18  # the Rees data and the module data
+    assert len(names) == len(set(names)), sorted({n for n in names if names.count(n) > 1})
+
+
 def test_modules_built_apart_from_one_ideal_share_nothing(R2, monkeypatch):
     x, y = R2.gens()
     I = Ideal(R2, [x**2, x * y, y**2])
     E1, E2 = module_from_ideal(I), module_from_ideal(I)
     minors = _counting(monkeypatch, modalg, "_nonzero_minors")
-    for fn in (minimal_presentation, free_resolution, whole_module, rees_package, lambda E: fitting_ideal(E, 1)):
+    for fn in (minimal_presentation, free_resolution, whole_module, rees_ideal, lambda E: fitting_ideal(E, 1)):
         assert fn(E1) is fn(E1) and fn(E1) is not fn(E2)
     assert fitting_ideal(E1, 1) == fitting_ideal(E2, 1)
     # each module lists its own minors twice: for Fitt_1 and for the first

@@ -1,4 +1,4 @@
-"""Rees packages: symmetric vs Rees ideals, fibers, spreads, components,
+"""Rees data: symmetric vs Rees ideals, fibers, spreads, components,
 reductions, reduction numbers, Monte Carlo cores."""
 
 import random
@@ -6,7 +6,7 @@ import random
 import pytest
 
 from modcore import groebner, modalg
-from modcore.errors import DegreeMixError, ModcoreError
+from modcore.errors import DegreeMixError, ModcoreError, TorsionError
 from modcore.groebner import (
     Ideal,
     _ideal_basis,
@@ -17,9 +17,11 @@ from modcore.groebner import (
     quotient_ideal,
 )
 from modcore.modalg import (
+    cyclic_module,
     direct_sum,
     free_module,
-    ideal_times_module,
+    first_nonzero_maximal_minor,
+    ideal_times_submodule,
     module_from_ideal,
     mu,
     rank,
@@ -29,8 +31,9 @@ from modcore.modalg import (
 from modcore.poly import PolyRing, map_poly
 from modcore.rees import (
     DEFAULT_T_CAP,
-    ReductionNumber,
     _row_echelon,
+    _scalar_coords,
+    _t_monomials,
     analytic_spread,
     core_monte_carlo,
     fiber_ideal,
@@ -39,7 +42,6 @@ from modcore.rees import (
     random_reduction,
     reduction_number,
     rees_ideal,
-    rees_package,
     sym_ideal,
 )
 
@@ -70,7 +72,7 @@ def test_sym_ideal_koszul(R2):
     x, y = R2.gens()
     E = module_from_ideal(Ideal(R2, [x, y]))
     S = sym_ideal(E)
-    big = rees_package(E).big_ring
+    big = S.ring
     T1, T2 = big.var(2), big.var(3)
     xb, yb = big.var(0), big.var(1)
     assert S == Ideal(big, [xb * T2 - yb * T1])
@@ -88,16 +90,15 @@ def test_rees_ideal_expands_the_maximal_minors_once(R2, msq, monkeypatch):
 
     monkeypatch.setattr(modalg, "_minor_fn", counting)
     E = module_from_ideal(Ideal(R2, msq.gens))
-    assert not rees_package(E).rees_ideal().is_zero()
+    assert not rees_ideal(E).is_zero()
     assert built == [2]
 
 
 def test_sym_ideal_msq_rows(E_msq):
-    rp = rees_package(E_msq)
-    big = rp.big_ring
+    big = sym_ideal(E_msq).ring
     x, y = big.var(0), big.var(1)
     T1, T2, T3 = big.var(2), big.var(3), big.var(4)
-    assert rp.sym_ideal() == Ideal(big, [y * T1 - x * T2, y * T2 - x * T3])
+    assert sym_ideal(E_msq) == Ideal(big, [y * T1 - x * T2, y * T2 - x * T3])
 
 
 def test_rees_free_module_is_zero(R2):
@@ -111,13 +112,12 @@ def test_rees_koszul_linear_type(R2):
 
 
 def test_rees_msq_adds_one_quadric(E_msq):
-    rp = rees_package(E_msq)
-    big = rp.big_ring
+    R = rees_ideal(E_msq)
+    big = R.ring
     x, y = big.var(0), big.var(1)
     T1, T2, T3 = big.var(2), big.var(3), big.var(4)
     expected_extra = T1 * T3 - T2**2
-    R = rp.rees_ideal()
-    S = rp.sym_ideal() + Ideal(big, [expected_extra])
+    S = sym_ideal(E_msq) + Ideal(big, [expected_extra])
     assert R == S
     # two-way membership, spelled out
     assert ideal_membership(expected_extra, R)
@@ -127,8 +127,7 @@ def test_rees_msq_adds_one_quadric(E_msq):
 
 def test_rees_msq_matches_elimination_oracle(msq, E_msq):
     oracle = rees_ideal_by_elimination(msq)
-    rp = rees_package(E_msq)
-    ours = rp.rees_ideal()
+    ours = rees_ideal(E_msq)
     # same ring layout (x, y, T1..T3), so compare directly
     assert Ideal(oracle.ring, [map_poly(g, oracle.ring) for g in ours.groebner_basis()]) == oracle
 
@@ -142,12 +141,11 @@ def test_rees_edge_matches_elimination_oracle(edge, E_edge):
 def test_rees_block_order_gb_statement(E_msq):
     # the three binomials form a reduced basis of the Rees ideal; verified by
     # membership plus Hilbert-function agreement with the saturation up to 6
-    rp = rees_package(E_msq)
-    big = rp.big_ring
+    R = rees_ideal(E_msq)
+    big = R.ring
     x, y = big.var(0), big.var(1)
     T1, T2, T3 = big.var(2), big.var(3), big.var(4)
     claimed = Ideal(big, [y * T1 - x * T2, y * T2 - x * T3, T1 * T3 - T2**2])
-    R = rp.rees_ideal()
     for g in claimed.gens:
         assert ideal_membership(g, R)
     for d in range(7):
@@ -159,12 +157,12 @@ def test_rees_msq_reduced_gb_under_block_order(E_msq):
     # the two symmetric relations plus the fiber quadric (up to monic scaling)
     from modcore.orders import BlockOrder
 
-    rp = rees_package(E_msq)
-    big = rp.big_ring
+    R = rees_ideal(E_msq)
+    big = R.ring
     x, y = big.var(0), big.var(1)
     T1, T2, T3 = big.var(2), big.var(3), big.var(4)
     order = BlockOrder(((2, 3, 4), (0, 1)))
-    gb = set(_ideal_basis(rp.rees_ideal().gens, order, big))
+    gb = set(_ideal_basis(R.gens, order, big))
     keyf = order.key
     expected = set()
     for f in (y * T1 - x * T2, y * T2 - x * T3, T1 * T3 - T2**2):
@@ -194,7 +192,38 @@ def test_fiber_requires_common_degree(R2, msq):
     x, y = R2.gens()
     mixed = module_from_ideal(Ideal(R2, [x, y**2]))
     with pytest.raises(DegreeMixError):
-        rees_package(mixed)
+        rees_ideal(mixed)
+
+
+_REES_ENTRY_POINTS = {
+    "sym_ideal": sym_ideal,
+    "rees_ideal": rees_ideal,
+    "fiber_ideal": fiber_ideal,
+    "analytic_spread": analytic_spread,
+    "graded_component": lambda E: graded_component(E, 0),
+    "is_reduction": lambda E: is_reduction(span(free_module(E.ring, E.n), []), E),
+    "reduction_number": lambda E: reduction_number(span(E, []), E),
+    "random_reduction": lambda E: random_reduction(E, count=1, rng=1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_REES_ENTRY_POINTS))
+def test_rees_preconditions_come_first_in_a_fixed_order(R2, entry):
+    # every Rees datum checks E first: nonzero, then rank > 0, then
+    # torsion-free, then one generator degree; a module that breaks two
+    # conditions reports the earlier one, before any check of j or of U
+    x, y = R2.gens()
+    torsion = cyclic_module(R2, Ideal(R2, [x]))
+    cases = [
+        (free_module(R2, 0), ModcoreError, "^Rees data of the zero module is not defined$"),
+        (direct_sum(torsion, torsion, twist=1), ModcoreError, r"^Rees machinery needs rank\(E\) > 0$"),
+        (direct_sum(torsion, free_module(R2, 1), twist=1), TorsionError,
+         "^module has torsion; quotient the torsion submodule first$"),
+        (module_from_ideal(Ideal(R2, [x, y**2])), DegreeMixError, "^generators must sit in one common degree$"),
+    ]
+    for E, error, message in cases:
+        with pytest.raises(error, match=message):
+            _REES_ENTRY_POINTS[entry](E)
 
 
 def test_spread_bounds_on_corpus(E_msq, E_edge, E_H, E_msq_plus, E_edge_plus, E_H_plus):
@@ -344,16 +373,14 @@ def test_random_reduction_edge_plus_free(E_edge_plus):
 
 
 def test_reduction_number_trivial(E_msq):
-    r = reduction_number(whole_module(E_msq), E_msq)
-    assert r.exact and r.value == 0
+    assert reduction_number(whole_module(E_msq), E_msq) == 0
 
 
 def test_reduction_number_msq_oracle(R2, E_msq, msq):
     x, y = R2.gens()
     one, zero = R2.one(), R2.zero()
     U = span(E_msq, [(one, zero, zero), (zero, zero, one)])
-    r = reduction_number(U, E_msq)
-    assert r.exact and r.value == 1
+    assert reduction_number(U, E_msq) == 1
     # oracle: m^4 = (x^2, y^2) * m^2 but m^2 != (x^2, y^2), as ideal identities
     J = Ideal(R2, [x**2, y**2])
     assert J * msq == msq * msq
@@ -367,15 +394,13 @@ def test_reduction_number_twisted_cubic(H, E_H):
         U = random_reduction(E_H, rng=100 + seed)
         UJ = U.to_ideal()
         assert UJ * H == H * H
-        r = reduction_number(U, E_H)
-        assert r.exact and r.value == 0
+        assert reduction_number(U, E_H) == 0
 
 
 def test_reduction_number_inconclusive_flag(R2, E_msq):
     one, zero = R2.one(), R2.zero()
     U = span(E_msq, [(one, zero, zero)])  # not a reduction: never covers
-    r = reduction_number(U, E_msq, max_degree=2)
-    assert not r.exact and r.value is None and r.max_degree == 2
+    assert reduction_number(U, E_msq, max_degree=2) is None
 
 
 def test_reduction_tests_reject_a_submodule_of_another_module(R2, E_msq):
@@ -396,7 +421,7 @@ def test_core_monte_carlo_msq(R2, E_msq, msq):
     C, used = core_monte_carlo(E_msq, samples=12, rng=42)
     m = Ideal(R2, [x, y])
     # classical value: core(m^2) = m^3
-    assert C == ideal_times_module(m, E_msq)
+    assert C == ideal_times_submodule(m, whole_module(E_msq))
     m3 = Ideal(R2, [x**3, x**2 * y, x * y**2, y**3])
     assert C.to_ideal() == m3
     # oracle: Theorem-1.1-style products (J : I) * J over 8 seeded reductions
@@ -425,7 +450,7 @@ def test_core_contained_in_sampled_reductions(E_msq):
 def test_core_msq_plus_free(R2, E_msq_plus):
     x, y = R2.gens()
     C, _ = core_monte_carlo(E_msq_plus, samples=8, rng=7)
-    assert C == ideal_times_module(Ideal(R2, [x, y]), E_msq_plus)
+    assert C == ideal_times_submodule(Ideal(R2, [x, y]), whole_module(E_msq_plus))
 
 
 def test_core_prints_the_same_generators_for_every_seed(E_msq):
@@ -440,8 +465,7 @@ def test_reduction_number_edge_ideal_cross_route(edge, E_edge):
     # minimal reductions J of the edge ideal, J*I = I^2 with J != I, so r = 1
     for seed in (1, 2, 3):
         U = random_reduction(E_edge, rng=seed)
-        r = reduction_number(U, E_edge)
-        assert r.exact and r.value == 1
+        assert reduction_number(U, E_edge) == 1
         J = U.to_ideal()
         assert J * edge == edge * edge
         assert J != edge
@@ -452,14 +476,14 @@ def test_rees_independent_of_inverting_element(E_msq, msq):
     from modcore.groebner import saturate
     from modcore.modalg import fitting_ideal
 
-    rp = rees_package(E_msq)
     other = None
     for g in fitting_ideal(E_msq, rank(E_msq)).gens:
-        if g != rp.inverting_element():
+        if g != first_nonzero_maximal_minor(E_msq):
             other = g
             break
     assert other is not None
-    assert saturate(rp.sym_ideal(), map_poly(other, rp.big_ring)) == rp.rees_ideal()
+    S = sym_ideal(E_msq)
+    assert saturate(S, map_poly(other, S.ring)) == rees_ideal(E_msq)
 
 
 def test_ideal_product_keeps_each_distinct_product_once(minors43, E_minors43):
@@ -482,7 +506,7 @@ def test_polini_ulrich_core_msq(R2, msq, E_msq, seed):
     # core(I) = J^(r+1) : I^r (Polini-Ulrich, Math. Ann. 331) with r = 1:
     # (J^2 : m^2) = m^3, the core that the msq_core golden pins
     U = random_reduction(E_msq, rng=seed)
-    assert reduction_number(U, E_msq).value == 1
+    assert reduction_number(U, E_msq) == 1
     J = U.to_ideal()
     assert quotient_ideal(J * J, msq) == Ideal(R2, list(R2.gens())) * msq
 
@@ -490,7 +514,7 @@ def test_polini_ulrich_core_msq(R2, msq, E_msq, seed):
 def test_polini_ulrich_core_boundary_cubics(R3, minors43, E_minors43):
     # r = 2: (J^3 : I^2) = (x, y, z) * I, the boundary_cubics core
     U = random_reduction(E_minors43, rng=5)
-    assert reduction_number(U, E_minors43).value == 2
+    assert reduction_number(U, E_minors43) == 2
     J = U.to_ideal()
     assert quotient_ideal(J * J * J, minors43 * minors43) == Ideal(R3, list(R3.gens())) * minors43
 
@@ -515,12 +539,13 @@ def test_big_colon_is_one_kernel_call(R3, minors43, E_minors43, monkeypatch):
     assert counts["nf_dict"] <= 400
 
 
-def _gb_is_reduction(rp, U):
+def _gb_is_reduction(E, U):
     """Reference fiber criterion: a Groebner basis of Fib + L in all of k[T],
     L the linear forms with the constant parts of U's generators."""
-    units = [g.lm() for g in rp.fiber_ring.gens()]
-    images = [rp.fiber_ring.from_dict({u: f.constant_coeff() for u, f in zip(units, v) if f}) for v in U.gens]
-    return krull_dimension(rp.fiber_ideal() + Ideal(rp.fiber_ring, images)) <= 0
+    fib = fiber_ideal(E)
+    units = [g.lm() for g in fib.ring.gens()]
+    images = [fib.ring.from_dict({u: f.constant_coeff() for u, f in zip(units, v) if f}) for v in U.gens]
+    return krull_dimension(fib + Ideal(fib.ring, images)) <= 0
 
 
 def _fiber_draws(E, rng, count):
@@ -558,33 +583,38 @@ def test_linear_fiber_test_matches_groebner_route(name, request):
     # row reduction plus a basis in the free variables only gives the verdict
     # of a basis of Fib + L in all of k[T], on every draw
     E = request.getfixturevalue(name)
-    rp = rees_package(E)
     verdicts = []
     for U in _fiber_draws(E, random.Random(f"fiber:{name}"), 216):
-        verdicts.append(rp.is_reduction(U))
-        assert verdicts[-1] == _gb_is_reduction(rp, U), U.gens
+        verdicts.append(is_reduction(U, E))
+        assert verdicts[-1] == _gb_is_reduction(E, U), U.gens
     assert True in verdicts and False in verdicts
 
 
-def _rank_reduction_number(rp, U, max_degree=DEFAULT_T_CAP):
+def _t_degree(g, nx):
+    """T-degree of the leading monomial of g in R[T], R on nx variables."""
+    return sum(g.lm()[nx:])
+
+
+def _rank_reduction_number(E, U, max_degree=DEFAULT_T_CAP):
     """Reference reduction number by dense rank tests over GF(p): U * E^r =
     E^(r+1) iff the scalar parts of the Rees relations of T-degree r + 1 and
     of U * T^beta, |beta| = r, span all T-monomials of degree r + 1 (graded
     Nakayama).  The next piece must then be covered too."""
-    p = rp.ring.char
-    lams = [rp._scalar_coords(v) for v in U.gens]
-    nT = len(rp.tvars)
+    p = E.ring.char
+    nx = E.ring.nvars
+    lams = [_scalar_coords(v) for v in U.gens]
+    nT = E.n
 
     def piece_is_covered(r):
-        basis = {m: i for i, m in enumerate(rp.t_monomials(r + 1))}
+        basis = {m: i for i, m in enumerate(_t_monomials(E, r + 1))}
         cols = []
-        for g in rp.rees_ideal().groebner_basis():
-            if any(g.lm()[: rp.nx]):
+        for g in rees_ideal(E).groebner_basis():
+            if any(g.lm()[:nx]):
                 continue  # positive x-degree: no scalar part
-            t = rp._tdeg(g)
+            t = _t_degree(g, nx)
             if t > r + 1:
                 continue
-            tonly = {m[rp.nx:]: c for m, c in g.terms}
+            tonly = {m[nx:]: c for m, c in g.terms}
             for beta in _monomials_of_degree(nT, r + 1 - t):
                 col = [0] * len(basis)
                 for tm, c in tonly.items():
@@ -604,8 +634,8 @@ def _rank_reduction_number(rp, U, max_degree=DEFAULT_T_CAP):
     for r in range(max_degree + 1):
         if piece_is_covered(r):
             assert piece_is_covered(r + 1)
-            return ReductionNumber(r, True, max_degree)
-    return ReductionNumber(None, False, max_degree)
+            return r
+    return None
 
 
 @pytest.mark.parametrize("name", ["E_msq", "E_msq_plus", "E_edge", "E_tri", "E_H", "E_minors43", "E_coker53"])
@@ -615,14 +645,13 @@ def test_reduction_number_matches_rank_route(name, request):
     # the one with non-constant entries.  No reduction here has r > 2, and
     # the dense pieces of T-degree 5 to 7 would take a minute on the cokernel.
     E = request.getfixturevalue(name)
-    rp = rees_package(E)
     values = set()
     for k, U in enumerate(_fiber_draws(E, random.Random(f"rank:{name}"), 36)):
         if k % 6 == 5:
             continue
         r = reduction_number(U, E, max_degree=3)
-        assert r == _rank_reduction_number(rp, U, max_degree=3), U.gens
-        values.add(r.value)
+        assert r == _rank_reduction_number(E, U, max_degree=3), U.gens
+        values.add(r)
     assert None in values and len(values) > 1
 
 
@@ -634,4 +663,4 @@ def test_reduction_number_is_ell_minus_e_on_generic_cokernels(nvars, n, r):
     assert analytic_spread(E) - rank(E) == r
     for seed in range(3):
         U = random_reduction(E, rng=seed)
-        assert reduction_number(U, E) == ReductionNumber(r, True, DEFAULT_T_CAP)
+        assert reduction_number(U, E) == r
