@@ -64,6 +64,22 @@ def _height_at_least(I: Ideal, bound: int) -> bool:
     return I.is_unit() or height(I) >= bound
 
 
+def _colon_height(E: PresentedModule, elems) -> tuple:
+    """(height, is unit) of (span(elems) :_R E), without the colon when E is
+    an ideal I and J = (elems) has height len(elems).  Then J is a complete
+    intersection, hence unmixed (Bruns-Herzog, Cohen-Macaulay Rings, Thm
+    2.1.6), so J : I is R when I <= J and has height exactly len(elems)
+    otherwise (the linkage setting of Huneke-Ulrich, Residual
+    intersections, 1988).  Any other E or J takes the colon."""
+    I = E._cache.get("from_ideal")
+    if I is not None:
+        J = span(E, elems).to_ideal()
+        if height(J) == len(elems):
+            return (E.ring.nvars + 1, True) if I <= J else (len(elems), False)
+    K = colon_into(span(E, elems), E)
+    return height(K), K.is_unit()
+
+
 # -- G_s ---------------------------------------------------------------------------
 
 
@@ -206,6 +222,8 @@ def residual_intersection(
     """
     rng = _rng(rng)
     e = rank(E)
+    if s < e:
+        raise ModcoreError(f"residual_intersection needs s >= rank(E) = {e}, got s = {s}")
     KW = colon_into(W, E)
     htW = height(KW)
     if htW < s:
@@ -220,9 +238,14 @@ def residual_intersection(
         prefix_heights = []
         ok = True
         for i in range(s + 1):
-            Ki = colon_into(span(E, elems[:i]), E)
-            prefix_heights.append(height(Ki))
-            if not _height_at_least(Ki, i - e + 1):
+            if i < s:
+                h, unit = _colon_height(E, elems[:i])
+            else:
+                K = colon_into(span(E, elems), E)  # (a_1..a_s :_R E)
+                h, unit = height(K), K.is_unit()
+            prefix_heights.append(h)
+            # a unit colon passes vacuously, as in _height_at_least
+            if not (unit or h >= i - e + 1):
                 failures.append((attempt, f"prefix {i}"))
                 ok = False
                 break
@@ -233,8 +256,8 @@ def residual_intersection(
                 for S in combinations(range(s), m):
                     if S == tuple(range(m)):
                         continue  # prefix, already checked
-                    KS = colon_into(span(E, [elems[v] for v in S]), E)
-                    if not _height_at_least(KS, m - e + 1):
+                    h, unit = _colon_height(E, [elems[v] for v in S])
+                    if not (unit or h >= m - e + 1):
                         failures.append((attempt, f"subset {list(S)}"))
                         ok = False
                         break
@@ -244,7 +267,6 @@ def residual_intersection(
             failures.append((attempt, "generator drop"))
             ok = False
         if ok:
-            K = Ki  # the last prefix colon, (a_1..a_s :_R E)
             proper = not K.is_unit()
             if proper:
                 dep, dim = _depth_and_dim(K)

@@ -1,6 +1,7 @@
 """Theorem checkers: G_s, residual intersections, AN_s, Ext vanishing,
 CM Rees rings, free quotients, balanced equivalences, ideal modules."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -108,6 +109,13 @@ def test_residual_intersection_twisted_cubic_improper(E_H):
     cert = residual_intersection(E_H, whole_module(E_H), 3, rng=7)
     assert not cert.proper
     assert cert.height_K >= 3
+
+
+def test_residual_intersection_needs_s_at_least_the_rank(R2):
+    # s < e elements cannot cut a rank-e module to a residual intersection
+    F = free_module(R2, 2)
+    with pytest.raises(ModcoreError, match=r"s >= rank\(E\) = 2, got s = 1"):
+        residual_intersection(F, whole_module(F), 1, rng=1)
 
 
 def test_residual_intersection_requires_height(E_msq):
@@ -534,9 +542,7 @@ def test_balanced_nontrivial_boundary_case(R3, minors43, E_minors43):
     assert core == ideal_times_submodule(m, whole_module(E_minors43))
 
 
-def test_residual_intersection_reuses_the_last_prefix_colon(E_msq, monkeypatch):
-    # one colon for (W : E), one per prefix a_1..a_i (i = 0..s), one per
-    # non-prefix subset; K is the last prefix colon, not a second computation
+def _count_colons(monkeypatch):
     calls = []
     colon = checks.colon_into
 
@@ -545,13 +551,67 @@ def test_residual_intersection_reuses_the_last_prefix_colon(E_msq, monkeypatch):
         return colon(*args)
 
     monkeypatch.setattr(checks, "colon_into", counting)
+    return calls
+
+
+def test_residual_intersection_reuses_the_last_prefix_colon(E_msq, monkeypatch):
+    # an ideal module takes two colons: (W : E), and K = (a_1..a_s : E), the
+    # last prefix; every other prefix and subset of the draw is a complete
+    # intersection whose colon height is read without computing it
+    calls = _count_colons(monkeypatch)
+    cert = residual_intersection(E_msq, whole_module(E_msq), 2, rng=11)
+    assert cert.retries == 0 and cert.prefix_heights == [0, 1, 2]
+    assert len(calls) == 2
+    assert cert.K == colon_into(span(E_msq, cert.elements), E_msq)
+
+
+def test_residual_intersection_of_a_direct_sum_takes_every_colon(E_msq_plus, monkeypatch):
+    # m^2 + R(-2) is no ideal: one colon for (W : E), one per prefix
+    # a_1..a_i (i = 0..s), one per non-prefix subset; K is the last prefix
+    # colon, not a second computation
+    calls = _count_colons(monkeypatch)
     s = 2
-    cert = residual_intersection(E_msq, whole_module(E_msq), s, rng=11)
+    cert = residual_intersection(E_msq_plus, whole_module(E_msq_plus), s, rng=11)
     assert cert.retries == 0
-    e = rank(E_msq)
+    e = rank(E_msq_plus)
+    assert s == e == 2
     subsets = sum(comb(s, m) - 1 for m in range(1, s + 1) if m - e + 1 > 0)
     assert len(calls) == 1 + (s + 1) + subsets
-    assert cert.K == colon(span(E_msq, cert.elements), E_msq)
+    assert cert.K == colon_into(span(E_msq_plus, cert.elements), E_msq_plus)
+
+
+_ORACLE_IDEALS = {
+    "m^2": (("x", "y"), lambda x, y: [x**2, x * y, y**2]),
+    "(xy,xz,yz)": (("x", "y", "z"), lambda x, y, z: [x * y, x * z, y * z]),
+    "H": (("x0", "x1", "x2", "x3"), lambda x0, x1, x2, x3: [x1 * x3 - x2**2, x0 * x3 - x1 * x2, x0 * x2 - x1**2]),
+    "boundary cubics": (("x", "y", "z"), lambda x, y, z: [x**3, x**2 * y, x * y**2 - x**2 * z, y**3 - 2 * x * y * z]),
+    "square edge": (("x1", "x2", "x3", "x4"), lambda x1, x2, x3, x4: [x1 * x2, x2 * x3, x3 * x4, x1 * x4]),
+    "(x^2,y^2,z^2)": (("x", "y", "z"), lambda x, y, z: [x**2, y**2, z**2]),
+}
+
+
+@pytest.mark.parametrize("p", [P, 3])
+@pytest.mark.parametrize("name", list(_ORACLE_IDEALS))
+def test_residual_colon_heights_match_the_colons(name, p, monkeypatch):
+    # oracle: on every prefix and subset of a draw of s = 1..d+1 elements,
+    # the (height, unit) that _colon_height reads off a complete
+    # intersection J is that of the colon J : I itself
+    names, gens = _ORACLE_IDEALS[name]
+    R = PolyRing(p, names)
+    E = module_from_ideal(Ideal(R, gens(*R.gens())))
+    calls = _count_colons(monkeypatch)
+    routes = set()
+    rng = seeded(p + len(names))
+    for s in range(1, R.nvars + 2):
+        elems, _ = checks._random_elements(whole_module(E), s, rng)
+        for m in range(s + 1):
+            for S in combinations(elems, m):
+                before = len(calls)
+                h, unit = checks._colon_height(E, list(S))
+                routes.add("colon" if len(calls) > before else "shortcut")
+                K = colon_into(span(E, list(S)), E)
+                assert (h, unit) == (height(K), K.is_unit()), (name, p, s, m)
+    assert routes == {"shortcut", "colon"}
 
 
 def test_residual_session_takes_one_colon_of_its_module(monkeypatch):

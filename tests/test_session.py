@@ -349,6 +349,14 @@ def test_residual_s_is_the_argument_or_the_flag_not_both():
     assert both["value"]["error"] == "ModcoreError: residual_intersection takes s once, got the argument 1 and --s 2"
 
 
+def test_residual_s_below_the_rank_is_an_error_entry():
+    src = "ring R = GF(32003)[x,y];\nmodule F = free 2;\ntask residual_intersection F 1 --seed 1;\n"
+    rep = run_session(parse_session(src))
+    (task,) = rep.payload["tasks"]
+    assert task["status"] == "error" and rep.exit_code() == 4
+    assert task["value"]["error"] == "ModcoreError: residual_intersection needs s >= rank(E) = 2, got s = 1"
+
+
 def test_unbalanced_close_paren_is_named_at_its_line():
     src = "ring R = GF(32003)[x,y];\nideal I = (x));\ntask height I;\n"
     with pytest.raises(ParseError, match=r"^unbalanced '\)' at line 2$"):
