@@ -22,6 +22,7 @@ from .groebner import Ideal, _multiplicity, height, krull_dimension
 from .modalg import (
     PresentedModule,
     Submodule,
+    _ideal_images,
     _memo,
     colon_into,
     cyclic_module,
@@ -64,19 +65,22 @@ def _height_at_least(I: Ideal, bound: int) -> bool:
     return I.is_unit() or height(I) >= bound
 
 
-def _colon_height(E: PresentedModule, elems) -> tuple:
-    """(height, is unit) of (span(elems) :_R E), without the colon when E is
-    an ideal I and J = (elems) has height len(elems).  Then J is a complete
-    intersection, hence unmixed (Bruns-Herzog, Cohen-Macaulay Rings, Thm
-    2.1.6), so J : I is R when I <= J and has height exactly len(elems)
-    otherwise (the linkage setting of Huneke-Ulrich, Residual
-    intersections, 1988).  Any other E or J takes the colon."""
+def _colon_height(E: PresentedModule, elems, images, S) -> tuple:
+    """(height, is unit) of (span(a_j : j in S) :_R E) for the elements a_j
+    in `elems`, without the colon when E is an ideal I and J = (a_j : j in
+    S) has height |S|.  Then J is a complete intersection, hence unmixed
+    (Bruns-Herzog, Cohen-Macaulay Rings, Thm 2.1.6), so J : I is R when
+    I <= J and has height exactly |S| otherwise (the linkage setting of
+    Huneke-Ulrich, Residual intersections, 1988).  `images` are the
+    elements' images in I (`modalg._ideal_images`), None when E is not an
+    ideal.  Any other E or J takes the colon."""
+    S = list(S)
     I = E._cache.get("from_ideal")
     if I is not None:
-        J = span(E, elems).to_ideal()
-        if height(J) == len(elems):
-            return (E.ring.nvars + 1, True) if I <= J else (len(elems), False)
-    K = colon_into(span(E, elems), E)
+        J = Ideal(E.ring, [images[j] for j in S])
+        if height(J) == len(S):
+            return (E.ring.nvars + 1, True) if I <= J else (len(S), False)
+    K = colon_into(span(E, [elems[j] for j in S]), E)
     return height(K), K.is_unit()
 
 
@@ -232,14 +236,17 @@ def residual_intersection(
     if not gs.ok:
         raise ModcoreError(f"E is not G_{s} (fails at t = {gs.failing_t})")
 
+    from_ideal = "from_ideal" in E._cache
     failures = []
     for attempt in range(RETRY_CAP):
         elems, coords = _random_elements(W, s, rng)
+        # each element's image in I, expanded once for every J it is in
+        images = _ideal_images(E, elems) if from_ideal else None
         prefix_heights = []
         ok = True
         for i in range(s + 1):
             if i < s:
-                h, unit = _colon_height(E, elems[:i])
+                h, unit = _colon_height(E, elems, images, range(i))
             else:
                 K = colon_into(span(E, elems), E)  # (a_1..a_s :_R E)
                 h, unit = height(K), K.is_unit()
@@ -256,7 +263,7 @@ def residual_intersection(
                 for S in combinations(range(s), m):
                     if S == tuple(range(m)):
                         continue  # prefix, already checked
-                    h, unit = _colon_height(E, [elems[v] for v in S])
+                    h, unit = _colon_height(E, elems, images, S)
                     if not (unit or h >= m - e + 1):
                         failures.append((attempt, f"subset {list(S)}"))
                         ok = False
@@ -417,7 +424,7 @@ def check_cm_rees(E: PresentedModule) -> CmReesVerdict:
 
 @dataclass
 class HypothesisReport:
-    module: str
+    module: str  # the module's name in the session; "E" from a library call
     e: int
     ell: int
     d: int

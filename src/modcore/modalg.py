@@ -16,6 +16,7 @@ from itertools import combinations
 from .errors import ModcoreError, NotHomogeneousError, RingMismatchError
 from .groebner import (
     Ideal,
+    _basis_ideal,
     _colon,
     _dict_to_vec,
     _hilbert_numerator,
@@ -105,6 +106,36 @@ def vector_degree(vec, degrees):
 
 def _vec_is_zero(u):
     return all(not a for a in u)
+
+
+def _row_echelon(rows, width, p):
+    """Reduced row echelon form over GF(p) of `rows` (each of length
+    `width`), as (pivot column, row) for its nonzero rows, pivots ascending:
+    each row is 1 at its pivot and 0 at every other pivot.  Its length is
+    the rank."""
+    rows = [list(r) for r in rows]
+    rk = 0
+    pivots = []
+    for col in range(width):
+        piv = None
+        for k in range(rk, len(rows)):
+            if rows[k][col] % p:
+                piv = k
+                break
+        if piv is None:
+            continue
+        rows[rk], rows[piv] = rows[piv], rows[rk]
+        inv = pow(rows[rk][col], -1, p)
+        rows[rk] = [(v * inv) % p for v in rows[rk]]
+        for k in range(len(rows)):
+            if k != rk and rows[k][col] % p:
+                f = rows[k][col]
+                rows[k] = [(a - f * b) % p for a, b in zip(rows[k], rows[rk])]
+        pivots.append(col)
+        rk += 1
+        if rk == len(rows):
+            break
+    return list(zip(pivots, rows))
 
 
 # -- presented modules ---------------------------------------------------------------
@@ -523,23 +554,27 @@ class Submodule:
 
     def to_ideal(self) -> Ideal:
         """Image ideal when the parent was built from an ideal."""
-        I = self.parent._cache.get("from_ideal")
-        if I is None:
-            raise ModcoreError("parent module does not come from an ideal")
-        ring = self.parent.ring
-        p = ring.char
-        gens = []
-        for v in self.gens:
-            d = {}
-            for c, g in zip(v, I.gens):
-                for m1, c1 in c.terms:
-                    for m2, c2 in g.terms:
-                        m = mono_mul(m1, m2)
-                        d[m] = (d.get(m, 0) + c1 * c2) % p
-            f = ring.from_dict(d)
-            if f:
-                gens.append(f)
-        return Ideal(ring, gens)
+        return Ideal(self.parent.ring, _ideal_images(self.parent, self.gens))
+
+
+def _ideal_images(E: PresentedModule, vectors):
+    """The image in I of each coordinate vector, sum c_i*g_i over I's
+    generators g_i, for E built from the ideal I; zero images included."""
+    I = E._cache.get("from_ideal")
+    if I is None:
+        raise ModcoreError("parent module does not come from an ideal")
+    ring = E.ring
+    p = ring.char
+    images = []
+    for v in vectors:
+        d = {}
+        for c, g in zip(v, I.gens):
+            for m1, c1 in c.terms:
+                for m2, c2 in g.terms:
+                    m = mono_mul(m1, m2)
+                    d[m] = (d.get(m, 0) + c1 * c2) % p
+        images.append(ring.from_dict(d))
+    return images
 
 
 @_memo
@@ -552,9 +587,62 @@ def span(E: PresentedModule, vectors) -> Submodule:
     return Submodule(E, vectors)
 
 
+@_memo
+def _change_of_generators(U: Submodule):
+    """(free, images) for the span L of the constant parts of U's
+    generators, rows in GF(p)^n: the positions that are no pivot of L's
+    echelon form, ascending, and for each position i the pairs (k, c) with
+    e_i = sum c*e_free[k] modulo L.  A free position is itself, and a pivot
+    is minus its echelon row at the free positions, so GF(p)^n / L has the
+    basis e_free."""
+    E = U.parent
+    p = E.ring.char
+    rows = [[f.constant_coeff() if f else 0 for f in v] for v in U.gens]
+    echelon = dict(_row_echelon(rows, E.n, p))
+    free = [i for i in range(E.n) if i not in echelon]
+    at = {i: k for k, i in enumerate(free)}
+    images = []
+    for i in range(E.n):
+        row = echelon.get(i)
+        if row is None:
+            images.append(((at[i], 1),))
+        else:
+            images.append(tuple((k, -row[f] % p) for k, f in enumerate(free) if row[f]))
+    return free, images
+
+
+@_memo
+def _scalar_quotient(U: Submodule):
+    """(free, phi) when every generator of U is a constant vector, else None.
+
+    U is then spanned over R by GF(p)-combinations of E's generators, and
+    their echelon form writes each pivot generator in the free ones modulo
+    U: phi sends a term dict on R^n to one on R^free by that substitution
+    (`_change_of_generators`), and E/U = R^free / phi(N), N the relations."""
+    if any(f and not f.is_constant() for v in U.gens for f in v):
+        return None
+    p = U.parent.ring.char
+    free, images = _change_of_generators(U)
+
+    def phi(d):
+        out = {}
+        for (pos, m), c in d.items():
+            for k, a in images[pos]:
+                key = (k, m)
+                x = (out.get(key, 0) + a * c) % p
+                if x:
+                    out[key] = x
+                else:
+                    del out[key]
+        return out
+
+    return free, phi
+
+
 def colon_into(U: Submodule, E: PresentedModule | None = None) -> Ideal:
-    """(U :_R E) = ann(E/U), computed once per U.  Uses the ideal route when
-    E came from an ideal."""
+    """(U :_R E) = ann(E/U), computed once per U.  Reads it off E/U when U is
+    scalar and E/U has at most one generator, and takes the ideal route
+    when E came from an ideal."""
     if E is not None and E is not U.parent:
         raise ModcoreError("U is not a submodule of E")
     return _colon_into(U)
@@ -563,6 +651,17 @@ def colon_into(U: Submodule, E: PresentedModule | None = None) -> Ideal:
 @_memo
 def _colon_into(U: Submodule) -> Ideal:
     E = U.parent
+    ring = E.ring
+    quotient = _scalar_quotient(U)
+    if quotient is not None and len(quotient[0]) <= 1:
+        # E/U = R^free / phi(N): zero when nothing is free, and else R/J for
+        # J the entries of phi(N), whose annihilator is J = Fitt_0(E/U)
+        # (Eisenbud, Commutative Algebra, Prop 20.7); no colon is taken
+        free, phi = quotient
+        if not free:
+            return _basis_ideal(ring, [{(0, (0,) * ring.nvars): 1}])
+        entries = [phi(_vec_to_dict(col)) for col in E.relations]
+        return _basis_ideal(ring, buchberger(entries, _mkeyf(ring.order), ring.char))
     I = E._cache.get("from_ideal")
     if I is not None:
         # E = I and U = J, its image ideal, so ann(E/U) = (J :_R I).  The
@@ -572,7 +671,7 @@ def _colon_into(U: Submodule) -> Ideal:
         # (the residual_an benchmark workload).  Direct sums and free
         # modules take ann(E/U), over the basis of U + relations.
         return quotient_ideal(U.to_ideal(), I)
-    return _colon_by_free(U.coset_gb(), E.ring, E.n)
+    return _colon_by_free(U.coset_gb(), ring, E.n)
 
 
 @_memo
@@ -594,15 +693,28 @@ def submodule_presentation(U: Submodule) -> PresentedModule:
 
 def submodule_intersect(U1: Submodule, U2: Submodule) -> Submodule:
     """U1 cap U2 inside their common parent (cosets modulo the relations):
-    the reduced basis of (U1 + N) cap (U2 + N), N the relations, as the meet
-    of the pairs (u, u), u in U1 + N, and (w, 0), w in U2 + N."""
+    the reduced basis of (U1 + N) cap (U2 + N), N the relations, as the
+    kernel of U1 + N -> R^n / (U2 + N).
+
+    That kernel is the meet of the pairs (phi(c), c), c in U1 and N, and
+    (phi(h), 0), h in what phi must still kill.  A scalar U2 is a change of
+    generators, R^n / (U2 + N) = R^free / phi(N) (`_scalar_quotient`), so h
+    runs over N in R^free; any other U2 keeps phi the identity and h runs
+    over U2 and N in R^n."""
     E = U1.parent
     if U2.parent is not E and U2.parent.relations != E.relations:
         raise ModcoreError("parent mismatch")
     ring = E.ring
-    pairs = [(_vec_to_dict(u),) * 2 for u in U1.gens + E.relations]
-    pairs += [(_vec_to_dict(w), {}) for w in U2.gens + E.relations]
-    basis = _meet(pairs, E.n, ring)
+    relations = [_vec_to_dict(c) for c in E.relations]
+    quotient = _scalar_quotient(U2)
+    if quotient is None:
+        width, phi, kill = E.n, dict, [_vec_to_dict(w) for w in U2.gens] + relations
+    else:
+        free, phi = quotient
+        width, kill = len(free), relations
+    pairs = [(phi(c), c) for c in [_vec_to_dict(u) for u in U1.gens] + relations]
+    pairs += [(phi(h), {}) for h in kill]
+    basis = _meet(pairs, width, ring)
     C = Submodule(E, [_ordered_to_vec(d, ring, E.n) for d in basis])
     # the basis spans a module that contains N, so it is also the reduced
     # basis of C's generators and N: C's coset basis

@@ -24,7 +24,9 @@ from .groebner import Ideal, hilbert_function, krull_dimension, saturate, _monom
 from .modalg import (
     PresentedModule,
     Submodule,
+    _change_of_generators,
     _memo,
+    _scalar_quotient,
     first_nonzero_maximal_minor,
     is_torsionfree,
     mu,
@@ -161,39 +163,26 @@ def _component(E: PresentedModule, j: int) -> PresentedModule:
 # -- reductions -------------------------------------------------------------------
 
 
-def _scalar_coords(vec):
-    """Scalar coordinate vector of a degree-D element (constant parts)."""
-    out = []
-    for f in vec:
-        if f and not f.is_constant():
-            raise DegreeMixError(
-                "reduction elements must be field combinations of the generators"
-            )
-        out.append(f.constant_coeff() if f else 0)
-    return out
-
-
-def fiber_quotient(U: Submodule, E: PresentedModule, coords):
+def fiber_quotient(U: Submodule, E: PresentedModule):
     """F(E)/U*F(E) = k[T]/(Fib + L) as phi(Fib) in k[T_free], L the linear
-    forms with the rows coords(v) of U's generators v as coefficients;
-    None when L spans k[T]_1, that is when U covers F(E)_1.
+    forms with the constant parts of U's generators as coefficients; None
+    when L spans k[T]_1, that is when U covers F(E)_1.
 
     Row reduction of L over GF(p) writes each pivot variable as a linear
-    form in the free ones; phi is that substitution, so the quotient
-    keeps its grading."""
+    form in the free ones (`modalg._change_of_generators`, the echelon that
+    also takes colons and intersections by a scalar U); phi is that
+    substitution, so the quotient keeps its grading."""
     _, fiber = _rees_rings(E)
     if U.parent is not E:
         raise ModcoreError("U is not a submodule of E")
     p = E.ring.char
-    n = E.n
-    echelon = _row_echelon([coords(v) for v in U.gens], n, p)
-    pivots = {col for col, _ in echelon}
-    free = [i for i in range(n) if i not in pivots]
+    free, images = _change_of_generators(U)
     if not free:
         return None
     target = PolyRing(p, [fiber.vars[i] for i in free])
     units = [g.lm() for g in target.gens()]
-    forms = [target.from_dict({u: -row[i] for u, i in zip(units, free)}) for _, row in echelon]
+    kept = set(free)
+    forms = [target.from_dict({units[k]: c for k, c in images[i]}) for i in range(E.n) if i not in kept]
     cache = {}
     phi = [substitute(g, target, free, forms, cache) for g in fiber_ideal(E).groebner_basis()]
     return Ideal(target, phi)
@@ -204,7 +193,7 @@ def is_reduction(U: Submodule, E: PresentedModule) -> bool:
     forms with the constant parts of U's generators as coefficients, is a
     homogeneous system of parameters of F(E), that is
     dim F(E)/U*F(E) <= 0."""
-    quotient = fiber_quotient(U, E, lambda v: [f.constant_coeff() if f else 0 for f in v])
+    quotient = fiber_quotient(U, E)
     return quotient is None or krull_dimension(quotient) <= 0
 
 
@@ -242,41 +231,13 @@ def reduction_number(U: Submodule, E: PresentedModule, max_degree: int = DEFAULT
     """
     if max_degree < 0:
         raise ModcoreError(f"reduction_number needs max_degree >= 0, got {max_degree}")
-    quotient = fiber_quotient(U, E, _scalar_coords)
+    quotient = fiber_quotient(U, E)
+    if _scalar_quotient(U) is None:
+        raise DegreeMixError("reduction elements must be field combinations of the generators")
     for r in range(max_degree + 1):
         if quotient is None or hilbert_function(quotient, r + 1) == 0:
             return r
     return None
-
-
-def _row_echelon(rows, width, p):
-    """Reduced row echelon form over GF(p) of `rows` (each of length
-    `width`), as (pivot column, row) for its nonzero rows, pivots ascending:
-    each row is 1 at its pivot and 0 at every other pivot.  Its length is
-    the rank."""
-    rows = [list(r) for r in rows]
-    rk = 0
-    pivots = []
-    for col in range(width):
-        piv = None
-        for k in range(rk, len(rows)):
-            if rows[k][col] % p:
-                piv = k
-                break
-        if piv is None:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        inv = pow(rows[rk][col], -1, p)
-        rows[rk] = [(v * inv) % p for v in rows[rk]]
-        for k in range(len(rows)):
-            if k != rk and rows[k][col] % p:
-                f = rows[k][col]
-                rows[k] = [(a - f * b) % p for a, b in zip(rows[k], rows[rk])]
-        pivots.append(col)
-        rk += 1
-        if rk == len(rows):
-            break
-    return list(zip(pivots, rows))
 
 
 def core_monte_carlo(E: PresentedModule, samples: int = 12, rng=None):

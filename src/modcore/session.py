@@ -389,17 +389,21 @@ class Spec:
     "int", or a tuple of the words allowed.  The parser holds every task line
     to its spec; calling the spec with (session, task) looks up the names
     and runs `run(session, *args, **flags)`.  A flag not given takes the
-    handler's keyword default."""
+    handler's keyword default.  A `named` spec also passes its first
+    argument as written, as `name`."""
 
     run: Callable
     args: tuple
     optional: tuple = ()
     flags: dict = field(default_factory=dict)
+    named: bool = False
 
     def __call__(self, session, task):
         kinds = self.args + self.optional
         args = [_value(session, kind, a) for kind, a in zip(kinds, task.args)]
         flags = {key: _value(session, self.flags[key], v) for key, v in task.flags.items()}
+        if self.named:
+            flags["name"] = task.args[0]
         return self.run(session, *args, **flags)
 
 
@@ -498,6 +502,12 @@ def _run_free_quotient(_, E, U=None, *, seed=None):
     return verify_free_quotient(E, U)
 
 
+def _run_balanced(_, E, *, name, reductions=6, seed=None):
+    report = verify_balanced(E, reductions=reductions, rng=seed)
+    report.hypothesis.module = name
+    return report
+
+
 def _run_ideal_module(_, I, *, rank=2, mode="plus_free"):
     E, verdicts = build_ideal_module(I, rank, mode)
     return {"module": _module_value(E), "verdicts": verdicts}
@@ -544,11 +554,7 @@ SPECS = {
     ),
     "check_cm_rees": Spec(lambda _, E: check_cm_rees(E), ("module",)),
     "verify_free_quotient": Spec(_run_free_quotient, ("module",), ("submodule",), {"seed": "int"}),
-    "verify_balanced": Spec(
-        lambda _, E, *, reductions=6, seed=None: verify_balanced(E, reductions=reductions, rng=seed),
-        ("module",),
-        flags={"reductions": "int", "seed": "int"},
-    ),
+    "verify_balanced": Spec(_run_balanced, ("module",), flags={"reductions": "int", "seed": "int"}, named=True),
     "verify_pd1_core": Spec(
         lambda _, E, *, seed=None: verify_pd1_core(E, rng=seed), ("module",), flags={"seed": "int"}
     ),

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from modcore.groebner import Ideal, _ideal_basis, _monomials_of_degree
+from modcore.groebner import Ideal, _ideal_basis, _meet, _monomials_of_degree, _vec_to_dict
 from modcore.modalg import PresentedModule, direct_sum, free_module, module_from_ideal
 from modcore.orders import elimination_order
 from modcore.poly import PolyRing
@@ -117,17 +117,17 @@ def E_H_plus(E_H, RH):
     return direct_sum(E_H, free_module(RH, 1), twist=2)
 
 
-def generic_cokernel(nvars, n, m):
-    """Cokernel of an n x m matrix of linear forms in nvars variables, with
-    coefficients drawn by random.Random(1).  For m = n - 2 it is a pd-1
-    module of rank 2 with r = ell - e, the paper's example class."""
-    ring = PolyRing(P, tuple(f"x{i + 1}" for i in range(nvars)))
+def generic_cokernel(nvars, n, m, p=P):
+    """Cokernel of an n x m matrix of linear forms in nvars variables over
+    GF(p), with coefficients drawn by random.Random(1).  For m = n - 2 it is
+    a pd-1 module of rank 2 with r = ell - e, the paper's example class."""
+    ring = PolyRing(p, tuple(f"x{i + 1}" for i in range(nvars)))
     rng = random.Random(1)
 
     def form():
         f = ring.zero()
         for x in ring.gens():
-            f = f + ring.const(rng.randrange(P)) * x
+            f = f + ring.const(rng.randrange(p)) * x
         return f
 
     return PresentedModule(ring, (0,) * n, [tuple(form() for _ in range(n)) for _ in range(m)])
@@ -263,3 +263,13 @@ def eliminate(I, keep):
         return Ideal(ring, I.gens)
     basis = _ideal_basis(I.gens, elimination_order(ring.nvars, drop), ring)
     return Ideal(ring, [g for g in basis if all(m[i] == 0 for m, _ in g.terms for i in drop)])
+
+
+def two_block_intersect(U1, U2):
+    """Oracle: the reduced basis of (U1 + N) cap (U2 + N), N the relations,
+    as the meet in R^n + R^n of the pairs (u, u), u in U1 and N, and (w, 0),
+    w in U2 and N, with no change of generators."""
+    E = U1.parent
+    pairs = [(_vec_to_dict(u),) * 2 for u in U1.gens + E.relations]
+    pairs += [(_vec_to_dict(w), {}) for w in U2.gens + E.relations]
+    return _meet(pairs, E.n, E.ring)

@@ -604,19 +604,21 @@ def test_residual_colon_heights_match_the_colons(name, p, monkeypatch):
     rng = seeded(p + len(names))
     for s in range(1, R.nvars + 2):
         elems, _ = checks._random_elements(whole_module(E), s, rng)
+        images = modalg._ideal_images(E, elems)
         for m in range(s + 1):
-            for S in combinations(elems, m):
+            for S in combinations(range(s), m):
                 before = len(calls)
-                h, unit = checks._colon_height(E, list(S))
+                h, unit = checks._colon_height(E, elems, images, S)
                 routes.add("colon" if len(calls) > before else "shortcut")
-                K = colon_into(span(E, list(S)), E)
+                K = colon_into(span(E, [elems[j] for j in S]), E)
                 assert (h, unit) == (height(K), K.is_unit()), (name, p, s, m)
     assert routes == {"shortcut", "colon"}
 
 
 def test_residual_session_takes_one_colon_of_its_module(monkeypatch):
     # the 20 residual tasks of one session share W = E (cached on E) and so
-    # its colon (cached on W): one (I : I) for the session, not one per task
+    # its colon (cached on W): W is the scalar span of E's generators, so
+    # (W : E) = R is read off E/W = 0 once for the session, with no (I : I)
     src = "ring R = GF(32003)[x,y];\nideal I = (x^2, x*y, y^2);\nmodule E = ideal I;\n"
     src += "".join(f"task residual_intersection E 2 --seed {seed};\n" for seed in range(1, 21))
     session = parse_session(src)
@@ -629,10 +631,19 @@ def test_residual_session_takes_one_colon_of_its_module(monkeypatch):
         calls.append((vs, basis))
         return kernel(vs, basis, ring, npos)
 
+    echelons = []
+    echelon = modalg._row_echelon
+
+    def recording_echelon(rows, width, p):
+        echelons.append([list(r) for r in rows])
+        return echelon(rows, width, p)
+
     monkeypatch.setattr(groebner, "_colon", recording)
+    monkeypatch.setattr(modalg, "_row_echelon", recording_echelon)
     report = run_session(session)
     assert [t["status"] for t in report.payload["tasks"]] == ["ok"] * 20
-    assert calls.count(of_I) == 1
+    assert calls.count(of_I) == 0
+    assert echelons.count([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
 
 
 def test_residual_session_takes_each_fitting_ideal_once(monkeypatch):
@@ -661,7 +672,9 @@ def test_residual_session_takes_each_fitting_ideal_once(monkeypatch):
 def test_verify_balanced_kernel_calls(R2, monkeypatch):
     # on a module built here (cold caches): colon and meet results carry
     # their bases, K*E is built once per distinct K, and the fiber test is
-    # linear algebra plus one basis in the free variables; 66 calls before
+    # linear algebra plus one basis in the free variables; a colon by a
+    # scalar U with one free position is one basis of J, with no coset
+    # basis of U
     x, y = R2.gens()
     E = direct_sum(module_from_ideal(Ideal(R2, [x**2, x * y, y**2])), free_module(R2, 1), twist=2)
     count = [0]
@@ -675,4 +688,4 @@ def test_verify_balanced_kernel_calls(R2, monkeypatch):
     monkeypatch.setattr(modalg, "buchberger", counting)
     rep = verify_balanced(E, 6, rng=5)
     assert (rep.status, rep.independent, rep.products_equal, rep.equals_core) == ("ok", True, True, True)
-    assert count[0] == 48
+    assert count[0] == 42

@@ -20,6 +20,7 @@ from modcore.groebner import (
 )
 from modcore.modalg import (
     PresentedModule,
+    _colon_by_free,
     _memo,
     colon_into,
     cyclic_module,
@@ -43,6 +44,7 @@ from modcore.modalg import (
     syzygies,
     whole_module,
 )
+from modcore.poly import PolyRing
 from modcore.rees import random_reduction, rees_ideal
 
 from conftest import (
@@ -52,6 +54,7 @@ from conftest import (
     row_rank,
     seeded,
     submodule_degree_basis,
+    two_block_intersect,
 )
 
 
@@ -577,23 +580,75 @@ def _scalar_combinations(ring, gens, count, rng):
     return [sum((ring.const(rng.randrange(1, P)) * g for g in gens), ring.zero()) for _ in range(count)]
 
 
-@pytest.mark.parametrize("name, copies", [("E_msq_plus", 1), ("E_H_plus", 0), ("tri_plus", 0)])
+@pytest.mark.parametrize("name, copies", [("E_msq_plus", 1), ("E_H_plus", 0), ("tri_plus", 0), ("msq_plus_scalar_span", 2)])
 def test_scalar_reduction_colon_takes_n_minus_ell_copies(name, copies, request, monkeypatch):
-    # for a scalar reduction U of rank ell inside E with n generators, ell
-    # unit vectors are field combinations of the other n - ell modulo
-    # U + relations: m^2 plus R(-2) has n = 4 and ell = 3, while H and
-    # (xy,xz,yz) plus R(-2) have ell = n, so their colon is the unit ideal
-    if name == "tri_plus":
-        tri = request.getfixturevalue("tri")
-        E = direct_sum(module_from_ideal(tri), free_module(tri.ring, 1), twist=2)
+    # a scalar U of rank ell inside E with n generators leaves n - ell free
+    # positions, and E/U = R^free / phi(N): m^2 plus R(-2) has n = 4 and
+    # ell = 3, while H and (xy,xz,yz) plus R(-2) have ell = n.  With at most
+    # one free position the colon is read off E/U with no kernel colon: the
+    # unit ideal, or J = the entries of phi(N).  A span of 2 scalar vectors
+    # in m^2 plus R(-2) leaves 2, and the colon by the unit vectors over U's
+    # coset basis takes 2 copies
+    if name == "msq_plus_scalar_span":
+        E = request.getfixturevalue("E_msq_plus")
+        rng = seeded(3)
+        U = span(E, [tuple(E.ring.const(rng.randrange(1, P)) for _ in range(E.n)) for _ in range(2)])
     else:
-        E = request.getfixturevalue(name)
-    U = random_reduction(E, rng=3)
+        if name == "tri_plus":
+            tri = request.getfixturevalue("tri")
+            E = direct_sum(module_from_ideal(tri), free_module(tri.ring, 1), twist=2)
+        else:
+            E = request.getfixturevalue(name)
+        U = random_reduction(E, rng=3)
     basis = U.coset_gb()
+    assert len(modalg._scalar_quotient(U)[0]) == copies
     known = _record_known(monkeypatch)
     K = colon_into(U, E)
-    assert known == ([copies * len(basis)] if copies else [])
+    assert known == ([copies * len(basis)] if copies >= 2 else [])
     assert K.is_unit() == (copies == 0)
+    assert K.gens == _colon_by_free(basis, E.ring, E.n).gens
+
+
+def _scalar_oracle_modules(p):
+    """m^2, H and (xy,xz,yz) plus R(-2), the boundary cubics and the generic
+    5 x 3 cokernel over GF(p), each generated in one degree."""
+    x, y = PolyRing(p, ("x", "y")).gens()
+    x0, x1, x2, x3 = PolyRing(p, ("x0", "x1", "x2", "x3")).gens()
+    a, b, c = PolyRing(p, ("x", "y", "z")).gens()
+    H = Ideal(x0.ring, [x1 * x3 - x2**2, x0 * x3 - x1 * x2, x0 * x2 - x1**2])
+    tri = Ideal(a.ring, [a * b, a * c, b * c])
+    cubics = Ideal(a.ring, [a**3, a**2 * b, a * b**2 - a**2 * c, b**3 - 2 * a * b * c])
+    return [
+        module_from_ideal(Ideal(x.ring, [x**2, x * y, y**2])),
+        direct_sum(module_from_ideal(H), free_module(H.ring, 1), twist=2),
+        direct_sum(module_from_ideal(tri), free_module(tri.ring, 1), twist=2),
+        module_from_ideal(cubics),
+        generic_cokernel(3, 5, 3, p),
+    ]
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_scalar_colon_and_intersection_match_the_general_routes(p):
+    # oracle: for scalar spans U of every rank 0..n, (U :_R E) equals the
+    # colon by the unit vectors over U's coset basis, and the meet through
+    # E/U = R^free / phi(N) equals the two-block meet in R^n + R^n, basis
+    # for basis; the spans leave 0, 1 and 2 or more free positions
+    rng = seeded(p)
+    free_counts = set()
+    for E in _scalar_oracle_modules(p):
+        ring = E.ring
+        draw = lambda k: [tuple(ring.const(rng.randrange(p)) for _ in range(E.n)) for _ in range(k)]
+        x = ring.gens()[0]
+        for k in range(E.n + 1):
+            U = span(E, draw(k))
+            free = modalg._scalar_quotient(U)[0]
+            free_counts.add(min(len(free), 2))
+            assert colon_into(U, E).gens == _colon_by_free(U.coset_gb(), ring, E.n).gens, (E, k)
+            # a scalar U1 and one with no scalar generator, each met with U
+            for U1 in (span(E, draw(E.n - 1)), span(E, [tuple(x * f for f in v) for v in draw(2)])):
+                C = submodule_intersect(U1, U)
+                assert C.coset_gb() == two_block_intersect(U1, U), (E, k)
+    assert free_counts == {0, 1, 2}
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])

@@ -17,6 +17,7 @@ from modcore.groebner import (
     quotient_ideal,
 )
 from modcore.modalg import (
+    _row_echelon,
     cyclic_module,
     direct_sum,
     free_module,
@@ -31,8 +32,6 @@ from modcore.modalg import (
 from modcore.poly import PolyRing, map_poly
 from modcore.rees import (
     DEFAULT_T_CAP,
-    _row_echelon,
-    _scalar_coords,
     _t_monomials,
     analytic_spread,
     core_monte_carlo,
@@ -602,7 +601,7 @@ def _rank_reduction_number(E, U, max_degree=DEFAULT_T_CAP):
     Nakayama).  The next piece must then be covered too."""
     p = E.ring.char
     nx = E.ring.nvars
-    lams = [_scalar_coords(v) for v in U.gens]
+    lams = [[f.constant_coeff() if f else 0 for f in v] for v in U.gens]
     nT = E.n
 
     def piece_is_covered(r):

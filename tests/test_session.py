@@ -357,6 +357,19 @@ def test_residual_s_below_the_rank_is_an_error_entry():
     assert task["value"]["error"] == "ModcoreError: residual_intersection needs s >= rank(E) = 2, got s = 1"
 
 
+def test_balanced_report_names_its_module():
+    # the hypothesis report names the module as the task wrote it, a declared
+    # module or an ideal taken as one; nothing else in the report changes
+    src = "ring R = GF(32003)[x,y];\nideal msq = (x^2, x*y, y^2);\nmodule M = ideal msq;\nmodule E = ideal msq;\n"
+    src += "".join(f"task verify_balanced {name} --reductions 2 --seed 42;\n" for name in ("M", "msq", "E"))
+    tasks = run_session(parse_session(src)).payload["tasks"]
+    assert [t["status"] for t in tasks] == ["ok"] * 3
+    assert [t["value"]["hypothesis"]["module"] for t in tasks] == ["M", "msq", "E"]
+    for t in tasks:
+        t["value"]["hypothesis"]["module"] = "E"
+    assert tasks[0]["value"] == tasks[1]["value"] == tasks[2]["value"]
+
+
 def test_unbalanced_close_paren_is_named_at_its_line():
     src = "ring R = GF(32003)[x,y];\nideal I = (x));\ntask height I;\n"
     with pytest.raises(ParseError, match=r"^unbalanced '\)' at line 2$"):
