@@ -24,6 +24,7 @@ from .modalg import (
     Submodule,
     _ideal_images,
     _memo,
+    _remember,
     colon_into,
     cyclic_module,
     direct_sum,
@@ -65,6 +66,17 @@ def _height_at_least(I: Ideal, bound: int) -> bool:
     return I.is_unit() or height(I) >= bound
 
 
+def _draw_colon(E: PresentedModule, elems, S, J) -> Ideal:
+    """(span(a_j : j in S) :_R E) for the elements a_j in `elems`.  J is the
+    span's image ideal (a_j : j in S) when E is an ideal, built from the
+    images `residual_intersection` expands once, and None otherwise; the
+    span keeps it, so that the colon does not expand the a_j again."""
+    U = span(E, [elems[j] for j in S])
+    if J is not None:
+        _remember(U, "to_ideal", J)
+    return colon_into(U, E)
+
+
 def _colon_height(E: PresentedModule, elems, images, S) -> tuple:
     """(height, is unit) of (span(a_j : j in S) :_R E) for the elements a_j
     in `elems`, without the colon when E is an ideal I and J = (a_j : j in
@@ -75,12 +87,13 @@ def _colon_height(E: PresentedModule, elems, images, S) -> tuple:
     elements' images in I (`modalg._ideal_images`), None when E is not an
     ideal.  Any other E or J takes the colon."""
     S = list(S)
+    J = None
     I = E._cache.get("from_ideal")
     if I is not None:
         J = Ideal(E.ring, [images[j] for j in S])
         if height(J) == len(S):
             return (E.ring.nvars + 1, True) if I <= J else (len(S), False)
-    K = colon_into(span(E, [elems[j] for j in S]), E)
+    K = _draw_colon(E, elems, S, J)
     return height(K), K.is_unit()
 
 
@@ -248,7 +261,8 @@ def residual_intersection(
             if i < s:
                 h, unit = _colon_height(E, elems, images, range(i))
             else:
-                K = colon_into(span(E, elems), E)  # (a_1..a_s :_R E)
+                J = Ideal(E.ring, images) if from_ideal else None
+                K = _draw_colon(E, elems, range(s), J)  # (a_1..a_s :_R E)
                 h, unit = height(K), K.is_unit()
             prefix_heights.append(h)
             # a unit colon passes vacuously, as in _height_at_least

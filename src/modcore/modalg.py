@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from itertools import combinations
 
 from .errors import ModcoreError, NotHomogeneousError, RingMismatchError
@@ -410,46 +411,57 @@ def ext_module(E: PresentedModule, i: int) -> bool:
 # -- Fitting ideals ------------------------------------------------------------------
 
 
-def _minor_fn(cols, ring):
-    rows = len(cols[0]) if cols else 0
-    entry = lambda i, j: cols[j][i]
-    memo = {}
+def _row_minors(E: PresentedModule):
+    """The nonzero minors of E's presentation matrix, by row set: a function
+    sending an ascending tuple of rows to {column set: term dict}.
 
-    def det(rset, cset):
-        if not rset:
-            return ring.one()
-        key = (rset, cset)
-        v = memo.get(key)
-        if v is not None:
-            return v
-        i = rset[0]
-        rest = rset[1:]
-        total = ring.zero()
-        sign = 1
-        for k, j in enumerate(cset):
-            e = entry(i, j)
-            if e:
-                sub = det(rest, cset[:k] + cset[k + 1 :])
-                if sub:
-                    term = e * sub
-                    total = total + term if sign > 0 else total - term
-            sign = -sign
-        memo[key] = total
-        return total
+    Expansion along the first row r of a row set: the minor on (r, rest)
+    and a column set C is the sum over j in C of (-1)^k entry(r, j) times
+    the minor on rest and C - {j}, j the k-th column of C.  So the minors on
+    (r, rest) come from the nonzero minors on rest times the nonzero entries
+    of row r: a zero row, and the zero minors of a block direct sum, cost
+    nothing.  Each row set is expanded once."""
+    p = E.ring.char
+    entries = [[(j, col[i].terms) for j, col in enumerate(E.relations) if col[i]] for i in range(E.n)]
+    memo = {(): {(): {(0,) * E.ring.nvars: 1}}}
 
-    return det
+    def minors(rset):
+        table = memo.get(rset)
+        if table is not None:
+            return table
+        below = minors(rset[1:])
+        table = {}
+        for cset, d in below.items():
+            for j, e in entries[rset[0]]:
+                k = bisect_left(cset, j)
+                if k < len(cset) and cset[k] == j:
+                    continue
+                acc = table.setdefault(cset[:k] + (j,) + cset[k:], {})
+                for m1, c1 in e:
+                    if k % 2:
+                        c1 = p - c1
+                    for m2, c2 in d.items():
+                        m = mono_mul(m1, m2)
+                        v = (acc.get(m, 0) + c1 * c2) % p
+                        if v:
+                            acc[m] = v
+                        else:
+                            acc.pop(m, None)
+        table = memo[rset] = {cset: d for cset, d in table.items() if d}
+        return table
+
+    return minors
 
 
 def _nonzero_minors(E: PresentedModule, size: int):
     """The nonzero size-minors of E's presentation matrix, in lexicographic
     (rows, columns) subset order."""
-    cols = E.relations
-    det = _minor_fn(cols, E.ring)
+    ring = E.ring
+    minors = _row_minors(E)
     for rset in combinations(range(E.n), size):
-        for cset in combinations(range(len(cols)), size):
-            v = det(rset, cset)
-            if v:
-                yield v
+        table = minors(rset)
+        for cset in sorted(table):
+            yield ring.from_dict(table[cset])
 
 
 @_memo
@@ -526,7 +538,13 @@ class Submodule:
     def __le__(self, other: "Submodule") -> bool:
         if self.parent is not other.parent and self.parent.relations != other.parent.relations:
             raise ModcoreError("submodules of different parents")
-        return all(other.contains(g) for g in self.gens)
+        quotient = _scalar_quotient(other)
+        if quotient is None:
+            return all(other.contains(g) for g in self.gens)
+        # other + N is the kernel of R^n -> E/other = R^free / phi(N)
+        phi = quotient[1]
+        nf = _reducer(_quotient_basis(other), self.parent.ring)
+        return not any(nf(phi(_vec_to_dict(g))) for g in self.gens)
 
     def __eq__(self, other):
         if not isinstance(other, Submodule):
@@ -552,6 +570,7 @@ class Submodule:
                     out.append(w)
         return out
 
+    @_memo
     def to_ideal(self) -> Ideal:
         """Image ideal when the parent was built from an ideal."""
         return Ideal(self.parent.ring, _ideal_images(self.parent, self.gens))
@@ -639,6 +658,16 @@ def _scalar_quotient(U: Submodule):
     return free, phi
 
 
+@_memo
+def _quotient_basis(U: Submodule):
+    """The reduced basis of phi(N) in R^free for a scalar U
+    (`_scalar_quotient`), N the relations, so that E/U = R^free / its span
+    and v lies in U + N exactly when phi(v) reduces to 0 modulo it."""
+    E = U.parent
+    phi = _scalar_quotient(U)[1]
+    return buchberger([phi(_vec_to_dict(col)) for col in E.relations], _mkeyf(E.ring.order), E.ring.char)
+
+
 def colon_into(U: Submodule, E: PresentedModule | None = None) -> Ideal:
     """(U :_R E) = ann(E/U), computed once per U.  Reads it off E/U when U is
     scalar and E/U has at most one generator, and takes the ideal route
@@ -657,11 +686,9 @@ def _colon_into(U: Submodule) -> Ideal:
         # E/U = R^free / phi(N): zero when nothing is free, and else R/J for
         # J the entries of phi(N), whose annihilator is J = Fitt_0(E/U)
         # (Eisenbud, Commutative Algebra, Prop 20.7); no colon is taken
-        free, phi = quotient
-        if not free:
+        if not quotient[0]:
             return _basis_ideal(ring, [{(0, (0,) * ring.nvars): 1}])
-        entries = [phi(_vec_to_dict(col)) for col in E.relations]
-        return _basis_ideal(ring, buchberger(entries, _mkeyf(ring.order), ring.char))
+        return _basis_ideal(ring, _quotient_basis(U))
     I = E._cache.get("from_ideal")
     if I is not None:
         # E = I and U = J, its image ideal, so ann(E/U) = (J :_R I).  The
@@ -697,10 +724,11 @@ def submodule_intersect(U1: Submodule, U2: Submodule) -> Submodule:
     kernel of U1 + N -> R^n / (U2 + N).
 
     That kernel is the meet of the pairs (phi(c), c), c in U1 and N, and
-    (phi(h), 0), h in what phi must still kill.  A scalar U2 is a change of
+    (h, 0), h spanning what phi must still kill.  A scalar U2 is a change of
     generators, R^n / (U2 + N) = R^free / phi(N) (`_scalar_quotient`), so h
-    runs over N in R^free; any other U2 keeps phi the identity and h runs
-    over U2 and N in R^n."""
+    runs over the reduced basis of phi(N) (`_quotient_basis`), which the
+    meet takes as known; any other U2 keeps phi the identity and h runs over
+    U2 and N in R^n."""
     E = U1.parent
     if U2.parent is not E and U2.parent.relations != E.relations:
         raise ModcoreError("parent mismatch")
@@ -708,13 +736,14 @@ def submodule_intersect(U1: Submodule, U2: Submodule) -> Submodule:
     relations = [_vec_to_dict(c) for c in E.relations]
     quotient = _scalar_quotient(U2)
     if quotient is None:
-        width, phi, kill = E.n, dict, [_vec_to_dict(w) for w in U2.gens] + relations
+        width, phi, known = E.n, dict, 0
+        kill = [_vec_to_dict(w) for w in U2.gens] + relations
     else:
         free, phi = quotient
-        width, kill = len(free), relations
-    pairs = [(phi(c), c) for c in [_vec_to_dict(u) for u in U1.gens] + relations]
-    pairs += [(phi(h), {}) for h in kill]
-    basis = _meet(pairs, width, ring)
+        kill = _quotient_basis(U2)
+        width, known = len(free), len(kill)
+    pairs = [(h, {}) for h in kill] + [(phi(c), c) for c in [_vec_to_dict(u) for u in U1.gens] + relations]
+    basis = _meet(pairs, width, ring, known)
     C = Submodule(E, [_ordered_to_vec(d, ring, E.n) for d in basis])
     # the basis spans a module that contains N, so it is also the reduced
     # basis of C's generators and N: C's coset basis

@@ -253,16 +253,18 @@ def core_monte_carlo(E: PresentedModule, samples: int = 12, rng=None):
     if analytic_spread(E) == mu(E):
         # no proper reductions: core(E) = E, and every draw returns E
         return whole_module(E), 0
-    current = whole_module(E)
+    whole = current = whole_module(E)
     stable = 0
     for k in range(1, samples + 1):
         U = random_reduction(E, rng=rng)
-        nxt = submodule_intersect(current, U)
-        if nxt == current:
+        # the draw leaves current as it is exactly when current <= U + N, N
+        # the relations; E itself never lies in U + N, as U has ell < mu
+        # generators
+        if current is not whole and current <= U:
             stable += 1
         else:
             stable = 0
-            current = nxt
+            current = submodule_intersect(current, U)
         if stable >= STABILIZATION_WINDOW:
             return current, k
     raise RetryExhaustedError(f"core failed to stabilize within {samples} samples")

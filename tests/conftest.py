@@ -4,6 +4,7 @@ helpers used as independent oracles (never the engine under test)."""
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -273,3 +274,38 @@ def two_block_intersect(U1, U2):
     pairs = [(_vec_to_dict(u),) * 2 for u in U1.gens + E.relations]
     pairs += [(_vec_to_dict(w), {}) for w in U2.gens + E.relations]
     return _meet(pairs, E.n, E.ring)
+
+
+def leibniz_det(rows, ring):
+    """Oracle: the determinant of a square matrix of polynomials, given by
+    rows, as the signed sum over permutations of the products of entries
+    (Leibniz); a permutation is dropped at its first zero entry."""
+    k = len(rows)
+    terms = []
+
+    def walk(i, used, sign, term):
+        if i == k:
+            terms.append(term if sign > 0 else -term)
+            return
+        for j in range(k):
+            if j not in used and rows[i][j]:
+                # j comes after the used columns above it: one inversion each
+                flips = sum(u > j for u in used)
+                walk(i + 1, used + (j,), -sign if flips % 2 else sign, term * rows[i][j])
+
+    walk(0, (), 1, ring.one())
+    total = ring.zero()
+    for t in terms:
+        total = total + t
+    return total
+
+
+def leibniz_minors(E, size):
+    """Oracle: the nonzero size-minors of E's presentation matrix by the
+    Leibniz formula, in lexicographic (rows, columns) subset order."""
+    cols = E.relations
+    for rset in combinations(range(E.n), size):
+        for cset in combinations(range(len(cols)), size):
+            v = leibniz_det([[cols[j][i] for j in cset] for i in rset], E.ring)
+            if v:
+                yield v

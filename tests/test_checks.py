@@ -646,6 +646,39 @@ def test_residual_session_takes_one_colon_of_its_module(monkeypatch):
     assert echelons.count([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
 
 
+def test_residual_draws_expand_their_images_once(monkeypatch):
+    # residual_intersection expands each draw's elements in I once; every
+    # span it colon-tests carries its image ideal, so no colon, not even one
+    # by the ideal route (two or more free positions), expands them again
+    draws, again, ideal_colons = [], [], []
+    images, to_ideal, quotient = checks._ideal_images, modalg._ideal_images, modalg.quotient_ideal
+
+    def drawing(E, vectors):
+        draws.append(len(vectors))
+        return images(E, vectors)
+
+    def expanding_again(E, vectors):
+        again.append(len(vectors))
+        return to_ideal(E, vectors)
+
+    def ideal_colon(J, I):
+        ideal_colons.append(J)
+        return quotient(J, I)
+
+    monkeypatch.setattr(checks, "_ideal_images", drawing)
+    monkeypatch.setattr(modalg, "_ideal_images", expanding_again)
+    monkeypatch.setattr(modalg, "quotient_ideal", ideal_colon)
+    ideals = {"x,y": "x^2, x*y, y^2", "x,y,z": "x*y, x*z, y*z", "x0,x1,x2,x3": "x1*x3 - x2^2, x0*x3 - x1*x2, x0*x2 - x1^2"}
+    for names, gens in ideals.items():
+        for s in range(1, min(3, len(names.split(","))) + 1):
+            src = f"ring R = GF(32003)[{names}];\nideal I = ({gens});\nmodule E = ideal I;\n"
+            src += "".join(f"task residual_intersection E {s} --seed {seed};\n" for seed in range(1, 6))
+            report = run_session(parse_session(src))
+            assert [t["status"] for t in report.payload["tasks"]] == ["ok"] * 5
+    assert len(draws) >= 40 and ideal_colons
+    assert again == []
+
+
 def test_residual_session_takes_each_fitting_ideal_once(monkeypatch):
     # check_gs(E, s) reads Fitt_1 .. Fitt_(s-1); over 20 residual tasks on two
     # modules the minors of each (E, size) are listed once, not once per task
@@ -674,7 +707,11 @@ def test_verify_balanced_kernel_calls(R2, monkeypatch):
     # their bases, K*E is built once per distinct K, and the fiber test is
     # linear algebra plus one basis in the free variables; a colon by a
     # scalar U with one free position is one basis of J, with no coset
-    # basis of U
+    # basis of U.  The core takes 7 draws: each takes one basis of phi(N)
+    # in E/U (one free position), which tests containment and which the
+    # meet of the 4 draws that change the intersection takes as known; the
+    # 3 stable draws take no meet, and E itself is never compared, so it
+    # takes no coset basis
     x, y = R2.gens()
     E = direct_sum(module_from_ideal(Ideal(R2, [x**2, x * y, y**2])), free_module(R2, 1), twist=2)
     count = [0]
@@ -688,4 +725,4 @@ def test_verify_balanced_kernel_calls(R2, monkeypatch):
     monkeypatch.setattr(modalg, "buchberger", counting)
     rep = verify_balanced(E, 6, rng=5)
     assert (rep.status, rep.independent, rep.products_equal, rep.equals_core) == ("ok", True, True, True)
-    assert count[0] == 42
+    assert count[0] == 45

@@ -46,10 +46,13 @@ from modcore.modalg import (
 )
 from modcore.poly import PolyRing
 from modcore.rees import random_reduction, rees_ideal
+from modcore.session import parse_session
 
 from conftest import (
     P,
     generic_cokernel,
+    leibniz_minors,
+    random_poly,
     random_homogeneous_poly,
     row_rank,
     seeded,
@@ -237,6 +240,58 @@ def test_fitting_examples(R2, E_msq, E_msq_plus):
 def test_fitting_bounds(R2, E_msq):
     assert fitting_ideal(E_msq, 3).is_unit()
     assert fitting_ideal(E_msq, 0).is_zero()
+
+
+def _random_matrix_module(ring, rng, kind):
+    """E presented by a random n x m matrix of polynomials (not homogeneous,
+    so unvalidated) of one kind: dense; sparse; with zero rows, as a free
+    summand gives; with zero columns, which the presentation drops, or with
+    none left at all; or block diagonal, a direct sum of two such."""
+    if kind == "block_diagonal":
+        A, B = (_random_matrix_module(ring, rng, rng.choice(["dense", "sparse"])) for _ in range(2))
+        za, zb = (ring.zero(),) * A.n, (ring.zero(),) * B.n
+        cols = [c + zb for c in A.relations] + [za + c for c in B.relations]
+        return PresentedModule(ring, (0,) * (A.n + B.n), cols, _validate=False)
+    n, m = rng.randrange(1, 5), rng.randrange(1, 5)
+    density = 0.3 if kind == "sparse" else 1.0
+    cols = [[random_poly(ring, rng) if rng.random() < density else ring.zero() for _ in range(n)] for _ in range(m)]
+    if kind == "zero_rows":
+        for i in rng.sample(range(n), rng.randrange(1, n + 1)):
+            for col in cols:
+                col[i] = ring.zero()
+    if kind == "empty_columns":
+        for col in rng.sample(cols, rng.randrange(1, m + 1)):
+            col[:] = [ring.zero()] * n
+    return PresentedModule(ring, (0,) * n, cols, _validate=False)
+
+
+@pytest.mark.parametrize("p", [P, 7])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "zero_rows", "empty_columns", "block_diagonal"])
+def test_row_expansion_minors_match_leibniz(p, kind):
+    # oracle: the minors by row expansion are the Leibniz determinants of
+    # every (rows, columns) pair, in value and in lexicographic order, with
+    # the zero ones left out; over GF(7) more of them cancel to zero
+    ring = PolyRing(p, ("x", "y", "z"))
+    rng = seeded(p + len(kind))
+    for _ in range(8):
+        E = _random_matrix_module(ring, rng, kind)
+        for size in range(1, E.n + 2):
+            assert list(modalg._nonzero_minors(E, size)) == list(leibniz_minors(E, size)), (kind, E, size)
+
+
+def test_first_nonzero_maximal_minor_matches_leibniz():
+    # the fixed inverting minor of every corpus module, of each corpus ideal
+    # as a module and as its power sum, and of the generic 6 x 4 cokernel is
+    # the first nonzero (n-e)-minor in lexicographic order
+    modules = [generic_cokernel(4, 6, 4)]
+    for path in sorted((Path(__file__).parent.parent / "corpus").glob("*.mc")):
+        session = parse_session(path.read_text())
+        modules += session.modules.values()
+        for I in session.ideals.values():
+            EI = module_from_ideal(I)
+            modules += [EI, direct_sum(EI, EI)]
+    for E in modules:
+        assert first_nonzero_maximal_minor(E) == next(leibniz_minors(E, E.n - rank(E))), E
 
 
 def test_annihilator_examples(R2, msq):
@@ -649,6 +704,36 @@ def test_scalar_colon_and_intersection_match_the_general_routes(p):
                 C = submodule_intersect(U1, U)
                 assert C.coset_gb() == two_block_intersect(U1, U), (E, k)
     assert free_counts == {0, 1, 2}
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_core_containment_in_a_scalar_span_matches_the_references(p):
+    # oracle: C <= U, read off E/U = R^free / phi(N) for a scalar U, agrees
+    # with C cap U == C (by submodule_intersect and by the two-block meet)
+    # and with membership of C's generators modulo U's coset basis.  The U
+    # leave 0, 1 and 2 or more free positions; C runs over the intermediate
+    # intersections of a core loop and x-multiples of scalar vectors, some
+    # of them in U
+    rng = seeded(p + 2)
+    free_counts, outcomes = set(), set()
+    for E in _scalar_oracle_modules(p):
+        ring = E.ring
+        draw = lambda k: [tuple(ring.const(rng.randrange(p)) for _ in range(E.n)) for _ in range(k)]
+        x = ring.gens()[0]
+        Cs = [whole_module(E)]
+        for _ in range(3):
+            Cs.append(submodule_intersect(Cs[-1], random_reduction(E, rng=rng)))
+        for k in range(E.n + 1):
+            U = span(E, draw(k))
+            free_counts.add(min(len(modalg._scalar_quotient(U)[0]), 2))
+            multiples = [span(E, [tuple(x * f for f in v) for v in vs]) for vs in (draw(2), U.gens[:2])]
+            for C in Cs + multiples:
+                inside = C <= U
+                assert inside == (submodule_intersect(C, U) == C), (E, k)
+                assert inside == (two_block_intersect(C, U) == C.coset_gb()), (E, k)
+                assert inside == all(U.contains(g) for g in C.gens), (E, k)
+                outcomes.add(inside)
+    assert free_counts == {0, 1, 2} and outcomes == {False, True}
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])

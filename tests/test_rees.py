@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from modcore import groebner, modalg
+from modcore import groebner, modalg, rees
 from modcore.errors import DegreeMixError, ModcoreError, TorsionError
 from modcore.groebner import (
     Ideal,
     _ideal_basis,
     _monomials_of_degree,
+    _ordered_to_vec,
     hilbert_function,
     ideal_membership,
     krull_dimension,
@@ -44,7 +45,7 @@ from modcore.rees import (
     sym_ideal,
 )
 
-from conftest import eliminate, generic_cokernel
+from conftest import eliminate, generic_cokernel, two_block_intersect
 
 
 
@@ -81,13 +82,13 @@ def test_rees_ideal_expands_the_maximal_minors_once(R2, msq, monkeypatch):
     # the torsion check and the saturation take the same first nonzero
     # maximal minor: the minors of a module are expanded once
     built = []
-    minor_fn = modalg._minor_fn
+    row_minors = modalg._row_minors
 
-    def counting(cols, ring):
-        built.append(len(cols))
-        return minor_fn(cols, ring)
+    def counting(E):
+        built.append(len(E.relations))
+        return row_minors(E)
 
-    monkeypatch.setattr(modalg, "_minor_fn", counting)
+    monkeypatch.setattr(modalg, "_row_minors", counting)
     E = module_from_ideal(Ideal(R2, msq.gens))
     assert not rees_ideal(E).is_zero()
     assert built == [2]
@@ -450,6 +451,44 @@ def test_core_msq_plus_free(R2, E_msq_plus):
     x, y = R2.gens()
     C, _ = core_monte_carlo(E_msq_plus, samples=8, rng=7)
     assert C == ideal_times_submodule(Ideal(R2, [x, y]), whole_module(E_msq_plus))
+
+
+@pytest.mark.parametrize("p", [32003, 7])
+def test_core_meets_only_on_draws_that_change_it(p, monkeypatch):
+    # on m^2 plus R(-2), a draw U leaves the intersection C as it is exactly
+    # when C <= U + N, N the relations; the loop tests that in E/U and takes
+    # one meet per draw that changes C and none on a stable draw, so it
+    # makes the 7 draws of a loop that meets on every draw: 4 that change C,
+    # then 3 stable ones
+    R2 = PolyRing(p, ("x", "y"))
+    x, y = R2.gens()
+    E = direct_sum(module_from_ideal(Ideal(R2, [x**2, x * y, y**2])), free_module(R2, 1), twist=2)
+    analytic_spread(E)  # the torsion test's meet comes first
+    draws, meets = [], []
+    draw, meet = rees.random_reduction, modalg._meet
+
+    def recording_draw(*args, **kwargs):
+        draws.append(draw(*args, **kwargs))
+        return draws[-1]
+
+    def recording_meet(*args, **kwargs):
+        meets.append(len(draws))
+        return meet(*args, **kwargs)
+
+    monkeypatch.setattr(rees, "random_reduction", recording_draw)
+    monkeypatch.setattr(modalg, "_meet", recording_meet)
+    C, used = core_monte_carlo(E, samples=12, rng=5)
+    monkeypatch.undo()
+    # replay with the two-block meet, which changes no state of the loop
+    changing, current = [], whole_module(E)
+    for k, U in enumerate(draws, 1):
+        basis = two_block_intersect(current, U)
+        if basis != current.coset_gb():
+            changing.append(k)
+            current = span(E, [_ordered_to_vec(d, R2, E.n) for d in basis])
+    assert used == len(draws) == 7
+    assert meets == changing == [1, 2, 3, 4]
+    assert C == current
 
 
 def test_core_prints_the_same_generators_for_every_seed(E_msq):
