@@ -179,21 +179,23 @@ def _mu_drop_holds(W: Submodule, coords, s: int) -> bool:
     return mu(Q) == max(0, mu(P_W) - s)
 
 
-def _certified_cm(K: Ideal, d: int) -> bool:
-    """True when a certificate proves R/K Cohen-Macaulay, for a proper
-    homogeneous K with d = dim R/K, 0 < d < n: for linear forms l that are a
-    system of parameters of R/K, R/K is CM iff the length of R/(K + l)
-    equals the multiplicity e(R/K) (Matsumura, Commutative Ring Theory,
-    Thm 17.11).
+def _certified_cm(K: Ideal, d: int) -> bool | None:
+    """Whether R/K is Cohen-Macaulay, for a proper homogeneous K with
+    d = dim R/K.  dim 0 is Artinian and dim n means K = 0: both are CM.
+    Otherwise, for linear forms l that are a system of parameters of R/K,
+    R/K is CM iff the length of R/(K + l) equals the multiplicity e(R/K)
+    (Matsumura, Commutative Ring Theory, Thm 17.11).
 
     Each draw replaces the last d variables by random linear forms in the
     first n - d, and counts only when the image K' has dim 0, which proves
     the forms a system of parameters; then the length is e(R/K') = dim_k of
-    R'/K'.  The generator is seeded here, so the verdict is reproducible.
-    False when R/K is not CM, or when RETRY_CAP draws find no system of
-    parameters (a small field may have none)."""
+    R'/K', and the verdict is True or False.  None when RETRY_CAP draws find
+    no system of parameters (a small field may have none).  The generator is
+    seeded here, so the verdict is reproducible."""
     ring = K.ring
     n = ring.nvars
+    if d in (0, n):
+        return True
     e = _multiplicity(K, d)
     small = PolyRing(ring.char, ring.vars[: n - d])
     variables = [g.lm() for g in small.gens()]
@@ -204,24 +206,22 @@ def _certified_cm(K: Ideal, d: int) -> bool:
         Kl = Ideal(small, [substitute(g, small, range(n - d), forms, cache) for g in K.groebner_basis()])
         if krull_dimension(Kl) == 0:
             return _multiplicity(Kl, 0) == e
-    return False
+    return None
+
+
+def _resolved_depth(K: Ideal) -> int:
+    """depth R/K from the minimal resolution of R/K, presented on K's
+    reduced basis (graded Auslander-Buchsbaum)."""
+    ring = K.ring
+    return ring.nvars - projective_dimension(cyclic_module(ring, Ideal(ring, K.groebner_basis())))
 
 
 def _depth_and_dim(K: Ideal):
     """(depth, dim) of R/K for a proper homogeneous K; R/K is Cohen-Macaulay
-    iff the two agree.
-
-    A CM verdict comes from `_certified_cm` and gives depth = dim.
-    The minimal resolution of R/K, presented on K's reduced basis (graded
-    Auslander-Buchsbaum), runs only when that certificate says not CM, for
-    the depth, or finds no system of parameters."""
-    ring = K.ring
+    iff the two agree.  A CM verdict of `_certified_cm` gives depth = dim;
+    R/K is resolved for its depth when that verdict is False or None."""
     d = krull_dimension(K)
-    # dim 0 is Artinian and dim n means K = 0: both are CM
-    if d in (0, ring.nvars) or _certified_cm(K, d):
-        return d, d
-    pd = projective_dimension(cyclic_module(ring, Ideal(ring, K.groebner_basis())))
-    return ring.nvars - pd, d
+    return (d, d) if _certified_cm(K, d) else (_resolved_depth(K), d)
 
 
 def residual_intersection(
@@ -290,8 +290,13 @@ def residual_intersection(
         if ok:
             proper = not K.is_unit()
             if proper:
-                dep, dim = _depth_and_dim(K)
-                cm, height_K = dep == dim, E.ring.nvars - dim
+                # only the verdict is reported: R/K is resolved only when
+                # the certificate finds no system of parameters
+                dim = krull_dimension(K)
+                cm = _certified_cm(K, dim)
+                if cm is None:
+                    cm = _resolved_depth(K) == dim
+                height_K = E.ring.nvars - dim
             else:
                 cm, height_K = None, height(K)
             return ResidualCertificate(

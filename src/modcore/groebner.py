@@ -490,9 +490,15 @@ class Ideal:
 
     def groebner_basis(self):
         """Reduced Groebner basis under the ring's order, as a tuple of monic
-        polynomials, ascending."""
+        polynomials, ascending.  A principal ideal needs no Buchberger
+        call: a single generator f is its own reduced basis once monic, and
+        the zero ideal has the empty basis."""
         if self._gb is None:
-            object.__setattr__(self, "_gb", tuple(_ideal_basis(self.gens, self.ring.order, self.ring)))
+            if len(self.gens) <= 1:
+                gb = tuple(f.monic() for f in self.gens)
+            else:
+                gb = tuple(_ideal_basis(self.gens, self.ring.order, self.ring))
+            object.__setattr__(self, "_gb", gb)
         return self._gb
 
     def is_zero(self) -> bool:

@@ -139,6 +139,12 @@ def _row_echelon(rows, width, p):
     return list(zip(pivots, rows))
 
 
+def _constant_echelon(vectors, width, p):
+    """`_row_echelon` of the constant parts of `vectors`, their images
+    modulo the graded maximal ideal."""
+    return _row_echelon([[f.constant_coeff() for f in v] for v in vectors], width, p)
+
+
 # -- presented modules ---------------------------------------------------------------
 
 
@@ -327,8 +333,12 @@ def minimal_presentation(E: PresentedModule) -> PresentedModule:
 
 
 def mu(E: PresentedModule) -> int:
-    """Minimal number of generators at the graded maximal ideal."""
-    return minimal_presentation(E).n
+    """Minimal number of generators at the graded maximal ideal m.
+
+    By graded Nakayama (Bruns-Herzog, Cohen-Macaulay Rings, 1.5.15) this is
+    dim_k E/mE = n minus the GF(p) rank of the relations modulo m, which are
+    their constant parts."""
+    return E.n - len(_constant_echelon(E.relations, E.n, E.ring.char))
 
 
 class FreeResolution:
@@ -547,8 +557,13 @@ class Submodule:
         return not any(nf(phi(_vec_to_dict(g))) for g in self.gens)
 
     def __eq__(self, other):
+        """Equal cosets modulo the relations: two scalar submodules of one
+        parent compare by containment both ways, each through E/U (`__le__`)
+        with no coset basis; any other pair compares coset bases."""
         if not isinstance(other, Submodule):
             return NotImplemented
+        if self.parent is other.parent and _scalar_quotient(self) and _scalar_quotient(other):
+            return self <= other and other <= self
         return self.coset_gb() == other.coset_gb()
 
     def __hash__(self):
@@ -616,8 +631,7 @@ def _change_of_generators(U: Submodule):
     basis e_free."""
     E = U.parent
     p = E.ring.char
-    rows = [[f.constant_coeff() if f else 0 for f in v] for v in U.gens]
-    echelon = dict(_row_echelon(rows, E.n, p))
+    echelon = dict(_constant_echelon(U.gens, E.n, p))
     free = [i for i in range(E.n) if i not in echelon]
     at = {i: k for k, i in enumerate(free)}
     images = []

@@ -9,6 +9,7 @@ so the leading term is terms[0].
 from __future__ import annotations
 
 import re
+from functools import cache
 
 from .errors import ModcoreError, ParseError, RingMismatchError
 from .orders import GrevLex, MonomialOrder
@@ -17,6 +18,7 @@ _EXP_LIMIT = 1 << 15  # overflow guard; corpus degrees stay far below this
 _NEST_LIMIT = 100  # parentheses a polynomial may nest; each level costs the parser 3 frames
 
 
+@cache
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -173,10 +175,9 @@ class Polynomial:
         return not self.terms or (len(self.terms) == 1 and mono_deg(self.terms[0][0]) == 0)
 
     def constant_coeff(self) -> int:
-        z = (0,) * self.ring.nvars
-        for m, c in self.terms:
-            if m == z:
-                return c
+        # 1 is the least monomial in every monomial order: a constant term comes last
+        if self.terms and not any(self.terms[-1][0]):
+            return self.terms[-1][1]
         return 0
 
     # -- arithmetic ----------------------------------------------------------

@@ -192,9 +192,14 @@ def is_reduction(U: Submodule, E: PresentedModule) -> bool:
     """Fiber criterion: U reduces E iff its image in F(E)_1, the linear
     forms with the constant parts of U's generators as coefficients, is a
     homogeneous system of parameters of F(E), that is
-    dim F(E)/U*F(E) <= 0."""
+    dim F(E)/U*F(E) <= 0.  With one free position the quotient is k[T]/J in
+    one variable, of dimension <= 0 exactly when J is nonzero."""
     quotient = fiber_quotient(U, E)
-    return quotient is None or krull_dimension(quotient) <= 0
+    if quotient is None:
+        return True
+    if quotient.ring.nvars == 1:
+        return not quotient.is_zero()
+    return krull_dimension(quotient) <= 0
 
 
 def random_reduction(E: PresentedModule, count: int | None = None, rng=None) -> Submodule:

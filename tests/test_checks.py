@@ -8,7 +8,15 @@ import pytest
 
 from modcore import checks, groebner, modalg
 from modcore.errors import ModcoreError, RetryExhaustedError
-from modcore.groebner import Ideal, _multiplicity, _vec_to_dict, height, intersect, krull_dimension
+from modcore.groebner import (
+    Ideal,
+    _multiplicity,
+    _vec_to_dict,
+    height,
+    intersect,
+    krull_dimension,
+    quotient_ideal,
+)
 from modcore.modalg import (
     colon_into,
     cyclic_module,
@@ -226,12 +234,12 @@ def _resolution_depth_and_dim(K):
     return ring.nvars - projective_dimension(cyclic_module(ring, K)), krull_dimension(K)
 
 
-def _random_homogeneous_ideal(rng):
-    """A proper homogeneous ideal of k[x,y], k[x,y,z] or k[x1..x4]: random
-    forms (a monomial when nterms is 1), or the intersection of two ideals of
-    random linear forms, which is often not Cohen-Macaulay."""
+def _random_homogeneous_ideal(rng, p=P):
+    """A proper homogeneous ideal of k[x,y], k[x,y,z] or k[x1..x4] over
+    GF(p): random forms (a monomial when nterms is 1), or the intersection of
+    two ideals of random linear forms, which is often not Cohen-Macaulay."""
     n = rng.choice((2, 3, 4))
-    ring = PolyRing(P, ("x1", "x2", "x3", "x4")[:n])
+    ring = PolyRing(p, ("x1", "x2", "x3", "x4")[:n])
     if rng.random() < 0.3:
         I, J = (
             Ideal(ring, [random_homogeneous_poly(ring, rng, 1, nterms=rng.randrange(1, 3)) for _ in range(k)])
@@ -295,9 +303,11 @@ def test_cm_certificate_needs_no_resolution(monkeypatch, H, E_H, E_minors43):
 
 def test_depth_and_dim_falls_back_without_system_of_parameters(monkeypatch):
     # over GF(2) every linear form divides xy(x+y), so no draw is a system of
-    # parameters and the depth must come from the resolution
+    # parameters: the certificate is undecided (None, not False) and the
+    # depth must come from the resolution
     R = PolyRing(2, ("x", "y"))
     x, y = R.gens()
+    assert checks._certified_cm(Ideal(R, [x * y * (x + y)]), 1) is None
     calls = []
 
     def counted(E):
@@ -307,6 +317,58 @@ def test_depth_and_dim_falls_back_without_system_of_parameters(monkeypatch):
     monkeypatch.setattr(checks, "projective_dimension", counted)
     assert _depth_and_dim(Ideal(R, [x * y * (x + y)])) == (1, 1)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_certificate_verdict_matches_the_resolution(p):
+    # the three-valued certificate against depth R/K = n - pd from the
+    # minimal resolution: True exactly on CM quotients, False exactly on the
+    # others, on fixed CM and non-CM ideals and seeded random ones; every
+    # case here has a system of parameters, so None never comes up
+    R4 = PolyRing(p, ("x1", "x2", "x3", "x4"))
+    R3 = PolyRing(p, ("x", "y", "z"))
+    x1, x2, x3, x4 = R4.gens()
+    x, y, z = R3.gens()
+    cases = [
+        intersect(Ideal(R4, [x1, x2]), Ideal(R4, [x3, x4])),  # two planes meeting in a point
+        intersect(Ideal(R4, [x1, x2]), Ideal(R4, [x1, x3])),  # (x1, x2*x3), a complete intersection
+        Ideal(R4, [x2 * x4 - x3**2, x1 * x4 - x2 * x3, x1 * x3 - x2**2]),  # the twisted cubic
+        Ideal(R4, [x1 * x2, x2 * x3, x3 * x4, x1 * x4]),  # the square edge ideal
+        Ideal(R3, [x**2, x * y]),  # a line with an embedded point
+        Ideal(R3, [x * y, x * z, y * z]),
+    ]
+    rng = seeded(p + 8)
+    cases += [_random_homogeneous_ideal(rng, p) for _ in range(60)]
+    verdicts = set()
+    for K in cases:
+        if K.is_zero() or K.is_unit():
+            continue
+        dep, dim = _resolution_depth_and_dim(K)
+        verdict = checks._certified_cm(K, dim)
+        assert verdict is (dep == dim), K
+        verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+
+def test_certificate_decides_a_residual_intersection_without_resolution(monkeypatch):
+    # the square edge ideal (pd 2) with W = m*E and s = 3: K has dim 1 and
+    # is not CM.  The certificate finds a system of parameters and says so;
+    # only the verdict is reported, so R/K is never resolved.  The oracle:
+    # K : m != K puts m among the associated primes of R/K, so
+    # depth R/K = 0 < dim R/K = 1
+    R = PolyRing(P, ("x1", "x2", "x3", "x4"))
+    x1, x2, x3, x4 = R.gens()
+    E = module_from_ideal(Ideal(R, [x1 * x2, x2 * x3, x3 * x4, x1 * x4]))
+    W = span(E, [tuple(v * f for f in E.basis_vector(j)) for v in R.gens() for j in range(E.n)])
+
+    def refuse(M):
+        raise AssertionError("a free resolution ran")
+
+    monkeypatch.setattr(modalg, "free_resolution", refuse)
+    cert = residual_intersection(E, W, 3, 1)
+    assert (cert.proper, cert.cm, cert.height_K, cert.retries) == (True, False, 3, 0)
+    assert krull_dimension(cert.K) == 1
+    assert quotient_ideal(cert.K, Ideal(R, R.gens())) != cert.K
 
 
 def test_ext_vanishing_vacuous(E_msq):
@@ -711,7 +773,11 @@ def test_verify_balanced_kernel_calls(R2, monkeypatch):
     # in E/U (one free position), which tests containment and which the
     # meet of the 4 draws that change the intersection takes as known; the
     # 3 stable draws take no meet, and E itself is never compared, so it
-    # takes no coset basis
+    # takes no coset basis.  No basis is taken of a principal ideal: the
+    # fiber ideal (T1*T3 - T2^2) is its own basis for ell (1 call fewer
+    # than 45), and each of the 13 fiber tests of the 6 reductions and the
+    # 7 core draws has one free position, so it asks only whether the fiber
+    # quotient is nonzero (13 calls fewer)
     x, y = R2.gens()
     E = direct_sum(module_from_ideal(Ideal(R2, [x**2, x * y, y**2])), free_module(R2, 1), twist=2)
     count = [0]
@@ -725,4 +791,38 @@ def test_verify_balanced_kernel_calls(R2, monkeypatch):
     monkeypatch.setattr(modalg, "buchberger", counting)
     rep = verify_balanced(E, 6, rng=5)
     assert (rep.status, rep.independent, rep.products_equal, rep.equals_core) == ("ok", True, True, True)
-    assert count[0] == 45
+    assert count[0] == 31
+
+
+def test_closed_form_residual_session_counts(monkeypatch):
+    # a seed-1 session of 20 residual draws for each s = 1..3 on (xy,xz,yz):
+    # mu comes from graded Nakayama, so no minimal presentation is built, and
+    # every principal ideal (the colon heights with |S| = 1, one-variable
+    # fiber and certificate rings) is its own basis, so no Buchberger call
+    # gets a single generator in one position
+    src = "ring R = GF(32003)[x,y,z];\nideal I = (x*y, x*z, y*z);\nmodule E = ideal I;\n"
+    src += "task check_an E --trials 20 --seed 1;\n"
+    session = parse_session(src)
+    presentations, principal, calls = [], [], []
+    kernel, presentation = groebner.buchberger, modalg.minimal_presentation
+
+    def counting(gens, *args, **kwargs):
+        nonzero = [g for g in gens if g]
+        calls.append(len(nonzero))
+        if len(nonzero) == 1 and all(pos == 0 for pos, _ in nonzero[0]):
+            principal.append(nonzero[0])
+        return kernel(gens, *args, **kwargs)
+
+    def presenting(E):
+        presentations.append(E)
+        return presentation(E)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    monkeypatch.setattr(modalg, "buchberger", counting)
+    monkeypatch.setattr(modalg, "minimal_presentation", presenting)
+    monkeypatch.setattr(checks, "minimal_presentation", presenting)
+    report = run_session(session)
+    rows = report.payload["tasks"][0]["value"]["rows"]
+    assert [(r["i"], r["proper"] + r["improper"], r["proper"] == r["cm_passes"]) for r in rows] == [
+        (1, 20, True), (2, 20, True), (3, 20, True)]
+    assert presentations == [] and principal == [] and calls

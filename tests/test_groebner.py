@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from modcore import groebner
 from modcore.errors import ModcoreError, OrderError
 from modcore.groebner import (
     Ideal,
@@ -424,3 +425,31 @@ def test_ordered_decode_matches_from_dict(order, seed):
     shuffled = [dict(reversed(_vec_to_dict((f,)).items())) for f in I.gens]
     for d in buchberger(shuffled, _mkeyf(order), P) + [_reducer([], ring)(shuffled[0])]:
         assert _ordered_to_vec(d, ring, 1) == _dict_to_vec(d, ring, 1)
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_closed_form_principal_basis_matches_buchberger(p, monkeypatch):
+    # a single generator f is its own reduced basis once monic, and the
+    # zero ideal has the empty basis: the closed form against a Buchberger
+    # run, under the default order and an elimination order, on random
+    # polynomials (homogeneous or not), monomials, constants and no
+    # generator; the closed form makes no Buchberger call
+    rng = seeded(p + 5)
+    rings = [PolyRing(p, ("x", "y", "z")), PolyRing(p, ("t", "x", "y"), elimination_order(3, (0,)))]
+    cases = []
+    for R in rings:
+        x = R.var(1)
+        polys = [random_poly(R, rng, maxdeg=3, nterms=k) for k in range(1, 6) for _ in range(5)]
+        polys += [R.const(3), R.const(p - 1), R.one(), x**2 * R.var(2), x.scale(5) - R.one()]
+        cases += [(R, [f], tuple(_ideal_basis([f], R.order, R))) for f in polys if f]
+        cases.append((R, [], tuple(_ideal_basis([], R.order, R))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("buchberger ran on a principal ideal")
+
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+    for R, gens, expected in cases:
+        gb = Ideal(R, gens).groebner_basis()
+        assert gb == expected and [g.terms for g in gb] == [g.terms for g in expected], gens
+    assert sum(f.is_constant() for _, gens, _ in cases for f in gens) >= 6
+    assert sum(not gens for _, gens, _ in cases) == 2

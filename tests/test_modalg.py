@@ -44,6 +44,7 @@ from modcore.modalg import (
     syzygies,
     whole_module,
 )
+from modcore.checks import _random_elements, build_ideal_module
 from modcore.poly import PolyRing
 from modcore.rees import random_reduction, rees_ideal
 from modcore.session import parse_session
@@ -1074,3 +1075,115 @@ def test_prefilled_memos_are_hits(R2, monkeypatch):
     bases = _counting(monkeypatch, modalg, "module_gb")
     assert C.coset_gb() == module_gb(list(C.gens) + list(E.relations), R2)
     assert bases == []  # the reference basis is built through this module's name
+
+
+def _mu_oracle_modules(p):
+    """Over GF(p): the corpus ideals as modules, each I + R(-2) and I + I,
+    the generic cokernel rungs, and m*E for the ideal modules, whose
+    presentation on the products x_i*e_j has constant relations."""
+    x, y = PolyRing(p, ("x", "y")).gens()
+    a, b, c = PolyRing(p, ("x", "y", "z")).gens()
+    x0, x1, x2, x3 = PolyRing(p, ("x0", "x1", "x2", "x3")).gens()
+    ideals = [
+        Ideal(x.ring, [x**2, x * y, y**2]),
+        Ideal(a.ring, [a * b, a * c, b * c]),
+        Ideal(a.ring, [a**3, a**2 * b, a * b**2 - a**2 * c, b**3 - 2 * a * b * c]),
+        Ideal(x0.ring, [x1 * x3 - x2**2, x0 * x3 - x1 * x2, x0 * x2 - x1**2]),
+        Ideal(x0.ring, [x0 * x1, x1 * x2, x2 * x3, x0 * x3]),
+    ]
+    modules = []
+    for I in ideals:
+        E = module_from_ideal(I)
+        modules.append(E)
+        modules += [build_ideal_module(I, 2, mode)[0] for mode in ("plus_free", "power_sum")]
+        gens = I.ring.gens()
+        modules.append(submodule_presentation(span(E, [tuple(v * f for f in E.basis_vector(j))
+                                                       for v in gens for j in range(E.n)])))
+    modules += [generic_cokernel(3, 5, 3, p), generic_cokernel(4, 6, 4, p), generic_cokernel(4, 7, 5, p)]
+    return modules
+
+
+def _random_presentation(ring, rng):
+    """A homogeneous presentation on generators of degree 0 and 1, whose
+    columns of degree 1 and 2 may carry constants (often not minimal)."""
+    p = ring.char
+    degrees = [rng.randrange(2) for _ in range(rng.randrange(1, 5))]
+    cols = []
+    for _ in range(rng.randrange(0, 5)):
+        deg = rng.randrange(1, 3)
+        col = []
+        for d in degrees:
+            k = deg - d
+            roll = rng.random()
+            col.append(ring.zero() if roll < 0.3 else
+                       ring.const(rng.randrange(p)) if k == 0 else
+                       random_homogeneous_poly(ring, rng, k, nterms=2))
+        cols.append(col)
+    return PresentedModule(ring, degrees, cols)
+
+
+def _mu_drop_presentations(E, rng):
+    """The presentations Q of W / (a_1..a_s) that the generator-drop check
+    of residual_intersection counts, for W = E and s = 1..mu(E) + 1."""
+    W = whole_module(E)
+    P_W = submodule_presentation(W)
+    out = [P_W]
+    for s in range(1, E.n + 2):
+        _, coords = _random_elements(W, s, rng)
+        extra = [tuple(E.ring.const(c) for c in row) for row in coords]
+        out.append(PresentedModule(E.ring, P_W.gen_degrees, list(P_W.relations) + extra))
+    return out
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_closed_form_mu_matches_the_minimal_presentation(p):
+    # graded Nakayama: n minus the rank of the constant parts of the
+    # relations is the size of the minimal presentation that pruning
+    # reaches, on the corpus modules, I + R(-2), power sums, the generic
+    # cokernels, m*E, the generator-drop presentations and random
+    # presentations with constant entries
+    rng = seeded(p + 6)
+    modules = _mu_oracle_modules(p)
+    for E in modules[:4]:
+        modules += _mu_drop_presentations(E, rng)
+    R = PolyRing(p, ("x", "y", "z"))
+    modules += [_random_presentation(R, rng) for _ in range(60)]
+    drops = 0
+    for E in modules:
+        mu_E = mu(E)
+        assert mu_E == minimal_presentation(E).n, E
+        drops += mu_E < E.n
+    assert drops >= 20
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_closed_form_scalar_equality_matches_coset_bases(p):
+    # two scalar spans of one parent compare by containment both ways
+    # through E/U, with no coset basis; the verdict against coset-basis
+    # equality of fresh copies, on spans that leave 0, 1 and 2 or more free
+    # positions: the same span on recombined generators, one generator
+    # fewer, a fresh draw and E itself.  Spans of a second module with the
+    # same relations, or of another module, compare by coset bases and
+    # never raise
+    rng = seeded(p + 7)
+    free_counts, outcomes = set(), set()
+    for E in _scalar_oracle_modules(p):
+        ring = E.ring
+        draw = lambda k: [tuple(ring.const(rng.randrange(p)) for _ in range(E.n)) for _ in range(k)]
+        for k in range(E.n + 1):
+            U = span(E, draw(k))
+            free_counts.add(min(len(modalg._scalar_quotient(U)[0]), 2))
+            mixes = [[ring.const(rng.randrange(1, p)) for _ in range(k)] for _ in range(k)]
+            recombined = [tuple(sum((g[i] * c for g, c in zip(U.gens, row)), ring.zero()) for i in range(E.n))
+                          for row in mixes]
+            for gens in (recombined, U.gens[:-1], draw(k), whole_module(E).gens):
+                V = span(E, gens)
+                expected = span(E, U.gens).coset_gb() == span(E, gens).coset_gb()
+                assert (U == V, V == U) == (expected, expected), (E, k)
+                assert ("coset_gb", ()) not in U._cache and ("coset_gb", ()) not in V._cache
+                outcomes.add(expected)
+        twin = PresentedModule(ring, E.gen_degrees, E.relations)
+        U = span(E, draw(2))
+        assert U == span(twin, U.gens) and U != span(twin, draw(1))
+        assert U != span(free_module(ring, E.n + 1), [v + (ring.zero(),) for v in U.gens])
+    assert free_counts == {0, 1, 2} and outcomes == {False, True}

@@ -37,6 +37,7 @@ from modcore.rees import (
     analytic_spread,
     core_monte_carlo,
     fiber_ideal,
+    fiber_quotient,
     graded_component,
     is_reduction,
     random_reduction,
@@ -702,3 +703,47 @@ def test_reduction_number_is_ell_minus_e_on_generic_cokernels(nvars, n, r):
     for seed in range(3):
         U = random_reduction(E, rng=seed)
         assert reduction_number(U, E) == r
+
+
+@pytest.mark.parametrize("p", [32003, 7])
+def test_closed_form_one_variable_fiber_test_matches_dimension(p, monkeypatch):
+    # with one free position the fiber quotient lives in k[T], and
+    # is_reduction only asks whether it is nonzero: the verdict against
+    # krull_dimension(fiber_quotient(U, E)) <= 0 and the basis of Fib + L,
+    # on random spans of mu - 1 scalar vectors and on spans of all basis
+    # vectors but one, which m^2 (x^2, xy) and every module with
+    # ell = mu reject; no dimension is taken
+    x, y = PolyRing(p, ("x", "y")).gens()
+    a, b, c = PolyRing(p, ("x", "y", "z")).gens()
+    x0, x1, x2, x3 = PolyRing(p, ("x0", "x1", "x2", "x3")).gens()
+    msq = module_from_ideal(Ideal(x.ring, [x**2, x * y, y**2]))
+    modules = [
+        msq,
+        direct_sum(msq, free_module(x.ring, 1), twist=2),
+        module_from_ideal(Ideal(a.ring, [a * b, a * c, b * c])),
+        module_from_ideal(Ideal(a.ring, [a**3, a**2 * b, a * b**2 - a**2 * c, b**3 - 2 * a * b * c])),
+        module_from_ideal(Ideal(x0.ring, [x1 * x3 - x2**2, x0 * x3 - x1 * x2, x0 * x2 - x1**2])),
+    ]
+    rng = random.Random(f"one free:{p}")
+    cases = []
+    for E in modules:
+        ring = E.ring
+        spans = [span(E, [E.basis_vector(i) for i in range(E.n) if i != j]) for j in range(E.n)]
+        spans += [span(E, [tuple(ring.const(rng.randrange(p)) for _ in range(E.n)) for _ in range(E.n - 1)])
+                  for _ in range(6)]
+        for U in spans:
+            quotient = fiber_quotient(U, E)
+            if quotient is not None and quotient.ring.nvars == 1:
+                expected = krull_dimension(quotient) <= 0
+                assert expected == _gb_is_reduction(E, U), U.gens
+                cases.append((E, U, expected))
+
+    def refuse(I):
+        raise AssertionError("a dimension was taken in one variable")
+
+    monkeypatch.setattr(rees, "krull_dimension", refuse)
+    verdicts = set()
+    for E, U, expected in cases:
+        assert is_reduction(U, E) == expected, U.gens
+        verdicts.add(expected)
+    assert verdicts == {False, True} and len(cases) >= 40
