@@ -22,7 +22,7 @@ from operator import mul, or_
 from struct import Struct
 
 from .errors import ModcoreError, OrderError, RingMismatchError
-from .orders import GrevLexVarLast, elimination_order
+from .orders import GrevLex, GrevLexVarLast, elimination_order
 from .poly import (
     Polynomial,
     PolyRing,
@@ -253,12 +253,17 @@ def buchberger(gens, mkey, p, known=0):
     reduction, and no S-pair between two of them, since each such pair
     reduces to zero against them (Gebauer-Moeller, J. Symb. Comp. 6, 1988);
     the chain criterion counts those pairs as done.
+
+    Inputs that are all single terms need no loop: the S-polynomial of two
+    terms is 0, so the reduced basis is the minimal terms (`_minimal_terms`).
     """
     gens = [g for g in gens if g]
     if not gens:
         return []
-    one_position = len({pm[0] for g in gens for pm in g}) <= 1
     codec = _codec(mkey.order, len(next(iter(gens[0]))[1]))
+    if all(len(g) == 1 for g in gens):
+        return [{codec.term(t): 1} for t in _minimal_terms([codec.code(*pm) for g in gens for pm in g], codec)]
+    one_position = len({pm[0] for g in gens for pm in g}) <= 1
     guard = codec.guard
     G = []  # monic code dicts
     D = []  # their divisors
@@ -332,6 +337,23 @@ def buchberger(gens, mkey, p, known=0):
             add(_monic(r, p))
 
     return [codec.decode(g) for g in _reduce_basis(G, D, codec, p)]
+
+
+def _minimal_terms(codes, codec):
+    """The term codes among `codes` that no other one divides, ascending,
+    each once.  A divisor of a term precedes it in term order and shares its
+    position, so one ascending pass compares each term with the kept ones
+    at its position only."""
+    guard = codec.guard
+    kept = []
+    at = {}  # position -> kept codes there
+    for t in sorted(set(codes)):
+        probe = t | guard
+        same = at.setdefault(codec.pos(t), [])
+        if not any((probe - s) & guard == guard for s in same):
+            same.append(t)
+            kept.append(t)
+    return kept
 
 
 def _reduce_basis(G, D, codec, p):
@@ -603,7 +625,10 @@ def _saturate_variable_graded(I: Ideal, i: int) -> Ideal:
 
 
 def _saturate_rabinowitsch(I: Ideal, f: Polynomial) -> Ideal:
-    """I + (t*f - 1) in R[t], with t eliminated."""
+    """I + (t*f - 1) in R[t], with t eliminated.  The block order is grevlex
+    on R's variables, so under R's default order the basis elements free of
+    t are the reduced basis of the result, ascending, and its basis cache
+    starts with them."""
     ring = I.ring
     # "#t" is unreachable from the polynomial grammar, so it never clashes
     big = PolyRing(ring.char, ("#t",) + ring.vars, elimination_order(ring.nvars + 1, (0,)))
@@ -611,7 +636,10 @@ def _saturate_rabinowitsch(I: Ideal, f: Polynomial) -> Ideal:
     gens = [map_poly(g, big) for g in I.gens]
     gens.append(t * map_poly(f, big) - big.one())
     basis = _ideal_basis(gens, big.order, big)
-    return Ideal(ring, [map_poly(g, ring) for g in basis if all(m[0] == 0 for m, _ in g.terms)])
+    S = Ideal(ring, [map_poly(g, ring) for g in basis if all(m[0] == 0 for m, _ in g.terms)])
+    if ring.order == GrevLex():
+        object.__setattr__(S, "_gb", S.gens)
+    return S
 
 
 def saturate(J: Ideal, f: Polynomial) -> Ideal:

@@ -235,6 +235,8 @@ def module_from_ideal(I: Ideal) -> PresentedModule:
     cols = syzygies([(g,) for g in I.gens], I.ring, 1)
     E = PresentedModule(I.ring, degrees, cols)
     E._cache["from_ideal"] = I
+    # E is isomorphic to I inside the domain R
+    _remember(E, "is_torsionfree", True)
     return E
 
 
@@ -249,7 +251,9 @@ def free_module(ring: PolyRing, rank: int, twist: int = 0) -> PresentedModule:
 
 
 def direct_sum(E1: PresentedModule, E2: PresentedModule, twist: int = 0) -> PresentedModule:
-    """Block direct sum; the second summand's generators are shifted by `twist`."""
+    """Block direct sum; the second summand's generators are shifted by
+    `twist`.  The summands are recorded with it, an input like
+    `module_from_ideal`'s ideal, for `is_torsionfree`."""
     if E1.ring != E2.ring:
         raise RingMismatchError("direct sum across rings")
     ring = E1.ring
@@ -259,7 +263,9 @@ def direct_sum(E1: PresentedModule, E2: PresentedModule, twist: int = 0) -> Pres
     z2 = (ring.zero(),) * n2
     cols = [tuple(c) + z2 for c in E1.relations]
     cols += [z1 + tuple(c) for c in E2.relations]
-    return PresentedModule(ring, degrees, cols)
+    E = PresentedModule(ring, degrees, cols)
+    E._cache["summands"] = (E1, E2)
+    return E
 
 
 def rank(E: PresentedModule) -> int:
@@ -757,10 +763,14 @@ def submodule_intersect(U1: Submodule, U2: Submodule) -> Submodule:
         kill = _quotient_basis(U2)
         width, known = len(free), len(kill)
     pairs = [(h, {}) for h in kill] + [(phi(c), c) for c in [_vec_to_dict(u) for u in U1.gens] + relations]
-    basis = _meet(pairs, width, ring, known)
-    C = Submodule(E, [_ordered_to_vec(d, ring, E.n) for d in basis])
-    # the basis spans a module that contains N, so it is also the reduced
-    # basis of C's generators and N: C's coset basis
+    return _basis_submodule(E, _meet(pairs, width, ring, known))
+
+
+def _basis_submodule(E: PresentedModule, basis) -> Submodule:
+    """The submodule of E spanned by `basis`, the reduced basis of a module
+    that contains the relations N: so it is also the reduced basis of the
+    submodule's generators and N, its coset basis."""
+    C = Submodule(E, [_ordered_to_vec(d, E.ring, E.n) for d in basis])
     _remember(C, "coset_gb", basis)
     return C
 
@@ -780,11 +790,17 @@ def ideal_times_submodule(K: Ideal, U: Submodule) -> Submodule:
 def is_torsionfree(E: PresentedModule) -> bool:
     """True iff the kernel of E -> E_a vanishes, a the fixed maximal minor.
 
-    E_a is free of rank e for any nonzero maximal minor a, so that kernel is
-    exactly the torsion submodule.  It vanishes iff a*v in N forces v in N,
-    N the relations: (N :_F a) is the meet of the pairs (a*e_i, e_i) and
-    (col, 0), and every element of its basis must reduce to 0 modulo N.
+    A direct sum is torsion-free iff both summands are, since the torsion of
+    E1 + E2 is the sum of theirs; a module built from an ideal is known to
+    be (`module_from_ideal`).  Otherwise: E_a is free of rank e for any
+    nonzero maximal minor a, so that kernel is exactly the torsion
+    submodule.  It vanishes iff a*v in N forces v in N, N the relations:
+    (N :_F a) is the meet of the pairs (a*e_i, e_i) and (col, 0), and every
+    element of its basis must reduce to 0 modulo N.
     """
+    summands = E._cache.get("summands")
+    if summands is not None:
+        return all(is_torsionfree(S) for S in summands)
     if E.n == 0 or not E.relations:
         return True
     a = first_nonzero_maximal_minor(E)

@@ -12,6 +12,7 @@ Every Rees datum is a function of E, computed once and kept on E by
 from __future__ import annotations
 
 import random
+from math import prod
 
 from .errors import (
     CapExceededError,
@@ -24,6 +25,7 @@ from .groebner import Ideal, hilbert_function, krull_dimension, saturate, _monom
 from .modalg import (
     PresentedModule,
     Submodule,
+    _basis_submodule,
     _change_of_generators,
     _memo,
     _scalar_quotient,
@@ -96,11 +98,13 @@ def rees_ideal(E: PresentedModule) -> Ideal:
 
 @_memo
 def fiber_ideal(E: PresentedModule) -> Ideal:
-    """Image of the Rees ideal in k[T] under x -> 0."""
+    """Image of the Rees ideal in k[T] under x -> 0.  That map R[T] -> k[T]
+    is onto, so the images of any generators of the Rees ideal generate it:
+    no basis of the Rees ideal is taken."""
     big, fiber = _rees_rings(E)
     nx = E.ring.nvars
     gens = []
-    for g in rees_ideal(E).groebner_basis():
+    for g in rees_ideal(E).gens:
         kept = {m: c for m, c in g.terms if not any(m[:nx])}
         if kept:
             gens.append(map_poly(big.from_dict(kept), fiber))
@@ -163,6 +167,15 @@ def _component(E: PresentedModule, j: int) -> PresentedModule:
 # -- reductions -------------------------------------------------------------------
 
 
+def _fiber_positions(U: Submodule, E: PresentedModule):
+    """`_change_of_generators(U)`, once E passes the Rees checks and U is a
+    submodule of E, in that order."""
+    _rees_rings(E)
+    if U.parent is not E:
+        raise ModcoreError("U is not a submodule of E")
+    return _change_of_generators(U)
+
+
 def fiber_quotient(U: Submodule, E: PresentedModule):
     """F(E)/U*F(E) = k[T]/(Fib + L) as phi(Fib) in k[T_free], L the linear
     forms with the constant parts of U's generators as coefficients; None
@@ -172,11 +185,9 @@ def fiber_quotient(U: Submodule, E: PresentedModule):
     form in the free ones (`modalg._change_of_generators`, the echelon that
     also takes colons and intersections by a scalar U); phi is that
     substitution, so the quotient keeps its grading."""
+    free, images = _fiber_positions(U, E)
     _, fiber = _rees_rings(E)
-    if U.parent is not E:
-        raise ModcoreError("U is not a submodule of E")
     p = E.ring.char
-    free, images = _change_of_generators(U)
     if not free:
         return None
     target = PolyRing(p, [fiber.vars[i] for i in free])
@@ -192,14 +203,25 @@ def is_reduction(U: Submodule, E: PresentedModule) -> bool:
     """Fiber criterion: U reduces E iff its image in F(E)_1, the linear
     forms with the constant parts of U's generators as coefficients, is a
     homogeneous system of parameters of F(E), that is
-    dim F(E)/U*F(E) <= 0.  With one free position the quotient is k[T]/J in
-    one variable, of dimension <= 0 exactly when J is nonzero."""
+    dim F(E)/U*F(E) <= 0.
+
+    With one free position each e_i is c_i*e_free modulo L, and the quotient
+    is k[T]/J in one variable, J the image of Fib under T_i -> c_i*T: of
+    dimension <= 0 exactly when J is nonzero.  That map sends a form g of
+    degree k to g(c)*T^k, and the fiber basis is homogeneous, so U reduces E
+    iff some element of it does not vanish at the point c."""
+    free, images = _fiber_positions(U, E)
+    if len(free) == 1:
+        p = E.ring.char
+        point = [coeffs[0][1] if coeffs else 0 for coeffs in images]
+        return any(_value_at(g, point, p) for g in fiber_ideal(E).groebner_basis())
     quotient = fiber_quotient(U, E)
-    if quotient is None:
-        return True
-    if quotient.ring.nvars == 1:
-        return not quotient.is_zero()
-    return krull_dimension(quotient) <= 0
+    return quotient is None or krull_dimension(quotient) <= 0
+
+
+def _value_at(f, point, p):
+    """f(point) in GF(p)."""
+    return sum(c * prod(pow(a, e, p) for a, e in zip(point, m)) for m, c in f.terms) % p
 
 
 def random_reduction(E: PresentedModule, count: int | None = None, rng=None) -> Submodule:
@@ -250,26 +272,31 @@ def core_monte_carlo(E: PresentedModule, samples: int = 12, rng=None):
     STABILIZATION_WINDOW draws in a row leave it unchanged.
 
     Returns (submodule, samples_used).  The value is a Monte Carlo upper
-    approximation of core(E) unless a theorem route confirms it.
+    approximation of core(E) unless a theorem route confirms it, or unless
+    samples_used is 0: when ell(E) = mu(E), F(E) is a polynomial ring in mu
+    variables, so every reduction U has U + mE = E, hence U = E and
+    core(E) = E over any field.
     """
     if samples < STABILIZATION_WINDOW:
         raise ModcoreError(f"core_monte_carlo needs samples >= {STABILIZATION_WINDOW}, got {samples}")
     rng = _rng(rng)
     if analytic_spread(E) == mu(E):
-        # no proper reductions: core(E) = E, and every draw returns E
         return whole_module(E), 0
-    whole = current = whole_module(E)
+    current = None  # E itself
     stable = 0
     for k in range(1, samples + 1):
         U = random_reduction(E, rng=rng)
         # the draw leaves current as it is exactly when current <= U + N, N
         # the relations; E itself never lies in U + N, as U has ell < mu
-        # generators
-        if current is not whole and current <= U:
+        # generators, and E meets U + N in U + N, so U itself stands for it
+        if current is None:
+            current = U
+        elif current <= U:
             stable += 1
         else:
             stable = 0
             current = submodule_intersect(current, U)
         if stable >= STABILIZATION_WINDOW:
-            return current, k
+            # by its reduced basis, which a meet result already knows
+            return _basis_submodule(E, current.coset_gb()), k
     raise RetryExhaustedError(f"core failed to stabilize within {samples} samples")

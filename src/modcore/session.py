@@ -476,7 +476,8 @@ def _run_core(_, E, *, samples=12, seed=None):
         "seed": seed,
         "samples": samples,
         "samples_used": used,
-        "label": "Monte Carlo upper approximation",
+        # no draw is taken only when ell(E) = mu(E), and then core(E) = E
+        "label": "exact: analytic spread equals mu" if used == 0 else "Monte Carlo upper approximation",
         "gens": C,
     }
 

@@ -769,15 +769,19 @@ def test_verify_balanced_kernel_calls(R2, monkeypatch):
     # their bases, K*E is built once per distinct K, and the fiber test is
     # linear algebra plus one basis in the free variables; a colon by a
     # scalar U with one free position is one basis of J, with no coset
-    # basis of U.  The core takes 7 draws: each takes one basis of phi(N)
-    # in E/U (one free position), which tests containment and which the
-    # meet of the 4 draws that change the intersection takes as known; the
-    # 3 stable draws take no meet, and E itself is never compared, so it
-    # takes no coset basis.  No basis is taken of a principal ideal: the
-    # fiber ideal (T1*T3 - T2^2) is its own basis for ell (1 call fewer
-    # than 45), and each of the 13 fiber tests of the 6 reductions and the
-    # 7 core draws has one free position, so it asks only whether the fiber
-    # quotient is nonzero (13 calls fewer)
+    # basis of U.  The core takes 7 draws.  The first meets E, so its
+    # intersection is U + N and U stands for it: no meet, no basis of phi(N)
+    # and no coset basis of U (2 calls fewer than 31).  Each later draw
+    # takes one basis of phi(N) in E/U (one free position), which tests
+    # containment and which the meet of the 3 later draws that change the
+    # intersection takes as known; the 3 stable draws take no meet.  E is an
+    # ideal module plus a free one, torsion-free by construction, so the
+    # torsion test takes no meet (1 call fewer).  No basis is taken of a
+    # principal ideal: the fiber ideal (T1*T3 - T2^2), read off the Rees
+    # ideal's generators, is its own basis for ell, and the Rees basis is
+    # taken once, by the CM test.  Each of the 13 fiber tests of the 6
+    # reductions and the 7 core draws has one free position, so it
+    # evaluates the fiber basis at a point and takes no basis
     x, y = R2.gens()
     E = direct_sum(module_from_ideal(Ideal(R2, [x**2, x * y, y**2])), free_module(R2, 1), twist=2)
     count = [0]
@@ -791,7 +795,7 @@ def test_verify_balanced_kernel_calls(R2, monkeypatch):
     monkeypatch.setattr(modalg, "buchberger", counting)
     rep = verify_balanced(E, 6, rng=5)
     assert (rep.status, rep.independent, rep.products_equal, rep.equals_core) == ("ok", True, True, True)
-    assert count[0] == 31
+    assert count[0] == 28
 
 
 def test_closed_form_residual_session_counts(monkeypatch):

@@ -35,6 +35,7 @@ from conftest import (
     in_row_space,
     monomials_of_degree,
     poly_coeff_vector,
+    random_homogeneous_poly,
     random_poly,
     seeded,
 )
@@ -453,3 +454,93 @@ def test_closed_form_principal_basis_matches_buchberger(p, monkeypatch):
         assert gb == expected and [g.terms for g in gb] == [g.terms for g in expected], gens
     assert sum(f.is_constant() for _, gens, _ in cases for f in gens) >= 6
     assert sum(not gens for _, gens, _ in cases) == 2
+
+
+def _loop_basis(gens, mkey, p, known=0):
+    """The Buchberger loop on the term dicts `gens`: a binomial alone in a
+    fresh last position keeps the input from being terms only, and its basis
+    element, the only one there, is dropped again."""
+    last = 1 + max(pos for g in gens for pos, _ in g)
+    nvars = len(next(iter(next(g for g in gens if g)))[1])
+    units = [tuple(int(i == j) for j in range(nvars)) for i in range(2)]
+    pad = {(last, units[0]): 1, (last, units[1]): 1}
+    return [g for g in buchberger(gens + [pad], mkey, p, known) if next(iter(g))[0] != last]
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_closed_form_terms_only_basis_matches_sympy_and_the_loop(p, monkeypatch):
+    # when every input is a single term, every S-polynomial is 0, so the
+    # reduced basis is the minimal terms, monic and ascending; divisibility
+    # counts within one position only.  The closed form against sympy's
+    # groebner on monomial ideals, and against the loop on the same terms on
+    # monomial ideals and submodules of R^2 and R^3, with repeated terms,
+    # coefficients other than 1, zero inputs and a known prefix; the closed
+    # form takes no normal form
+    sympy = pytest.importorskip("sympy")
+    rng = seeded(p + 8)
+    ring = PolyRing(p, ("x", "y", "z"))
+    syms = sympy.symbols("x y z")
+    mkey = _mkeyf(ring.order)
+    cases = []
+    for npos in (1, 1, 2, 3):
+        for _ in range(12):
+            gens = [{(rng.randrange(npos), tuple(rng.randrange(4) for _ in range(3))): rng.randrange(1, p)}
+                    for _ in range(rng.randrange(1, 9))]
+            gens += [dict(g) for g in rng.sample(gens, rng.randrange(len(gens) + 1))] + [{}]
+            rng.shuffle(gens)
+            cases.append((gens, 0))
+            known = _loop_basis(gens[:3], mkey, p)
+            cases.append((known + gens[3:], len(known)))
+    expected = [_loop_basis(gens, mkey, p, known) for gens, known in cases]
+    ideals = []
+    for gens, known in cases[::2]:
+        if all(pos == 0 for g in gens for pos, _ in g):
+            exprs = [sympy.Poly.from_dict({m: c}, *syms, modulus=p).as_expr() for g in gens for (_, m), c in g.items()]
+            G = sympy.groebner(exprs, *syms, order="grevlex", modulus=p)
+            ideals.append((gens, {(0, m): int(c) % p for g in G.polys for m, c in g.terms()}))
+
+    def refuse(*args):
+        raise AssertionError("a normal form was taken of terms only")
+
+    monkeypatch.setattr(groebner, "nf_dict", refuse)
+    for (gens, known), exp in zip(cases, expected):
+        assert buchberger(gens, mkey, p, known) == exp, gens
+    for gens, terms in ideals:
+        assert {pm: c for g in buchberger(gens, mkey, p) for pm, c in g.items()} == terms, gens
+    assert len(ideals) >= 24
+    assert any(len({pos for d in exp for pos, _ in d}) == 3 for exp in expected)
+    assert any(len(exp) < len({pm for g in gens for pm in g}) for exp, (gens, _) in zip(expected, cases))
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_closed_form_rabinowitsch_saturation_keeps_its_basis(p, monkeypatch):
+    # the elimination order is grevlex on R's variables, so the basis
+    # elements free of t are the reduced basis of (J : f^infinity) under
+    # R's default order: the kept basis against a Buchberger run on the
+    # result's generators, for random homogeneous J and non-monomial f;
+    # asking for it runs no Buchberger call.  Under another order of R no
+    # basis is kept
+    rng = seeded(p + 9)
+    cases = []
+    for nvars in (2, 3, 4):
+        R = PolyRing(p, tuple(f"x{i}" for i in range(nvars)))
+        while len([c for c in cases if c[0].ring == R]) < 12:
+            J = Ideal(R, [random_homogeneous_poly(R, rng, rng.randrange(1, 3)) * random_homogeneous_poly(R, rng, 1)
+                          for _ in range(rng.randrange(1, 4))])
+            f = random_homogeneous_poly(R, rng, rng.randrange(1, 3))
+            if len(f.terms) > 1:
+                S = saturate(J, f)
+                cases.append((S, tuple(_ideal_basis(S.gens, R.order, R))))
+
+    other = PolyRing(p, ("x0", "x1", "x2"), GrevLexVarLast(0))
+    x0, x1, x2 = other.gens()
+    assert saturate(Ideal(other, [x0 * x1 * (x1 + x2), x2**3]), x1 + x2)._gb is None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("buchberger ran on a Rabinowitsch result")
+
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+    for S, expected in cases:
+        gb = S.groebner_basis()
+        assert gb == expected and [g.terms for g in gb] == [g.terms for g in expected], S
+    assert sum(len(S.gens) > 1 for S, _ in cases) >= 12

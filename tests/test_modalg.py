@@ -1187,3 +1187,70 @@ def test_closed_form_scalar_equality_matches_coset_bases(p):
         assert U == span(twin, U.gens) and U != span(twin, draw(1))
         assert U != span(free_module(ring, E.n + 1), [v + (ring.zero(),) for v in U.gens])
     assert free_counts == {0, 1, 2} and outcomes == {False, True}
+
+
+def test_closed_form_terms_only_fitting_basis_takes_no_normal_form(monkeypatch):
+    # Fitt_2(I + I) for the edge ideal I of a square has 46 monomial
+    # generators of degree 6, none dividing another; terms only, so they
+    # are their own reduced basis and `buchberger` takes no normal form
+    R = PolyRing(P, ("x1", "x2", "x3", "x4"))
+    x1, x2, x3, x4 = R.gens()
+    I = Ideal(R, [x1 * x2, x2 * x3, x3 * x4, x1 * x4])
+    F = fitting_ideal(build_ideal_module(I, 2, "power_sum")[0], 2)
+    assert len(F.gens) == 46 and all(len(g.terms) == 1 and g.degree() == 6 for g in F.gens)
+    calls = []
+    nf = groebner.nf_dict
+
+    def counting(*args):
+        calls.append(args)
+        return nf(*args)
+
+    monkeypatch.setattr(groebner, "nf_dict", counting)
+    F = Ideal(R, F.gens)
+    basis = F.groebner_basis()
+    assert calls == []
+    assert sorted(g.terms for g in basis) == sorted(g.monic().terms for g in F.gens)
+
+
+def _torsion_oracle_modules(p):
+    """(module, built from ideals and free modules only) over GF(p): ideal
+    modules, sums of them with free modules, nested sums, and sums with the
+    torsion module R/(x) as a summand, at any depth."""
+    x, y, z = PolyRing(p, ("x", "y", "z")).gens()
+    R = x.ring
+    tri = module_from_ideal(Ideal(R, [x * y, x * z, y * z]))
+    cubics = module_from_ideal(Ideal(R, [x**3, x**2 * y, x * y**2 - x**2 * z, y**3 - 2 * x * y * z]))
+    msq = module_from_ideal(Ideal(R, [x**2, x * y, y**2]))
+    torsion = cyclic_module(R, Ideal(R, [x]))
+    plus = direct_sum(tri, free_module(R, 1), twist=2)
+    clean = [tri, cubics, msq, plus, direct_sum(tri, msq), direct_sum(plus, cubics, twist=1),
+             direct_sum(free_module(R, 2), direct_sum(msq, tri))]
+    dirty = [direct_sum(tri, torsion), direct_sum(torsion, free_module(R, 1), twist=1),
+             direct_sum(plus, direct_sum(msq, torsion)), direct_sum(direct_sum(torsion, tri), cubics, twist=1)]
+    return [(E, True) for E in clean] + [(E, False) for E in dirty]
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_closed_form_torsion_by_construction_matches_the_meet(p, monkeypatch):
+    # a module built from an ideal is torsion-free, and a direct sum is
+    # torsion-free iff both summands are: the verdict by construction
+    # against the (N :_F a) meet on a copy of each presentation that does
+    # not know how it was built; a sum of ideal modules and free modules
+    # takes no meet, and a torsion summand R/(x) makes any sum False; its
+    # own verdict is one meet, taken once for every sum that holds it
+    cases = _torsion_oracle_modules(p)
+    expected = [is_torsionfree(PresentedModule(E.ring, E.gen_degrees, E.relations)) for E, _ in cases]
+    assert expected == [clean for _, clean in cases]
+    meets = []
+    meet = modalg._meet
+
+    def recording(*args, **kwargs):
+        meets.append(args)
+        return meet(*args, **kwargs)
+
+    monkeypatch.setattr(modalg, "_meet", recording)
+    for (E, clean), verdict in zip(cases, expected):
+        before = len(meets)
+        assert is_torsionfree(E) == verdict
+        assert not clean or len(meets) == before
+    assert len(meets) == 1

@@ -2,6 +2,7 @@
 reductions, reduction numbers, Monte Carlo cores."""
 
 import random
+from math import prod
 
 import pytest
 
@@ -28,6 +29,7 @@ from modcore.modalg import (
     mu,
     rank,
     span,
+    submodule_intersect,
     whole_module,
 )
 from modcore.poly import PolyRing, map_poly
@@ -460,11 +462,11 @@ def test_core_meets_only_on_draws_that_change_it(p, monkeypatch):
     # when C <= U + N, N the relations; the loop tests that in E/U and takes
     # one meet per draw that changes C and none on a stable draw, so it
     # makes the 7 draws of a loop that meets on every draw: 4 that change C,
-    # then 3 stable ones
+    # then 3 stable ones.  The first draw meets E itself, so C becomes
+    # U + N, and U stands for it with no meet
     R2 = PolyRing(p, ("x", "y"))
     x, y = R2.gens()
     E = direct_sum(module_from_ideal(Ideal(R2, [x**2, x * y, y**2])), free_module(R2, 1), twist=2)
-    analytic_spread(E)  # the torsion test's meet comes first
     draws, meets = [], []
     draw, meet = rees.random_reduction, modalg._meet
 
@@ -488,7 +490,8 @@ def test_core_meets_only_on_draws_that_change_it(p, monkeypatch):
             changing.append(k)
             current = span(E, [_ordered_to_vec(d, R2, E.n) for d in basis])
     assert used == len(draws) == 7
-    assert meets == changing == [1, 2, 3, 4]
+    assert changing == [1, 2, 3, 4]
+    assert meets == [2, 3, 4]
     assert C == current
 
 
@@ -705,45 +708,158 @@ def test_reduction_number_is_ell_minus_e_on_generic_cokernels(nvars, n, r):
         assert reduction_number(U, E) == r
 
 
+def _at(f, point, p):
+    """f at `point` over GF(p)."""
+    return sum(c * prod(pow(a, e, p) for a, e in zip(point, m)) for m, c in f.terms) % p
+
+
+def _fiber_point_spans(I, free_rank, rng, count):
+    """Spans of E = I + R(-D)^free_rank that leave only the last position
+    free and write e_i as c_i*e_last, for points c on the fiber variety:
+    F(E) = k[I_D][T'] for I generated in degree D, so c = (g(a), b) for the
+    generators g of I, a point a of the base and any b; c_last = 1."""
+    E = module_from_ideal(I)
+    if free_rank:
+        E = direct_sum(E, free_module(I.ring, free_rank), twist=E.common_degree())
+    ring = I.ring
+    p = ring.char
+    spans = []
+    while len(spans) < count:
+        a = [rng.randrange(p) for _ in range(ring.nvars)]
+        c = [_at(g, a, p) for g in I.gens] + [rng.randrange(p) for _ in range(free_rank)]
+        if free_rank:
+            c[-1] = 1
+        if not c[-1]:
+            continue
+        inv = pow(c[-1], -1, p)
+        vecs = [tuple(ring.const(int(j == i) - (c[i] * inv if j == E.n - 1 else 0)) for j in range(E.n))
+                for i in range(E.n - 1)]
+        spans.append(span(E, vecs))
+    return E, spans
+
+
 @pytest.mark.parametrize("p", [32003, 7])
 def test_closed_form_one_variable_fiber_test_matches_dimension(p, monkeypatch):
-    # with one free position the fiber quotient lives in k[T], and
-    # is_reduction only asks whether it is nonzero: the verdict against
-    # krull_dimension(fiber_quotient(U, E)) <= 0 and the basis of Fib + L,
-    # on random spans of mu - 1 scalar vectors and on spans of all basis
-    # vectors but one, which m^2 (x^2, xy) and every module with
-    # ell = mu reject; no dimension is taken
+    # with one free position each e_i is c_i*e_free modulo U, and
+    # is_reduction asks whether some element of the fiber basis is nonzero
+    # at the point c: the verdict against krull_dimension(fiber_quotient(U,
+    # E)) <= 0 and the basis of Fib + L, on random spans of mu - 1 scalar
+    # vectors, on spans of all basis vectors but one, which m^2 (x^2, xy)
+    # and every module with ell = mu reject, and on spans at points of the
+    # fiber variety, which every module rejects; no dimension is taken and
+    # no fiber quotient is built
     x, y = PolyRing(p, ("x", "y")).gens()
     a, b, c = PolyRing(p, ("x", "y", "z")).gens()
     x0, x1, x2, x3 = PolyRing(p, ("x0", "x1", "x2", "x3")).gens()
-    msq = module_from_ideal(Ideal(x.ring, [x**2, x * y, y**2]))
-    modules = [
+    msq = Ideal(x.ring, [x**2, x * y, y**2])
+    ideals = [
         msq,
-        direct_sum(msq, free_module(x.ring, 1), twist=2),
-        module_from_ideal(Ideal(a.ring, [a * b, a * c, b * c])),
-        module_from_ideal(Ideal(a.ring, [a**3, a**2 * b, a * b**2 - a**2 * c, b**3 - 2 * a * b * c])),
-        module_from_ideal(Ideal(x0.ring, [x1 * x3 - x2**2, x0 * x3 - x1 * x2, x0 * x2 - x1**2])),
+        Ideal(a.ring, [a * b, a * c, b * c]),
+        Ideal(a.ring, [a**3, a**2 * b, a * b**2 - a**2 * c, b**3 - 2 * a * b * c]),
+        Ideal(x0.ring, [x1 * x3 - x2**2, x0 * x3 - x1 * x2, x0 * x2 - x1**2]),
     ]
     rng = random.Random(f"one free:{p}")
+    families = [_fiber_point_spans(I, 0, rng, 3) for I in ideals] + [_fiber_point_spans(msq, 1, rng, 3)]
     cases = []
-    for E in modules:
+    for E, on_variety in families:
         ring = E.ring
         spans = [span(E, [E.basis_vector(i) for i in range(E.n) if i != j]) for j in range(E.n)]
         spans += [span(E, [tuple(ring.const(rng.randrange(p)) for _ in range(E.n)) for _ in range(E.n - 1)])
                   for _ in range(6)]
-        for U in spans:
+        for U in spans + on_variety:
             quotient = fiber_quotient(U, E)
             if quotient is not None and quotient.ring.nvars == 1:
                 expected = krull_dimension(quotient) <= 0
                 assert expected == _gb_is_reduction(E, U), U.gens
                 cases.append((E, U, expected))
+        assert [case[2] for case in cases[-len(on_variety):]] == [False] * len(on_variety)
 
-    def refuse(I):
-        raise AssertionError("a dimension was taken in one variable")
+    def refuse(*args):
+        raise AssertionError("a dimension or a fiber quotient was taken in one variable")
 
     monkeypatch.setattr(rees, "krull_dimension", refuse)
+    monkeypatch.setattr(rees, "fiber_quotient", refuse)
     verdicts = set()
     for E, U, expected in cases:
         assert is_reduction(U, E) == expected, U.gens
         verdicts.add(expected)
-    assert verdicts == {False, True} and len(cases) >= 40
+    assert verdicts == {False, True} and len(cases) >= 55
+
+
+def _fiber_oracle_modules(p):
+    """Over GF(p): the corpus ideals as modules, each I + R(-D) and I + I,
+    D the degree of I's generators, and the generic 5 x 3 cokernel."""
+    x, y = PolyRing(p, ("x", "y")).gens()
+    a, b, c = PolyRing(p, ("x", "y", "z")).gens()
+    x0, x1, x2, x3 = PolyRing(p, ("x0", "x1", "x2", "x3")).gens()
+    ideals = [
+        Ideal(x.ring, [x**2, x * y, y**2]),
+        Ideal(a.ring, [a * b, a * c, b * c]),
+        Ideal(a.ring, [a**3, a**2 * b, a * b**2 - a**2 * c, b**3 - 2 * a * b * c]),
+        Ideal(x0.ring, [x1 * x3 - x2**2, x0 * x3 - x1 * x2, x0 * x2 - x1**2]),
+        Ideal(x0.ring, [x0 * x1, x1 * x2, x2 * x3, x0 * x3]),
+    ]
+    modules = []
+    for I in ideals:
+        E = module_from_ideal(I)
+        modules += [E, direct_sum(E, free_module(I.ring, 1), twist=E.common_degree()), direct_sum(E, E)]
+    return modules + [generic_cokernel(3, 5, 3, p)]
+
+
+@pytest.mark.parametrize("p", [32003, 7])
+def test_closed_form_fiber_from_generators_matches_the_rees_basis(p):
+    # x -> 0 maps R[T] onto k[T], so the images of the Rees ideal's
+    # generators generate the fiber ideal: against the images of the Rees
+    # basis, on fresh modules
+    for E in _fiber_oracle_modules(p):
+        F = fiber_ideal(E)
+        big, fiber = rees._rees_rings(E)
+        nx = E.ring.nvars
+        images = [map_poly(big.from_dict({m: c for m, c in g.terms if not any(m[:nx])}), fiber)
+                  for g in rees_ideal(E).groebner_basis()]
+        expected = Ideal(fiber, images)
+        assert F == expected and F.groebner_basis() == expected.groebner_basis(), E
+
+
+@pytest.mark.parametrize("p", [32003, 7])
+def test_closed_form_first_core_draw_matches_the_meet(p, monkeypatch):
+    # while C is all of E, E cap (U + N) is U + N, N the relations, so the
+    # core's first draw U stands for the first approximant with no meet:
+    # U + N against submodule_intersect(whole_module(E), U) and the
+    # two-block meet, and the core against a replay that meets on every
+    # draw.  A core that stops at its first draw, here one that draws the
+    # same U every time, returns U + N by its reduced basis, the generators
+    # of that meet
+    R2 = PolyRing(p, ("x", "y"))
+    x, y = R2.gens()
+    msq = module_from_ideal(Ideal(R2, [x**2, x * y, y**2]))
+    for E in (msq, direct_sum(msq, free_module(R2, 1), twist=2), generic_cokernel(3, 5, 3, p)):
+        whole = whole_module(E)
+        for seed in range(3):
+            draws, meets = [], []
+            draw, meet = rees.random_reduction, modalg._meet
+
+            def recording_draw(*args, **kwargs):
+                draws.append(draw(*args, **kwargs))
+                return draws[-1]
+
+            def recording_meet(*args, **kwargs):
+                meets.append(len(draws))
+                return meet(*args, **kwargs)
+
+            monkeypatch.setattr(rees, "random_reduction", recording_draw)
+            monkeypatch.setattr(modalg, "_meet", recording_meet)
+            C, used = core_monte_carlo(E, samples=12, rng=seed)
+            monkeypatch.undo()
+            assert used == len(draws) and 1 not in meets
+            U = draws[0]
+            met = submodule_intersect(whole, U)
+            assert U == met and U.coset_gb() == met.coset_gb() == two_block_intersect(whole, U)
+            current = whole
+            for V in draws:
+                current = submodule_intersect(current, V)
+            assert C.gens == current.gens
+            monkeypatch.setattr(rees, "random_reduction", lambda *args, **kwargs: U)
+            C, used = core_monte_carlo(E, samples=12, rng=seed)
+            monkeypatch.undo()
+            assert used == 4 and C.gens == met.gens and C.coset_gb() == met.coset_gb()

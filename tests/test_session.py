@@ -357,6 +357,18 @@ def test_residual_s_below_the_rank_is_an_error_entry():
     assert task["value"]["error"] == "ModcoreError: residual_intersection needs s >= rank(E) = 2, got s = 1"
 
 
+def test_core_with_no_proper_reduction_is_labeled_exact():
+    # ell = mu = 3 for (xy,xz,yz): F(E) is a polynomial ring, so every
+    # reduction of E is E and core(E) = E with no draw; m^2 has ell < mu and
+    # keeps the Monte Carlo label
+    src = "ring R = GF(32003)[x,y,z];\nideal I = (x*y, x*z, y*z);\nideal M = (x^2, x*y, y^2);\n"
+    src += "task core I --samples 4 --seed 1;\ntask core M --samples 12 --seed 1;\n"
+    exact, sampled = (t["value"] for t in run_session(parse_session(src)).payload["tasks"])
+    assert (exact["samples_used"], exact["label"]) == (0, "exact: analytic spread equals mu")
+    assert exact["gens"] == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    assert sampled["samples_used"] > 0 and sampled["label"] == "Monte Carlo upper approximation"
+
+
 def test_balanced_report_names_its_module():
     # the hypothesis report names the module as the task wrote it, a declared
     # module or an ideal taken as one; nothing else in the report changes
