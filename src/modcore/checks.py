@@ -22,6 +22,7 @@ from .groebner import Ideal, _multiplicity, height, krull_dimension
 from .modalg import (
     PresentedModule,
     Submodule,
+    _constant_echelon,
     _ideal_images,
     _memo,
     _remember,
@@ -77,22 +78,32 @@ def _draw_colon(E: PresentedModule, elems, S, J) -> Ideal:
     return colon_into(U, E)
 
 
+def _generates(E: PresentedModule, vectors) -> bool:
+    """Whether `vectors` generate E = R^n / N.  By graded Nakayama they do
+    iff their constant parts and those of the relations N span GF(p)^n:
+    one echelon, with no normal form."""
+    return len(_constant_echelon(list(vectors) + list(E.relations), E.n, E.ring.char)) == E.n
+
+
 def _colon_height(E: PresentedModule, elems, images, S) -> tuple:
     """(height, is unit) of (span(a_j : j in S) :_R E) for the elements a_j
     in `elems`, without the colon when E is an ideal I and J = (a_j : j in
     S) has height |S|.  Then J is a complete intersection, hence unmixed
     (Bruns-Herzog, Cohen-Macaulay Rings, Thm 2.1.6), so J : I is R when
     I <= J and has height exactly |S| otherwise (the linkage setting of
-    Huneke-Ulrich, Residual intersections, 1988).  `images` are the
-    elements' images in I (`modalg._ideal_images`), None when E is not an
-    ideal.  Any other E or J takes the colon."""
+    Huneke-Ulrich, Residual intersections, 1988).  I <= J says that the
+    span of the a_j is all of E, which graded Nakayama decides
+    (`_generates`).  `images` are the elements' images in I
+    (`modalg._ideal_images`), None when E is not an ideal.  Any other E or
+    J takes the colon."""
     S = list(S)
     J = None
-    I = E._cache.get("from_ideal")
-    if I is not None:
+    if images is not None:
         J = Ideal(E.ring, [images[j] for j in S])
         if height(J) == len(S):
-            return (E.ring.nvars + 1, True) if I <= J else (len(S), False)
+            if _generates(E, [elems[j] for j in S]):
+                return E.ring.nvars + 1, True
+            return len(S), False
     K = _draw_colon(E, elems, S, J)
     return height(K), K.is_unit()
 
@@ -108,8 +119,11 @@ class GsVerdict:
     heights: dict  # t -> (height of Fitt_{t+e-1}, required t+1)
 
 
+@_memo
 def check_gs(E: PresentedModule, s: int) -> GsVerdict:
-    """G_s via Fitting ideals: ht(Fitt_{t+e-1}(E)) >= t+1 for 1 <= t <= s-1."""
+    """G_s via Fitting ideals: ht(Fitt_{t+e-1}(E)) >= t+1 for 1 <= t <= s-1.
+    The verdict is computed once per (E, s), so the residual draws of a
+    session share it."""
     if s < 1:
         raise ModcoreError("G_s needs s >= 1")
     e = rank(E)
@@ -145,25 +159,33 @@ def _random_elements(W: Submodule, count: int, rng):
     """Random field combinations of W's generators (they share one degree).
 
     Returns (ambient vectors, W-coordinate rows); the rows express each draw
-    in W's generators, which the generator-drop check needs."""
+    in W's generators, which the generator-drop check needs.  When every
+    generator of W is a constant vector (W = E, or any scalar span), a draw
+    is the GF(p) combination of those constants, with no polynomial
+    arithmetic; the rng is read the same way on both paths, once per
+    generator per draw."""
     E = W.parent
     degs = {vector_degree(v, E.gen_degrees) for v in W.gens}
     if len(degs) > 1:
         raise DegreeMixError("W has generators in mixed degrees; cannot draw homogeneous elements")
     ring = E.ring
     p = ring.char
+    scalars = None
+    if all(f.is_constant() for g in W.gens for f in g):
+        scalars = [[f.constant_coeff() for f in g] for g in W.gens]
     out = []
     coords = []
     for _ in range(count):
-        v = [ring.zero()] * E.n
-        row = []
-        for g in W.gens:
-            c = rng.randrange(p)
-            row.append(c)
-            if c:
-                for i, a in enumerate(g):
-                    if a:
-                        v[i] = v[i] + a.scale(c)
+        row = [rng.randrange(p) for _ in W.gens]
+        if scalars is not None:
+            v = [ring.const(sum(c * g[i] for c, g in zip(row, scalars))) for i in range(E.n)]
+        else:
+            v = [ring.zero()] * E.n
+            for c, g in zip(row, W.gens):
+                if c:
+                    for i, a in enumerate(g):
+                        if a:
+                            v[i] = v[i] + a.scale(c)
         out.append(tuple(v))
         coords.append(row)
     return out, coords
@@ -249,20 +271,31 @@ def residual_intersection(
     if not gs.ok:
         raise ModcoreError(f"E is not G_{s} (fails at t = {gs.failing_t})")
 
-    from_ideal = "from_ideal" in E._cache
+    I = E._cache.get("from_ideal")
+    # K = J below the height of I (see the last prefix below)
+    below_height = I is not None and s < height(I)
     failures = []
     for attempt in range(RETRY_CAP):
         elems, coords = _random_elements(W, s, rng)
         # each element's image in I, expanded once for every J it is in
-        images = _ideal_images(E, elems) if from_ideal else None
+        images = _ideal_images(E, elems) if I is not None else None
         prefix_heights = []
         ok = True
         for i in range(s + 1):
             if i < s:
                 h, unit = _colon_height(E, elems, images, range(i))
             else:
-                J = Ideal(E.ring, images) if from_ideal else None
-                K = _draw_colon(E, elems, range(s), J)  # (a_1..a_s :_R E)
+                # K = (a_1..a_s :_R E), with the CM verdict of R/K where it
+                # is known without a certificate: when E is an ideal I and
+                # J = (a_1..a_s) has height s < ht(I), J is a complete
+                # intersection, so its associated primes all have height s
+                # (Bruns-Herzog, Thm 2.1.6), none contains I, and J : I = J;
+                # R/J is CM (Thm 2.1.3)
+                J = Ideal(E.ring, images) if I is not None else None
+                if below_height and height(J) == s:
+                    K, cm = J, True
+                else:
+                    K, cm = _draw_colon(E, elems, range(s), J), None
                 h, unit = height(K), K.is_unit()
             prefix_heights.append(h)
             # a unit colon passes vacuously, as in _height_at_least
@@ -293,7 +326,8 @@ def residual_intersection(
                 # only the verdict is reported: R/K is resolved only when
                 # the certificate finds no system of parameters
                 dim = krull_dimension(K)
-                cm = _certified_cm(K, dim)
+                if cm is None:
+                    cm = _certified_cm(K, dim)
                 if cm is None:
                     cm = _resolved_depth(K) == dim
                 height_K = E.ring.nvars - dim

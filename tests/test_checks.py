@@ -30,7 +30,7 @@ from modcore.modalg import (
     span,
     whole_module,
 )
-from modcore.poly import PolyRing
+from modcore.poly import Polynomial, PolyRing
 from modcore.rees import analytic_spread, core_monte_carlo, random_reduction, rees_ideal
 from modcore.session import _report_value, parse_session, run_session
 from modcore.checks import (
@@ -708,10 +708,21 @@ def test_residual_session_takes_one_colon_of_its_module(monkeypatch):
     assert echelons.count([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
 
 
+# the ideals of the residual_an benchmark workload: m^2, (xy,xz,yz) and H
+_SESSION_IDEALS = {
+    "x,y": "x^2, x*y, y^2",
+    "x,y,z": "x*y, x*z, y*z",
+    "x0,x1,x2,x3": "x1*x3 - x2^2, x0*x3 - x1*x2, x0*x2 - x1^2",
+}
+
+
 def test_residual_draws_expand_their_images_once(monkeypatch):
     # residual_intersection expands each draw's elements in I once; every
     # span it colon-tests carries its image ideal, so no colon, not even one
-    # by the ideal route (two or more free positions), expands them again
+    # by the ideal route (two or more free positions), expands them again.
+    # Below ht(I), K is J itself and takes no colon, so the ideal route is
+    # reached by K on the square edge ideal at s = 2 = ht(I), where two of
+    # its four positions stay free
     draws, again, ideal_colons = [], [], []
     images, to_ideal, quotient = checks._ideal_images, modalg._ideal_images, modalg.quotient_ideal
 
@@ -730,13 +741,14 @@ def test_residual_draws_expand_their_images_once(monkeypatch):
     monkeypatch.setattr(checks, "_ideal_images", drawing)
     monkeypatch.setattr(modalg, "_ideal_images", expanding_again)
     monkeypatch.setattr(modalg, "quotient_ideal", ideal_colon)
-    ideals = {"x,y": "x^2, x*y, y^2", "x,y,z": "x*y, x*z, y*z", "x0,x1,x2,x3": "x1*x3 - x2^2, x0*x3 - x1*x2, x0*x2 - x1^2"}
-    for names, gens in ideals.items():
-        for s in range(1, min(3, len(names.split(","))) + 1):
-            src = f"ring R = GF(32003)[{names}];\nideal I = ({gens});\nmodule E = ideal I;\n"
-            src += "".join(f"task residual_intersection E {s} --seed {seed};\n" for seed in range(1, 6))
-            report = run_session(parse_session(src))
-            assert [t["status"] for t in report.payload["tasks"]] == ["ok"] * 5
+    sessions = [
+        (names, gens, s) for names, gens in _SESSION_IDEALS.items() for s in range(1, min(3, len(names.split(","))) + 1)]
+    sessions.append(("x1,x2,x3,x4", "x1*x2, x2*x3, x3*x4, x1*x4", 2))
+    for names, gens, s in sessions:
+        src = f"ring R = GF(32003)[{names}];\nideal I = ({gens});\nmodule E = ideal I;\n"
+        src += "".join(f"task residual_intersection E {s} --seed {seed};\n" for seed in range(1, 6))
+        report = run_session(parse_session(src))
+        assert [t["status"] for t in report.payload["tasks"]] == ["ok"] * 5
     assert len(draws) >= 40 and ideal_colons
     assert again == []
 
@@ -830,3 +842,151 @@ def test_closed_form_residual_session_counts(monkeypatch):
     assert [(r["i"], r["proper"] + r["improper"], r["proper"] == r["cm_passes"]) for r in rows] == [
         (1, 20, True), (2, 20, True), (3, 20, True)]
     assert presentations == [] and principal == [] and calls
+
+
+# (ideal, s): s < ht(I) reads K = J; s = ht(I) is the boundary, where the
+# colon J : I is the residual, not J, and the draw takes it
+_BELOW_HEIGHT = [
+    ("m^2", 1), ("m^2", 2),
+    ("(xy,xz,yz)", 1), ("(xy,xz,yz)", 2),
+    ("H", 1), ("H", 2),
+    ("(x^2,y^2,z^2)", 1), ("(x^2,y^2,z^2)", 2), ("(x^2,y^2,z^2)", 3),
+    ("square edge", 1), ("square edge", 2),
+]
+
+
+@pytest.mark.parametrize("p", [P, 7])
+@pytest.mark.parametrize("name,s", _BELOW_HEIGHT)
+def test_closed_form_residual_below_height_is_the_complete_intersection(name, s, p, monkeypatch):
+    # oracle: K against the colon J : I, and its CM verdict against the
+    # resolution of R/K (CM iff pd = ht, by Auslander-Buchsbaum); below
+    # ht(I) the draw takes neither its colon nor a certificate
+    names, gens = _ORACLE_IDEALS[name]
+    R = PolyRing(p, names)
+    I = Ideal(R, gens(*R.gens()))
+    E = module_from_ideal(I)
+    below = s < height(I)
+    colons, certificates = [], []
+    draw_colon, certified = checks._draw_colon, checks._certified_cm
+    monkeypatch.setattr(checks, "_draw_colon", lambda *a: colons.append(a) or draw_colon(*a))
+    monkeypatch.setattr(checks, "_certified_cm", lambda *a: certificates.append(a) or certified(*a))
+    for seed in range(1, 4):
+        before = len(colons), len(certificates)
+        cert = residual_intersection(E, whole_module(E), s, rng=seed)
+        J = Ideal(R, modalg._ideal_images(E, cert.elements))
+        assert cert.K == quotient_ideal(J, I), (name, s, p, seed)
+        assert (cert.K == J) == below or not cert.proper
+        assert cert.height_K == height(cert.K)
+        if cert.proper:
+            assert cert.cm == (projective_dimension(cyclic_module(R, cert.K)) == cert.height_K)
+        if below:
+            assert cert.proper and cert.cm and cert.height_K == s
+            assert (len(colons), len(certificates)) == before
+    assert below or colons
+
+
+_GENERATION_IDEALS = {
+    **{name: _ORACLE_IDEALS[name] for name in ("m^2", "(xy,xz,yz)", "H", "square edge")},
+    # x^2 + xy - x^2 - xy = 0 is a constant relation: three elements generate
+    # the four-generator E only with it
+    "constant relation": (("x", "y"), lambda x, y: [x**2, x * y, y**2, x**2 + x * y]),
+}
+
+
+@pytest.mark.parametrize("p", [P, 7])
+@pytest.mark.parametrize("name", list(_GENERATION_IDEALS))
+def test_closed_form_nakayama_generation_matches_membership(name, p):
+    # oracle: on every subset S of random draws of 1..mu+1 elements of E,
+    # the rank test of graded Nakayama against I <= J by normal forms, for
+    # the image ideal J = (a_j : j in S)
+    names, gens = _GENERATION_IDEALS[name]
+    R = PolyRing(p, names)
+    I = Ideal(R, gens(*R.gens()))
+    E = module_from_ideal(I)
+    m = modalg.mu(E)
+    rng = seeded(p + E.n)
+    verdicts = set()
+    for s in range(1, m + 2):
+        for _ in range(2):
+            elems, _ = checks._random_elements(whole_module(E), s, rng)
+            images = modalg._ideal_images(E, elems)
+            for k in range(s + 1):
+                for S in combinations(range(s), k):
+                    v = checks._generates(E, [elems[j] for j in S])
+                    assert v == (I <= Ideal(R, [images[j] for j in S])), (name, p, S)
+                    verdicts.add((v, k))
+    assert {v for v, _ in verdicts} == {True, False}
+    # fewer than n elements generate E only through constant relations
+    assert any(v and k < E.n for v, k in verdicts) == (m < E.n)
+
+
+def _combination_draws(W, count, rng):
+    """Oracle: draws as polynomial combinations of W's generators, one
+    coefficient per generator per draw."""
+    ring = W.parent.ring
+    out, coords = [], []
+    for _ in range(count):
+        row = [rng.randrange(ring.char) for _ in W.gens]
+        out.append(tuple(sum((g[i] * c for c, g in zip(row, W.gens)), ring.zero()) for i in range(W.parent.n)))
+        coords.append(row)
+    return out, coords
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_closed_form_scalar_draws_match_the_polynomial_combination(p, monkeypatch):
+    # a scalar W draws its elements as GF(p) combinations of constants, with
+    # no polynomial arithmetic; the draws, their coordinates and the rng state
+    # after them equal the polynomial combination's.  W = m*E is not scalar
+    # and takes the polynomial path
+    R = PolyRing(p, ("x", "y"))
+    x, y = R.gens()
+    E = module_from_ideal(Ideal(R, [x**2, x * y, y**2]))
+    F = direct_sum(E, free_module(R, 1), twist=2)
+    c = R.const
+    cases = [
+        (whole_module(E), True),
+        (whole_module(F), True),
+        (span(E, [(c(1), c(2), c(0)), (c(0), c(0), c(p - 1))]), True),
+        (span(F, [(c(3), c(0), c(1), c(5))]), True),
+        (ideal_times_submodule(Ideal(R, [x, y]), whole_module(E)), False),
+    ]
+    scalings = []
+    scale = Polynomial.scale
+    monkeypatch.setattr(Polynomial, "scale", lambda f, k: scalings.append(k) or scale(f, k))
+    for seed, (W, scalar) in enumerate(cases):
+        rng, oracle = seeded(seed), seeded(seed)
+        before = len(scalings)
+        got = checks._random_elements(W, 4, rng)
+        assert (len(scalings) == before) == scalar
+        assert got == _combination_draws(W, 4, oracle)
+        assert rng.getstate() == oracle.getstate()
+
+
+def test_closed_form_residual_session_below_height_counts(monkeypatch):
+    # sessions of 20 draws (seeds 1..20) at s = 1 on m^2, (xy,xz,yz) and H:
+    # s is below ht(I), so K = J takes no ideal colon and no CM certificate,
+    # and the colon heights read I <= J by Nakayama, with no membership test
+    colons, certificates, memberships = [], [], []
+    inside = [False]
+    quotient, certified, member, colon_height = (
+        modalg.quotient_ideal, checks._certified_cm, groebner.ideal_membership, checks._colon_height)
+
+    def in_colon_height(*args):
+        inside[0] = True
+        try:
+            return colon_height(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(modalg, "quotient_ideal", lambda *a: colons.append(a) or quotient(*a))
+    monkeypatch.setattr(groebner, "quotient_ideal", lambda *a: colons.append(a) or quotient(*a))
+    monkeypatch.setattr(checks, "_certified_cm", lambda *a: certificates.append(a) or certified(*a))
+    monkeypatch.setattr(groebner, "ideal_membership", lambda *a: (inside[0] and memberships.append(a)) or member(*a))
+    monkeypatch.setattr(checks, "_colon_height", in_colon_height)
+    for names, gens in _SESSION_IDEALS.items():
+        src = f"ring R = GF(32003)[{names}];\nideal I = ({gens});\nmodule E = ideal I;\n"
+        src += "".join(f"task residual_intersection E 1 --seed {seed};\n" for seed in range(1, 21))
+        report = run_session(parse_session(src))
+        values = [t["value"] for t in report.payload["tasks"]]
+        assert [(v["proper"], v["cm"], v["height_K"]) for v in values] == [(True, True, 1)] * 20
+    assert (len(colons), len(certificates), len(memberships)) == (0, 0, 0)
