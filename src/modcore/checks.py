@@ -18,14 +18,12 @@ from .errors import (
     ModcoreError,
     RetryExhaustedError,
 )
-from .groebner import Ideal, _multiplicity, height, krull_dimension
+from .groebner import Ideal, _ideal_numerator, _memo, _remember, height, krull_dimension
 from .modalg import (
     PresentedModule,
     Submodule,
     _constant_echelon,
     _ideal_images,
-    _memo,
-    _remember,
     colon_into,
     cyclic_module,
     direct_sum,
@@ -203,22 +201,27 @@ def _mu_drop_holds(W: Submodule, coords, s: int) -> bool:
 
 def _certified_cm(K: Ideal, d: int) -> bool | None:
     """Whether R/K is Cohen-Macaulay, for a proper homogeneous K with
-    d = dim R/K.  dim 0 is Artinian and dim n means K = 0: both are CM.
-    Otherwise, for linear forms l that are a system of parameters of R/K,
-    R/K is CM iff the length of R/(K + l) equals the multiplicity e(R/K)
-    (Matsumura, Commutative Ring Theory, Thm 17.11).
+    d = dim R/K.  dim 0 is Artinian, and a K generated by n - d = ht(K)
+    elements is a complete intersection (K = 0 when d = n): both are CM
+    (Bruns-Herzog, Cohen-Macaulay Rings, Thm 2.1.3), with no draw.
 
-    Each draw replaces the last d variables by random linear forms in the
-    first n - d, and counts only when the image K' has dim 0, which proves
-    the forms a system of parameters; then the length is e(R/K') = dim_k of
-    R'/K', and the verdict is True or False.  None when RETRY_CAP draws find
-    no system of parameters (a small field may have none).  The generator is
-    seeded here, so the verdict is reproducible."""
+    Otherwise, for linear forms l = l_1..l_d, each exact sequence
+    0 -> (0 :_M l_i)(-1) -> M(-1) -> M -> M/l_iM -> 0 adds t*HS(0 :_M l_i),
+    whose lowest coefficient is positive, to (1-t)*HS(M).  So l is an
+    R/K-regular sequence, and then R/K is CM, exactly when
+    HS(R/(K + l)) = (1-t)^d HS(R/K): when the Hilbert numerators of K and of
+    R/(K + l) agree.  Each draw replaces the last d variables by random
+    linear forms in the first n - d, so R/(K + l) is R'/K' for the image K'.
+    Equal numerators give True; otherwise a K' of dim 0 proves the forms a
+    system of parameters that is not regular, and R/K is not CM
+    (Bruns-Herzog, Thm 2.1.2), so False.  None when RETRY_CAP draws decide
+    nothing (a small field may have no system of parameters).  The
+    generator is seeded here, so the verdict is reproducible."""
     ring = K.ring
     n = ring.nvars
-    if d in (0, n):
+    if d == 0 or len(K.gens) == n - d:
         return True
-    e = _multiplicity(K, d)
+    numer = _ideal_numerator(K)
     small = PolyRing(ring.char, ring.vars[: n - d])
     variables = [g.lm() for g in small.gens()]
     rng = _rng(0)
@@ -226,8 +229,10 @@ def _certified_cm(K: Ideal, d: int) -> bool | None:
         forms = [small.from_dict({v: rng.randrange(ring.char) for v in variables}) for _ in range(d)]
         cache = {}
         Kl = Ideal(small, [substitute(g, small, range(n - d), forms, cache) for g in K.groebner_basis()])
+        if _ideal_numerator(Kl) == numer:
+            return True
         if krull_dimension(Kl) == 0:
-            return _multiplicity(Kl, 0) == e
+            return False
     return None
 
 
@@ -236,14 +241,6 @@ def _resolved_depth(K: Ideal) -> int:
     reduced basis (graded Auslander-Buchsbaum)."""
     ring = K.ring
     return ring.nvars - projective_dimension(cyclic_module(ring, Ideal(ring, K.groebner_basis())))
-
-
-def _depth_and_dim(K: Ideal):
-    """(depth, dim) of R/K for a proper homogeneous K; R/K is Cohen-Macaulay
-    iff the two agree.  A CM verdict of `_certified_cm` gives depth = dim;
-    R/K is resolved for its depth when that verdict is False or None."""
-    d = krull_dimension(K)
-    return (d, d) if _certified_cm(K, d) else (_resolved_depth(K), d)
 
 
 def residual_intersection(
@@ -285,17 +282,12 @@ def residual_intersection(
             if i < s:
                 h, unit = _colon_height(E, elems, images, range(i))
             else:
-                # K = (a_1..a_s :_R E), with the CM verdict of R/K where it
-                # is known without a certificate: when E is an ideal I and
-                # J = (a_1..a_s) has height s < ht(I), J is a complete
+                # K = (a_1..a_s :_R E), with no colon when E is an ideal I
+                # and J = (a_1..a_s) has height s < ht(I): J is a complete
                 # intersection, so its associated primes all have height s
-                # (Bruns-Herzog, Thm 2.1.6), none contains I, and J : I = J;
-                # R/J is CM (Thm 2.1.3)
+                # (Bruns-Herzog, Thm 2.1.6), none contains I, and J : I = J
                 J = Ideal(E.ring, images) if I is not None else None
-                if below_height and height(J) == s:
-                    K, cm = J, True
-                else:
-                    K, cm = _draw_colon(E, elems, range(s), J), None
+                K = J if below_height and height(J) == s else _draw_colon(E, elems, range(s), J)
                 h, unit = height(K), K.is_unit()
             prefix_heights.append(h)
             # a unit colon passes vacuously, as in _height_at_least
@@ -324,10 +316,9 @@ def residual_intersection(
             proper = not K.is_unit()
             if proper:
                 # only the verdict is reported: R/K is resolved only when
-                # the certificate finds no system of parameters
+                # the certificate is undecided
                 dim = krull_dimension(K)
-                if cm is None:
-                    cm = _certified_cm(K, dim)
+                cm = _certified_cm(K, dim)
                 if cm is None:
                     cm = _resolved_depth(K) == dim
                 height_K = E.ring.nvars - dim
@@ -465,10 +456,13 @@ class CmReesVerdict:
 
 @_memo
 def check_cm_rees(E: PresentedModule) -> CmReesVerdict:
-    """Depth = dim test for R(E) over the ambient polynomial ring on x's and T's,
-    by `_depth_and_dim` on the Rees ideal.  The verdict is computed once per
-    module, next to the Rees data it is read from."""
-    dep, dim = _depth_and_dim(rees_ideal(E))
+    """Depth = dim test for R(E) over the ambient polynomial ring on x's and T's:
+    the CM certificate on the Rees ideal, which is resolved for the reported
+    depth only when the certificate does not say CM.  The verdict is computed
+    once per module, next to the Rees data it is read from."""
+    K = rees_ideal(E)
+    dim = krull_dimension(K)
+    dep = dim if _certified_cm(K, dim) else _resolved_depth(K)
     return CmReesVerdict(cm=dep == dim, depth=dep, dim=dim)
 
 

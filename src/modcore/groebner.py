@@ -8,13 +8,13 @@ is the one-position case {(0, m): c}.  Syzygies, intersections and colons
 are all read off a module basis by one helper, `_eliminate_to`; a colon is
 one Buchberger call over block copies of a reduced basis it already knows,
 one copy per GF(p)-independent normal form of its divisors.
-Ideal values are immutable apart from their cached reduced basis.
+Ideal values are immutable apart from their memo of derived data (`_memo`).
 """
 
 from __future__ import annotations
 
 import warnings
-from functools import cache, reduce
+from functools import cache, reduce, wraps
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import comb
@@ -31,6 +31,35 @@ from .poly import (
     mono_deg,
     mono_div,
 )
+
+# -- derived data, computed once per owning object -------------------------------
+
+
+_MISSING = object()  # no memo yet; any value a function returns is a memo
+
+
+def _memo(fn):
+    """Compute fn(obj, *args) once per owner `obj`, and keep the value in
+    obj._cache under fn's name and `args`.  A value found there is returned
+    as it is, whatever it is (False, 0 and [] included)."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def memo(obj, *args):
+        key = (name, args)
+        value = obj._cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = obj._cache[key] = fn(obj, *args)
+        return value
+
+    return memo
+
+
+def _remember(obj, name, value):
+    """Store `value` as the memo of the function called `name` at obj: a
+    value known before anyone asks for it."""
+    obj._cache[(name, ())] = value
+
 
 # -- the kernel on term codes ------------------------------------------------------
 #
@@ -469,11 +498,11 @@ def _colon(vs, basis, ring, npos) -> Ideal:
 def _basis_ideal(ring, basis) -> Ideal:
     """The ideal whose reduced basis under the ring's order is `basis`, term
     dicts in position 0 as `buchberger` returns them (ascending, monic,
-    reduced).  Those are its generators, and its basis cache starts with
+    reduced).  Those are its generators, and its basis memo starts with
     them, so no later `groebner_basis` call recomputes them."""
     gens = tuple(_ordered_to_vec(d, ring, 1)[0] for d in basis)
     I = Ideal(ring, gens)
-    object.__setattr__(I, "_gb", gens)
+    _remember(I, "groebner_basis", gens)
     return I
 
 
@@ -490,10 +519,10 @@ def _ideal_basis(polys, order, ring):
 
 
 class Ideal:
-    """Finitely generated ideal with its lazily cached reduced Groebner basis
-    under the ring's order."""
+    """Finitely generated ideal; derived data such as its reduced Groebner
+    basis under the ring's order are memoized in `_cache` (`_memo`)."""
 
-    __slots__ = ("ring", "gens", "_gb")
+    __slots__ = ("ring", "gens", "_cache")
 
     def __init__(self, ring: PolyRing, gens):
         gens = tuple(g for g in gens if g)
@@ -502,7 +531,7 @@ class Ideal:
                 raise RingMismatchError("generator from a different ring")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "_gb", None)
+        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, *a):
         raise AttributeError("Ideal is immutable")
@@ -510,18 +539,15 @@ class Ideal:
     def __repr__(self):
         return f"Ideal({', '.join(str(g) for g in self.gens) or '0'})"
 
+    @_memo
     def groebner_basis(self):
         """Reduced Groebner basis under the ring's order, as a tuple of monic
         polynomials, ascending.  A principal ideal needs no Buchberger
         call: a single generator f is its own reduced basis once monic, and
         the zero ideal has the empty basis."""
-        if self._gb is None:
-            if len(self.gens) <= 1:
-                gb = tuple(f.monic() for f in self.gens)
-            else:
-                gb = tuple(_ideal_basis(self.gens, self.ring.order, self.ring))
-            object.__setattr__(self, "_gb", gb)
-        return self._gb
+        if len(self.gens) <= 1:
+            return tuple(f.monic() for f in self.gens)
+        return tuple(_ideal_basis(self.gens, self.ring.order, self.ring))
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -627,7 +653,7 @@ def _saturate_variable_graded(I: Ideal, i: int) -> Ideal:
 def _saturate_rabinowitsch(I: Ideal, f: Polynomial) -> Ideal:
     """I + (t*f - 1) in R[t], with t eliminated.  The block order is grevlex
     on R's variables, so under R's default order the basis elements free of
-    t are the reduced basis of the result, ascending, and its basis cache
+    t are the reduced basis of the result, ascending, and its basis memo
     starts with them."""
     ring = I.ring
     # "#t" is unreachable from the polynomial grammar, so it never clashes
@@ -638,7 +664,7 @@ def _saturate_rabinowitsch(I: Ideal, f: Polynomial) -> Ideal:
     basis = _ideal_basis(gens, big.order, big)
     S = Ideal(ring, [map_poly(g, ring) for g in basis if all(m[0] == 0 for m, _ in g.terms)])
     if ring.order == GrevLex():
-        object.__setattr__(S, "_gb", S.gens)
+        _remember(S, "groebner_basis", S.gens)
     return S
 
 
@@ -667,8 +693,10 @@ def _leading_supports(I: Ideal):
     return [frozenset(i for i, e in enumerate(g.lm()) if e) for g in gb]
 
 
+@_memo
 def krull_dimension(I: Ideal) -> int:
-    """dim(R/I) via the largest variable set independent modulo the leading terms."""
+    """dim(R/I) via the largest variable set independent modulo the leading
+    terms, once per ideal."""
     if I.is_zero():
         return I.ring.nvars
     if I.is_unit():
@@ -708,14 +736,19 @@ def _minimal_monomials(monos):
 
 
 def _add_series(a, b):
+    """a + b on coefficient lists, without trailing zeros."""
     if len(a) < len(b):
         a, b = b, a
-    return [c + (b[k] if k < len(b) else 0) for k, c in enumerate(a)]
+    out = [c + (b[k] if k < len(b) else 0) for k, c in enumerate(a)]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _hilbert_numerator(monos) -> list:
     """Coefficients of N(t) with HS(S/M) = N(t) / (1-t)^n, for the monomial
-    ideal M spanned by `monos` (exponent tuples) in n variables.
+    ideal M spanned by `monos` (exponent tuples) in n variables, without
+    trailing zeros, so that equal numerators are equal lists.
 
     Bigatti's pivot recursion (JPAA 119, 1997): for a pivot p = x_i^a,
     N(M) = N(M + (p)) + t^a N(M : p).  The pivot variable lies in the most
@@ -744,22 +777,6 @@ def _hilbert_numerator(monos) -> list:
     return _add_series(_hilbert_numerator(plus), [0] * a + _hilbert_numerator(colon))
 
 
-def _multiplicity(I: Ideal, dim: int) -> int:
-    """e(R/I) for a homogeneous I with dim R/I = dim: Q(1), where the Hilbert
-    numerator of in(I) is N = (1-t)^(n-dim) * Q.  For dim = 0 this is the
-    length of R/I."""
-    numer = _hilbert_numerator([g.lm() for g in I.groebner_basis()])
-    for _ in range(I.ring.nvars - dim):
-        # divide by (1 - t): Q_k is the k-th prefix sum of N, the remainder N(1) is 0
-        acc = 0
-        quot = []
-        for c in numer:
-            acc += c
-            quot.append(acc)
-        numer = quot[:-1]
-    return sum(numer)
-
-
 def _standard_count(nvars: int, numerators, gen_degrees, deg: int) -> int:
     """Number of module monomials m*e_pos of degree deg(m) + gen_degrees[pos]
     = deg that no leading term of a basis divides: dim_k of the degree-`deg`
@@ -777,7 +794,12 @@ def _standard_count(nvars: int, numerators, gen_degrees, deg: int) -> int:
     return total
 
 
+def _ideal_numerator(I: Ideal) -> list:
+    """N(t) with HS(R/I) = N(t) / (1-t)^n, read off the leading terms of
+    I's reduced basis."""
+    return _hilbert_numerator([g.lm() for g in I.groebner_basis()])
+
+
 def hilbert_function(I: Ideal, deg: int) -> int:
     """dim_k (R/I)_deg: the one-position case of `_standard_count`."""
-    numer = _hilbert_numerator([g.lm() for g in I.groebner_basis()])
-    return _standard_count(I.ring.nvars, [numer], (0,), deg)
+    return _standard_count(I.ring.nvars, [_ideal_numerator(I)], (0,), deg)

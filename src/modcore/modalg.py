@@ -9,7 +9,6 @@ resolutions are pruned on term dicts by one routine, `_prune_units`.
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_left
 from itertools import combinations
@@ -22,9 +21,11 @@ from .groebner import (
     _dict_to_vec,
     _hilbert_numerator,
     _meet,
+    _memo,
     _mkeyf,
     _ordered_to_vec,
     _reducer,
+    _remember,
     _standard_count,
     _syzygy_dicts,
     _vec_to_dict,
@@ -32,35 +33,6 @@ from .groebner import (
     quotient_ideal,
 )
 from .poly import Polynomial, PolyRing, mono_deg, mono_mul
-
-
-# -- derived data, computed once per owning object -------------------------------
-
-
-_MISSING = object()  # no memo yet; any value a function returns is a memo
-
-
-def _memo(fn):
-    """Compute fn(obj, *args) once per owner `obj`, and keep the value in
-    obj._cache under fn's name and `args`.  A value found there is returned
-    as it is, whatever it is (False, 0 and [] included)."""
-    name = fn.__name__
-
-    @functools.wraps(fn)
-    def memo(obj, *args):
-        key = (name, args)
-        value = obj._cache.get(key, _MISSING)
-        if value is _MISSING:
-            value = obj._cache[key] = fn(obj, *args)
-        return value
-
-    return memo
-
-
-def _remember(obj, name, value):
-    """Store `value` as the memo of the function called `name` at obj: a
-    value known before anyone asks for it."""
-    obj._cache[(name, ())] = value
 
 
 # -- submodules of free modules, on the kernel in groebner ---------------------

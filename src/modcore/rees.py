@@ -6,7 +6,7 @@ nonzero maximal minor of the presentation: inverting such a minor frees the
 module, so that saturation removes exactly the torsion of S(E).
 
 Every Rees datum is a function of E, computed once and kept on E by
-`modalg._memo`.
+`groebner._memo`.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ from .errors import (
     RetryExhaustedError,
     TorsionError,
 )
-from .groebner import Ideal, hilbert_function, krull_dimension, saturate, _monomials_of_degree
+from .groebner import Ideal, _memo, _monomials_of_degree, hilbert_function, krull_dimension, saturate
 from .modalg import (
     PresentedModule,
     Submodule,
     _basis_submodule,
     _change_of_generators,
-    _memo,
     _scalar_quotient,
     first_nonzero_maximal_minor,
     is_torsionfree,

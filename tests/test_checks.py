@@ -10,7 +10,6 @@ from modcore import checks, groebner, modalg
 from modcore.errors import ModcoreError, RetryExhaustedError
 from modcore.groebner import (
     Ideal,
-    _multiplicity,
     _vec_to_dict,
     height,
     intersect,
@@ -30,11 +29,10 @@ from modcore.modalg import (
     span,
     whole_module,
 )
-from modcore.poly import Polynomial, PolyRing
+from modcore.poly import Polynomial, PolyRing, substitute
 from modcore.rees import analytic_spread, core_monte_carlo, random_reduction, rees_ideal
 from modcore.session import _report_value, parse_session, run_session
 from modcore.checks import (
-    _depth_and_dim,
     build_ideal_module,
     check_an,
     check_cm_rees,
@@ -229,6 +227,12 @@ def test_depth_of_rees_powers(E_H_plus, E_minors43):
             assert depth_of(Ej) == d - j
 
 
+def _depth_and_dim(K):
+    # (depth, dim) of R/K: dim when the certificate says CM, else resolved
+    d = krull_dimension(K)
+    return (d, d) if checks._certified_cm(K, d) else (checks._resolved_depth(K), d)
+
+
 def _resolution_depth_and_dim(K):
     ring = K.ring
     return ring.nvars - projective_dimension(cyclic_module(ring, K)), krull_dimension(K)
@@ -254,7 +258,7 @@ def _random_homogeneous_ideal(rng, p=P):
 
 
 def test_depth_and_dim_matches_resolution():
-    # the length = multiplicity certificate against depth from the minimal
+    # the Hilbert-numerator certificate against depth from the minimal
     # resolution; both verdicts must occur among the seeded cases
     rng = seeded(211)
     verdicts = {True: 0, False: 0}
@@ -279,15 +283,25 @@ def test_depth_and_dim_non_cm_cases(R2, R4):
         assert _depth_and_dim(K) == expected == _resolution_depth_and_dim(K)
 
 
-def test_multiplicity_oracles(R3, H, msq):
-    # complete intersection of degrees a, b: e = a*b
+def _count_draws(monkeypatch):
+    """The certificate's substitutions, one per generator per draw."""
+    draws = []
+    monkeypatch.setattr(checks, "substitute", lambda *a: draws.append(a) or substitute(*a))
+    return draws
+
+
+def test_certificate_complete_intersection_takes_no_draw(R3, monkeypatch):
+    # complete intersections of degrees a, b in k[x,y,z]: two generators,
+    # dim 1, so the certificate says CM with no substituted ideal; the
+    # resolution agrees
     rng = seeded(212)
+    draws = _count_draws(monkeypatch)
     for a, b in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 3)):
         K = Ideal(R3, [random_homogeneous_poly(R3, rng, deg, nterms=6) for deg in (a, b)])
         assert krull_dimension(K) == 1
-        assert _multiplicity(K, 1) == a * b
-    assert _multiplicity(H, krull_dimension(H)) == 3  # twisted cubic
-    assert _multiplicity(msq, 0) == 3  # length of k[x,y]/m^2: 1, x, y
+        assert checks._certified_cm(K, 1) is True
+        assert _resolution_depth_and_dim(K) == (1, 1)
+    assert draws == []
 
 
 def _no_resolution(E):
@@ -302,12 +316,18 @@ def test_cm_certificate_needs_no_resolution(monkeypatch, H, E_H, E_minors43):
 
 
 def test_depth_and_dim_falls_back_without_system_of_parameters(monkeypatch):
-    # over GF(2) every linear form divides xy(x+y), so no draw is a system of
-    # parameters: the certificate is undecided (None, not False) and the
-    # depth must come from the resolution
+    # over GF(2) every linear form divides f = xy(x+y), so no draw is a system
+    # of parameters of R/K for K = f*(x, y), which is no complete
+    # intersection: the certificate is undecided (None, not False) and the
+    # depth must come from the resolution; m is associated to R/K, so
+    # depth 0 < dim 1.  The complete intersection (f) is CM with no draw
     R = PolyRing(2, ("x", "y"))
     x, y = R.gens()
-    assert checks._certified_cm(Ideal(R, [x * y * (x + y)]), 1) is None
+    f = x * y * (x + y)
+    K = Ideal(R, [f * x, f * y])
+    draws = _count_draws(monkeypatch)
+    assert checks._certified_cm(Ideal(R, [f]), 1) is True and draws == []
+    assert checks._certified_cm(K, 1) is None
     calls = []
 
     def counted(E):
@@ -315,7 +335,7 @@ def test_depth_and_dim_falls_back_without_system_of_parameters(monkeypatch):
         return projective_dimension(E)
 
     monkeypatch.setattr(checks, "projective_dimension", counted)
-    assert _depth_and_dim(Ideal(R, [x * y * (x + y)])) == (1, 1)
+    assert _depth_and_dim(K) == (0, 1)
     assert len(calls) == 1
 
 
@@ -860,18 +880,19 @@ _BELOW_HEIGHT = [
 def test_closed_form_residual_below_height_is_the_complete_intersection(name, s, p, monkeypatch):
     # oracle: K against the colon J : I, and its CM verdict against the
     # resolution of R/K (CM iff pd = ht, by Auslander-Buchsbaum); below
-    # ht(I) the draw takes neither its colon nor a certificate
+    # ht(I) the draw takes no colon and no substituted ideal: the
+    # certificate reads CM off the complete intersection
     names, gens = _ORACLE_IDEALS[name]
     R = PolyRing(p, names)
     I = Ideal(R, gens(*R.gens()))
     E = module_from_ideal(I)
     below = s < height(I)
-    colons, certificates = [], []
-    draw_colon, certified = checks._draw_colon, checks._certified_cm
+    colons = []
+    draw_colon = checks._draw_colon
     monkeypatch.setattr(checks, "_draw_colon", lambda *a: colons.append(a) or draw_colon(*a))
-    monkeypatch.setattr(checks, "_certified_cm", lambda *a: certificates.append(a) or certified(*a))
+    draws = _count_draws(monkeypatch)
     for seed in range(1, 4):
-        before = len(colons), len(certificates)
+        before = len(colons), len(draws)
         cert = residual_intersection(E, whole_module(E), s, rng=seed)
         J = Ideal(R, modalg._ideal_images(E, cert.elements))
         assert cert.K == quotient_ideal(J, I), (name, s, p, seed)
@@ -881,7 +902,7 @@ def test_closed_form_residual_below_height_is_the_complete_intersection(name, s,
             assert cert.cm == (projective_dimension(cyclic_module(R, cert.K)) == cert.height_K)
         if below:
             assert cert.proper and cert.cm and cert.height_K == s
-            assert (len(colons), len(certificates)) == before
+            assert (len(colons), len(draws)) == before
     assert below or colons
 
 
@@ -964,12 +985,12 @@ def test_closed_form_scalar_draws_match_the_polynomial_combination(p, monkeypatc
 
 def test_closed_form_residual_session_below_height_counts(monkeypatch):
     # sessions of 20 draws (seeds 1..20) at s = 1 on m^2, (xy,xz,yz) and H:
-    # s is below ht(I), so K = J takes no ideal colon and no CM certificate,
-    # and the colon heights read I <= J by Nakayama, with no membership test
-    colons, certificates, memberships = [], [], []
+    # s is below ht(I), so K = J takes no ideal colon, its CM certificate no
+    # substituted ideal (J is a complete intersection), and the colon
+    # heights read I <= J by Nakayama, with no membership test
+    colons, memberships = [], []
     inside = [False]
-    quotient, certified, member, colon_height = (
-        modalg.quotient_ideal, checks._certified_cm, groebner.ideal_membership, checks._colon_height)
+    quotient, member, colon_height = modalg.quotient_ideal, groebner.ideal_membership, checks._colon_height
 
     def in_colon_height(*args):
         inside[0] = True
@@ -980,7 +1001,7 @@ def test_closed_form_residual_session_below_height_counts(monkeypatch):
 
     monkeypatch.setattr(modalg, "quotient_ideal", lambda *a: colons.append(a) or quotient(*a))
     monkeypatch.setattr(groebner, "quotient_ideal", lambda *a: colons.append(a) or quotient(*a))
-    monkeypatch.setattr(checks, "_certified_cm", lambda *a: certificates.append(a) or certified(*a))
+    draws = _count_draws(monkeypatch)
     monkeypatch.setattr(groebner, "ideal_membership", lambda *a: (inside[0] and memberships.append(a)) or member(*a))
     monkeypatch.setattr(checks, "_colon_height", in_colon_height)
     for names, gens in _SESSION_IDEALS.items():
@@ -989,4 +1010,4 @@ def test_closed_form_residual_session_below_height_counts(monkeypatch):
         report = run_session(parse_session(src))
         values = [t["value"] for t in report.payload["tasks"]]
         assert [(v["proper"], v["cm"], v["height_K"]) for v in values] == [(True, True, 1)] * 20
-    assert (len(colons), len(certificates), len(memberships)) == (0, 0, 0)
+    assert (len(colons), len(draws), len(memberships)) == (0, 0, 0)

@@ -263,6 +263,21 @@ def test_dimension_examples(R3, R4, edge, tri):
     assert krull_dimension(Ideal(R3, [R3.one()])) == -1
 
 
+def test_dimension_is_memoized(R3, monkeypatch):
+    # the dimension is kept in the ideal's memo next to its basis: a second
+    # question about the same ideal runs no subset search
+    x, y, z = R3.gens()
+    I = Ideal(R3, [x * y, x * z])
+    assert (krull_dimension(I), height(I)) == (2, 1)
+    assert I._cache[("krull_dimension", ())] == 2
+
+    def refuse(I):
+        raise AssertionError("the dimension was computed again")
+
+    monkeypatch.setattr(groebner, "_leading_supports", refuse)
+    assert (krull_dimension(I), height(I)) == (2, 1)
+
+
 def test_height_examples(R3, edge):
     x, y, z = R3.gens()
     assert height(edge) == 2
@@ -358,7 +373,7 @@ def test_kernel_overflow_in_s_polynomial(R2):
     I = Ideal(R2, [x**17000 * y + y**17001, x * y**17000])
     with pytest.raises(OverflowError):
         I.groebner_basis()
-    assert not I._gb
+    assert ("groebner_basis", ()) not in I._cache
 
 
 def test_kernel_overflow_in_reduction(R2):
@@ -534,7 +549,7 @@ def test_closed_form_rabinowitsch_saturation_keeps_its_basis(p, monkeypatch):
 
     other = PolyRing(p, ("x0", "x1", "x2"), GrevLexVarLast(0))
     x0, x1, x2 = other.gens()
-    assert saturate(Ideal(other, [x0 * x1 * (x1 + x2), x2**3]), x1 + x2)._gb is None
+    assert ("groebner_basis", ()) not in saturate(Ideal(other, [x0 * x1 * (x1 + x2), x2**3]), x1 + x2)._cache
 
     def refuse(*args, **kwargs):
         raise AssertionError("buchberger ran on a Rabinowitsch result")
