@@ -24,6 +24,7 @@ from .modalg import (
     Submodule,
     _constant_echelon,
     _ideal_images,
+    _scalar_quotient,
     colon_into,
     cyclic_module,
     direct_sum,
@@ -432,7 +433,9 @@ def check_ext_vanishing(E: PresentedModule, t_cap: int = DEFAULT_T_CAP) -> ExtVa
     ok = True
     for j in js:
         try:
-            Ej = graded_component(E, j, t_cap)
+            # [R(E)]_1 = E, E being torsion-free (analytic_spread's Rees
+            # checks ask it), so j = 1 reuses the resolution of E itself
+            Ej = E if 1 == j <= t_cap else graded_component(E, j, t_cap)
         except CapExceededError:
             verdicts[j] = "inconclusive"
             ok = False
@@ -512,6 +515,11 @@ def hypothesis_report(E: PresentedModule) -> HypothesisReport:
 # -- free quotient criterion (Prop-4.3 style) ------------------------------------------------
 
 
+def _entry_ideal(E: PresentedModule) -> Ideal:
+    """I_1(phi), the ideal of the entries of E's presentation matrix."""
+    return Ideal(E.ring, dict.fromkeys(f for col in E.relations for f in col))
+
+
 @dataclass
 class FreeQuotientVerdict:
     ok: bool
@@ -533,9 +541,7 @@ def verify_free_quotient(E: PresentedModule, U: Submodule) -> FreeQuotientVerdic
         return FreeQuotientVerdict(ok=True, mu_U=mu_U, ell=ell, K=K, entries_in_K=True)
     if mu_U != ell:
         return FreeQuotientVerdict(ok=False, mu_U=mu_U, ell=ell, K=K, entries_in_K=False)
-    entries_ok = all(
-        (not f) or K.contains(f) for col in P.relations for f in col
-    )
+    entries_ok = _entry_ideal(P) <= K
     return FreeQuotientVerdict(ok=entries_ok, mu_U=mu_U, ell=ell, K=K, entries_in_K=entries_ok)
 
 
@@ -554,6 +560,34 @@ class BalancedReport:
     equals_core: bool | None  # (ii): these equal the Monte Carlo core
     core_samples: int | None
     core_label: str | None
+
+
+def _balanced_products(E: PresentedModule, Us, Ks):
+    """Whether K*U = K*E for each draw U and its colon K, with the pairs
+    (K, K*E), one per distinct K.
+
+    A scalar U passes with no coset basis when I_1(phi) <= K, phi E's
+    presentation matrix and N its columns.  Write R^n in the basis of the
+    echelon rows r_i of U's constants (`_change_of_generators`) and the free
+    e_f: r_i is 1 at pivot i and 0 at the other pivots, so a vector's
+    U-coordinates are its pivot coordinates.  For k in K, k*e_f = u + n with
+    u in U and n in N; e_f has no pivot coordinate, so u = -(sum of
+    n_i*r_i), n_i the pivot coordinates of n.  These are R-combinations of
+    entries of phi, in K, so u lies in K*U; k*r_i lies there too, and r_i
+    minus its pivot's e_i is a combination of the e_f.  Hence
+    K*E <= K*U + N <= K*E.  The certificate only says True; without it the
+    coset bases of K*U and K*E are compared."""
+    entries = _entry_ideal(E)
+    products = []
+    KEs = []  # (K, K*E, I_1(phi) <= K) once per distinct K
+    for U, K in zip(Us, Ks):
+        known = next((x for x in KEs if x[0] == K), None)
+        if known is None:
+            known = (K, ideal_times_submodule(K, whole_module(E)), entries <= K)
+            KEs.append(known)
+        _, KE, certified = known
+        products.append((certified and _scalar_quotient(U) is not None) or KE == ideal_times_submodule(K, U))
+    return products, [(K, KE) for K, KE, _ in KEs]
 
 
 def verify_balanced(E: PresentedModule, reductions: int, rng=None) -> BalancedReport:
@@ -589,14 +623,7 @@ def verify_balanced(E: PresentedModule, reductions: int, rng=None) -> BalancedRe
     Us = [random_reduction(E, rng=rng) for _ in range(reductions)]
     Ks = [colon_into(U, E) for U in Us]
     independent = all(K == Ks[0] for K in Ks[1:])
-    products = []
-    KEs = []  # (K, K*E) once per distinct K
-    for U, K in zip(Us, Ks):
-        KE = next((KE for K0, KE in KEs if K0 == K), None)
-        if KE is None:
-            KE = ideal_times_submodule(K, whole_module(E))
-            KEs.append((K, KE))
-        products.append(KE == ideal_times_submodule(K, U))
+    products, KEs = _balanced_products(E, Us, Ks)
     products_equal = all(products)
     try:
         core, used = core_monte_carlo(E, rng=rng)

@@ -562,7 +562,14 @@ class Ideal:
     __contains__ = contains
 
     def __le__(self, other: "Ideal") -> bool:
-        return all(other.contains(g) for g in self.gens)
+        """Every generator reduces to 0 modulo other's basis, through one
+        reducer."""
+        if self.ring != other.ring:
+            raise RingMismatchError("containment across rings")
+        if not self.gens:
+            return True
+        nf = _reducer([_vec_to_dict((g,)) for g in other.groebner_basis()], self.ring)
+        return not any(nf(_vec_to_dict((f,))) for f in self.gens)
 
     def __eq__(self, other):
         if not isinstance(other, Ideal) or self.ring != other.ring:

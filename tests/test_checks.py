@@ -45,7 +45,7 @@ from modcore.checks import (
     verify_pd1_core,
 )
 
-from conftest import P, random_homogeneous_poly, seeded
+from conftest import P, generic_cokernel, random_homogeneous_poly, seeded
 
 
 def test_check_gs_free(R2):
@@ -406,6 +406,29 @@ def test_ext_vanishing_negative_control(E_edge_plus):
     rep = check_ext_vanishing(E_edge_plus)
     assert rep.jrange == [1]
     assert rep.verdicts[1] is False and not rep.ok
+
+
+def test_ext_vanishing_resolves_only_E(R3, monkeypatch):
+    # [R(E)]_1 = E for a torsion-free E, so Ext^2(E^1, R) at j = 1 is read
+    # off the resolution that projective_dimension(E) takes: on
+    # (xy,xz,yz) + R(-2), with j = 1 alone, the hypothesis report resolves
+    # E and nothing else.  A T-degree cap below 1 still leaves j = 1
+    # inconclusive
+    x, y, z = R3.gens()
+    E = direct_sum(module_from_ideal(Ideal(R3, [x * y, x * z, y * z])), free_module(R3, 1), twist=2)
+    resolved = []
+    resolve = modalg.free_resolution
+
+    def counting(M):
+        resolved.append(M)
+        return resolve(M)
+
+    monkeypatch.setattr(modalg, "free_resolution", counting)
+    hyp = hypothesis_report(E)
+    assert hyp.ext_vanishing.jrange == [1] and hyp.ext_vanishing.verdicts[1] is True
+    assert hyp.ok
+    assert resolved and all(M is E for M in resolved)
+    assert check_ext_vanishing(E, t_cap=0).verdicts == {1: "inconclusive"}
 
 
 def test_cm_rees_free(R2):
@@ -798,10 +821,13 @@ def test_residual_session_takes_each_fitting_ideal_once(monkeypatch):
 
 def test_verify_balanced_kernel_calls(R2, monkeypatch):
     # on a module built here (cold caches): colon and meet results carry
-    # their bases, K*E is built once per distinct K, and the fiber test is
-    # linear algebra plus one basis in the free variables; a colon by a
-    # scalar U with one free position is one basis of J, with no coset
-    # basis of U.  The core takes 7 draws.  The first meets E, so its
+    # their bases, and K*E is built once per distinct K, its coset basis
+    # taken once, for the core comparison.  No coset basis of K*U is taken:
+    # the entries of E's presentation lie in K, so K*U = K*E for each
+    # scalar draw U (6 calls fewer than 28).  The fiber test is linear
+    # algebra plus one basis in the free variables; a colon by a scalar U
+    # with one free position is one basis of J, with no coset basis of U.
+    # The core takes 7 draws.  The first meets E, so its
     # intersection is U + N and U stands for it: no meet, no basis of phi(N)
     # and no coset basis of U (2 calls fewer than 31).  Each later draw
     # takes one basis of phi(N) in E/U (one free position), which tests
@@ -827,7 +853,52 @@ def test_verify_balanced_kernel_calls(R2, monkeypatch):
     monkeypatch.setattr(modalg, "buchberger", counting)
     rep = verify_balanced(E, 6, rng=5)
     assert (rep.status, rep.independent, rep.products_equal, rep.equals_core) == ("ok", True, True, True)
-    assert count[0] == 28
+    assert count[0] == 22
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_balanced_products_certificate_agrees_with_coset_bases(p, monkeypatch):
+    # K*U = K*E for a scalar U when the entries of E's presentation lie in
+    # K = (U : E).  The oracle compares the coset bases of K*U and K*E on 4
+    # seeded reductions of each oracle ideal I (the corpus ideals among
+    # them), I + R(-deg I), I + I and two generic pd-1 cokernels.  Wherever
+    # the entries lie in K the products agree.  I + I has them there only
+    # for the complete intersection (x^2,y^2,z^2), whose Koszul relations
+    # have their entries in I; every other I + I takes the coset bases on
+    # each draw, and there the products differ for the square edge ideal
+    # and H
+    built = []
+    times = checks.ideal_times_submodule
+
+    def counting(K, U):
+        built.append(U)
+        return times(K, U)
+
+    monkeypatch.setattr(checks, "ideal_times_submodule", counting)
+    modules = []
+    for name, (names, gens) in _ORACLE_IDEALS.items():
+        R = PolyRing(p, names)
+        I = Ideal(R, gens(*R.gens()))
+        EI = module_from_ideal(I)
+        twist = I.gens[0].degree()
+        modules += [(EI, True), (direct_sum(EI, free_module(R, 1), twist=twist), True)]
+        modules.append((direct_sum(EI, EI), name == "(x^2,y^2,z^2)"))
+    modules += [(generic_cokernel(3, 5, 3, p), True), (generic_cokernel(4, 6, 4, p), True)]
+    unequal = 0
+    for E, fires in modules:
+        Us = [random_reduction(E, rng=seeded(s)) for s in range(4)]
+        Ks = [colon_into(U, E) for U in Us]
+        built.clear()
+        products, _ = checks._balanced_products(E, Us, Ks)
+        assert len([U for U in built if U is not whole_module(E)]) == (0 if fires else 4)
+        oracle = []
+        for U, K in zip(Us, Ks):
+            assert all(K.contains(f) for col in E.relations for f in col) == fires
+            KE = ideal_times_submodule(K, whole_module(E))
+            oracle.append(KE.coset_gb() == ideal_times_submodule(K, U).coset_gb())
+        assert products == oracle
+        unequal += oracle.count(False)
+    assert unequal > 0
 
 
 def test_closed_form_residual_session_counts(monkeypatch):
