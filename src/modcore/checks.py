@@ -23,6 +23,7 @@ from .modalg import (
     PresentedModule,
     Submodule,
     _constant_echelon,
+    _entry_ideal,
     _ideal_images,
     _scalar_quotient,
     colon_into,
@@ -513,11 +514,6 @@ def hypothesis_report(E: PresentedModule) -> HypothesisReport:
 
 
 # -- free quotient criterion (Prop-4.3 style) ------------------------------------------------
-
-
-def _entry_ideal(E: PresentedModule) -> Ideal:
-    """I_1(phi), the ideal of the entries of E's presentation matrix."""
-    return Ideal(E.ring, dict.fromkeys(f for col in E.relations for f in col))
 
 
 @dataclass

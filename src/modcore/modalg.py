@@ -651,13 +651,63 @@ def _scalar_quotient(U: Submodule):
 
 
 @_memo
+def _entry_ideal(E: PresentedModule) -> Ideal:
+    """I_1(phi), the ideal of the entries of E's presentation matrix."""
+    return Ideal(E.ring, dict.fromkeys(f for col in E.relations for f in col))
+
+
+@_memo
+def _entry_forms(E: PresentedModule):
+    """(monomials, rk) when every entry of E's presentation is a form of one
+    degree: the monomials of the entries, and the GF(p)-rank of the entries'
+    coefficient rows over them; else None."""
+    entries = _entry_ideal(E).gens
+    if len({mono_deg(m) for f in entries for m, _ in f.terms}) != 1:
+        return None
+    monos = sorted({m for f in entries for m, _ in f.terms})
+    rows = [[d.get(m, 0) for m in monos] for d in (dict(f.terms) for f in entries)]
+    return monos, len(_row_echelon(rows, len(monos), E.ring.char))
+
+
+@_memo
+def _entry_basis(E: PresentedModule):
+    """The reduced basis of I_1(phi), as term dicts in position 0."""
+    entries = [_vec_to_dict((f,)) for f in _entry_ideal(E).gens]
+    return buchberger(entries, _mkeyf(E.ring.order), E.ring.char)
+
+
+def _spans_entries(E: PresentedModule, forms) -> bool:
+    """Whether the forms, term dicts in position 0 that are GF(p)-combinations
+    of the entries of E's presentation, span the entries over GF(p).  Fewer
+    forms than that rank cannot, and take no rank test."""
+    shape = _entry_forms(E)
+    if shape is None or len(forms) < shape[1]:
+        return False
+    monos, rk = shape
+    rows = [[d.get((0, m), 0) for m in monos] for d in forms]
+    return len(_row_echelon(rows, len(monos), E.ring.char)) == rk
+
+
+@_memo
 def _quotient_basis(U: Submodule):
     """The reduced basis of phi(N) in R^free for a scalar U
     (`_scalar_quotient`), N the relations, so that E/U = R^free / its span
-    and v lies in U + N exactly when phi(v) reduces to 0 modulo it."""
+    and v lies in U + N exactly when phi(v) reduces to 0 modulo it.
+
+    With one free position, phi(N) is the ideal J_U = (U :_R E) of the
+    forms a_U.N_j, a_U in GF(p)^n the images of the e_i
+    (`_change_of_generators`).  Each a_U.N_j is a GF(p)-combination of
+    entries of phi, so J_U <= I_1(phi).  When every entry is a form of one
+    degree d, both ideals are generated in degree d, by the a_U.N_j and by
+    the GF(p)-span V of the entries, so J_U = I_1(phi) exactly when the
+    a_U.N_j span V (`_spans_entries`); then the basis is I_1(phi)'s, one
+    per E, and no basis of phi(N) is taken."""
     E = U.parent
-    phi = _scalar_quotient(U)[1]
-    return buchberger([phi(_vec_to_dict(col)) for col in E.relations], _mkeyf(E.ring.order), E.ring.char)
+    free, phi = _scalar_quotient(U)
+    forms = [phi(_vec_to_dict(col)) for col in E.relations]
+    if len(free) == 1 and _spans_entries(E, forms):
+        return _entry_basis(E)
+    return buchberger(forms, _mkeyf(E.ring.order), E.ring.char)
 
 
 def colon_into(U: Submodule, E: PresentedModule | None = None) -> Ideal:

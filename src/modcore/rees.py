@@ -27,6 +27,8 @@ from .modalg import (
     Submodule,
     _basis_submodule,
     _change_of_generators,
+    _quotient_basis,
+    _row_echelon,
     _scalar_quotient,
     first_nonzero_maximal_minor,
     is_torsionfree,
@@ -266,6 +268,49 @@ def reduction_number(U: Submodule, E: PresentedModule, max_degree: int = DEFAULT
     return None
 
 
+def _core_row(U: Submodule, J):
+    """a_U in GF(p)^n when U has one free position and (U : E) has the
+    reduced basis J, or any colon when J is None: the images of the e_i in
+    R^free (`modalg._change_of_generators`), so that v lies in U + N, N the
+    relations, exactly when a_U.v lies in (U : E).  Else None."""
+    free, images = _change_of_generators(U)
+    if len(free) != 1 or J is not None and _quotient_basis(U) != J:
+        return None
+    return [coeffs[0][1] if coeffs else 0 for coeffs in images]
+
+
+def _row_basis(E: PresentedModule, rows, J):
+    """The reduced basis of {v in R^n : A.v in J^r}, for A the GF(p) rows
+    `rows` of rank r and J a proper ideal by its reduced basis.
+
+    In the echelon form of A with its pivots at the last possible positions,
+    each row is 1 at its pivot q, 0 at the other pivots and 0 after q.  The
+    module is spanned by J*e_q, q a pivot, and by k_f = e_f - sum A_qf*e_q,
+    f no pivot and A_qf the entry at f of the row with pivot q, which A
+    sends to 0: subtracting sum v_f*k_f leaves a vector
+    on the pivots, whose coordinates are its values under A.  Position 0
+    is the largest, so k_f leads at e_f and its tail lies on later pivots.
+    Leading terms at different positions make no S-pair, J's basis is one
+    at each pivot, and 1 is no leading term of J: this is the reduced
+    basis, listed by ascending leading term as `buchberger` lists it."""
+    n = E.n
+    p = E.ring.char
+    unit = (0,) * E.ring.nvars
+    echelon = _row_echelon([row[::-1] for row in rows], n, p)
+    pivots = {n - 1 - col: row[::-1] for col, row in echelon}
+    basis = []
+    for pos in reversed(range(n)):
+        if pos in pivots:
+            basis += [{(pos, m): c for (_, m), c in g.items()} for g in J]
+        else:
+            kappa = {(pos, unit): 1}
+            for q in sorted(pivots):
+                if pivots[q][pos]:
+                    kappa[(q, unit)] = -pivots[q][pos] % p
+            basis.append(kappa)
+    return basis
+
+
 def core_monte_carlo(E: PresentedModule, samples: int = 12, rng=None):
     """Intersection of successive random minimal reductions, stopped once
     STABILIZATION_WINDOW draws in a row leave it unchanged.
@@ -275,27 +320,51 @@ def core_monte_carlo(E: PresentedModule, samples: int = 12, rng=None):
     samples_used is 0: when ell(E) = mu(E), F(E) is a polynomial ring in mu
     variables, so every reduction U has U + mE = E, hence U = E and
     core(E) = E over any field.
+
+    Otherwise no draw U is E, as it has ell < mu generators, so its colon
+    J = (U : E) is proper.  While every draw has one free position and the
+    same J, the intersection is kept as GF(p) rows: U + N, N the relations,
+    is {v : a_U.v in J} (`_core_row`), so the intersection C of the draws
+    has C + N = {v : A.v in J^r}, A the echelon form of their rows a_U.  A
+    draw leaves C unchanged exactly when its row a lies in A's row space:
+    if a = l.A, then a.v = l.A.v lies in J; if not, a constant c in the
+    kernel of A has a.c != 0, and c lies in C while the nonzero constant a.c
+    does not lie in J.  So the draws and the stop are those of the meet
+    loop, and C is returned by its reduced basis (`_row_basis`).  The first
+    draw that leaves this route turns the rows into C, and the meets take
+    over from there.
     """
     if samples < STABILIZATION_WINDOW:
         raise ModcoreError(f"core_monte_carlo needs samples >= {STABILIZATION_WINDOW}, got {samples}")
     rng = _rng(rng)
     if analytic_spread(E) == mu(E):
         return whole_module(E), 0
-    current = None  # E itself
+    p = E.ring.char
+    rows, J = [], None  # the route's A and J
+    current = None  # C once a draw leaves the route
     stable = 0
     for k in range(1, samples + 1):
         U = random_reduction(E, rng=rng)
-        # the draw leaves current as it is exactly when current <= U + N, N
-        # the relations; E itself never lies in U + N, as U has ell < mu
-        # generators, and E meets U + N in U + N, so U itself stands for it
-        if current is None:
+        row = _core_row(U, J) if current is None else None
+        if row is not None:
+            J = _quotient_basis(U)
+            echelon = [r for _, r in _row_echelon(rows + [row], E.n, p)]
+            stable = stable + 1 if len(echelon) == len(rows) else 0
+            rows = echelon
+        elif current is None and not rows:
+            # E meets U + N in U + N, so U itself stands for it
             current = U
-        elif current <= U:
-            stable += 1
         else:
-            stable = 0
-            current = submodule_intersect(current, U)
+            if current is None:
+                current = _basis_submodule(E, _row_basis(E, rows, J))
+            # the draw leaves current as it is exactly when current <= U + N
+            if current <= U:
+                stable += 1
+            else:
+                stable = 0
+                current = submodule_intersect(current, U)
         if stable >= STABILIZATION_WINDOW:
-            # by its reduced basis, which a meet result already knows
-            return _basis_submodule(E, current.coset_gb()), k
+            # by its reduced basis: in closed form on the route, and already
+            # known to a meet result
+            return _basis_submodule(E, _row_basis(E, rows, J) if current is None else current.coset_gb()), k
     raise RetryExhaustedError(f"core failed to stabilize within {samples} samples")

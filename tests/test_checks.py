@@ -820,26 +820,24 @@ def test_residual_session_takes_each_fitting_ideal_once(monkeypatch):
 
 
 def test_verify_balanced_kernel_calls(R2, monkeypatch):
-    # on a module built here (cold caches): colon and meet results carry
-    # their bases, and K*E is built once per distinct K, its coset basis
-    # taken once, for the core comparison.  No coset basis of K*U is taken:
-    # the entries of E's presentation lie in K, so K*U = K*E for each
-    # scalar draw U (6 calls fewer than 28).  The fiber test is linear
-    # algebra plus one basis in the free variables; a colon by a scalar U
-    # with one free position is one basis of J, with no coset basis of U.
-    # The core takes 7 draws.  The first meets E, so its
-    # intersection is U + N and U stands for it: no meet, no basis of phi(N)
-    # and no coset basis of U (2 calls fewer than 31).  Each later draw
-    # takes one basis of phi(N) in E/U (one free position), which tests
-    # containment and which the meet of the 3 later draws that change the
-    # intersection takes as known; the 3 stable draws take no meet.  E is an
-    # ideal module plus a free one, torsion-free by construction, so the
-    # torsion test takes no meet (1 call fewer).  No basis is taken of a
-    # principal ideal: the fiber ideal (T1*T3 - T2^2), read off the Rees
-    # ideal's generators, is its own basis for ell, and the Rees basis is
-    # taken once, by the CM test.  Each of the 13 fiber tests of the 6
-    # reductions and the 7 core draws has one free position, so it
-    # evaluates the fiber basis at a point and takes no basis
+    # on a module built here (cold caches): K*E is built once per distinct
+    # K, its coset basis taken once, for the core comparison.  No coset
+    # basis of K*U is taken: the entries of E's presentation lie in K, so
+    # K*U = K*E for each scalar draw U.  Every draw, the 6 reductions and
+    # the 7 core draws, has one free position, and its forms a_U.N span the
+    # linear entries x, y of E's presentation, so its colon is I_1(phi) =
+    # (x, y), whose basis is taken once for E: no basis of phi(N).  The
+    # core keeps its intersection as the GF(p) rows of its 7 draws, 4 that
+    # change it and 3 stable ones, tests each draw by a rank and writes the
+    # reduced basis at the stop in closed form: no meet.  So 15 calls give
+    # way to one: the 6 colons' and 6 core draws' bases of phi(N) and the 3
+    # meets, to the basis of I_1(phi).  E is an ideal module plus a free one,
+    # torsion-free by construction, so the torsion test takes no meet.  No
+    # basis is taken of a principal ideal: the fiber ideal
+    # (T1*T3 - T2^2), read off the Rees ideal's generators, is its own
+    # basis for ell, and the Rees basis is taken once, by the CM test.  Each
+    # of the 13 fiber tests has one free position, so it evaluates the fiber
+    # basis at a point and takes no basis
     x, y = R2.gens()
     E = direct_sum(module_from_ideal(Ideal(R2, [x**2, x * y, y**2])), free_module(R2, 1), twist=2)
     count = [0]
@@ -853,7 +851,7 @@ def test_verify_balanced_kernel_calls(R2, monkeypatch):
     monkeypatch.setattr(modalg, "buchberger", counting)
     rep = verify_balanced(E, 6, rng=5)
     assert (rep.status, rep.independent, rep.products_equal, rep.equals_core) == ("ok", True, True, True)
-    assert count[0] == 22
+    assert count[0] == 8
 
 
 @pytest.mark.parametrize("p", [P, 7])

@@ -1254,3 +1254,62 @@ def test_closed_form_torsion_by_construction_matches_the_meet(p, monkeypatch):
         assert is_torsionfree(E) == verdict
         assert not clean or len(meets) == before
     assert len(meets) == 1
+
+
+def _quotient_basis_modules(p):
+    """Over GF(p), by the route `_quotient_basis` takes on a scalar span with
+    one free position.  Entries of one degree that the draws span: m^2, the
+    square edge ideal (four linear relations) and the generic cokernels.
+    Fewer relations than the rank of the entries: (xy,xz,yz) and H by its
+    two linear Hilbert-Burch relations, 2 forms against I_1 = m.  Entries of
+    mixed degrees: H as presented by its syzygy basis, whose third relation
+    is quadratic, and the boundary cubics."""
+    x, y = PolyRing(p, ("x", "y")).gens()
+    a, b, c = PolyRing(p, ("x", "y", "z")).gens()
+    x0, x1, x2, x3 = PolyRing(p, ("x0", "x1", "x2", "x3")).gens()
+    H = module_from_ideal(Ideal(x0.ring, [x1 * x3 - x2**2, x0 * x3 - x1 * x2, x0 * x2 - x1**2]))
+    return {
+        "spans": [module_from_ideal(Ideal(x.ring, [x**2, x * y, y**2])),
+                  module_from_ideal(Ideal(x0.ring, [x0 * x1, x1 * x2, x2 * x3, x0 * x3])),
+                  generic_cokernel(3, 5, 3, p), generic_cokernel(4, 6, 4, p)],
+        "count": [module_from_ideal(Ideal(a.ring, [a * b, a * c, b * c])),
+                  PresentedModule(H.ring, H.gen_degrees, [(x1, -x2, x3), (x0, -x1, x2)])],
+        "mixed": [H, module_from_ideal(Ideal(a.ring, [a**3, a**2 * b, a * b**2 - a**2 * c, b**3 - 2 * a * b * c]))],
+    }
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_closed_form_quotient_basis_matches_buchberger(p):
+    # with one free position, (U : E) is the ideal J_U of the forms a_U.N_j
+    # inside I_1(phi); when E's entries are forms of one degree, J_U is
+    # I_1(phi) exactly when those forms span the entries over GF(p), and its
+    # basis is then I_1(phi)'s with no basis of phi(N).  Oracle: the basis of
+    # phi(N) by buchberger, term for term, on random scalar spans of n - 1
+    # vectors of each module (over GF(7) some draws of the spanning modules
+    # fail the rank test) and on span(e_1, e_2, e_3) in m^2 plus R(-2),
+    # where a_U = e_4 and a_U.N = 0 fails it
+    R2 = PolyRing(p, ("x", "y"))
+    x, y = R2.gens()
+    plus = direct_sum(module_from_ideal(Ideal(R2, [x**2, x * y, y**2])), free_module(R2, 1), twist=2)
+    rng = seeded(p + 8)
+    cases = [(route, E, span(E, [tuple(E.ring.const(rng.randrange(p)) for _ in range(E.n)) for _ in range(E.n - 1)]))
+             for route, modules in _quotient_basis_modules(p).items() for E in modules for _ in range(6)]
+    cases.append(("rank", plus, span(plus, [plus.basis_vector(i) for i in range(3)])))
+    fast = {route: set() for route, _, _ in cases}
+    for route, E, U in cases:
+        free, phi = modalg._scalar_quotient(U)
+        if len(free) != 1:
+            continue
+        expected = groebner.buchberger([phi(_vec_to_dict(col)) for col in E.relations],
+                                       groebner._mkeyf(E.ring.order), p)
+        basis = modalg._quotient_basis(U)
+        assert [list(d.items()) for d in basis] == [list(d.items()) for d in expected], (route, E)
+        shape = modalg._entry_forms(E)
+        assert (route == "mixed") == (shape is None)
+        assert (route == "count") == (shape is not None and len(E.relations) < shape[1])
+        # the route returns I_1(phi)'s basis itself, taken once for E
+        taken = basis is modalg._entry_basis(E)
+        assert taken == (shape is not None and expected == modalg._entry_basis(E))
+        fast[route].add(taken)
+    assert True in fast.pop("spans") and fast == {"count": {False}, "mixed": {False}, "rank": {False}}
+    assert modalg._quotient_basis(cases[-1][2]) == []

@@ -2,12 +2,13 @@
 reductions, reduction numbers, Monte Carlo cores."""
 
 import random
+from itertools import cycle
 from math import prod
 
 import pytest
 
 from modcore import groebner, modalg, rees
-from modcore.errors import DegreeMixError, ModcoreError, TorsionError
+from modcore.errors import DegreeMixError, ModcoreError, RetryExhaustedError, TorsionError
 from modcore.groebner import (
     Ideal,
     _ideal_basis,
@@ -456,17 +457,11 @@ def test_core_msq_plus_free(R2, E_msq_plus):
     assert C == ideal_times_submodule(Ideal(R2, [x, y]), whole_module(E_msq_plus))
 
 
-@pytest.mark.parametrize("p", [32003, 7])
-def test_core_meets_only_on_draws_that_change_it(p, monkeypatch):
-    # on m^2 plus R(-2), a draw U leaves the intersection C as it is exactly
-    # when C <= U + N, N the relations; the loop tests that in E/U and takes
-    # one meet per draw that changes C and none on a stable draw, so it
-    # makes the 7 draws of a loop that meets on every draw: 4 that change C,
-    # then 3 stable ones.  The first draw meets E itself, so C becomes
-    # U + N, and U stands for it with no meet
-    R2 = PolyRing(p, ("x", "y"))
-    x, y = R2.gens()
-    E = direct_sum(module_from_ideal(Ideal(R2, [x**2, x * y, y**2])), free_module(R2, 1), twist=2)
+def _record_core(E, seed, monkeypatch):
+    """core_monte_carlo(E) with its draws and, for each call of the meet,
+    the number of draws made before it; and the draws that change the
+    intersection, replayed with the two-block meet, which changes no state
+    of the loop."""
     draws, meets = [], []
     draw, meet = rees.random_reduction, modalg._meet
 
@@ -480,19 +475,38 @@ def test_core_meets_only_on_draws_that_change_it(p, monkeypatch):
 
     monkeypatch.setattr(rees, "random_reduction", recording_draw)
     monkeypatch.setattr(modalg, "_meet", recording_meet)
-    C, used = core_monte_carlo(E, samples=12, rng=5)
+    C, used = core_monte_carlo(E, samples=12, rng=seed)
     monkeypatch.undo()
-    # replay with the two-block meet, which changes no state of the loop
     changing, current = [], whole_module(E)
     for k, U in enumerate(draws, 1):
         basis = two_block_intersect(current, U)
         if basis != current.coset_gb():
             changing.append(k)
-            current = span(E, [_ordered_to_vec(d, R2, E.n) for d in basis])
-    assert used == len(draws) == 7
-    assert changing == [1, 2, 3, 4]
-    assert meets == [2, 3, 4]
-    assert C == current
+            current = span(E, [_ordered_to_vec(d, E.ring, E.n) for d in basis])
+    assert used == len(draws) and C == current
+    return used, changing, meets
+
+
+@pytest.mark.parametrize("p", [32003, 7])
+def test_core_meets_only_on_draws_that_change_it(p, monkeypatch):
+    # on m^2 plus R(-2), a draw U leaves the intersection C as it is exactly
+    # when C <= U + N, N the relations.  Every draw has one free position
+    # and the colon (x, y), so the loop keeps C as the GF(p) rows of its
+    # draws, tests each draw by a rank, and takes no meet; it makes the 7
+    # draws of a loop that meets on every draw: 4 that change C, then 3
+    # stable ones.  On (xy,xz,yz) plus itself every draw leaves two free
+    # positions, so the loop meets: the first draw meets E itself, so C
+    # becomes U + N and U stands for it with no meet, and each later draw
+    # that changes C takes one meet, a stable draw none
+    R2 = PolyRing(p, ("x", "y"))
+    x, y = R2.gens()
+    E = direct_sum(module_from_ideal(Ideal(R2, [x**2, x * y, y**2])), free_module(R2, 1), twist=2)
+    assert _record_core(E, 5, monkeypatch) == (7, [1, 2, 3, 4], [])
+    R3 = PolyRing(p, ("x", "y", "z"))
+    x, y, z = R3.gens()
+    I = module_from_ideal(Ideal(R3, [x * y, x * z, y * z]))
+    used, changing, meets = _record_core(direct_sum(I, I), 2, monkeypatch)
+    assert used == 10 and changing[0] == 1 and meets == changing[1:] == [2, 3, 4, 5, 6, 7]
 
 
 def test_core_prints_the_same_generators_for_every_seed(E_msq):
@@ -863,3 +877,101 @@ def test_closed_form_first_core_draw_matches_the_meet(p, monkeypatch):
             C, used = core_monte_carlo(E, samples=12, rng=seed)
             monkeypatch.undo()
             assert used == 4 and C.gens == met.gens and C.coset_gb() == met.coset_gb()
+
+
+def _core_route_modules(p):
+    """Over GF(p): m^2, (xy,xz,yz), (x^2,y^2,z^2), the square edge ideal and
+    H, each as I, I + R(-2) and I + I, and the generic 5 x 3 and 6 x 4
+    cokernels."""
+    x, y = PolyRing(p, ("x", "y")).gens()
+    a, b, c = PolyRing(p, ("x", "y", "z")).gens()
+    x0, x1, x2, x3 = PolyRing(p, ("x0", "x1", "x2", "x3")).gens()
+    ideals = {
+        "m^2": Ideal(x.ring, [x**2, x * y, y**2]),
+        "(xy,xz,yz)": Ideal(a.ring, [a * b, a * c, b * c]),
+        "(x^2,y^2,z^2)": Ideal(a.ring, [a**2, b**2, c**2]),
+        "square edge": Ideal(x0.ring, [x0 * x1, x1 * x2, x2 * x3, x0 * x3]),
+        "H": Ideal(x0.ring, [x1 * x3 - x2**2, x0 * x3 - x1 * x2, x0 * x2 - x1**2]),
+    }
+    modules = {}
+    for name, I in ideals.items():
+        E = module_from_ideal(I)
+        modules[name] = E
+        modules[name + " + R(-2)"] = direct_sum(E, free_module(I.ring, 1), twist=2)
+        modules[name + " + itself"] = direct_sum(E, E)
+    modules["coker 5x3"] = generic_cokernel(3, 5, 3, p)
+    modules["coker 6x4"] = generic_cokernel(4, 6, 4, p)
+    return modules
+
+
+def _meet_loop_core(E, draw, samples=12):
+    """Oracle: (reduced basis, samples_used) of a core loop on the draws
+    `draw()` that meets every draw by the two-block meet and tests stability
+    by comparing bases; None when it does not stabilize."""
+    current, stable = whole_module(E), 0
+    for k in range(1, samples + 1):
+        basis = two_block_intersect(current, draw())
+        if basis == current.coset_gb():
+            stable += 1
+        else:
+            stable, current = 0, span(E, [_ordered_to_vec(d, E.ring, E.n) for d in basis])
+        if stable >= 3:
+            return basis, k
+    return None
+
+
+@pytest.mark.parametrize("p", [32003, 7, 3])
+def test_closed_form_core_rows_match_the_meet_loop(p, monkeypatch):
+    # oracle: while every draw has one free position and one colon J, the
+    # core loop keeps the intersection C as GF(p) rows, tests a draw by a
+    # rank and returns C + N = {v : A.v in J^r} by its closed-form reduced
+    # basis.  Against a loop that meets every draw: the same samples_used,
+    # the same reduced basis term for term, or the same failure to
+    # stabilize.  Seeded draws stop with A of full rank, where the basis is
+    # J*e_q for every q; draws that alternate between the first two stop
+    # with A of rank 2, where the vectors k_f = e_f - sum A_qf*e_q join it.
+    # Draws that alternate between the first and span(e_1, ..., e_(n-1))
+    # change the colon on m^2 plus R(-2), whose last row is 0: there the
+    # second draw turns the rows into C and meets.  m^2 plus R(-2) takes
+    # no meet on its own draws; I + I leaves two or more free positions and
+    # meets wherever it draws
+    meets, rows = [], []
+    meet, row_basis, draw = modalg._meet, rees._row_basis, rees.random_reduction
+    monkeypatch.setattr(modalg, "_meet", lambda *args: meets.append(1) or meet(*args))
+    monkeypatch.setattr(rees, "_row_basis", lambda *args: rows.append(1) or row_basis(*args))
+    routes = {}
+    for name, E in _core_route_modules(p).items():
+        if analytic_spread(E) == mu(E):
+            assert core_monte_carlo(E, rng=1) == (whole_module(E), 0)
+            continue
+        rng = random.Random(1)
+        first = [draw(E, rng=rng) for _ in range(2)]
+        alternations = {"first two": first,
+                        "unit span": [first[0], span(E, [E.basis_vector(i) for i in range(E.n - 1)])]}
+
+        def draws(kind):
+            """A fresh run of the draws: seeded, or alternating over two."""
+            if kind == "seeded":
+                rng = random.Random(1)
+                return lambda: draw(E, rng=rng)
+            return cycle(alternations[kind]).__next__
+
+        for kind in ("seeded", *alternations):
+            meets.clear()
+            rows.clear()
+            with monkeypatch.context() as m:
+                fresh = draws(kind)
+                m.setattr(rees, "random_reduction", lambda *args, **kwargs: fresh())
+                try:
+                    C, used = core_monte_carlo(E, samples=12, rng=1)
+                    got = [list(d.items()) for d in C.coset_gb()], used
+                except RetryExhaustedError:
+                    got = None
+            routes[name, kind] = (bool(meets), bool(rows))
+            expected = _meet_loop_core(E, draws(kind))
+            if expected is not None:
+                expected = [list(d.items()) for d in expected[0]], expected[1]
+            assert got == expected, (name, p, kind)
+    assert routes["m^2 + R(-2)", "seeded"] == routes["m^2 + R(-2)", "first two"] == (False, True)
+    assert routes["m^2 + R(-2)", "unit span"] == (True, True)
+    assert all(routes[key][0] for key in routes if key[0].endswith("itself"))
