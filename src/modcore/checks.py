@@ -18,7 +18,7 @@ from .errors import (
     ModcoreError,
     RetryExhaustedError,
 )
-from .groebner import Ideal, _ideal_numerator, _memo, _remember, height, krull_dimension
+from .groebner import Ideal, _ideal_numerator, _memo, height, krull_dimension
 from .modalg import (
     PresentedModule,
     Submodule,
@@ -28,6 +28,7 @@ from .modalg import (
     _scalar_quotient,
     colon_into,
     cyclic_module,
+    depth,
     direct_sum,
     ext_module,
     fitting_ideal,
@@ -67,17 +68,6 @@ def _height_at_least(I: Ideal, bound: int) -> bool:
     return I.is_unit() or height(I) >= bound
 
 
-def _draw_colon(E: PresentedModule, elems, S, J) -> Ideal:
-    """(span(a_j : j in S) :_R E) for the elements a_j in `elems`.  J is the
-    span's image ideal (a_j : j in S) when E is an ideal, built from the
-    images `residual_intersection` expands once, and None otherwise; the
-    span keeps it, so that the colon does not expand the a_j again."""
-    U = span(E, [elems[j] for j in S])
-    if J is not None:
-        _remember(U, "to_ideal", J)
-    return colon_into(U, E)
-
-
 def _generates(E: PresentedModule, vectors) -> bool:
     """Whether `vectors` generate E = R^n / N.  By graded Nakayama they do
     iff their constant parts and those of the relations N span GF(p)^n:
@@ -96,15 +86,12 @@ def _colon_height(E: PresentedModule, elems, images, S) -> tuple:
     (`_generates`).  `images` are the elements' images in I
     (`modalg._ideal_images`), None when E is not an ideal.  Any other E or
     J takes the colon."""
-    S = list(S)
-    J = None
-    if images is not None:
-        J = Ideal(E.ring, [images[j] for j in S])
-        if height(J) == len(S):
-            if _generates(E, [elems[j] for j in S]):
-                return E.ring.nvars + 1, True
-            return len(S), False
-    K = _draw_colon(E, elems, S, J)
+    vectors = [elems[j] for j in S]
+    if images is not None and height(Ideal(E.ring, [images[j] for j in S])) == len(S):
+        if _generates(E, vectors):
+            return E.ring.nvars + 1, True
+        return len(S), False
+    K = colon_into(span(E, vectors), E)
     return height(K), K.is_unit()
 
 
@@ -238,13 +225,6 @@ def _certified_cm(K: Ideal, d: int) -> bool | None:
     return None
 
 
-def _resolved_depth(K: Ideal) -> int:
-    """depth R/K from the minimal resolution of R/K, presented on K's
-    reduced basis (graded Auslander-Buchsbaum)."""
-    ring = K.ring
-    return ring.nvars - projective_dimension(cyclic_module(ring, Ideal(ring, K.groebner_basis())))
-
-
 def residual_intersection(
     E: PresentedModule,
     W: Submodule,
@@ -271,50 +251,41 @@ def residual_intersection(
         raise ModcoreError(f"E is not G_{s} (fails at t = {gs.failing_t})")
 
     I = E._cache.get("from_ideal")
-    # K = J below the height of I (see the last prefix below)
+    # K = J below the height of I (see K below)
     below_height = I is not None and s < height(I)
+    # the prefixes a_1..a_i (i = 0..s, the last one K), then, when s is
+    # small, every other index subset of size m with m - e + 1 > 0
+    prefixes = [tuple(range(i)) for i in range(s + 1)]
+    index_sets = [(S, f"prefix {len(S)}") for S in prefixes]
+    if s <= SUBSET_LIMIT:
+        index_sets += [(S, f"subset {list(S)}") for m in range(max(e, 1), s + 1)
+                       for S in combinations(range(s), m) if S != prefixes[m]]
     failures = []
     for attempt in range(RETRY_CAP):
         elems, coords = _random_elements(W, s, rng)
         # each element's image in I, expanded once for every J it is in
         images = _ideal_images(E, elems) if I is not None else None
-        prefix_heights = []
-        ok = True
-        for i in range(s + 1):
-            if i < s:
-                h, unit = _colon_height(E, elems, images, range(i))
+        heights = []
+        for S, label in index_sets:
+            if len(S) < s:
+                h, unit = _colon_height(E, elems, images, S)
             else:
                 # K = (a_1..a_s :_R E), with no colon when E is an ideal I
                 # and J = (a_1..a_s) has height s < ht(I): J is a complete
                 # intersection, so its associated primes all have height s
                 # (Bruns-Herzog, Thm 2.1.6), none contains I, and J : I = J
-                J = Ideal(E.ring, images) if I is not None else None
-                K = J if below_height and height(J) == s else _draw_colon(E, elems, range(s), J)
+                J = Ideal(E.ring, images) if below_height else None
+                K = J if J is not None and height(J) == s else colon_into(span(E, elems), E)
                 h, unit = height(K), K.is_unit()
-            prefix_heights.append(h)
+            heights.append(h)
             # a unit colon passes vacuously, as in _height_at_least
-            if not (unit or h >= i - e + 1):
-                failures.append((attempt, f"prefix {i}"))
-                ok = False
+            if not (unit or h >= len(S) - e + 1):
+                failures.append((attempt, label))
                 break
-        if ok and s <= SUBSET_LIMIT:
-            for m in range(1, s + 1):
-                if m - e + 1 <= 0:
-                    continue
-                for S in combinations(range(s), m):
-                    if S == tuple(range(m)):
-                        continue  # prefix, already checked
-                    h, unit = _colon_height(E, elems, images, S)
-                    if not (unit or h >= m - e + 1):
-                        failures.append((attempt, f"subset {list(S)}"))
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok and not _mu_drop_holds(W, coords, s):
-            failures.append((attempt, "generator drop"))
-            ok = False
-        if ok:
+        else:
+            if not _mu_drop_holds(W, coords, s):
+                failures.append((attempt, "generator drop"))
+                continue
             proper = not K.is_unit()
             if proper:
                 # only the verdict is reported: R/K is resolved only when
@@ -322,14 +293,14 @@ def residual_intersection(
                 dim = krull_dimension(K)
                 cm = _certified_cm(K, dim)
                 if cm is None:
-                    cm = _resolved_depth(K) == dim
+                    cm = depth(cyclic_module(K.ring, Ideal(K.ring, K.groebner_basis()))) == dim
                 height_K = E.ring.nvars - dim
             else:
                 cm, height_K = None, height(K)
             return ResidualCertificate(
                 s=s,
                 elements=elems,
-                prefix_heights=prefix_heights,
+                prefix_heights=heights[: s + 1],
                 subset_checked=s <= SUBSET_LIMIT,
                 K=K,
                 proper=proper,
@@ -466,7 +437,7 @@ def check_cm_rees(E: PresentedModule) -> CmReesVerdict:
     once per module, next to the Rees data it is read from."""
     K = rees_ideal(E)
     dim = krull_dimension(K)
-    dep = dim if _certified_cm(K, dim) else _resolved_depth(K)
+    dep = dim if _certified_cm(K, dim) else depth(cyclic_module(K.ring, Ideal(K.ring, K.groebner_basis())))
     return CmReesVerdict(cm=dep == dim, depth=dep, dim=dim)
 
 

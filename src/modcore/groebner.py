@@ -431,13 +431,12 @@ def _syzygy_dicts(gens, npos, ring):
     return _eliminate_to(buchberger(tagged, _mkeyf(ring.order), ring.char), npos)
 
 
-def _meet(pairs, n, ring, known=0):
+def _meet(pairs, n, ring):
     """{sum r_i b_i : sum r_i a_i = 0} for the pairs (a_i, b_i) of term
     dicts on R^n: what span((a_i, b_i)) in R^n + R^n meets in the second
-    block, as a reduced basis of R^n.  The first `known` pairs may be
-    (g, 0) for g in a reduced basis, which `buchberger` takes as known."""
+    block, as a reduced basis of R^n."""
     gens = [{**a, **{(pos + n, m): c for (pos, m), c in b.items()}} for a, b in pairs]
-    return _eliminate_to(buchberger(gens, _mkeyf(ring.order), ring.char, known), n)
+    return _eliminate_to(buchberger(gens, _mkeyf(ring.order), ring.char), n)
 
 
 def _independent_normal_forms(vs, basis, ring):

@@ -30,7 +30,6 @@ from .groebner import (
     _syzygy_dicts,
     _vec_to_dict,
     buchberger,
-    quotient_ideal,
 )
 from .poly import Polynomial, PolyRing, mono_deg, mono_mul
 
@@ -563,11 +562,6 @@ class Submodule:
                     out.append(w)
         return out
 
-    @_memo
-    def to_ideal(self) -> Ideal:
-        """Image ideal when the parent was built from an ideal."""
-        return Ideal(self.parent.ring, _ideal_images(self.parent, self.gens))
-
 
 def _ideal_images(E: PresentedModule, vectors):
     """The image in I of each coordinate vector, sum c_i*g_i over I's
@@ -712,8 +706,8 @@ def _quotient_basis(U: Submodule):
 
 def colon_into(U: Submodule, E: PresentedModule | None = None) -> Ideal:
     """(U :_R E) = ann(E/U), computed once per U.  Reads it off E/U when U is
-    scalar and E/U has at most one generator, and takes the ideal route
-    when E came from an ideal."""
+    scalar and E/U has at most one generator, and else takes the colon by
+    the unit vectors over U's coset basis."""
     if E is not None and E is not U.parent:
         raise ModcoreError("U is not a submodule of E")
     return _colon_into(U)
@@ -731,15 +725,6 @@ def _colon_into(U: Submodule) -> Ideal:
         if not quotient[0]:
             return _basis_ideal(ring, [{(0, (0,) * ring.nvars): 1}])
         return _basis_ideal(ring, _quotient_basis(U))
-    I = E._cache.get("from_ideal")
-    if I is not None:
-        # E = I and U = J, its image ideal, so ann(E/U) = (J :_R I).  The
-        # ideal colon takes copies of J's basis in R^1; ann(E/U) would take
-        # copies of a basis in R^k, with all the syzygies of I as extra
-        # relations, which is slower and takes more memory on ideal modules
-        # (the residual_an benchmark workload).  Direct sums and free
-        # modules take ann(E/U), over the basis of U + relations.
-        return quotient_ideal(U.to_ideal(), I)
     return _colon_by_free(U.coset_gb(), ring, E.n)
 
 
@@ -762,30 +747,16 @@ def submodule_presentation(U: Submodule) -> PresentedModule:
 
 def submodule_intersect(U1: Submodule, U2: Submodule) -> Submodule:
     """U1 cap U2 inside their common parent (cosets modulo the relations):
-    the reduced basis of (U1 + N) cap (U2 + N), N the relations, as the
-    kernel of U1 + N -> R^n / (U2 + N).
-
-    That kernel is the meet of the pairs (phi(c), c), c in U1 and N, and
-    (h, 0), h spanning what phi must still kill.  A scalar U2 is a change of
-    generators, R^n / (U2 + N) = R^free / phi(N) (`_scalar_quotient`), so h
-    runs over the reduced basis of phi(N) (`_quotient_basis`), which the
-    meet takes as known; any other U2 keeps phi the identity and h runs over
-    U2 and N in R^n."""
+    the reduced basis of (U1 + N) cap (U2 + N), N the relations, as the meet
+    of the pairs (c, c), c in U1 and N, and (h, 0), h in U2 and N."""
     E = U1.parent
     if U2.parent is not E and U2.parent.relations != E.relations:
         raise ModcoreError("parent mismatch")
-    ring = E.ring
     relations = [_vec_to_dict(c) for c in E.relations]
-    quotient = _scalar_quotient(U2)
-    if quotient is None:
-        width, phi, known = E.n, dict, 0
-        kill = [_vec_to_dict(w) for w in U2.gens] + relations
-    else:
-        free, phi = quotient
-        kill = _quotient_basis(U2)
-        width, known = len(free), len(kill)
-    pairs = [(h, {}) for h in kill] + [(phi(c), c) for c in [_vec_to_dict(u) for u in U1.gens] + relations]
-    return _basis_submodule(E, _meet(pairs, width, ring, known))
+    kill = [_vec_to_dict(w) for w in U2.gens] + relations
+    keep = [_vec_to_dict(u) for u in U1.gens] + relations
+    pairs = [(h, {}) for h in kill] + [(c, c) for c in keep]
+    return _basis_submodule(E, _meet(pairs, E.n, E.ring))
 
 
 def _basis_submodule(E: PresentedModule, basis) -> Submodule:

@@ -184,7 +184,7 @@ def fiber_quotient(U: Submodule, E: PresentedModule):
 
     Row reduction of L over GF(p) writes each pivot variable as a linear
     form in the free ones (`modalg._change_of_generators`, the echelon that
-    also takes colons and intersections by a scalar U); phi is that
+    also takes colons by a scalar U); phi is that
     substitution, so the quotient keeps its grading."""
     free, images = _fiber_positions(U, E)
     _, fiber = _rees_rings(E)
@@ -210,12 +210,12 @@ def is_reduction(U: Submodule, E: PresentedModule) -> bool:
     is k[T]/J in one variable, J the image of Fib under T_i -> c_i*T: of
     dimension <= 0 exactly when J is nonzero.  That map sends a form g of
     degree k to g(c)*T^k, and the fiber basis is homogeneous, so U reduces E
-    iff some element of it does not vanish at the point c."""
-    free, images = _fiber_positions(U, E)
+    iff some element of it does not vanish at the point c = a_U
+    (`_core_row`)."""
+    free, _ = _fiber_positions(U, E)
     if len(free) == 1:
-        p = E.ring.char
-        point = [coeffs[0][1] if coeffs else 0 for coeffs in images]
-        return any(_value_at(g, point, p) for g in fiber_ideal(E).groebner_basis())
+        point = _core_row(U, None)
+        return any(_value_at(g, point, E.ring.char) for g in fiber_ideal(E).groebner_basis())
     quotient = fiber_quotient(U, E)
     return quotient is None or krull_dimension(quotient) <= 0
 

@@ -276,6 +276,14 @@ def two_block_intersect(U1, U2):
     return _meet(pairs, E.n, E.ring)
 
 
+def image_ideal(U, I):
+    """Oracle: the image ideal of a span U of the module built from I, the
+    sums sum c_i*g_i of each generator's coordinates c_i times I's
+    generators g_i, by polynomial arithmetic."""
+    ring = I.ring
+    return Ideal(ring, [sum((c * g for c, g in zip(v, I.gens)), ring.zero()) for v in U.gens])
+
+
 def leibniz_det(rows, ring):
     """Oracle: the determinant of a square matrix of polynomials, given by
     rows, as the signed sum over permutations of the products of entries

@@ -42,6 +42,8 @@ from modcore.checks import (
 )
 from modcore.modalg import free_module
 
+from conftest import image_ideal
+
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
@@ -97,13 +99,13 @@ def test_criterion_03_msq_core_identities(R2, msq, E_msq):
         m3 = Ideal(R2, [x**3, x**2 * y, x * y**2, y**3])
         for seed in range(8):
             U = random_reduction(E_msq, rng=1000 + seed)
-            J = U.to_ideal()
+            J = image_ideal(U, msq)
             K = quotient_ideal(J, msq)
             assert K == m
             assert K * msq == m3
             assert K * J == m3
         core, _ = core_monte_carlo(E_msq, samples=12, rng=42)
-        assert core.to_ideal() == m3
+        assert image_ideal(core, msq) == m3
         assert core == ideal_times_submodule(m, whole_module(E_msq))
         F = fitting_ideal(E_msq, 2)
         assert F == m
@@ -136,7 +138,7 @@ def test_criterion_05_theorem_45_corpus(H, E_H, E_H_plus):
     with budget(5, 600, "twisted cubic: H^2=U*H (r=0) 5 seeds; R(H) CM; E hypothesis suite; balanced"):
         for seed in range(5):
             U = random_reduction(E_H, rng=300 + seed)
-            J = U.to_ideal()
+            J = image_ideal(U, H)
             assert J * H == H * H          # the stated oracle: r_U(H) <= 1
             assert reduction_number(U, E_H) == 0
         assert check_cm_rees(E_H).cm

@@ -37,8 +37,9 @@ def ideal_pairs(draw):
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(ideal_pairs())
 def test_colons_and_intersections_carry_their_basis(case):
-    # (J : I), I cap J, (U :_R J) for U in J's ideal module (the ideal route)
-    # and (U :_R R^2) for U spanned by (f, g), f in I, g in J (the module route)
+    # (J : I), I cap J, (U :_R J) for a scalar U in J's ideal module (read
+    # off E/U, or the colon by the unit vectors when two or more positions
+    # stay free) and (U :_R R^2) for U spanned by (f, g), f in I, g in J
     I, J, coeffs = case
     ring = I.ring
     EJ = module_from_ideal(J)

@@ -45,7 +45,7 @@ from modcore.checks import (
     verify_pd1_core,
 )
 
-from conftest import P, generic_cokernel, random_homogeneous_poly, seeded
+from conftest import P, generic_cokernel, image_ideal, random_homogeneous_poly, seeded
 
 
 def test_check_gs_free(R2):
@@ -230,7 +230,9 @@ def test_depth_of_rees_powers(E_H_plus, E_minors43):
 def _depth_and_dim(K):
     # (depth, dim) of R/K: dim when the certificate says CM, else resolved
     d = krull_dimension(K)
-    return (d, d) if checks._certified_cm(K, d) else (checks._resolved_depth(K), d)
+    if checks._certified_cm(K, d):
+        return d, d
+    return modalg.depth(cyclic_module(K.ring, Ideal(K.ring, K.groebner_basis()))), d
 
 
 def _resolution_depth_and_dim(K):
@@ -309,7 +311,7 @@ def _no_resolution(E):
 
 
 def test_cm_certificate_needs_no_resolution(monkeypatch, H, E_H, E_minors43):
-    monkeypatch.setattr(checks, "projective_dimension", _no_resolution)
+    monkeypatch.setattr(modalg, "projective_dimension", _no_resolution)
     for K in (H, rees_ideal(E_H), rees_ideal(E_minors43)):
         d = krull_dimension(K)
         assert _depth_and_dim(K) == (d, d)
@@ -334,7 +336,7 @@ def test_depth_and_dim_falls_back_without_system_of_parameters(monkeypatch):
         calls.append(E)
         return projective_dimension(E)
 
-    monkeypatch.setattr(checks, "projective_dimension", counted)
+    monkeypatch.setattr(modalg, "projective_dimension", counted)
     assert _depth_and_dim(K) == (0, 1)
     assert len(calls) == 1
 
@@ -720,6 +722,33 @@ def test_residual_colon_heights_match_the_colons(name, p, monkeypatch):
     assert routes == {"shortcut", "colon"}
 
 
+@pytest.mark.parametrize("p", [P, 7])
+@pytest.mark.parametrize("name", list(_ORACLE_IDEALS))
+def test_ideal_module_colons_and_meets_match_the_ideal_routes(name, p):
+    # oracle: on E = I, U corresponds to its image ideal J, so
+    # (U :_R E) = (J :_R I) and the image of U1 cap U2 is J1 cap J2.  The
+    # spans are seeded scalar ones with two or more free positions, which
+    # take the colon by the unit vectors, and draws from m*E
+    names, gens = _ORACLE_IDEALS[name]
+    R = PolyRing(p, names)
+    I = Ideal(R, gens(*R.gens()))
+    E = module_from_ideal(I)
+    rng = seeded(p + E.n)
+    mE = ideal_times_submodule(Ideal(R, R.gens()), whole_module(E))
+    spans = []
+    for k in range(1, E.n - 1):
+        for _ in range(2):
+            U = span(E, [tuple(R.const(rng.randrange(p)) for _ in range(E.n)) for _ in range(k)])
+            assert len(modalg._scalar_quotient(U)[0]) >= 2
+            spans.append(U)
+    spans += [span(E, checks._random_elements(mE, k, rng)[0]) for k in (1, 2)]
+    for U in spans:
+        assert colon_into(U, E) == quotient_ideal(image_ideal(U, I), I), (name, p)
+    for U1, U2 in combinations(spans, 2):
+        C = modalg.submodule_intersect(U1, U2)
+        assert image_ideal(C, I) == intersect(image_ideal(U1, I), image_ideal(U2, I)), (name, p)
+
+
 def test_residual_session_takes_one_colon_of_its_module(monkeypatch):
     # the 20 residual tasks of one session share W = E (cached on E) and so
     # its colon (cached on W): W is the scalar span of E's generators, so
@@ -760,30 +789,24 @@ _SESSION_IDEALS = {
 
 
 def test_residual_draws_expand_their_images_once(monkeypatch):
-    # residual_intersection expands each draw's elements in I once; every
-    # span it colon-tests carries its image ideal, so no colon, not even one
-    # by the ideal route (two or more free positions), expands them again.
-    # Below ht(I), K is J itself and takes no colon, so the ideal route is
-    # reached by K on the square edge ideal at s = 2 = ht(I), where two of
-    # its four positions stay free
-    draws, again, ideal_colons = [], [], []
-    images, to_ideal, quotient = checks._ideal_images, modalg._ideal_images, modalg.quotient_ideal
+    # residual_intersection expands each draw's elements in I once, for
+    # every J it is in: one expansion per draw, of the drawn elements.  The
+    # square edge ideal at s = 2 = ht(I) also takes the colon of K, with two
+    # of its four positions free
+    drawn, expanded = [], []
+    draw, images = checks._random_elements, checks._ideal_images
 
-    def drawing(E, vectors):
-        draws.append(len(vectors))
+    def drawing(W, count, rng):
+        out = draw(W, count, rng)
+        drawn.append(out[0])
+        return out
+
+    def expanding(E, vectors):
+        expanded.append(vectors)
         return images(E, vectors)
 
-    def expanding_again(E, vectors):
-        again.append(len(vectors))
-        return to_ideal(E, vectors)
-
-    def ideal_colon(J, I):
-        ideal_colons.append(J)
-        return quotient(J, I)
-
-    monkeypatch.setattr(checks, "_ideal_images", drawing)
-    monkeypatch.setattr(modalg, "_ideal_images", expanding_again)
-    monkeypatch.setattr(modalg, "quotient_ideal", ideal_colon)
+    monkeypatch.setattr(checks, "_random_elements", drawing)
+    monkeypatch.setattr(checks, "_ideal_images", expanding)
     sessions = [
         (names, gens, s) for names, gens in _SESSION_IDEALS.items() for s in range(1, min(3, len(names.split(","))) + 1)]
     sessions.append(("x1,x2,x3,x4", "x1*x2, x2*x3, x3*x4, x1*x4", 2))
@@ -792,8 +815,7 @@ def test_residual_draws_expand_their_images_once(monkeypatch):
         src += "".join(f"task residual_intersection E {s} --seed {seed};\n" for seed in range(1, 6))
         report = run_session(parse_session(src))
         assert [t["status"] for t in report.payload["tasks"]] == ["ok"] * 5
-    assert len(draws) >= 40 and ideal_colons
-    assert again == []
+    assert len(drawn) >= 40 and expanded == drawn
 
 
 def test_residual_session_takes_each_fitting_ideal_once(monkeypatch):
@@ -956,13 +978,17 @@ def test_closed_form_residual_below_height_is_the_complete_intersection(name, s,
     I = Ideal(R, gens(*R.gens()))
     E = module_from_ideal(I)
     below = s < height(I)
-    colons = []
-    draw_colon = checks._draw_colon
-    monkeypatch.setattr(checks, "_draw_colon", lambda *a: colons.append(a) or draw_colon(*a))
+    W = whole_module(E)
+    calls = _count_colons(monkeypatch)
+
+    def draw_colons():
+        # colons of the draws' spans, not (W : E)
+        return sum(U is not W for U, *_ in calls)
+
     draws = _count_draws(monkeypatch)
     for seed in range(1, 4):
-        before = len(colons), len(draws)
-        cert = residual_intersection(E, whole_module(E), s, rng=seed)
+        before = draw_colons(), len(draws)
+        cert = residual_intersection(E, W, s, rng=seed)
         J = Ideal(R, modalg._ideal_images(E, cert.elements))
         assert cert.K == quotient_ideal(J, I), (name, s, p, seed)
         assert (cert.K == J) == below or not cert.proper
@@ -971,8 +997,8 @@ def test_closed_form_residual_below_height_is_the_complete_intersection(name, s,
             assert cert.cm == (projective_dimension(cyclic_module(R, cert.K)) == cert.height_K)
         if below:
             assert cert.proper and cert.cm and cert.height_K == s
-            assert (len(colons), len(draws)) == before
-    assert below or colons
+            assert (draw_colons(), len(draws)) == before
+    assert below or draw_colons()
 
 
 _GENERATION_IDEALS = {
@@ -1054,12 +1080,12 @@ def test_closed_form_scalar_draws_match_the_polynomial_combination(p, monkeypatc
 
 def test_closed_form_residual_session_below_height_counts(monkeypatch):
     # sessions of 20 draws (seeds 1..20) at s = 1 on m^2, (xy,xz,yz) and H:
-    # s is below ht(I), so K = J takes no ideal colon, its CM certificate no
+    # s is below ht(I), so K = J takes no kernel colon, its CM certificate no
     # substituted ideal (J is a complete intersection), and the colon
     # heights read I <= J by Nakayama, with no membership test
     colons, memberships = [], []
     inside = [False]
-    quotient, member, colon_height = modalg.quotient_ideal, groebner.ideal_membership, checks._colon_height
+    colon, member, colon_height = groebner._colon, groebner.ideal_membership, checks._colon_height
 
     def in_colon_height(*args):
         inside[0] = True
@@ -1068,8 +1094,8 @@ def test_closed_form_residual_session_below_height_counts(monkeypatch):
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(modalg, "quotient_ideal", lambda *a: colons.append(a) or quotient(*a))
-    monkeypatch.setattr(groebner, "quotient_ideal", lambda *a: colons.append(a) or quotient(*a))
+    monkeypatch.setattr(modalg, "_colon", lambda *a: colons.append(a) or colon(*a))
+    monkeypatch.setattr(groebner, "_colon", lambda *a: colons.append(a) or colon(*a))
     draws = _count_draws(monkeypatch)
     monkeypatch.setattr(groebner, "ideal_membership", lambda *a: (inside[0] and memberships.append(a)) or member(*a))
     monkeypatch.setattr(checks, "_colon_height", in_colon_height)

@@ -52,6 +52,7 @@ from modcore.session import parse_session
 from conftest import (
     P,
     generic_cokernel,
+    image_ideal,
     leibniz_minors,
     random_poly,
     random_homogeneous_poly,
@@ -314,7 +315,7 @@ def test_colon_examples(R2, E_msq, msq):
 
 
 def test_colon_general_module_route(R2, E_msq_plus):
-    # no from_ideal shortcut here: ann(E/U) through module syzygies
+    # m^2 + R(-2) with position 1 free: E/U = R/J, J the entries of phi(N)
     x, y = R2.gens()
     U = span(
         E_msq_plus,
@@ -686,9 +687,9 @@ def _scalar_oracle_modules(p):
 @pytest.mark.parametrize("p", [P, 7])
 def test_scalar_colon_and_intersection_match_the_general_routes(p):
     # oracle: for scalar spans U of every rank 0..n, (U :_R E) equals the
-    # colon by the unit vectors over U's coset basis, and the meet through
-    # E/U = R^free / phi(N) equals the two-block meet in R^n + R^n, basis
-    # for basis; the spans leave 0, 1 and 2 or more free positions
+    # colon by the unit vectors over U's coset basis, and the meet with U
+    # equals the two-block meet in R^n + R^n, basis for basis; the spans
+    # leave 0, 1 and 2 or more free positions
     rng = seeded(p)
     free_counts = set()
     for E in _scalar_oracle_modules(p):
@@ -755,9 +756,9 @@ def test_quotient_by_scalar_combinations_takes_mu_minus_s_copies(R2, msq, s, mon
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("name", ["msq", "tri", "H", "coker53"])
 def test_scalar_reduction_colon_matches_loop_route(name, seed, request):
-    # both routes of colon_into against the per-generator loop: the ideal
-    # route on I, the annihilator route on I plus R(-2) and on the 5 x 3
-    # generic cokernel
+    # colon_into against the per-generator loop on I, on I plus R(-2) and
+    # on the 5 x 3 generic cokernel, and on I against (J : I) for U's image
+    # ideal J
     if name == "coker53":
         cases = [(request.getfixturevalue("E_coker53"), None)]
     else:
@@ -770,7 +771,7 @@ def test_scalar_reduction_colon_matches_loop_route(name, seed, request):
         K = colon_into(U, E)
         assert K.gens == _loop_colon([{(i, unit): 1} for i in range(E.n)], cols, E.ring, E.n).gens
         if I is not None:
-            assert K.gens == _loop_quotient(U.to_ideal(), I).gens
+            assert K.gens == _loop_quotient(image_ideal(U, I), I).gens
 
 
 def test_colon_keeps_normal_forms_independent_over_the_field(R2, monkeypatch):

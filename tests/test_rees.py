@@ -49,7 +49,7 @@ from modcore.rees import (
     sym_ideal,
 )
 
-from conftest import eliminate, generic_cokernel, two_block_intersect
+from conftest import eliminate, generic_cokernel, image_ideal, two_block_intersect
 
 
 
@@ -396,7 +396,7 @@ def test_reduction_number_twisted_cubic(H, E_H):
     # H^2 = U*H holds (trivially) for every seeded draw
     for seed in range(5):
         U = random_reduction(E_H, rng=100 + seed)
-        UJ = U.to_ideal()
+        UJ = image_ideal(U, H)
         assert UJ * H == H * H
         assert reduction_number(U, E_H) == 0
 
@@ -427,11 +427,11 @@ def test_core_monte_carlo_msq(R2, E_msq, msq):
     # classical value: core(m^2) = m^3
     assert C == ideal_times_submodule(m, whole_module(E_msq))
     m3 = Ideal(R2, [x**3, x**2 * y, x * y**2, y**3])
-    assert C.to_ideal() == m3
+    assert image_ideal(C, msq) == m3
     # oracle: Theorem-1.1-style products (J : I) * J over 8 seeded reductions
     for seed in range(8):
         U = random_reduction(E_msq, rng=500 + seed)
-        J = U.to_ideal()
+        J = image_ideal(U, msq)
         K = quotient_ideal(J, msq)
         assert K == m
         assert K * J == m3
@@ -522,7 +522,7 @@ def test_reduction_number_edge_ideal_cross_route(edge, E_edge):
     for seed in (1, 2, 3):
         U = random_reduction(E_edge, rng=seed)
         assert reduction_number(U, E_edge) == 1
-        J = U.to_ideal()
+        J = image_ideal(U, edge)
         assert J * edge == edge * edge
         assert J != edge
 
@@ -545,7 +545,7 @@ def test_rees_independent_of_inverting_element(E_msq, msq):
 def test_ideal_product_keeps_each_distinct_product_once(minors43, E_minors43):
     # J^3 for a minimal reduction J of the boundary cubics: 27 products of
     # the three generators, 10 of them distinct
-    J = random_reduction(E_minors43, rng=5).to_ideal()
+    J = image_ideal(random_reduction(E_minors43, rng=5), minors43)
     products = [f * g * h for f in J.gens for g in J.gens for h in J.gens]
     first_seen = []
     for f in products:
@@ -563,7 +563,7 @@ def test_polini_ulrich_core_msq(R2, msq, E_msq, seed):
     # (J^2 : m^2) = m^3, the core that the msq_core golden pins
     U = random_reduction(E_msq, rng=seed)
     assert reduction_number(U, E_msq) == 1
-    J = U.to_ideal()
+    J = image_ideal(U, msq)
     assert quotient_ideal(J * J, msq) == Ideal(R2, list(R2.gens())) * msq
 
 
@@ -571,7 +571,7 @@ def test_polini_ulrich_core_boundary_cubics(R3, minors43, E_minors43):
     # r = 2: (J^3 : I^2) = (x, y, z) * I, the boundary_cubics core
     U = random_reduction(E_minors43, rng=5)
     assert reduction_number(U, E_minors43) == 2
-    J = U.to_ideal()
+    J = image_ideal(U, minors43)
     assert quotient_ideal(J * J * J, minors43 * minors43) == Ideal(R3, list(R3.gens())) * minors43
 
 
@@ -580,7 +580,7 @@ def test_big_colon_is_one_kernel_call(R3, minors43, E_minors43, monkeypatch):
     # basis of J^3 and one colon over block copies of it, and 343 normal
     # forms; a colon per generator of I^2 and their intersections took 19
     # calls and 2024 normal forms
-    J = random_reduction(E_minors43, rng=5).to_ideal()
+    J = image_ideal(random_reduction(E_minors43, rng=5), minors43)
     counts = {"buchberger": 0, "nf_dict": 0}
     for name in counts:
         kernel = getattr(groebner, name)
