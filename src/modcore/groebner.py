@@ -439,33 +439,39 @@ def _meet(pairs, n, ring):
     return _eliminate_to(buchberger(gens, _mkeyf(ring.order), ring.char), n)
 
 
+def _echelon_add(rows, r, p):
+    """Clear the code dict `r` (consumed) at the leading codes of `rows`,
+    {leading code: monic row}, and file what is left, monic, as a new row.
+    Returns whether anything was left: whether r raised the GF(p)-rank."""
+    while r:
+        lead = max(r)
+        row = rows.get(lead)
+        if row is None:
+            rows[lead] = _monic(r, p)
+            return True
+        c = r[lead]
+        for t, a in row.items():
+            x = (r.get(t, 0) - c * a) % p
+            if x:
+                r[t] = x
+            else:
+                del r[t]
+    return False
+
+
 def _independent_normal_forms(vs, basis, ring):
     """A GF(p)-basis of the span of the normal forms of the term dicts `vs`
     modulo the reduced basis `basis` (ring's order), in echelon form by
-    leading term: each normal form is cleared at the leading terms of the
-    rows kept before it and kept if anything is left.  A GF(p)-combination of
-    normal forms is a normal form, so every row is one."""
+    leading term (`_echelon_add`).  A GF(p)-combination of normal forms is a
+    normal form, so every row is one."""
     p = ring.char
     codec = _codec(ring.order, ring.nvars)
     divs = {}
     for g in basis:
         _add_divisor(divs, codec.encode(g), codec, p)
-    rows = {}  # leading code -> monic row
+    rows = {}
     for v in vs:
-        r = nf_dict(codec.encode(v), divs, codec, p)
-        while r:
-            lead = max(r)
-            row = rows.get(lead)
-            if row is None:
-                rows[lead] = _monic(r, p)
-                break
-            c = r[lead]
-            for t, a in row.items():
-                x = (r.get(t, 0) - c * a) % p
-                if x:
-                    r[t] = x
-                else:
-                    del r[t]
+        _echelon_add(rows, nf_dict(codec.encode(v), divs, codec, p), p)
     return [codec.decode(r) for r in rows.values()]
 
 

@@ -11,19 +11,24 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, combinations_with_replacement, groupby
+from operator import or_
 
 from .errors import ModcoreError, NotHomogeneousError, RingMismatchError
 from .groebner import (
     Ideal,
     _basis_ideal,
+    _codec,
     _colon,
     _dict_to_vec,
+    _echelon_add,
     _hilbert_numerator,
     _meet,
     _memo,
     _mkeyf,
     _ordered_to_vec,
+    _overflows,
     _reducer,
     _remember,
     _standard_count,
@@ -158,7 +163,18 @@ class PresentedModule:
 
     @_memo
     def relation_gb(self):
-        return module_gb(self.relations, self.ring)
+        """The reduced basis of the relations, ascending.  A direct sum's is
+        read off its summands' (`direct_sum`): the relations of E2 shifted
+        past E1's positions, whose leading terms are the smaller, then E1's.
+        Leading terms in different positions make no S-pair, and no leading
+        term divides a tail term of the other summand, which lies in other
+        positions; so the union is a reduced basis, with no Buchberger call."""
+        summands = self._cache.get("summands")
+        if summands is None:
+            return module_gb(self.relations, self.ring)
+        E1, E2 = summands
+        n1 = E1.n
+        return [{(pos + n1, m): c for (pos, m), c in g.items()} for g in E2.relation_gb()] + E1.relation_gb()
 
     def element_is_zero(self, vec) -> bool:
         return module_member(vec, self.relation_gb(), self.ring)
@@ -195,17 +211,27 @@ class PresentedModule:
 
 
 def module_from_ideal(I: Ideal) -> PresentedModule:
-    """An ideal of positive grade, viewed as a torsionfree rank-one module."""
+    """An ideal of positive grade, viewed as a torsionfree rank-one module.
+
+    It is presented by a minimal set of the syzygies of I's generators
+    (`_minimal_columns`), and their reduced basis, which the syzygy step
+    returns, is its relation basis: both span the same module, whose
+    reduced basis is unique.  The syzygies of homogeneous generators are
+    homogeneous, so the columns need no check."""
     if I.is_zero():
         raise ModcoreError("the zero ideal is not a module of positive rank")
+    ring = I.ring
     degrees = []
     for g in I.gens:
         if not g.is_homogeneous():
             raise NotHomogeneousError("ideal generators must be homogeneous")
         degrees.append(g.degree())
-    cols = syzygies([(g,) for g in I.gens], I.ring, 1)
-    E = PresentedModule(I.ring, degrees, cols)
+    basis = _syzygy_dicts([_vec_to_dict((g,)) for g in I.gens], 1, ring)
+    k = len(degrees)
+    cols = [_ordered_to_vec(s, ring, k) for s in _minimal_columns(basis, degrees, ring)]
+    E = PresentedModule(ring, degrees, cols, _validate=False)
     E._cache["from_ideal"] = I
+    _remember(E, "relation_gb", basis)
     # E is isomorphic to I inside the domain R
     _remember(E, "is_torsionfree", True)
     return E
@@ -217,14 +243,17 @@ def cyclic_module(ring: PolyRing, K: Ideal) -> PresentedModule:
 
 
 def free_module(ring: PolyRing, rank: int, twist: int = 0) -> PresentedModule:
-    """R(-twist)^rank: free with all generators in degree `twist`."""
-    return PresentedModule(ring, (twist,) * rank, ())
+    """R(-twist)^rank: free with all generators in degree `twist`, and no
+    relations to take a basis of."""
+    F = PresentedModule(ring, (twist,) * rank, ())
+    _remember(F, "relation_gb", [])
+    return F
 
 
 def direct_sum(E1: PresentedModule, E2: PresentedModule, twist: int = 0) -> PresentedModule:
     """Block direct sum; the second summand's generators are shifted by
     `twist`.  The summands are recorded with it, an input like
-    `module_from_ideal`'s ideal, for `is_torsionfree`."""
+    `module_from_ideal`'s ideal, for `is_torsionfree` and `relation_gb`."""
     if E1.ring != E2.ring:
         raise RingMismatchError("direct sum across rings")
     ring = E1.ring
@@ -292,6 +321,46 @@ def _prune_units(cols, npos, p):
     kept = [q for q in range(npos) if q not in dropped]
     renumber = {q: k for k, q in enumerate(kept)}
     return kept, [{(renumber[q], m): c for (q, m), c in col.items()} for col in cols if col]
+
+
+def _minimal_columns(cols, degrees, ring):
+    """The columns of a minimal generating set of span(cols), in their given
+    order, for `cols` a reduced basis of homogeneous term dicts on positions
+    of degrees `degrees`.  No Buchberger call.
+
+    By graded Nakayama (Bruns-Herzog, Cohen-Macaulay Rings, 1.5.15) a column
+    of degree d can go exactly when it lies in the GF(p)-span of the degree-d
+    multiples of the columns of lower degree and of the degree-d columns
+    kept; taken in ascending degree, the lower columns kept span what all of
+    them do.  Columns of the lowest degree are all kept: a reduced basis has
+    distinct leading terms, so its columns of one degree are
+    GF(p)-independent.  The span lives on term codes in echelon form
+    (`_echelon_add`), a column times a monomial q being its codes plus
+    code(0, q), the sum of the codes of q's variables."""
+    degs = [mono_deg(m) + degrees[pos] for pos, m in (next(iter(c)) for c in cols)]
+    if len(set(degs)) <= 1:
+        return list(cols)
+    p = ring.char
+    codec = _codec(ring.order, ring.nvars)
+    guard = codec.guard
+    low = min(degs)
+    shifts = {}  # k -> the codes code(0, q) of the monomials q of degree k
+    kept = []  # (degree, codes, exponent bound, index) of the columns kept
+    for d, group in groupby(sorted(range(len(cols)), key=degs.__getitem__), key=degs.__getitem__):
+        rows = {}
+        for e, c, bound, _ in kept:
+            qs = shifts.get(d - e)
+            if qs is None:
+                qs = shifts[d - e] = [sum(us) for us in combinations_with_replacement(codec.units, d - e)]
+            for q in qs:
+                if (bound + q) & guard and _overflows(c.items(), q, guard):
+                    raise OverflowError("monomial exponent overflow")
+                _echelon_add(rows, {t + q: a for t, a in c.items()}, p)
+        for j in group:
+            c = codec.encode(cols[j])
+            if d == low or _echelon_add(rows, dict(c), p):
+                kept.append((d, c, reduce(or_, c) & codec.emask, j))
+    return [cols[j] for j in sorted(j for *_, j in kept)]
 
 
 @_memo

@@ -1263,19 +1263,22 @@ def _quotient_basis_modules(p):
     square edge ideal (four linear relations) and the generic cokernels.
     Fewer relations than the rank of the entries: (xy,xz,yz) and H by its
     two linear Hilbert-Burch relations, 2 forms against I_1 = m.  Entries of
-    mixed degrees: H as presented by its syzygy basis, whose third relation
-    is quadratic, and the boundary cubics."""
+    mixed degrees: H presented by those two and the quadratic relation
+    (0, x1^2 - x0*x2, x0*x3 - x1*x2), which they generate, and
+    (x^2, xy, y^3), whose minimal syzygies are a linear and a quadratic one."""
     x, y = PolyRing(p, ("x", "y")).gens()
     a, b, c = PolyRing(p, ("x", "y", "z")).gens()
     x0, x1, x2, x3 = PolyRing(p, ("x0", "x1", "x2", "x3")).gens()
     H = module_from_ideal(Ideal(x0.ring, [x1 * x3 - x2**2, x0 * x3 - x1 * x2, x0 * x2 - x1**2]))
+    zero = x0.ring.zero()
     return {
         "spans": [module_from_ideal(Ideal(x.ring, [x**2, x * y, y**2])),
                   module_from_ideal(Ideal(x0.ring, [x0 * x1, x1 * x2, x2 * x3, x0 * x3])),
                   generic_cokernel(3, 5, 3, p), generic_cokernel(4, 6, 4, p)],
-        "count": [module_from_ideal(Ideal(a.ring, [a * b, a * c, b * c])),
-                  PresentedModule(H.ring, H.gen_degrees, [(x1, -x2, x3), (x0, -x1, x2)])],
-        "mixed": [H, module_from_ideal(Ideal(a.ring, [a**3, a**2 * b, a * b**2 - a**2 * c, b**3 - 2 * a * b * c]))],
+        "count": [module_from_ideal(Ideal(a.ring, [a * b, a * c, b * c])), H],
+        "mixed": [PresentedModule(H.ring, H.gen_degrees, [(zero, x1**2 - x0 * x2, x0 * x3 - x1 * x2),
+                                                          (x1, -x2, x3), (x0, -x1, x2)]),
+                  module_from_ideal(Ideal(x.ring, [x**2, x * y, y**3]))],
     }
 
 

@@ -382,6 +382,23 @@ def test_balanced_report_names_its_module():
     assert tasks[0]["value"] == tasks[1]["value"] == tasks[2]["value"]
 
 
+def test_ideal_module_report_counts_minimal_relations():
+    # H is presented by its two Hilbert-Burch syzygies, not by the three of
+    # its syzygy basis: H + R(-2) has 2 relations and H + H has 4, the first
+    # Betti numbers; every verdict is the same either way
+    src = "ring R = GF(32003)[x0,x1,x2,x3];\nideal H = (x1*x3 - x2^2, x0*x3 - x1*x2, x0*x2 - x1^2);\n"
+    src += "task ideal_module_verdicts H --rank 2;\ntask ideal_module_verdicts H --rank 2 --mode power_sum;\n"
+    plus, power = (t["value"] for t in run_session(parse_session(src)).payload["tasks"])
+    assert plus["module"] == {"generators": 4, "relations": 2, "degrees": [2] * 4, "mu": 4, "rank": 2}
+    assert power["module"] == {"generators": 6, "relations": 4, "degrees": [2] * 6, "mu": 6, "rank": 2}
+    verdicts = {"mode": "plus_free", "e": 2, "ell_I": 3, "ell_E": 4, "spread_additive": True, "nonfree_codim": 2,
+                "height_I": 2, "nonfree_matches_height": True, "mu_I": 3, "mu_E": 4, "mu_expected": 4,
+                "mu_exceeds_spread": False}
+    assert plus["verdicts"] == verdicts
+    assert power["verdicts"] == {**verdicts, "mode": "power_sum", "mu_E": 6, "mu_expected": 6,
+                                 "mu_exceeds_spread": True}
+
+
 def test_unbalanced_close_paren_is_named_at_its_line():
     src = "ring R = GF(32003)[x,y];\nideal I = (x));\ntask height I;\n"
     with pytest.raises(ParseError, match=r"^unbalanced '\)' at line 2$"):
