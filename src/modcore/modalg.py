@@ -4,7 +4,8 @@ Vectors are tuples of polynomials, one per free-module position; the
 Groebner/syzygy kernel in `groebner` works on their term dicts
 {(position, monomial): coeff}.  Presentations are stored column-wise (each
 column is one relation among the generators).  Minimal presentations and
-resolutions are pruned on term dicts by one routine, `_prune_units`.
+resolutions keep a minimal set of columns of a reduced basis by one
+routine, `_minimal_columns`.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .groebner import (
     _basis_ideal,
     _codec,
     _colon,
-    _dict_to_vec,
     _echelon_add,
+    _eliminate_to,
     _hilbert_numerator,
     _meet,
     _memo,
@@ -279,50 +280,6 @@ def rank(E: PresentedModule) -> int:
 # -- minimal presentations and resolutions ---------------------------------------
 
 
-def _prune_units(cols, npos, p):
-    """Cancel unit entries of the term-dict columns `cols` (positions below
-    `npos`) until none is left.
-
-    An entry is a unit when its only term at that position is the constant
-    one.  A unit u of column j at position i makes generator i a combination
-    of the others, so position i and column j both go: every other column
-    sheds its entry f at i by subtracting f/u times column j.  Columns are
-    taken in order, each at its lowest unit position.  On homogeneous
-    columns a cancellation adds terms of positive degree only, so no column
-    already passed gains a unit and one pass is enough.
-
-    Returns (surviving positions, the nonzero columns renumbered onto them).
-    """
-    cols = [dict(c) for c in cols]
-    dropped = set()
-    j = 0
-    while j < len(cols):
-        pivot = cols[j]
-        units = [pm for pm in pivot if not any(pm[1]) and sum(q == pm[0] for q, _ in pivot) == 1]
-        if not units:
-            j += 1
-            continue
-        unit = min(units)
-        i = unit[0]
-        del cols[j]
-        uinv = pow(pivot.pop(unit), -1, p)
-        for col in cols:
-            for pm, c in [(pm, c) for pm, c in col.items() if pm[0] == i]:
-                del col[pm]
-                factor = c * uinv % p
-                for (r, m), pc in pivot.items():
-                    key = (r, mono_mul(pm[1], m))
-                    v = (col.get(key, 0) - factor * pc) % p
-                    if v:
-                        col[key] = v
-                    else:
-                        col.pop(key, None)
-        dropped.add(i)
-    kept = [q for q in range(npos) if q not in dropped]
-    renumber = {q: k for k, q in enumerate(kept)}
-    return kept, [{(renumber[q], m): c for (q, m), c in col.items()} for col in cols if col]
-
-
 def _minimal_columns(cols, degrees, ring):
     """The columns of a minimal generating set of span(cols), in their given
     order, for `cols` a reduced basis of homogeneous term dicts on positions
@@ -365,15 +322,29 @@ def _minimal_columns(cols, degrees, ring):
 
 @_memo
 def minimal_presentation(E: PresentedModule) -> PresentedModule:
-    """Prune unit entries until the presentation is minimal."""
+    """E on minimal generators and minimal relations.
+
+    The pivots of the relations' constant echelon (`_constant_echelon`, as
+    in `mu`) are the redundant generators, and the others span E.  Renumbered
+    to the first positions, which position-over-term puts highest, the
+    pivots are eliminated by one basis of the relations (`_eliminate_to`):
+    what is left is the reduced basis of the relations among the kept
+    generators.  With no pivot it is E's own relation basis.
+    `_minimal_columns` keeps a minimal set of it, and the basis is the
+    result's `relation_gb`."""
     ring = E.ring
-    kept, cols = _prune_units([_vec_to_dict(c) for c in E.relations], E.n, ring.char)
-    M = PresentedModule(
-        ring,
-        tuple(E.gen_degrees[q] for q in kept),
-        [_dict_to_vec(c, ring, len(kept)) for c in cols],
-        _validate=False,
-    )
+    pivots = [q for q, _ in _constant_echelon(E.relations, E.n, ring.char)]
+    kept = [q for q in range(E.n) if q not in pivots]
+    if pivots:
+        at = {q: k for k, q in enumerate(pivots + kept)}
+        moved = [{(at[pos], m): c for (pos, m), c in _vec_to_dict(col).items()} for col in E.relations]
+        basis = _eliminate_to(buchberger(moved, _mkeyf(ring.order), ring.char), len(pivots))
+    else:
+        basis = E.relation_gb()
+    degrees = tuple(E.gen_degrees[q] for q in kept)
+    cols = [_ordered_to_vec(c, ring, len(kept)) for c in _minimal_columns(basis, degrees, ring)]
+    M = PresentedModule(ring, degrees, cols, _validate=False)
+    _remember(M, "relation_gb", basis)
     _remember(M, "minimal_presentation", M)
     return M
 
@@ -403,9 +374,10 @@ class FreeResolution:
 
 @_memo
 def free_resolution(E: PresentedModule) -> FreeResolution:
-    """Minimal resolution, built on term dicts: each step takes the syzygies
-    of the last map and prunes their units; a unit at position q makes
-    column q of the last map redundant, so that column and its degree go."""
+    """Minimal resolution, built on term dicts: the first map is the minimal
+    presentation's relations, and each next map is a minimal set of the
+    syzygies of the last (`_minimal_columns`).  The kernel of a minimal
+    map lies in m times its source, so each next map is minimal as well."""
     ring = E.ring
     M = minimal_presentation(E)
     degrees = [M.gen_degrees]
@@ -415,12 +387,10 @@ def free_resolution(E: PresentedModule) -> FreeResolution:
         prev = degrees[-1]
         maps.append(cols)
         degrees.append(tuple(mono_deg(m) + prev[pos] for pos, m in (next(iter(c)) for c in cols)))
-        kept, cols = _prune_units(_syzygy_dicts(cols, len(prev), ring), len(cols), ring.char)
-        maps[-1] = [maps[-1][q] for q in kept]
-        degrees[-1] = tuple(degrees[-1][q] for q in kept)
+        cols = _minimal_columns(_syzygy_dicts(cols, len(prev), ring), degrees[-1], ring)
         if len(maps) > ring.nvars + 2:
             raise ModcoreError("resolution exceeded the syzygy-theorem bound; bug")
-    vec_maps = [[_dict_to_vec(c, ring, len(d)) for c in m] for m, d in zip(maps, degrees)]
+    vec_maps = [[_ordered_to_vec(c, ring, len(d)) for c in m] for m, d in zip(maps, degrees)]
     return FreeResolution(ring, degrees, vec_maps)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable
 
 from . import __version__
-from .errors import CapExceededError, ModcoreError, NotHomogeneousError, ParseError
+from .errors import CapExceededError, ModcoreError, NotHomogeneousError, ParseError, RetryExhaustedError
 from .groebner import (
     Ideal,
     height,
@@ -38,6 +38,7 @@ from .modalg import (
     rank,
     span,
     vector_degree,
+    whole_module,
 )
 from .poly import Polynomial, PolyRing, parse_poly
 from .rees import (
@@ -51,7 +52,6 @@ from .rees import (
     rees_ideal,
     sym_ideal,
 )
-from .modalg import whole_module
 from .checks import (
     build_ideal_module,
     check_an,
@@ -471,7 +471,12 @@ def _run_reduction_number(session, E, *, submodule=None, max_degree=None, seed=N
 
 
 def _run_core(_, E, *, samples=12, seed=None):
-    C, used = core_monte_carlo(E, samples=samples, rng=seed)
+    try:
+        C, used = core_monte_carlo(E, samples=samples, rng=seed)
+    except RetryExhaustedError:
+        # the sample count is a cap: a core that has not stabilized by then
+        # is inconclusive, not an error
+        raise CapExceededError(json.dumps({"samples": samples, "seed": seed})) from None
     return {
         "seed": seed,
         "samples": samples,

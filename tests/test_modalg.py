@@ -42,11 +42,12 @@ from modcore.modalg import (
     submodule_intersect,
     submodule_presentation,
     syzygies,
+    vector_degree,
     whole_module,
 )
 from modcore.checks import _random_elements, build_ideal_module
-from modcore.poly import PolyRing
-from modcore.rees import random_reduction, rees_ideal
+from modcore.poly import PolyRing, mono_mul
+from modcore.rees import graded_component, random_reduction, rees_ideal
 from modcore.session import parse_session
 
 from conftest import (
@@ -54,6 +55,7 @@ from conftest import (
     generic_cokernel,
     image_ideal,
     leibniz_minors,
+    monomials_of_degree,
     random_poly,
     random_homogeneous_poly,
     row_rank,
@@ -1065,10 +1067,12 @@ def test_modules_built_apart_from_one_ideal_share_nothing(R2, monkeypatch):
 def test_prefilled_memos_are_hits(R2, monkeypatch):
     x, y = R2.gens()
     E = module_from_ideal(Ideal(R2, [x**2, x * y, y**2, x**2 + y**2]))
-    prunes = _counting(monkeypatch, modalg, "_prune_units")
+    # the result is its own minimal presentation: one set of minimal columns
+    # is taken, for E, and none for M
+    minimal = _counting(monkeypatch, modalg, "_minimal_columns")
     M = minimal_presentation(E)
     assert minimal_presentation(M) is M and minimal_presentation(E) is M
-    assert len(prunes) == 1
+    assert len(minimal) == 1
     # the meet of submodule_intersect is its result's coset basis
     U1 = span(E, [E.basis_vector(0), E.basis_vector(1)])
     U2 = span(E, [E.basis_vector(1), E.basis_vector(2)])
@@ -1139,10 +1143,10 @@ def _mu_drop_presentations(E, rng):
 @pytest.mark.parametrize("p", [P, 7])
 def test_closed_form_mu_matches_the_minimal_presentation(p):
     # graded Nakayama: n minus the rank of the constant parts of the
-    # relations is the size of the minimal presentation that pruning
-    # reaches, on the corpus modules, I + R(-2), power sums, the generic
-    # cokernels, m*E, the generator-drop presentations and random
-    # presentations with constant entries
+    # relations is the size of the minimal presentation, on the corpus
+    # modules, I + R(-2), power sums, the generic cokernels, m*E, the
+    # generator-drop presentations and random presentations with constant
+    # entries
     rng = seeded(p + 6)
     modules = _mu_oracle_modules(p)
     for E in modules[:4]:
@@ -1155,6 +1159,71 @@ def test_closed_form_mu_matches_the_minimal_presentation(p):
         assert mu_E == minimal_presentation(E).n, E
         drops += mu_E < E.n
     assert drops >= 20
+
+
+def _tor1_oracle(E, d):
+    """(minimal generators, minimal relations) of E in degree d, by dense
+    GF(p) linear algebra on E's own presentation F -> E with relations N.
+    The generators whose unit relations (N + mF)/mF cancel are redundant,
+    and N splits as the minimal relations plus a free module on them, so
+    the relations count dim (N/mN)_d minus dim ((N + mF)/mF)_d."""
+    ring, p = E.ring, E.ring.char
+    cols = [(vector_degree(c, E.gen_degrees), c) for c in E.relations]
+    frame = [(pos, m) for pos, e in enumerate(E.gen_degrees) if e <= d
+             for m in monomials_of_degree(ring.nvars, d - e)]
+    index = {t: k for k, t in enumerate(frame)}
+
+    def multiples(least):
+        rows = []
+        for c, col in cols:
+            for q in monomials_of_degree(ring.nvars, d - c) if d - c >= least else ():
+                row = [0] * len(frame)
+                for pos, f in enumerate(col):
+                    for m, a in f.terms:
+                        row[index[(pos, mono_mul(q, m))]] = a
+                rows.append(row)
+        return rows
+
+    units = row_rank([[f.constant_coeff() for f in col] for c, col in cols if c == d], p)
+    relations = row_rank(multiples(0), p) - row_rank(multiples(1), p) - units
+    return E.gen_degrees.count(d) - units, relations
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_minimal_presentation_matches_the_degree_oracle(p):
+    # in each degree d, the minimal presentation has dim_k (E/mE)_d
+    # generators and dim_k (N/mN)_d relations, N its relation module, by
+    # dense linear algebra on E's own presentation; it presents E (same
+    # Hilbert function), and its remembered basis is its relations' basis
+    rng = seeded(p + 30)
+    R = PolyRing(p, ("x", "y", "z"))
+    modules = _mu_oracle_modules(p) + [_random_presentation(R, rng) for _ in range(60)]
+    pruned = 0
+    for E in modules:
+        M = minimal_presentation(E)
+        degrees = sorted({vector_degree(c, E.gen_degrees) for c in E.relations} | set(E.gen_degrees))
+        want = {d: _tor1_oracle(E, d) for d in degrees}
+        got = {d: (M.gen_degrees.count(d), [vector_degree(c, M.gen_degrees) for c in M.relations].count(d))
+               for d in degrees}
+        assert got == want, E
+        assert len(M.relations) == sum(n for _, n in want.values())
+        assert M.relation_gb() == module_gb(M.relations, M.ring)
+        assert all(M.hilbert_function(d) == E.hilbert_function(d) for d in range(degrees[-1] + 2)), E
+        pruned += len(M.relations) < len(E.relations)
+    assert pruned >= 20
+
+
+def test_resolution_syzygy_steps_take_minimal_columns(monkeypatch):
+    # E^2 of the 5x3 rung is presented by 35 linear relations of which 15
+    # are minimal: each syzygy step gets only the minimal columns of the
+    # map before, 15 then 3, never the whole basis
+    E2 = graded_component(generic_cokernel(3, 5, 3), 2)
+    columns = []
+    kernel = modalg._syzygy_dicts
+    monkeypatch.setattr(modalg, "_syzygy_dicts", lambda cols, *a: columns.append(len(cols)) or kernel(cols, *a))
+    res = free_resolution(E2)
+    assert [len(d) for d in res.degrees] == [15, 15, 3] and len(E2.relations) == 35
+    assert columns == [15, 3]
 
 
 @pytest.mark.parametrize("p", [P, 7])

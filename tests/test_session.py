@@ -189,6 +189,24 @@ def test_reduction_number_inconclusive_status():
     assert rep.exit_code() == 2
 
 
+def test_core_that_does_not_stabilize_is_inconclusive():
+    # the sample count is a cap: at 12 draws the Monte Carlo core of m^2
+    # + m^2 has not stabilized for seed 1, and with 30 it stops at 13
+    src = (
+        "ring R = GF(32003)[x,y];\n"
+        "ideal msq = (x^2, x*y, y^2);\n"
+        "module E = power_sum(msq, 2);\n"
+        "task core E --seed 1;\n"
+        "task core E --seed 1 --samples 30;\n"
+    )
+    rep = run_session(parse_session(src))
+    capped, stable = rep.payload["tasks"]
+    assert capped["status"] == "inconclusive"
+    assert capped["value"] == {"samples": 12, "seed": 1}
+    assert stable["status"] == "ok" and stable["value"]["samples_used"] == 13
+    assert rep.exit_code() == 2
+
+
 def test_error_isolated_per_task():
     src = (
         "ring R = GF(32003)[x,y];\n"
