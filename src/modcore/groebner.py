@@ -16,7 +16,7 @@ from __future__ import annotations
 import warnings
 from functools import cache, reduce, wraps
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from operator import mul, or_
 from struct import Struct
@@ -705,16 +705,50 @@ def _leading_supports(I: Ideal):
     return [frozenset(i for i, e in enumerate(g.lm()) if e) for g in gb]
 
 
+def _coprime_forms(f: Polynomial, g: Polynomial) -> bool:
+    """Whether the forms f, g of positive degrees a, b have no common factor.
+
+    They have one exactly when u*f + v*g = 0 for some (u, v) != 0 with
+    deg u = b - 1 and deg v = a - 1: for a common factor h, u = m*g/h and
+    v = -m*f/h with deg m = deg h - 1; for coprime f, g, f divides v, which
+    cannot be in degree a - 1.  So they are coprime exactly when the
+    products m*f (deg m = b - 1) and m*g (deg m = a - 1) are
+    GF(p)-independent: one echelon on term codes (`_echelon_add`), a product
+    with a monomial q being the codes plus code(0, q)."""
+    ring = f.ring
+    p = ring.char
+    codec = _codec(ring.order, ring.nvars)
+    rows = {}
+    for h, k in ((f, g.degree() - 1), (g, f.degree() - 1)):
+        codes = codec.encode(_vec_to_dict((h,)))
+        for us in combinations_with_replacement(codec.units, k):
+            q = sum(us)
+            if not _echelon_add(rows, {t + q: c for t, c in codes.items()}, p):
+                return False
+    return True
+
+
 @_memo
 def krull_dimension(I: Ideal) -> int:
-    """dim(R/I) via the largest variable set independent modulo the leading
-    terms, once per ideal."""
+    """dim(R/I), once per ideal.
+
+    At most two forms of positive degree take no basis.  They span a proper
+    ideal.  One form has height 1 (Krull's principal ideal theorem), and two
+    have height 2 exactly when they are coprime (`_coprime_forms`): then
+    they are a regular sequence in the factorial ring R, and otherwise the
+    ideal lies in the principal ideal of their common factor.  Any other
+    ideal takes the largest variable set independent modulo the leading
+    terms of its basis."""
+    n = I.ring.nvars
     if I.is_zero():
-        return I.ring.nvars
+        return n
+    gens = I.gens
+    if (len(gens) <= 2 and all(g.is_homogeneous() and g.degree() > 0 for g in gens)
+            and sum(g.degree() for g in gens) <= _FIELD):
+        return n - 2 if len(gens) == 2 and _coprime_forms(*gens) else n - 1
     if I.is_unit():
         return -1
     supports = _leading_supports(I)
-    n = I.ring.nvars
     for size in range(n, 0, -1):
         for S in combinations(range(n), size):
             Sset = set(S)

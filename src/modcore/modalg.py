@@ -122,6 +122,37 @@ def _constant_echelon(vectors, width, p):
     return _row_echelon([[f.constant_coeff() for f in v] for v in vectors], width, p)
 
 
+def _constant_row(coeffs):
+    """The GF(p) row `coeffs` as a sparse row {-i: c} for `_echelon_add`,
+    whose leading key is then its first nonzero position."""
+    return {-i: c for i, c in enumerate(coeffs) if c}
+
+
+@_memo
+def _relation_echelon(E: PresentedModule):
+    """The constant parts of E's relations, their images modulo the graded
+    maximal ideal, in echelon form by `_echelon_add`: {-pivot: row} on
+    sparse rows (`_constant_row`), once per E.  The leading positions of the
+    rows are those of every echelon form of the same row space, so the
+    pivots are `_constant_echelon`'s."""
+    p = E.ring.char
+    rows = {}
+    for col in E.relations:
+        _echelon_add(rows, _constant_row(f.constant_coeff() for f in col), p)
+    return rows
+
+
+def _constant_rank(E, rows) -> int:
+    """The GF(p)-rank of the constant parts of E's relations together with
+    the sparse rows `rows` (`_constant_row`): E's echelon
+    (`_relation_echelon`) with only the new rows added."""
+    p = E.ring.char
+    echelon = dict(_relation_echelon(E))
+    for r in rows:
+        _echelon_add(echelon, r, p)
+    return len(echelon)
+
+
 # -- presented modules ---------------------------------------------------------------
 
 
@@ -324,7 +355,7 @@ def _minimal_columns(cols, degrees, ring):
 def minimal_presentation(E: PresentedModule) -> PresentedModule:
     """E on minimal generators and minimal relations.
 
-    The pivots of the relations' constant echelon (`_constant_echelon`, as
+    The pivots of the relations' constant echelon (`_relation_echelon`, as
     in `mu`) are the redundant generators, and the others span E.  Renumbered
     to the first positions, which position-over-term puts highest, the
     pivots are eliminated by one basis of the relations (`_eliminate_to`):
@@ -333,7 +364,7 @@ def minimal_presentation(E: PresentedModule) -> PresentedModule:
     `_minimal_columns` keeps a minimal set of it, and the basis is the
     result's `relation_gb`."""
     ring = E.ring
-    pivots = [q for q, _ in _constant_echelon(E.relations, E.n, ring.char)]
+    pivots = sorted(-k for k in _relation_echelon(E))
     kept = [q for q in range(E.n) if q not in pivots]
     if pivots:
         at = {q: k for k, q in enumerate(pivots + kept)}
@@ -354,8 +385,10 @@ def mu(E: PresentedModule) -> int:
 
     By graded Nakayama (Bruns-Herzog, Cohen-Macaulay Rings, 1.5.15) this is
     dim_k E/mE = n minus the GF(p) rank of the relations modulo m, which are
-    their constant parts."""
-    return E.n - len(_constant_echelon(E.relations, E.n, E.ring.char))
+    their constant parts: the length of E's memoized echelon
+    (`_relation_echelon`), which generation counts extend by their own rows
+    (`_constant_rank`)."""
+    return E.n - len(_relation_echelon(E))
 
 
 class FreeResolution:

@@ -250,6 +250,25 @@ def random_homogeneous_poly(ring, rng, deg, nterms=3):
     return ring.from_dict(d)
 
 
+def random_presentation(ring, rng):
+    """A homogeneous presentation on generators of degree 0 and 1, whose
+    columns of degree 1 and 2 may carry constants (often not minimal)."""
+    p = ring.char
+    degrees = [rng.randrange(2) for _ in range(rng.randrange(1, 5))]
+    cols = []
+    for _ in range(rng.randrange(0, 5)):
+        deg = rng.randrange(1, 3)
+        col = []
+        for d in degrees:
+            k = deg - d
+            roll = rng.random()
+            col.append(ring.zero() if roll < 0.3 else
+                       ring.const(rng.randrange(p)) if k == 0 else
+                       random_homogeneous_poly(ring, rng, k, nterms=2))
+        cols.append(col)
+    return PresentedModule(ring, degrees, cols)
+
+
 def seeded(seed):
     return random.Random(seed)
 

@@ -45,7 +45,7 @@ from modcore.checks import (
     verify_pd1_core,
 )
 
-from conftest import P, generic_cokernel, image_ideal, random_homogeneous_poly, seeded
+from conftest import P, generic_cokernel, image_ideal, random_homogeneous_poly, random_presentation, seeded
 
 
 def test_check_gs_free(R2):
@@ -1163,3 +1163,106 @@ def test_closed_form_residual_session_below_height_counts(monkeypatch):
         values = [t["value"] for t in report.payload["tasks"]]
         assert [(v["proper"], v["cm"], v["height_K"]) for v in values] == [(True, True, 1)] * 20
     assert (len(colons), len(draws), len(memberships)) == (0, 0, 0)
+
+
+def test_closed_form_pair_heights_take_no_basis(monkeypatch):
+    # sessions of 20 draws (seeds 1..20) at s = 3 on (xy,xz,yz) and H: the
+    # height of each pair J = (a_i, a_j) is read off the rank test of two
+    # forms, so the colon heights take no Buchberger call (one per pair, 60
+    # a session, before that test)
+    calls, sizes = [], []
+    inside = [False]
+    kernel, colon_height = groebner.buchberger, checks._colon_height
+
+    def counting(*args, **kwargs):
+        if inside[0]:
+            calls.append(args)
+        return kernel(*args, **kwargs)
+
+    def in_colon_height(E, elems, images, S):
+        inside[0] = True
+        sizes.append(len(S))
+        try:
+            return colon_height(E, elems, images, S)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    monkeypatch.setattr(modalg, "buchberger", counting)
+    monkeypatch.setattr(checks, "_colon_height", in_colon_height)
+    for names in ("x,y,z", "x0,x1,x2,x3"):
+        src = f"ring R = GF(32003)[{names}];\nideal I = ({_SESSION_IDEALS[names]});\nmodule E = ideal I;\n"
+        src += "".join(f"task residual_intersection E 3 --seed {seed};\n" for seed in range(1, 21))
+        report = run_session(parse_session(src))
+        assert [t["status"] for t in report.payload["tasks"]] == ["ok"] * 20
+    assert sizes.count(2) >= 120 and calls == []
+
+
+def _mu_drop_oracle(W, coords, s):
+    """The generator-drop check on a presented module: W's presentation with
+    the draws' coordinate rows as further constant relations, whose
+    generator count, n minus the rank of one constant echelon, must be
+    max(0, mu(W) - s)."""
+    ring = W.parent.ring
+    P_W = modalg.submodule_presentation(W)
+    extra = [tuple(ring.const(c) for c in row) for row in coords]
+    Q = modalg.PresentedModule(ring, P_W.gen_degrees, list(P_W.relations) + extra, _validate=False)
+
+    def count(M):
+        return M.n - len(modalg._constant_echelon(M.relations, M.n, ring.char))
+
+    return count(Q) == max(0, count(P_W) - s)
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_closed_form_generation_counts_extend_the_relation_echelon(p, monkeypatch):
+    # oracle: _generates against one constant echelon over the vectors and
+    # the relations, and _mu_drop_holds against the enlarged presentation
+    # (`_mu_drop_oracle`), on the ideal modules (one with a constant
+    # relation), I + R(-2) and random presentations with constant entries;
+    # W is E or a span of constant vectors, and _mu_drop_holds builds no
+    # presented module
+    rng = seeded(p + 12)
+    modules = []
+    for names, gens in _GENERATION_IDEALS.values():
+        R = PolyRing(p, names)
+        E = module_from_ideal(Ideal(R, gens(*R.gens())))
+        modules += [E, direct_sum(E, free_module(R, 1), twist=2)]
+    R3 = PolyRing(p, ("x", "y", "z"))
+    modules += [random_presentation(R3, rng) for _ in range(40)]
+    built = []
+    init = modalg.PresentedModule.__init__
+
+    def building(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(modalg.PresentedModule, "__init__", building)
+    verdicts = set()
+    for E in modules:
+        ring, n = E.ring, E.n
+
+        def entry():
+            c = ring.const(rng.randrange(p) if rng.random() < 0.7 else 0)
+            return c + ring.var(0) if rng.random() < 0.3 else c
+
+        for k in range(n + 2):
+            vectors = [tuple(entry() for _ in range(n)) for _ in range(k)]
+            got = checks._generates(E, vectors)
+            assert got == (len(modalg._constant_echelon(vectors + list(E.relations), n, p)) == n), E
+            verdicts.add(("generates", got))
+        Ws = [whole_module(E)]
+        if E.common_degree() is not None:
+            Ws.append(span(E, [tuple(ring.const(rng.randrange(p)) for _ in range(n)) for _ in range(rng.randrange(1, 4))]))
+        for W in Ws:
+            k = len(W.gens)
+            for s in range(1, k + 2):
+                coords = [[rng.randrange(p) for _ in range(k)] for _ in range(s)]
+                if s > 1 and rng.random() < 0.3:
+                    coords[-1] = list(coords[0])
+                want = _mu_drop_oracle(W, coords, s)
+                before = len(built)
+                assert checks._mu_drop_holds(W, coords, s) == want, (E, coords)
+                assert len(built) == before
+                verdicts.add(("drop", want))
+    assert verdicts == {("generates", True), ("generates", False), ("drop", True), ("drop", False)}

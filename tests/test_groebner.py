@@ -1,6 +1,7 @@
 """Buchberger engine and ideal operations, with independent oracles."""
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import pytest
 
@@ -265,9 +266,11 @@ def test_dimension_examples(R3, R4, edge, tri):
 
 def test_dimension_is_memoized(R3, monkeypatch):
     # the dimension is kept in the ideal's memo next to its basis: a second
-    # question about the same ideal runs no subset search
+    # question about the same ideal runs no subset search.  The redundant
+    # third generator keeps the first question on the subset search: two
+    # forms alone take the rank test of _coprime_forms
     x, y, z = R3.gens()
-    I = Ideal(R3, [x * y, x * z])
+    I = Ideal(R3, [x * y, x * z, x * y + x * z])
     assert (krull_dimension(I), height(I)) == (2, 1)
     assert I._cache[("krull_dimension", ())] == 2
 
@@ -559,3 +562,60 @@ def test_closed_form_rabinowitsch_saturation_keeps_its_basis(p, monkeypatch):
         gb = S.groebner_basis()
         assert gb == expected and [g.terms for g in gb] == [g.terms for g in expected], S
     assert sum(len(S.gens) > 1 for S, _ in cases) >= 12
+
+
+def _sympy_dimension(gens, syms, p):
+    """dim R/I from sympy's modular reduced grevlex basis of I: the largest
+    variable set that contains the support of no leading monomial."""
+    sympy = pytest.importorskip("sympy")
+    exprs = [sympy.Poly.from_dict(dict(f.terms), *syms, modulus=p).as_expr() for f in gens]
+    G = sympy.groebner(exprs, *syms, order="grevlex", modulus=p)
+    supports = [{i for i, e in enumerate(g.monoms(order="grevlex")[0]) if e} for g in G.polys]
+    n = len(syms)
+    for size in range(n, -1, -1):
+        if any(all(not s <= set(S) for s in supports) for S in combinations(range(n), size)):
+            return size
+    return -1
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_closed_form_two_forms_dimension_matches_the_basis_and_sympy(p, monkeypatch):
+    # two forms f, g of positive degree have height 2 exactly when the
+    # products m*f (deg m = deg g - 1) and m*g (deg m = deg f - 1) are
+    # GF(p)-independent, and one form has height 1: the rank test against
+    # the same ideal with the redundant third generator f + g, which takes
+    # the basis route, and against sympy's modular groebner, on random
+    # pairs of degrees (1,1), (1,3), (2,2), (2,3), pairs h*f', h*g' with a
+    # common factor h of degree 1 or 2, scalar multiples and single forms,
+    # in 1 to 4 variables; the rank test takes no basis
+    sympy = pytest.importorskip("sympy")
+    rng = seeded(p + 11)
+    cases = []
+    for nvars in (1, 2, 3, 4):
+        R = PolyRing(p, tuple(f"x{i}" for i in range(nvars)))
+        syms = sympy.symbols(" ".join(R.vars) + ",")
+
+        def form(deg):
+            return random_homogeneous_poly(R, rng, deg, nterms=rng.randrange(1, 5))
+
+        pairs = [(form(a), form(b)) for a, b in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 2)) for _ in range(3)]
+        for k in (1, 2):
+            h = form(k)
+            pairs += [(h * form(a), h * form(b)) for a, b in ((0, 1), (1, 1), (1, 2))]
+        f = form(2)
+        pairs += [(f, f.scale(rng.randrange(1, p - 1))), (f, f)]
+        for f, g in pairs:
+            cases.append((R, [f, g], krull_dimension(Ideal(R, [f, g, f + g])), _sympy_dimension([f, g], syms, p)))
+        for f in (form(1), form(3)):
+            cases.append((R, [f], krull_dimension(Ideal(R, [f, f.scale(2), f.scale(3)])), _sympy_dimension([f], syms, p)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a basis was taken of at most two forms")
+
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+    verdicts = set()
+    for R, gens, by_basis, by_sympy in cases:
+        dim = krull_dimension(Ideal(R, gens))
+        assert dim == by_basis == by_sympy, (gens, dim, by_basis, by_sympy)
+        verdicts.add((R.nvars, R.nvars - dim))
+    assert verdicts == {(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)}

@@ -58,6 +58,7 @@ from conftest import (
     monomials_of_degree,
     random_poly,
     random_homogeneous_poly,
+    random_presentation,
     row_rank,
     seeded,
     submodule_degree_basis,
@@ -1108,25 +1109,6 @@ def _mu_oracle_modules(p):
     return modules
 
 
-def _random_presentation(ring, rng):
-    """A homogeneous presentation on generators of degree 0 and 1, whose
-    columns of degree 1 and 2 may carry constants (often not minimal)."""
-    p = ring.char
-    degrees = [rng.randrange(2) for _ in range(rng.randrange(1, 5))]
-    cols = []
-    for _ in range(rng.randrange(0, 5)):
-        deg = rng.randrange(1, 3)
-        col = []
-        for d in degrees:
-            k = deg - d
-            roll = rng.random()
-            col.append(ring.zero() if roll < 0.3 else
-                       ring.const(rng.randrange(p)) if k == 0 else
-                       random_homogeneous_poly(ring, rng, k, nterms=2))
-        cols.append(col)
-    return PresentedModule(ring, degrees, cols)
-
-
 def _mu_drop_presentations(E, rng):
     """The presentations Q of W / (a_1..a_s) that the generator-drop check
     of residual_intersection counts, for W = E and s = 1..mu(E) + 1."""
@@ -1152,7 +1134,7 @@ def test_closed_form_mu_matches_the_minimal_presentation(p):
     for E in modules[:4]:
         modules += _mu_drop_presentations(E, rng)
     R = PolyRing(p, ("x", "y", "z"))
-    modules += [_random_presentation(R, rng) for _ in range(60)]
+    modules += [random_presentation(R, rng) for _ in range(60)]
     drops = 0
     for E in modules:
         mu_E = mu(E)
@@ -1197,7 +1179,7 @@ def test_minimal_presentation_matches_the_degree_oracle(p):
     # Hilbert function), and its remembered basis is its relations' basis
     rng = seeded(p + 30)
     R = PolyRing(p, ("x", "y", "z"))
-    modules = _mu_oracle_modules(p) + [_random_presentation(R, rng) for _ in range(60)]
+    modules = _mu_oracle_modules(p) + [random_presentation(R, rng) for _ in range(60)]
     pruned = 0
     for E in modules:
         M = minimal_presentation(E)

@@ -207,6 +207,29 @@ def test_core_that_does_not_stabilize_is_inconclusive():
     assert rep.exit_code() == 2
 
 
+def test_pd1_core_that_does_not_stabilize_is_inconclusive():
+    # m^2 + m^2 meets every hypothesis of the pd-1 formula, but its Monte
+    # Carlo core needs 13 draws for seed 1, past the cap of 12: the verdict
+    # is partial, with neither equality decided, as verify_balanced's is
+    src = (
+        "ring R = GF(32003)[x,y];\n"
+        "ideal msq = (x^2, x*y, y^2);\n"
+        "module E = power_sum(msq, 2);\n"
+        "task verify_pd1_core E --seed 1;\n"
+        "task verify_balanced E --reductions 2 --seed 1;\n"
+    )
+    rep = run_session(parse_session(src))
+    pd1, balanced = rep.payload["tasks"]
+    assert pd1["status"] == balanced["status"] == "inconclusive"
+    v = pd1["value"]
+    assert (v["status"], v["pd"], v["torsionfree"], v["gs_ok"]) == ("partial", 1, True, True)
+    assert v["r_value"] <= v["r_bound"]
+    assert v["fitting_equals_core"] is None and v["colons_equal_fitting"] is None
+    assert v["fitting_ideal"] == ["x*y^2", "x^2*y", "x^3", "y^3"]
+    assert balanced["value"]["status"] == "partial"
+    assert rep.exit_code() == 2
+
+
 def test_error_isolated_per_task():
     src = (
         "ring R = GF(32003)[x,y];\n"
