@@ -459,6 +459,26 @@ def _echelon_add(rows, r, p):
     return False
 
 
+def _back_substitute(rows, p):
+    """Reduce the echelon `rows` of `_echelon_add` in place, and return it:
+    in ascending leading code, clear each row by the reduced rows before it,
+    so every row is 0 at every other leading code (the unique reduced form)."""
+    done = []
+    for lead in sorted(rows):
+        r = rows[lead]
+        for k in done:
+            c = r.get(k)
+            if c:
+                for t, a in rows[k].items():
+                    x = (r.get(t, 0) - c * a) % p
+                    if x:
+                        r[t] = x
+                    else:
+                        del r[t]
+        done.append(lead)
+    return rows
+
+
 def _independent_normal_forms(vs, basis, ring):
     """A GF(p)-basis of the span of the normal forms of the term dicts `vs`
     modulo the reduced basis `basis` (ring's order), in echelon form by

@@ -19,6 +19,7 @@ from operator import or_
 from .errors import ModcoreError, NotHomogeneousError, RingMismatchError
 from .groebner import (
     Ideal,
+    _back_substitute,
     _basis_ideal,
     _codec,
     _colon,
@@ -86,42 +87,6 @@ def _vec_is_zero(u):
     return all(not a for a in u)
 
 
-def _row_echelon(rows, width, p):
-    """Reduced row echelon form over GF(p) of `rows` (each of length
-    `width`), as (pivot column, row) for its nonzero rows, pivots ascending:
-    each row is 1 at its pivot and 0 at every other pivot.  Its length is
-    the rank."""
-    rows = [list(r) for r in rows]
-    rk = 0
-    pivots = []
-    for col in range(width):
-        piv = None
-        for k in range(rk, len(rows)):
-            if rows[k][col] % p:
-                piv = k
-                break
-        if piv is None:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        inv = pow(rows[rk][col], -1, p)
-        rows[rk] = [(v * inv) % p for v in rows[rk]]
-        for k in range(len(rows)):
-            if k != rk and rows[k][col] % p:
-                f = rows[k][col]
-                rows[k] = [(a - f * b) % p for a, b in zip(rows[k], rows[rk])]
-        pivots.append(col)
-        rk += 1
-        if rk == len(rows):
-            break
-    return list(zip(pivots, rows))
-
-
-def _constant_echelon(vectors, width, p):
-    """`_row_echelon` of the constant parts of `vectors`, their images
-    modulo the graded maximal ideal."""
-    return _row_echelon([[f.constant_coeff() for f in v] for v in vectors], width, p)
-
-
 def _constant_row(coeffs):
     """The GF(p) row `coeffs` as a sparse row {-i: c} for `_echelon_add`,
     whose leading key is then its first nonzero position."""
@@ -132,9 +97,9 @@ def _constant_row(coeffs):
 def _relation_echelon(E: PresentedModule):
     """The constant parts of E's relations, their images modulo the graded
     maximal ideal, in echelon form by `_echelon_add`: {-pivot: row} on
-    sparse rows (`_constant_row`), once per E.  The leading positions of the
-    rows are those of every echelon form of the same row space, so the
-    pivots are `_constant_echelon`'s."""
+    sparse rows (`_constant_row`), once per E.  It is left unreduced: `mu`
+    reads its length and `minimal_presentation` its pivots, which are those
+    of every echelon form of the same row space."""
     p = E.ring.char
     rows = {}
     for col in E.relations:
@@ -427,14 +392,15 @@ def free_resolution(E: PresentedModule) -> FreeResolution:
     return FreeResolution(ring, degrees, vec_maps)
 
 
-def projective_dimension(E: PresentedModule) -> int:
+def projective_dimension(E: PresentedModule):
+    """Length of the minimal free resolution; -inf sentinel for the zero module."""
+    if E.is_zero_module():
+        return -math.inf
     return free_resolution(E).length()
 
 
 def depth(E: PresentedModule):
-    """d - pd(E) by graded Auslander-Buchsbaum; +inf sentinel for the zero module."""
-    if E.is_zero_module():
-        return math.inf
+    """d - pd(E) by graded Auslander-Buchsbaum; +inf for the zero module, of pd -inf."""
     return E.ring.nvars - projective_dimension(E)
 
 
@@ -669,22 +635,23 @@ def span(E: PresentedModule, vectors) -> Submodule:
 def _change_of_generators(U: Submodule):
     """(free, images) for the span L of the constant parts of U's
     generators, rows in GF(p)^n: the positions that are no pivot of L's
-    echelon form, ascending, and for each position i the pairs (k, c) with
-    e_i = sum c*e_free[k] modulo L.  A free position is itself, and a pivot
-    is minus its echelon row at the free positions, so GF(p)^n / L has the
-    basis e_free."""
+    reduced echelon form (`_echelon_add` on `_constant_row`s, then
+    `_back_substitute`), ascending, and for each position i the pairs (k, c)
+    with e_i = sum c*e_free[k] modulo L.  A free position is itself, and a
+    pivot is minus its echelon row at the free positions, so GF(p)^n / L has
+    the basis e_free."""
     E = U.parent
     p = E.ring.char
-    echelon = dict(_constant_echelon(U.gens, E.n, p))
-    free = [i for i in range(E.n) if i not in echelon]
-    at = {i: k for k, i in enumerate(free)}
+    rows = {}
+    for v in U.gens:
+        _echelon_add(rows, _constant_row(f.constant_coeff() for f in v), p)
+    free = [i for i in range(E.n) if -i not in rows]
+    if free:  # with none, every image is empty and no row needs reducing
+        _back_substitute(rows, p)
     images = []
     for i in range(E.n):
-        row = echelon.get(i)
-        if row is None:
-            images.append(((at[i], 1),))
-        else:
-            images.append(tuple((k, -row[f] % p) for k, f in enumerate(free) if row[f]))
+        row = rows.get(-i, {-i: -1})  # a free position is itself
+        images.append(tuple((k, -row[-f] % p) for k, f in enumerate(free) if -f in row))
     return free, images
 
 
@@ -724,15 +691,17 @@ def _entry_ideal(E: PresentedModule) -> Ideal:
 
 @_memo
 def _entry_forms(E: PresentedModule):
-    """(monomials, rk) when every entry of E's presentation is a form of one
-    degree: the monomials of the entries, and the GF(p)-rank of the entries'
-    coefficient rows over them; else None."""
+    """The GF(p)-rank of the entries of E's presentation, as sparse rows
+    {monomial: c} for `_echelon_add`, when every entry is a form of one
+    degree; else None."""
     entries = _entry_ideal(E).gens
     if len({mono_deg(m) for f in entries for m, _ in f.terms}) != 1:
         return None
-    monos = sorted({m for f in entries for m, _ in f.terms})
-    rows = [[d.get(m, 0) for m in monos] for d in (dict(f.terms) for f in entries)]
-    return monos, len(_row_echelon(rows, len(monos), E.ring.char))
+    p = E.ring.char
+    rows = {}
+    for f in entries:
+        _echelon_add(rows, dict(f.terms), p)
+    return len(rows)
 
 
 @_memo
@@ -746,12 +715,14 @@ def _spans_entries(E: PresentedModule, forms) -> bool:
     """Whether the forms, term dicts in position 0 that are GF(p)-combinations
     of the entries of E's presentation, span the entries over GF(p).  Fewer
     forms than that rank cannot, and take no rank test."""
-    shape = _entry_forms(E)
-    if shape is None or len(forms) < shape[1]:
+    rk = _entry_forms(E)
+    if rk is None or len(forms) < rk:
         return False
-    monos, rk = shape
-    rows = [[d.get((0, m), 0) for m in monos] for d in forms]
-    return len(_row_echelon(rows, len(monos), E.ring.char)) == rk
+    p = E.ring.char
+    rows = {}
+    for d in forms:
+        _echelon_add(rows, {m: c for (_, m), c in d.items()}, p)
+    return len(rows) == rk
 
 
 @_memo

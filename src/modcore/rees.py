@@ -21,14 +21,22 @@ from .errors import (
     RetryExhaustedError,
     TorsionError,
 )
-from .groebner import Ideal, _memo, _monomials_of_degree, hilbert_function, krull_dimension, saturate
+from .groebner import (
+    Ideal,
+    _back_substitute,
+    _echelon_add,
+    _memo,
+    _monomials_of_degree,
+    hilbert_function,
+    krull_dimension,
+    saturate,
+)
 from .modalg import (
     PresentedModule,
     Submodule,
     _basis_submodule,
     _change_of_generators,
     _quotient_basis,
-    _row_echelon,
     _scalar_quotient,
     first_nonzero_maximal_minor,
     is_torsionfree,
@@ -281,10 +289,12 @@ def _core_row(U: Submodule, J):
 
 def _row_basis(E: PresentedModule, rows, J):
     """The reduced basis of {v in R^n : A.v in J^r}, for A the GF(p) rows
-    `rows` of rank r and J a proper ideal by its reduced basis.
+    `rows` of rank r, an `_echelon_add` echelon {q: row} on sparse rows
+    {i: c} (so q is the last nonzero position of its row), and J a proper
+    ideal by its reduced basis.
 
-    In the echelon form of A with its pivots at the last possible positions,
-    each row is 1 at its pivot q, 0 at the other pivots and 0 after q.  The
+    In the reduced form of that echelon (`_back_substitute`), each row is 1
+    at its pivot q, 0 at the other pivots and 0 after q.  The
     module is spanned by J*e_q, q a pivot, and by k_f = e_f - sum A_qf*e_q,
     f no pivot and A_qf the entry at f of the row with pivot q, which A
     sends to 0: subtracting sum v_f*k_f leaves a vector
@@ -296,18 +306,14 @@ def _row_basis(E: PresentedModule, rows, J):
     n = E.n
     p = E.ring.char
     unit = (0,) * E.ring.nvars
-    echelon = _row_echelon([row[::-1] for row in rows], n, p)
-    pivots = {n - 1 - col: row[::-1] for col, row in echelon}
+    pivots = _back_substitute(rows, p)
     basis = []
     for pos in reversed(range(n)):
         if pos in pivots:
             basis += [{(pos, m): c for (_, m), c in g.items()} for g in J]
         else:
-            kappa = {(pos, unit): 1}
-            for q in sorted(pivots):
-                if pivots[q][pos]:
-                    kappa[(q, unit)] = -pivots[q][pos] % p
-            basis.append(kappa)
+            tail = {(q, unit): -row[pos] % p for q, row in sorted(pivots.items()) if pos in row}
+            basis.append({(pos, unit): 1, **tail})
     return basis
 
 
@@ -325,8 +331,9 @@ def core_monte_carlo(E: PresentedModule, samples: int = 12, rng=None):
     J = (U : E) is proper.  While every draw has one free position and the
     same J, the intersection is kept as GF(p) rows: U + N, N the relations,
     is {v : a_U.v in J} (`_core_row`), so the intersection C of the draws
-    has C + N = {v : A.v in J^r}, A the echelon form of their rows a_U.  A
-    draw leaves C unchanged exactly when its row a lies in A's row space:
+    has C + N = {v : A.v in J^r}, A an echelon of their rows a_U to which
+    each draw adds its own (`_echelon_add`).  A draw leaves C unchanged
+    exactly when its row a lies in A's row space, that is when it adds none:
     if a = l.A, then a.v = l.A.v lies in J; if not, a constant c in the
     kernel of A has a.c != 0, and c lies in C while the nonzero constant a.c
     does not lie in J.  So the draws and the stop are those of the meet
@@ -340,7 +347,7 @@ def core_monte_carlo(E: PresentedModule, samples: int = 12, rng=None):
     if analytic_spread(E) == mu(E):
         return whole_module(E), 0
     p = E.ring.char
-    rows, J = [], None  # the route's A and J
+    rows, J = {}, None  # the route's A, an `_echelon_add` echelon, and J
     current = None  # C once a draw leaves the route
     stable = 0
     for k in range(1, samples + 1):
@@ -348,9 +355,7 @@ def core_monte_carlo(E: PresentedModule, samples: int = 12, rng=None):
         row = _core_row(U, J) if current is None else None
         if row is not None:
             J = _quotient_basis(U)
-            echelon = [r for _, r in _row_echelon(rows + [row], E.n, p)]
-            stable = stable + 1 if len(echelon) == len(rows) else 0
-            rows = echelon
+            stable = 0 if _echelon_add(rows, {i: c for i, c in enumerate(row) if c}, p) else stable + 1
         elif current is None and not rows:
             # E meets U + N in U + N, so U itself stands for it
             current = U

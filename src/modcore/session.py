@@ -183,6 +183,9 @@ def _names_unique(name, session, line):
 
 
 def parse_session(src: str, char_override: int | None = None, t_cap: int = 6, x_cap: int = 10) -> Session:
+    for flag, cap in (("--max-t-degree", t_cap), ("--max-x-degree", x_cap)):
+        if cap < 0:
+            raise ModcoreError(f"{flag} must be >= 0, got {cap}")
     session = Session(
         source=src,
         ring_name="",
@@ -450,9 +453,9 @@ def _run_hilbert(session, I, deg):
     return hilbert_function(I, deg)
 
 
-def _run_depth(_, E):
-    d = depth(E)
-    return "infinity" if d == float("inf") else d
+def _named_infinity(d):
+    """d, with the zero module's sentinels pd = -inf and depth = +inf named."""
+    return {float("inf"): "infinity", -float("inf"): "-infinity"}.get(d, d)
 
 
 def _run_random_reduction(_, E, *, count=None, seed=None):
@@ -531,8 +534,8 @@ SPECS = {
     "quotient": Spec(lambda _, I, J: quotient_ideal(I, J), ("ideal", "ideal")),
     "intersect": Spec(lambda _, I, J: intersect(I, J), ("ideal", "ideal")),
     "rank": Spec(lambda _, E: rank(E), ("module",)),
-    "pdim": Spec(lambda _, E: projective_dimension(E), ("module",)),
-    "depth": Spec(_run_depth, ("module",)),
+    "pdim": Spec(lambda _, E: _named_infinity(projective_dimension(E)), ("module",)),
+    "depth": Spec(lambda _, E: _named_infinity(depth(E)), ("module",)),
     "fitting": Spec(lambda _, E, j: fitting_ideal(E, j), ("module", "int")),
     "analytic_spread": Spec(lambda _, E: analytic_spread(E), ("module",)),
     "sym_ideal": Spec(lambda _, E: sym_ideal(E), ("module",)),

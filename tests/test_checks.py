@@ -45,7 +45,7 @@ from modcore.checks import (
     verify_pd1_core,
 )
 
-from conftest import P, generic_cokernel, image_ideal, random_homogeneous_poly, random_presentation, seeded
+from conftest import P, generic_cokernel, image_ideal, random_homogeneous_poly, random_presentation, row_rank, seeded
 
 
 def test_check_gs_free(R2):
@@ -818,19 +818,21 @@ def test_residual_session_takes_one_colon_of_its_module(monkeypatch):
         calls.append((vs, basis))
         return kernel(vs, basis, ring, npos)
 
-    echelons = []
-    echelon = modalg._row_echelon
+    added = []
+    echelon_add = modalg._echelon_add
 
-    def recording_echelon(rows, width, p):
-        echelons.append([list(r) for r in rows])
-        return echelon(rows, width, p)
+    def recording_add(rows, r, p):
+        added.append(dict(r))
+        return echelon_add(rows, r, p)
 
     monkeypatch.setattr(groebner, "_colon", recording)
-    monkeypatch.setattr(modalg, "_row_echelon", recording_echelon)
+    monkeypatch.setattr(modalg, "_echelon_add", recording_add)
     report = run_session(session)
     assert [t["status"] for t in report.payload["tasks"]] == ["ok"] * 20
     assert calls.count(of_I) == 0
-    assert echelons.count([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
+    # the change of generators of W, the identity echelon of the constant
+    # rows {-i: 1}, is taken once
+    assert [added.count({-i: 1}) for i in range(3)] == [1, 1, 1]
 
 
 # the ideals of the residual_an benchmark workload: m^2, (xy,xz,yz) and H
@@ -1209,19 +1211,19 @@ def _mu_drop_oracle(W, coords, s):
     Q = modalg.PresentedModule(ring, P_W.gen_degrees, list(P_W.relations) + extra, _validate=False)
 
     def count(M):
-        return M.n - len(modalg._constant_echelon(M.relations, M.n, ring.char))
+        return M.n - row_rank([[f.constant_coeff() for f in col] for col in M.relations], ring.char)
 
     return count(Q) == max(0, count(P_W) - s)
 
 
 @pytest.mark.parametrize("p", [P, 7])
 def test_closed_form_generation_counts_extend_the_relation_echelon(p, monkeypatch):
-    # oracle: _generates against one constant echelon over the vectors and
-    # the relations, and _mu_drop_holds against the enlarged presentation
-    # (`_mu_drop_oracle`), on the ideal modules (one with a constant
-    # relation), I + R(-2) and random presentations with constant entries;
-    # W is E or a span of constant vectors, and _mu_drop_holds builds no
-    # presented module
+    # oracle: _generates against the dense rank (`conftest.row_rank`) of the
+    # constant parts of the vectors and the relations, and _mu_drop_holds
+    # against the enlarged presentation (`_mu_drop_oracle`), on the ideal
+    # modules (one with a constant relation), I + R(-2) and random
+    # presentations with constant entries; W is E or a span of constant
+    # vectors, and _mu_drop_holds builds no presented module
     rng = seeded(p + 12)
     modules = []
     for names, gens in _GENERATION_IDEALS.values():
@@ -1249,7 +1251,7 @@ def test_closed_form_generation_counts_extend_the_relation_echelon(p, monkeypatc
         for k in range(n + 2):
             vectors = [tuple(entry() for _ in range(n)) for _ in range(k)]
             got = checks._generates(E, vectors)
-            assert got == (len(modalg._constant_echelon(vectors + list(E.relations), n, p)) == n), E
+            assert got == (row_rank([[f.constant_coeff() for f in v] for v in vectors + list(E.relations)], p) == n), E
             verdicts.add(("generates", got))
         Ws = [whole_module(E)]
         if E.common_degree() is not None:

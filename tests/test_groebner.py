@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from modcore import groebner
+from modcore import groebner, modalg
 from modcore.errors import ModcoreError, OrderError
 from modcore.groebner import (
     Ideal,
@@ -38,6 +38,7 @@ from conftest import (
     poly_coeff_vector,
     random_homogeneous_poly,
     random_poly,
+    rref,
     seeded,
 )
 
@@ -619,3 +620,71 @@ def test_closed_form_two_forms_dimension_matches_the_basis_and_sympy(p, monkeypa
         assert dim == by_basis == by_sympy, (gens, dim, by_basis, by_sympy)
         verdicts.add((R.nvars, R.nvars - dim))
     assert verdicts == {(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)}
+
+
+def _random_gfp_rows(rng, p):
+    """(rows, width): a random GF(p) matrix with sparse, repeated, scaled,
+    dependent and zero rows, possibly none."""
+    width = rng.randrange(1, 7)
+    rows = []
+    for _ in range(rng.randrange(0, 8)):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            c = rng.randrange(1, p)
+            rows.append([c * a % p for a in rng.choice(rows)])
+        elif len(rows) > 1 and kind < 0.35:
+            a, b = rng.sample(rows, 2)
+            c, d = rng.randrange(p), rng.randrange(p)
+            rows.append([(c * u + d * v) % p for u, v in zip(a, b)])
+        elif kind < 0.45:
+            rows.append([0] * width)
+        else:
+            rows.append([rng.randrange(1, p) if rng.random() < 0.6 else 0 for _ in range(width)])
+    return rows, width
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_back_substituted_echelon_is_the_dense_rref(p):
+    # oracle: the dense conftest.rref.  Random matrices go through
+    # _echelon_add and _back_substitute on sparse rows keyed -i (the leading
+    # key is the first nonzero position, as modalg._constant_row keys them)
+    # and +i (the last, as the core rows of rees.core_monte_carlo); with the
+    # columns read in the matching order, the pivots and the reduced rows
+    # are rref's, and _echelon_add says True exactly rank-many times
+    rng = seeded(p + 32)
+    for _ in range(300):
+        rows, width = _random_gfp_rows(rng, p)
+        for sign in (-1, 1):
+            order = list(range(width))[::-sign]
+            want_rows, want_pivots = rref([[r[i] for i in order] for r in rows], p)
+            echelon = {}
+            grew = [groebner._echelon_add(echelon, {sign * i: c for i, c in enumerate(r) if c}, p) for r in rows]
+            assert groebner._back_substitute(echelon, p) is echelon
+            leads = sorted(echelon, reverse=True)
+            assert [order.index(sign * k) for k in leads] == want_pivots, (rows, sign)
+            assert [[echelon[k].get(sign * i, 0) for i in order] for k in leads] == want_rows, (rows, sign)
+            assert all(c for row in echelon.values() for c in row.values())
+            assert sum(grew) == len(want_rows)
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_change_of_generators_matches_the_dense_rref(p):
+    # oracle: conftest.rref and in_row_space.  On random scalar spans L of
+    # R^n, the free positions are the non-pivot columns of L's rref, a free
+    # position is itself, and e_i - sum c*e_free[k] over images[i] lies in L
+    R = PolyRing(p, ("x", "y"))
+    rng = seeded(p + 33)
+    for _ in range(200):
+        rows, n = _random_gfp_rows(rng, p)
+        U = modalg.span(modalg.free_module(R, n), [tuple(R.const(c) for c in r) for r in rows])
+        free, images = modalg._change_of_generators(U)
+        _, pivots = rref(rows, p)
+        assert free == [i for i in range(n) if i not in pivots], rows
+        for i in range(n):
+            if i in free:
+                assert images[i] == ((free.index(i), 1),)
+            v = [0] * n
+            v[i] = 1
+            for k, c in images[i]:
+                v[free[k]] = (v[free[k]] - c) % p
+            assert in_row_space(v, rows, p), (rows, i)

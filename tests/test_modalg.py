@@ -1359,12 +1359,16 @@ def test_closed_form_quotient_basis_matches_buchberger(p):
                                        groebner._mkeyf(E.ring.order), p)
         basis = modalg._quotient_basis(U)
         assert [list(d.items()) for d in basis] == [list(d.items()) for d in expected], (route, E)
-        shape = modalg._entry_forms(E)
-        assert (route == "mixed") == (shape is None)
-        assert (route == "count") == (shape is not None and len(E.relations) < shape[1])
+        rk = modalg._entry_forms(E)
+        assert (route == "mixed") == (rk is None)
+        assert (route == "count") == (rk is not None and len(E.relations) < rk)
+        if rk is not None:
+            entries = modalg._entry_ideal(E).gens
+            monos = sorted({m for f in entries for m, _ in f.terms})
+            assert rk == row_rank([[dict(f.terms).get(m, 0) for m in monos] for f in entries], p)
         # the route returns I_1(phi)'s basis itself, taken once for E
         taken = basis is modalg._entry_basis(E)
-        assert taken == (shape is not None and expected == modalg._entry_basis(E))
+        assert taken == (rk is not None and expected == modalg._entry_basis(E))
         fast[route].add(taken)
     assert True in fast.pop("spans") and fast == {"count": {False}, "mixed": {False}, "rank": {False}}
     assert modalg._quotient_basis(cases[-1][2]) == []

@@ -20,7 +20,6 @@ from modcore.groebner import (
     quotient_ideal,
 )
 from modcore.modalg import (
-    _row_echelon,
     cyclic_module,
     direct_sum,
     free_module,
@@ -49,7 +48,7 @@ from modcore.rees import (
     sym_ideal,
 )
 
-from conftest import eliminate, generic_cokernel, image_ideal, two_block_intersect
+from conftest import eliminate, generic_cokernel, image_ideal, row_rank, two_block_intersect
 
 
 
@@ -685,7 +684,7 @@ def _rank_reduction_number(E, U, max_degree=DEFAULT_T_CAP):
                         shifted[i] += 1
                         col[basis[tuple(shifted)]] = (col[basis[tuple(shifted)]] + c) % p
                 cols.append(col)
-        return len(_row_echelon(cols, len(basis), p)) == len(basis)
+        return row_rank(cols, p) == len(basis)
 
     for r in range(max_degree + 1):
         if piece_is_covered(r):

@@ -1,6 +1,7 @@
 """Session DSL parsing, task running, report schema, CLI exit codes."""
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from modcore.errors import ParseError
+from modcore.errors import ModcoreError, ParseError
+from modcore.modalg import PresentedModule, depth, projective_dimension
+from modcore.poly import PolyRing
 from modcore.session import SPECS, emit_report, parse_session, run_session
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -547,6 +550,39 @@ def test_cli_char_override(tmp_path):
     payload = json.loads(out.stdout)
     assert payload["options"]["char"] == 101
     assert payload["tasks"][0]["value"] == ["x^2"]
+
+
+def test_cli_rejects_negative_caps(tmp_path):
+    # the parser rejects a negative cap by its flag, as it does a non-prime
+    # --char, so no task runs on it
+    f = tmp_path / "s.mc"
+    f.write_text("ring R = GF(32003)[x,y];\nideal I = (x^2, x*y, y^2);\nmodule E = ideal I;\n"
+                 "task hilbert I 0;\ntask reduction_number E --seed 1;\n")
+    for flag, cap in (("--max-t-degree", "-1"), ("--max-x-degree", "-5")):
+        out = subprocess.run([sys.executable, "-m", "modcore.cli", "run", str(f), flag, cap],
+                             capture_output=True, text=True)
+        assert out.returncode == 4 and out.stdout == "" and "Traceback" not in out.stderr
+        assert f"{flag} must be >= 0, got {cap}" in out.stderr
+    with pytest.raises(ModcoreError, match="--max-x-degree must be >= 0, got -1"):
+        parse_session("ring R = GF(32003)[x,y];\n", x_cap=-1)
+    # a zero cap is a cap: m^2 has reduction number 1, inconclusive below it
+    out = subprocess.run([sys.executable, "-m", "modcore.cli", "run", str(f), "--max-t-degree", "0",
+                          "--max-x-degree", "0"], capture_output=True, text=True)
+    tasks = json.loads(out.stdout)["tasks"]
+    assert out.returncode == 2 and [t["status"] for t in tasks] == ["ok", "inconclusive"]
+    assert tasks[0]["value"] == 1 and tasks[1]["value"] == {"max_degree": 0}
+
+
+def test_zero_module_has_projective_dimension_minus_infinity():
+    # pd 0 means a nonzero free module; the zero module, of depth infinity,
+    # has pd -infinity, also when presented as the cokernel of a unit
+    src = "ring R = GF(32003)[x,y];\nmodule E = free 0;\nmodule F = free 1;\n"
+    src += "task pdim E;\ntask depth E;\ntask pdim F;\ntask depth F;\n"
+    report = run_session(parse_session(src))
+    assert [t["value"] for t in report.payload["tasks"]] == ["-infinity", "infinity", 0, 2]
+    R = PolyRing(32003, ("x", "y"))
+    unit = PresentedModule(R, (0,), [(R.one(),)])
+    assert projective_dimension(unit) == -math.inf and depth(unit) == math.inf
 
 
 def test_text_format_renders():
