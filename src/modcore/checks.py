@@ -9,7 +9,6 @@ and redrawn, never silently accepted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (
@@ -47,6 +46,7 @@ from .modalg import (
     whole_module,
 )
 from .poly import PolyRing, substitute
+from .record import Record
 from .rees import (
     DEFAULT_T_CAP,
     RETRY_CAP,
@@ -101,8 +101,7 @@ def _colon_height(E: PresentedModule, elems, images, S) -> tuple:
 # -- G_s ---------------------------------------------------------------------------
 
 
-@dataclass
-class GsVerdict:
+class GsVerdict(Record):
     s: int
     ok: bool
     failing_t: int | None
@@ -130,8 +129,7 @@ def check_gs(E: PresentedModule, s: int) -> GsVerdict:
 # -- residual intersections -----------------------------------------------------------
 
 
-@dataclass
-class ResidualCertificate:
+class ResidualCertificate(Record):
     s: int
     elements: list  # coordinate vectors drawn from W
     prefix_heights: list  # ht((a_1..a_i):E) for i = 0..s
@@ -321,8 +319,7 @@ def residual_intersection(
 # -- Artin-Nagata ---------------------------------------------------------------------
 
 
-@dataclass
-class AnRow:
+class AnRow(Record):
     i: int
     trials: int
     proper: int
@@ -377,8 +374,7 @@ def check_an(E: PresentedModule, s: int | None = None, trials: int = 10, rng=Non
 # -- Ext vanishing ----------------------------------------------------------------------
 
 
-@dataclass
-class ExtVanishingReport:
+class ExtVanishingReport(Record):
     ell: int
     e: int
     jrange: list
@@ -424,8 +420,7 @@ def check_ext_vanishing(E: PresentedModule, t_cap: int = DEFAULT_T_CAP) -> ExtVa
 # -- Cohen-Macaulayness of the Rees ring ---------------------------------------------------
 
 
-@dataclass
-class CmReesVerdict:
+class CmReesVerdict(Record):
     cm: bool
     depth: int
     dim: int
@@ -447,8 +442,7 @@ def check_cm_rees(E: PresentedModule) -> CmReesVerdict:
 # -- hypothesis report ------------------------------------------------------------------
 
 
-@dataclass
-class HypothesisReport:
+class HypothesisReport(Record):
     module: str  # the module's name in the session; "E" from a library call
     e: int
     ell: int
@@ -490,8 +484,7 @@ def hypothesis_report(E: PresentedModule) -> HypothesisReport:
 # -- free quotient criterion (Prop-4.3 style) ------------------------------------------------
 
 
-@dataclass
-class FreeQuotientVerdict:
+class FreeQuotientVerdict(Record):
     ok: bool
     mu_U: int
     ell: int
@@ -518,8 +511,7 @@ def verify_free_quotient(E: PresentedModule, U: Submodule) -> FreeQuotientVerdic
 # -- balanced-core equivalences ------------------------------------------------------------
 
 
-@dataclass
-class BalancedReport:
+class BalancedReport(Record):
     status: str  # ok | failed-hypothesis | partial
     hypothesis: HypothesisReport
     reductions: int
@@ -625,8 +617,7 @@ def verify_balanced(E: PresentedModule, reductions: int, rng=None) -> BalancedRe
 # -- projective-dimension-one core formula ----------------------------------------------------
 
 
-@dataclass
-class Pd1CoreVerdict:
+class Pd1CoreVerdict(Record):
     status: str  # ok | hypotheses-unmet | partial (the core did not stabilize)
     pd: int
     torsionfree: bool
@@ -690,8 +681,7 @@ def verify_pd1_core(E: PresentedModule, rng=None) -> Pd1CoreVerdict:
 # -- ideal modules (Prop-2.7 style) ------------------------------------------------------------
 
 
-@dataclass
-class IdealModuleVerdicts:
+class IdealModuleVerdicts(Record):
     mode: str
     e: int
     ell_I: int

@@ -31,7 +31,7 @@ def main(argv=None) -> int:
         try:
             with open(args.session, encoding="utf-8") as fh:
                 src = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"modcore: cannot read {args.session}: {exc}", file=sys.stderr)
             return 4
         try:

@@ -623,8 +623,11 @@ def _ideal_images(E: PresentedModule, vectors):
 
 @_memo
 def whole_module(E: PresentedModule) -> Submodule:
-    """E as a submodule of itself, one per E."""
-    return Submodule(E, [E.basis_vector(i) for i in range(E.n)])
+    """E as a submodule of itself, one per E.  E's own relations present
+    it on its generators, so its `submodule_presentation` is E."""
+    W = Submodule(E, [E.basis_vector(i) for i in range(E.n)])
+    _remember(W, "submodule_presentation", E)
+    return W
 
 
 def span(E: PresentedModule, vectors) -> Submodule:

@@ -9,29 +9,47 @@ Groebner kernel packs keys into one int per term on that contract
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import OrderError
 
 Mono = tuple  # exponent vector, one int per ring variable
 
 
 class MonomialOrder:
-    """Base class; subclasses are frozen dataclasses usable as cache keys."""
+    """Base class.  An order is immutable, and equal to (with the same hash
+    as) an order of its own type with the same parameters, so it serves as
+    a cache key; a subclass passes its parameters to this `__init__`."""
+
+    __slots__ = ("_params", "_hash")
+
+    def __init__(self, *params):
+        object.__setattr__(self, "_params", params)
+        object.__setattr__(self, "_hash", hash(params))
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._params == self._params
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._params))})"
 
     def key(self, m: Mono) -> tuple:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class GrevLex(MonomialOrder):
     """Graded reverse lexicographic: degree first, last nonzero difference negative."""
+
+    __slots__ = ()
 
     def key(self, m: Mono) -> tuple:
         return (sum(m), *(-e for e in reversed(m)))
 
 
-@dataclass(frozen=True)
 class BlockOrder(MonomialOrder):
     """Block (elimination) order: compare grevlex block by block.
 
@@ -40,7 +58,11 @@ class BlockOrder(MonomialOrder):
     blocks, so a Groebner basis eliminates the leading blocks.
     """
 
-    blocks: tuple  # tuple of tuples of variable indices
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: tuple):
+        object.__setattr__(self, "blocks", blocks)  # tuple of tuples of variable indices
+        super().__init__(blocks)
 
     def key(self, m: Mono) -> tuple:
         out = []
@@ -50,7 +72,6 @@ class BlockOrder(MonomialOrder):
         return tuple(out)
 
 
-@dataclass(frozen=True)
 class GrevLexVarLast(MonomialOrder):
     """Grevlex with variable `last` playing the revlex-smallest role.
 
@@ -59,7 +80,11 @@ class GrevLexVarLast(MonomialOrder):
     the saturation directly.
     """
 
-    last: int
+    __slots__ = ("last",)
+
+    def __init__(self, last: int):
+        object.__setattr__(self, "last", last)
+        super().__init__(last)
 
     def key(self, m: Mono) -> tuple:
         tail = tuple(-m[i] for i in reversed(range(len(m))) if i != self.last)

@@ -235,12 +235,18 @@ def _value_at(f, point, p):
 
 def random_reduction(E: PresentedModule, count: int | None = None, rng=None) -> Submodule:
     """`count` random field combinations of the generators, retried until the
-    fiber criterion certifies a reduction."""
+    fiber criterion certifies a reduction.
+
+    When count = ell(E) = mu(E), F(E) is a polynomial ring in mu variables,
+    so every reduction U has U + mE = E, hence U = E: that is returned as
+    `whole_module(E)`, with no draw (as in `core_monte_carlo`)."""
     if count is not None and count < 1:
         raise ModcoreError(f"random_reduction needs count >= 1, got {count}")
     rng = _rng(rng)
     if count is None:
         count = analytic_spread(E)
+    if count == analytic_spread(E) == mu(E):
+        return whole_module(E)
     ring = E.ring
     p = ring.char
     for _ in range(RETRY_CAP):

@@ -12,8 +12,7 @@ import hashlib
 import json
 import re
 import time
-from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Callable
+from types import MappingProxyType
 
 from . import __version__
 from .errors import CapExceededError, ModcoreError, NotHomogeneousError, ParseError, RetryExhaustedError
@@ -41,6 +40,7 @@ from .modalg import (
     whole_module,
 )
 from .poly import Polynomial, PolyRing, parse_poly
+from .record import Record
 from .rees import (
     analytic_spread,
     core_monte_carlo,
@@ -68,16 +68,14 @@ SCHEMA_VERSION = 1
 _EXCERPT = 40  # characters of a polynomial that a parse error in it quotes
 
 
-@dataclass
-class Task:
+class Task(Record):
     op: str
     args: list
     flags: dict
     line: int
 
 
-@dataclass
-class Session:
+class Session(Record):
     source: str
     ring_name: str
     ring: PolyRing
@@ -86,7 +84,10 @@ class Session:
     submodules: dict
     tasks: list
     options: dict
-    _coerced: dict = field(default_factory=dict)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._coerced = {}  # ideal name -> its module, made on first lookup
 
     def declares(self, kind, name) -> bool:
         """Whether `name` can stand for a `kind`: "ideal", "submodule", or
@@ -382,8 +383,7 @@ def _check_task(session, task):
 # -- task execution -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Spec:
+class Spec(Record):
     """What a task takes, and the handler that runs it.
 
     `args` and `optional` are the kinds of the required and the optional
@@ -395,10 +395,10 @@ class Spec:
     handler's keyword default.  A `named` spec also passes its first
     argument as written, as `name`."""
 
-    run: Callable
+    run: object  # the handler, called as run(session, *args, **flags)
     args: tuple
     optional: tuple = ()
-    flags: dict = field(default_factory=dict)
+    flags: dict = MappingProxyType({})  # shared by every spec without flags, so read-only
     named: bool = False
 
     def __call__(self, session, task):
@@ -417,7 +417,7 @@ def _value(session, kind, token):
 def _report_value(value):
     """A task's value as report data, the one place verdicts become JSON.
 
-    A dataclass becomes its fields in declaration order, an ideal its sorted
+    A record becomes its fields in declaration order, an ideal its sorted
     reduced basis, a submodule its generators reduced modulo the parent's
     relations, and a polynomial its text; dict keys become strings and
     tuples lists."""
@@ -427,8 +427,8 @@ def _report_value(value):
         return _report_value(value.reduced_gens())
     if isinstance(value, Polynomial):
         return str(value)
-    if is_dataclass(value):
-        return {f.name: _report_value(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Record):
+        return {f: _report_value(getattr(value, f)) for f in value._fields}
     if isinstance(value, dict):
         return {str(k): _report_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -578,8 +578,7 @@ SPECS = {
 TASKS = dict(SPECS)
 
 
-@dataclass
-class Report:
+class Report(Record):
     payload: dict
 
     def exit_code(self) -> int:

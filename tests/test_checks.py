@@ -873,6 +873,47 @@ def test_residual_draws_expand_their_images_once(monkeypatch):
     assert len(drawn) >= 40 and expanded == drawn
 
 
+def test_residual_session_presents_W_by_E(monkeypatch):
+    # W = E is presented by E's own relations (`whole_module` remembers
+    # them), so after parsing a residual session takes no syzygies
+    calls = []
+    kernel = modalg._syzygy_dicts
+    monkeypatch.setattr(modalg, "_syzygy_dicts", lambda *args: calls.append(args) or kernel(*args))
+    for names, gens in _SESSION_IDEALS.items():
+        src = f"ring R = GF(32003)[{names}];\nideal I = ({gens});\nmodule E = ideal I;\n"
+        src += "".join(f"task residual_intersection E 2 --seed {seed};\n" for seed in range(1, 6))
+        session = parse_session(src)
+        parsed = len(calls)
+        report = run_session(session)
+        assert [t["status"] for t in report.payload["tasks"]] == ["ok"] * 5
+        assert len(calls) == parsed, names
+
+
+@pytest.mark.parametrize("names", list(_SESSION_IDEALS))
+def test_whole_module_drop_check_matches_a_fresh_span(names):
+    # oracle: on the residual draws at s = 1..3, the generator-drop check on
+    # W = whole_module(E), presented by E, agrees with the same check on a
+    # fresh span of E's basis vectors, presented by its syzygies; a repeated
+    # draw makes the drop fail
+    session = parse_session(f"ring R = GF(32003)[{names}];\nideal I = ({_SESSION_IDEALS[names]});\nmodule E = ideal I;\n")
+    E = session.modules["E"]
+    W = whole_module(E)
+    fresh = span(E, [E.basis_vector(i) for i in range(E.n)])
+    assert modalg.submodule_presentation(W) is E
+    assert modalg.submodule_presentation(fresh) is not E
+    rng = seeded(len(names))
+    verdicts = set()
+    for s in range(1, 4):
+        for _ in range(8):
+            _, coords = checks._random_elements(W, s, rng)
+            if s > 1 and rng.random() < 0.4:
+                coords[-1] = list(coords[0])
+            got = checks._mu_drop_holds(W, coords, s)
+            assert got == checks._mu_drop_holds(fresh, coords, s), coords
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def test_residual_session_takes_each_fitting_ideal_once(monkeypatch):
     # check_gs(E, s) reads Fitt_1 .. Fitt_(s-1); over 20 residual tasks on two
     # modules the minors of each (E, size) are listed once, not once per task

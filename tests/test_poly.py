@@ -132,6 +132,19 @@ def test_block_order_eliminates_first_block():
     assert _cmp((1, 0, 0), (0, 5, 5), order) == 1
 
 
+def test_orders_are_immutable_values():
+    # equal orders hash alike, so rings and the term codecs key on them
+    for a, b in ((GrevLex(), GrevLex()), (GrevLexVarLast(1), GrevLexVarLast(1)),
+                 (elimination_order(3, (0,)), BlockOrder(((0,), (1, 2))))):
+        assert a == b and a is not b and hash(a) == hash(b)
+    assert GrevLexVarLast(0) != GrevLexVarLast(1)
+    assert GrevLex() != GrevLexVarLast(0) and BlockOrder(((0, 1),)) != GrevLexVarLast((0, 1))
+    assert PolyRing(7, ("x", "y"), GrevLexVarLast(0)) != PolyRing(7, ("x", "y"), GrevLexVarLast(1))
+    assert repr(GrevLexVarLast(1)) == "GrevLexVarLast(1)" and repr(GrevLex()) == "GrevLex()"
+    with pytest.raises(AttributeError, match="immutable"):
+        GrevLexVarLast(1).last = 0
+
+
 @pytest.mark.parametrize(
     "order", [GrevLex(), GrevLexVarLast(1), elimination_order(3, (2,)), BlockOrder(((0, 1), (2,)))]
 )

@@ -352,10 +352,17 @@ def test_random_reduction_rejects_count_below_one_before_drawing(E_msq, count):
     assert rng.getstate() == state  # no draw was made
 
 
-def test_random_reduction_no_proper_reductions(E_H):
-    # mu(H) = ell(H) = 3: the only reduction is H itself
-    U = random_reduction(E_H, rng=3)
-    assert U == whole_module(E_H)
+def test_random_reduction_no_proper_reductions(E_H, E_H_plus):
+    # mu = ell (3 for H, 4 for H + R(-2)): the only reduction is E itself,
+    # returned with no draw; the seed is still required
+    for E in (E_H, E_H_plus):
+        rng = random.Random(3)
+        state = rng.getstate()
+        U = random_reduction(E, rng=rng)
+        assert U is whole_module(E) and random_reduction(E, count=E.n, rng=rng) is U
+        assert rng.getstate() == state
+        with pytest.raises(ModcoreError, match="require a seed"):
+            random_reduction(E)
 
 
 def test_random_reduction_msq(E_msq):

@@ -552,6 +552,14 @@ def test_cli_char_override(tmp_path):
     assert payload["tasks"][0]["value"] == ["x^2"]
 
 
+def test_cli_reports_a_session_file_that_is_not_utf8(tmp_path):
+    f = tmp_path / "bad.mc"
+    f.write_bytes(b"ring R = GF(7)[x];\n\xff\xfe task\n")
+    out = subprocess.run([sys.executable, "-m", "modcore.cli", "run", str(f)], capture_output=True, text=True)
+    assert out.returncode == 4 and out.stdout == "" and "Traceback" not in out.stderr
+    assert out.stderr.startswith(f"modcore: cannot read {f}: 'utf-8' codec can't decode")
+
+
 def test_cli_rejects_negative_caps(tmp_path):
     # the parser rejects a negative cap by its flag, as it does a non-prime
     # --char, so no task runs on it
@@ -604,3 +612,16 @@ def test_report_schema_fields():
         if t["op"] == "core" and t["status"] == "ok":
             assert t["value"]["seed"] is not None
             assert "samples" in t["value"]
+
+
+def test_random_reduction_of_a_module_with_ell_equal_to_mu_is_the_module():
+    # ell(E) = mu(E) = 4 for (xy,xz,yz) + R(-2): every reduction is E, so
+    # the task lists E's generators, with or without --count
+    src = (
+        "ring R = GF(32003)[x,y,z];\nideal I = (x*y, x*z, y*z);\nmodule MI = ideal I;\n"
+        "module F = free 1 twist 2;\nmodule E = sum(MI, F);\n"
+        "task random_reduction E --seed 3;\ntask random_reduction E --count 4 --seed 3;\n"
+    )
+    report = run_session(parse_session(src))
+    identity = [[str(int(i == j)) for j in range(4)] for i in range(4)]
+    assert [t["value"] for t in report.payload["tasks"]] == [{"seed": 3, "gens": identity}] * 2
