@@ -61,6 +61,12 @@ def _remember(obj, name, value):
     obj._cache[(name, ())] = value
 
 
+def _recall(obj, name):
+    """The memo of the function called `name` at obj, or None when it has
+    not been computed: a value read only if it is known already."""
+    return obj._cache.get((name, ()))
+
+
 # -- the kernel on term codes ------------------------------------------------------
 #
 # The Buchberger loop and the normal form work on term codes: each module term

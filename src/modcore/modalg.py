@@ -207,8 +207,11 @@ class PresentedModule:
         return _standard_count(self.ring.nvars, self.hilbert_numerators(), self.gen_degrees, deg)
 
 
+@_memo
 def module_from_ideal(I: Ideal) -> PresentedModule:
-    """An ideal of positive grade, viewed as a torsionfree rank-one module.
+    """An ideal of positive grade, viewed as a torsionfree rank-one module,
+    one per ideal object: every module of a session built on I, and the
+    summands of its sums, share this one and all its memos.
 
     It is presented by a minimal set of the syzygies of I's generators
     (`_minimal_columns`), and their reduced basis, which the syzygy step
@@ -227,7 +230,10 @@ def module_from_ideal(I: Ideal) -> PresentedModule:
     k = len(degrees)
     cols = [_ordered_to_vec(s, ring, k) for s in _minimal_columns(basis, degrees, ring)]
     E = PresentedModule(ring, degrees, cols, _validate=False)
-    E._cache["from_ideal"] = I
+    # E records its ideal as a new Ideal on I's generators: I itself, whose
+    # memo holds E, would make a reference cycle that only the garbage
+    # collector can free
+    E._cache["from_ideal"] = Ideal(ring, I.gens)
     _remember(E, "relation_gb", basis)
     # E is isomorphic to I inside the domain R
     _remember(E, "is_torsionfree", True)
@@ -250,7 +256,10 @@ def free_module(ring: PolyRing, rank: int, twist: int = 0) -> PresentedModule:
 def direct_sum(E1: PresentedModule, E2: PresentedModule, twist: int = 0) -> PresentedModule:
     """Block direct sum; the second summand's generators are shifted by
     `twist`.  The summands are recorded with it, an input like
-    `module_from_ideal`'s ideal, for `is_torsionfree` and `relation_gb`."""
+    `module_from_ideal`'s ideal, and the sum's derived data are read off
+    theirs: `relation_gb`, `is_torsionfree`, `fitting_ideal` and
+    `first_nonzero_maximal_minor` (when neither summand is free, see
+    `_block_summands`), and `rees.rees_ideal` (when E2 is free)."""
     if E1.ring != E2.ring:
         raise RingMismatchError("direct sum across rings")
     ring = E1.ring
@@ -489,9 +498,27 @@ def _nonzero_minors(E: PresentedModule, size: int):
             yield ring.from_dict(table[cset])
 
 
+def _block_summands(E: PresentedModule):
+    """E's summands (E1, E2) when E is a direct sum of two modules that both
+    have relations, else None.  A free summand's rows are zero, which row
+    expansion (`_row_minors`) already skips, so those sums keep the block
+    matrix."""
+    summands = E._cache.get("summands")
+    if summands is None or not all(S.relations for S in summands):
+        return None
+    return summands
+
+
 @_memo
 def fitting_ideal(E: PresentedModule, t: int) -> Ideal:
-    """Fitt_t(E): ideal of (n-t)-minors of the presentation matrix."""
+    """Fitt_t(E): ideal of (n-t)-minors of the presentation matrix.
+
+    For E = E1 + E2 with relations in both (`_block_summands`) it is the sum
+    over i + j = t of Fitt_i(E1)*Fitt_j(E2), 0 <= i <= n1 and 0 <= j <= n2,
+    products of the summands' memoized Fitting ideals.  A minor of the block
+    matrix on r1 rows of block 1 and r2 of block 2 is zero unless it takes
+    r1 columns of block 1 as well, and is then the product of the two block
+    minors; an r1-minor of E1 lies in Fitt_(n1-r1)(E1), and r1 + r2 = n - t."""
     if t < 0:
         raise ModcoreError("Fitting index must be nonnegative")
     ring = E.ring
@@ -499,6 +526,18 @@ def fitting_ideal(E: PresentedModule, t: int) -> Ideal:
     if size <= 0:
         return Ideal(ring, (ring.one(),))
     gens = {}
+    summands = _block_summands(E)
+    if summands is not None:
+        E1, E2 = summands
+        for i in range(max(0, t - E2.n), min(t, E1.n) + 1):
+            A = fitting_ideal(E1, i)
+            if A.is_zero():
+                continue
+            for f in A.gens:
+                for g in fitting_ideal(E2, t - i).gens:
+                    v = f * g  # monic, as both factors are
+                    gens.setdefault(v.terms, v)
+        return Ideal(ring, gens.values())
     for v in _nonzero_minors(E, size):
         vm = v.monic()
         gens.setdefault(vm.terms, vm)
@@ -508,7 +547,18 @@ def fitting_ideal(E: PresentedModule, t: int) -> Ideal:
 @_memo
 def first_nonzero_maximal_minor(E: PresentedModule) -> Polynomial:
     """The fixed inverting element of Fitt_e(E): first nonzero (n-e)-minor in
-    lexicographic (rows, cols) subset order."""
+    lexicographic (rows, cols) subset order.
+
+    For E = E1 + E2 with relations in both (`_block_summands`) it is the
+    product of the summands' own: a nonzero (n-e)-minor of the block matrix
+    takes n_i - e_i rows and columns from block i, as neither block has a
+    nonzero minor of larger size, and is the product of those two minors.
+    Block 1's rows and columns come first, so the first in lexicographic
+    order takes block 1's first minor and then block 2's."""
+    summands = _block_summands(E)
+    if summands is not None:
+        E1, E2 = summands
+        return first_nonzero_maximal_minor(E1) * first_nonzero_maximal_minor(E2)
     size = E.n - rank(E)
     if size == 0:
         return E.ring.one()
@@ -642,12 +692,14 @@ def _change_of_generators(U: Submodule):
     `_back_substitute`), ascending, and for each position i the pairs (k, c)
     with e_i = sum c*e_free[k] modulo L.  A free position is itself, and a
     pivot is minus its echelon row at the free positions, so GF(p)^n / L has
-    the basis e_free."""
+    the basis e_free.  The rows of a random draw are the ints it drew,
+    recorded on U as `U._cache["draws"]` (`rees.random_reduction`)."""
     E = U.parent
     p = E.ring.char
     rows = {}
-    for v in U.gens:
-        _echelon_add(rows, _constant_row(f.constant_coeff() for f in v), p)
+    draws = U._cache.get("draws") or ((f.constant_coeff() for f in v) for v in U.gens)
+    for coeffs in draws:
+        _echelon_add(rows, _constant_row(coeffs), p)
     free = [i for i in range(E.n) if -i not in rows]
     if free:  # with none, every image is empty and no row needs reducing
         _back_substitute(rows, p)

@@ -27,6 +27,8 @@ from .groebner import (
     _echelon_add,
     _memo,
     _monomials_of_degree,
+    _recall,
+    _remember,
     hilbert_function,
     krull_dimension,
     saturate,
@@ -46,7 +48,7 @@ from .modalg import (
     submodule_intersect,
     whole_module,
 )
-from .poly import PolyRing, map_poly, substitute
+from .poly import Polynomial, PolyRing, map_poly, substitute
 
 DEFAULT_T_CAP = 6
 RETRY_CAP = 32
@@ -101,8 +103,40 @@ def sym_ideal(E: PresentedModule) -> Ideal:
 
 @_memo
 def rees_ideal(E: PresentedModule) -> Ideal:
+    """The saturation of `sym_ideal(E)` at the fixed maximal minor, or, for
+    E = E1 + F with F free and the Rees ideal of E1 already known, that of
+    E1 read in R[T, S] (`_lifted_rees_ideal`)."""
+    big, _ = _rees_rings(E)
+    summands = E._cache.get("summands")
+    if summands is not None and not summands[1].relations:
+        known = _recall(summands[0], "rees_ideal")
+        if known is not None:
+            return _lifted_rees_ideal(known, big)
     sym = sym_ideal(E)
     return sym if sym.is_zero() else saturate(sym, map_poly(first_nonzero_maximal_minor(E), sym.ring))
+
+
+def _lifted_rees_ideal(K: Ideal, big: PolyRing) -> Ideal:
+    """K, the Rees ideal of E1 in R[T], as the Rees ideal of E1 + F in
+    big = R[T, S], F free of rank k: each exponent gets k zeros appended.
+
+    Sym(E1 + F) = Sym(E1)[S], as F adds no relation, and inverting the
+    fixed minor (the same on the sum, whose rows at F are zero) commutes
+    with adjoining S; so R(E1 + F) = R(E1)[S], and its ideal is K extended.
+    Grevlex on R[T, S] restricted to monomials free of S is grevlex on
+    R[T], so every term keeps its place: K's generators, and its reduced
+    basis when it is known, are the sum's with no re-sort, no saturation
+    and no Buchberger call."""
+    pad = (0,) * (big.nvars - K.ring.nvars)
+
+    def lift(f):
+        return Polynomial(big, tuple((m + pad, c) for m, c in f.terms))
+
+    S = Ideal(big, map(lift, K.gens))
+    basis = _recall(K, "groebner_basis")
+    if basis is not None:
+        _remember(S, "groebner_basis", tuple(map(lift, basis)))
+    return S
 
 
 @_memo
@@ -250,10 +284,9 @@ def random_reduction(E: PresentedModule, count: int | None = None, rng=None) -> 
     ring = E.ring
     p = ring.char
     for _ in range(RETRY_CAP):
-        gens = []
-        for _ in range(count):
-            gens.append(tuple(ring.const(rng.randrange(p)) for _ in range(E.n)))
-        U = span(E, gens)
+        draws = [[rng.randrange(p) for _ in range(E.n)] for _ in range(count)]
+        U = span(E, [tuple(map(ring.const, row)) for row in draws])
+        U._cache["draws"] = draws  # its GF(p) rows, for `_change_of_generators`
         if is_reduction(U, E):
             return U
     raise RetryExhaustedError(

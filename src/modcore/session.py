@@ -85,10 +85,6 @@ class Session(Record):
     tasks: list
     options: dict
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._coerced = {}  # ideal name -> its module, made on first lookup
-
     def declares(self, kind, name) -> bool:
         """Whether `name` can stand for a `kind`: "ideal", "submodule", or
         "module", which an ideal name also is."""
@@ -96,15 +92,13 @@ class Session(Record):
 
     def lookup(self, kind, name, line=None):
         """The object `name` stands for as a `kind`; an ideal looked up as a
-        module becomes its module, once per session."""
+        module is its module, the one `module_from_ideal` keeps per ideal."""
         table = self._table(kind)
         if name in table:
             return table[name]
         if not self.declares(kind, name):
             raise ParseError(f"undeclared {kind} {name!r}", line)
-        if name not in self._coerced:
-            self._coerced[name] = module_from_ideal(self.ideals[name])
-        return self._coerced[name]
+        return module_from_ideal(self.ideals[name])
 
     def _table(self, kind):
         return {"ideal": self.ideals, "module": self.modules, "submodule": self.submodules}[kind]

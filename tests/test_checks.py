@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from modcore import checks, groebner, modalg
+from modcore import checks, groebner, modalg, rees
 from modcore.errors import ModcoreError, RetryExhaustedError
 from modcore.groebner import (
     Ideal,
@@ -1309,3 +1309,72 @@ def test_closed_form_generation_counts_extend_the_relation_echelon(p, monkeypatc
                 assert len(built) == before
                 verdicts.add(("drop", want))
     assert verdicts == {("generates", True), ("generates", False), ("drop", True), ("drop", False)}
+
+
+def _oracle_sums(p):
+    """Over GF(p): A + B for each ordered pair of the oracle ideal modules in
+    one ring, (A + B) + A, and (A + R(-D)) + B, D the degree of A."""
+    rings = {}
+    for names, gens in _ORACLE_IDEALS.values():
+        R = rings.setdefault(names, (PolyRing(p, names), []))
+        R[1].append(module_from_ideal(Ideal(R[0], gens(*R[0].gens()))))
+    sums = []
+    for R, modules in rings.values():
+        for A, B in [(A, B) for A in modules for B in modules]:
+            AF = direct_sum(A, free_module(R, 1), twist=A.common_degree())
+            sums += [direct_sum(A, B), direct_sum(direct_sum(A, B), A), direct_sum(AF, B)]
+    return sums
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_closed_form_sum_fitting_ideals_and_minor_match_the_block_minors(p):
+    # oracle: on 36 sums of two modules with relations, the Fitting ideals
+    # of the summands multiplied out are the ideals of the minors of the
+    # block matrix, for every t, and the product of the summands' first
+    # maximal minors is the block matrix's first nonzero (n-e)-minor, as a
+    # polynomial
+    sums = _oracle_sums(p)
+    assert len(sums) == 36
+    for E in sums:
+        assert modalg._block_summands(E) is not None
+        for t in range(E.n + 1):
+            assert fitting_ideal(E, t) == Ideal(E.ring, modalg._nonzero_minors(E, E.n - t)), (E, t)
+        assert modalg.first_nonzero_maximal_minor(E) == next(modalg._nonzero_minors(E, E.n - rank(E))), E
+
+
+@pytest.mark.parametrize("p", [P, 7])
+@pytest.mark.parametrize("warm", ["cold", "rees", "basis"])
+def test_closed_form_rees_ideal_of_a_free_sum_matches_the_saturation(warm, p, monkeypatch):
+    # oracle: for each oracle ideal module EI and k = 1, 2, the Rees ideal of
+    # E = EI + R(-D)^k is the saturation of Sym(E) at the fixed minor.  Cold,
+    # E's is taken by that saturation; once EI's Rees ideal is known (and
+    # with it, for "basis", its reduced basis) it is EI's read in R[T, S],
+    # with no saturation.  ell(E) = ell(EI) + k either way
+    saturations = []
+    saturate = rees.saturate
+
+    def counting(J, f):
+        saturations.append(J)
+        return saturate(J, f)
+
+    for name, (names, gens) in _ORACLE_IDEALS.items():
+        R = PolyRing(p, names)
+        for k in (1, 2):
+            EI = module_from_ideal(Ideal(R, gens(*R.gens())))
+            E = direct_sum(EI, free_module(R, k), twist=EI.common_degree())
+            if warm != "cold":
+                K = rees_ideal(EI)
+                if warm == "basis":
+                    K.groebner_basis()
+            monkeypatch.setattr(rees, "saturate", counting)
+            saturations.clear()
+            lifted = rees_ideal(E)
+            known = groebner._recall(lifted, "groebner_basis")
+            monkeypatch.undo()
+            assert len(saturations) == (warm == "cold"), (name, k)
+            if warm != "cold":
+                assert (known is None) == (groebner._recall(K, "groebner_basis") is None), (name, k)
+            minor = rees.map_poly(modalg.first_nonzero_maximal_minor(E), lifted.ring)
+            oracle = saturate(rees.sym_ideal(E), minor)
+            assert lifted.groebner_basis() == oracle.groebner_basis(), (name, k, warm)
+            assert analytic_spread(E) == analytic_spread(EI) + k, (name, k, warm)

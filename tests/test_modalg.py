@@ -286,9 +286,13 @@ def test_row_expansion_minors_match_leibniz(p, kind):
 
 def test_first_nonzero_maximal_minor_matches_leibniz():
     # the fixed inverting minor of every corpus module, of each corpus ideal
-    # as a module and as its power sum, and of the generic 6 x 4 cokernel is
-    # the first nonzero (n-e)-minor in lexicographic order
+    # as a module and as its power sum, of m^2 + m^2 + m^2 as a session's
+    # power_sum, and of the generic 6 x 4 cokernel is the first nonzero
+    # (n-e)-minor in lexicographic order
     modules = [generic_cokernel(4, 6, 4)]
+    modules += parse_session(
+        "ring R = GF(32003)[x,y];\nideal I = (x^2, x*y, y^2);\nmodule P = power_sum(I, 3);\n"
+    ).modules.values()
     for path in sorted((Path(__file__).parent.parent / "corpus").glob("*.mc")):
         session = parse_session(path.read_text())
         modules += session.modules.values()
@@ -1051,18 +1055,61 @@ def test_memoized_functions_have_distinct_names():
     assert len(names) == len(set(names)), sorted({n for n in names if names.count(n) > 1})
 
 
-def test_modules_built_apart_from_one_ideal_share_nothing(R2, monkeypatch):
+def test_modules_of_two_equal_ideal_objects_share_nothing(R2, monkeypatch):
+    # memos belong to their owner: two Ideal objects with the same
+    # generators give two modules, and each computes its own data
     x, y = R2.gens()
-    I = Ideal(R2, [x**2, x * y, y**2])
-    E1, E2 = module_from_ideal(I), module_from_ideal(I)
+    I1, I2 = Ideal(R2, [x**2, x * y, y**2]), Ideal(R2, [x**2, x * y, y**2])
+    assert I1 is not I2 and I1 == I2
+    E1, E2 = module_from_ideal(I1), module_from_ideal(I2)
+    assert E1 is not E2
     minors = _counting(monkeypatch, modalg, "_nonzero_minors")
     for fn in (minimal_presentation, free_resolution, whole_module, rees_ideal, lambda E: fitting_ideal(E, 1)):
         assert fn(E1) is fn(E1) and fn(E1) is not fn(E2)
     assert fitting_ideal(E1, 1) == fitting_ideal(E2, 1)
     # each module lists its own minors twice: for Fitt_1 and for the first
-    # maximal minor of its torsion test
+    # maximal minor of its Rees saturation
     owners = [id(E) for E, _ in minors]
     assert owners.count(id(E1)) == owners.count(id(E2)) == 2 == len(minors) / 2
+
+
+def test_one_module_per_ideal(monkeypatch):
+    # module_from_ideal is memoized on the ideal: in one session, the
+    # declared module of I, I looked up as a module, the summands of
+    # power_sum(I, 2) and the ideal module that ideal_module_verdicts builds
+    # in either mode are one object
+    from modcore import session as msession
+
+    built = []
+    build = msession.build_ideal_module
+
+    def recording(I, e, mode):
+        E, verdicts = build(I, e, mode)
+        built.append(E)
+        return E, verdicts
+
+    monkeypatch.setattr(msession, "build_ideal_module", recording)
+    session = parse_session(
+        "ring R = GF(32003)[x,y];\n"
+        "ideal I = (x^2, x*y, y^2);\n"
+        "module X = ideal I;\n"
+        "module P = power_sum(I, 2);\n"
+        "task mu I;\n"
+        "task ideal_module_verdicts I --rank 2 --mode plus_free;\n"
+        "task ideal_module_verdicts I --rank 2 --mode power_sum;\n"
+    )
+    I = session.ideals["I"]
+    X = session.modules["X"]
+    assert module_from_ideal(I) is module_from_ideal(I) is X
+    assert session.lookup("module", "I") is X
+    # X records a new Ideal on I's generators, so that I's memo of X makes
+    # no reference cycle
+    assert X._cache["from_ideal"] is not I and X._cache["from_ideal"].gens == I.gens
+    assert all(S is X for S in session.modules["P"]._cache["summands"])
+    assert msession.run_session(session).exit_code() == 0
+    plus_free, power_sum = built
+    assert plus_free._cache["summands"][0] is X
+    assert all(S is X for S in power_sum._cache["summands"])
 
 
 def test_prefilled_memos_are_hits(R2, monkeypatch):
