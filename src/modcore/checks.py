@@ -9,7 +9,7 @@ and redrawn, never silently accepted.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import (
     CapExceededError,
@@ -17,7 +17,7 @@ from .errors import (
     ModcoreError,
     RetryExhaustedError,
 )
-from .groebner import Ideal, _ideal_numerator, _memo, height, krull_dimension
+from .groebner import Ideal, _add_series, _ideal_numerator, _memo, height, krull_dimension
 from .modalg import (
     PresentedModule,
     Submodule,
@@ -189,41 +189,98 @@ def _mu_drop_holds(W: Submodule, coords, s: int) -> bool:
     return P.n - _constant_rank(P, map(_constant_row, coords)) == max(0, mu(P) - s)
 
 
+def _finite_length(numer, m: int) -> bool:
+    """Whether N(t)/(1-t)^m is a polynomial, as the Hilbert series of a
+    module of finite length is: whether (1-t)^m divides N(t).  Each step
+    checks N(1) = 0 and divides by 1 - t, whose quotient has the partial
+    sums of N as coefficients."""
+    for _ in range(m):
+        if sum(numer):
+            return False
+        numer = list(accumulate(numer))[:-1]
+    return True
+
+
+def _regular_forms(ring: PolyRing, k: int, numer, section, draws: int = RETRY_CAP) -> bool | None:
+    """Whether k < n linear forms are regular on a graded module M, by
+    seeded draws; `numer` is M's Hilbert numerator over R.
+
+    For linear forms l = l_1..l_k, each exact sequence
+    0 -> (0 :_M l_i)(-1) -> M(-1) -> M -> M/l_iM -> 0 adds t*HS(0 :_M l_i),
+    whose lowest coefficient is positive, to (1-t)*HS(M).  So l is an
+    M-regular sequence exactly when HS(M/lM) = (1-t)^k HS(M): when the
+    Hilbert numerators of M over R and of M/lM over R' agree.  Each draw
+    replaces the last k variables by random linear forms in the first
+    n - k, a map onto R' = GF(p)[x_1..x_(n-k)] whose kernel is spanned by k
+    independent linear forms l, so M/lM is M over R';
+    `section(R', cut)` returns its numerator, `cut` that map on
+    polynomials.  Equal numerators give True: depth M >= k.  A section of
+    finite length (`_finite_length`) gives False: l is then a system of
+    parameters of M when k = dim M, and one that is not regular proves M
+    not Cohen-Macaulay (Bruns-Herzog, Cohen-Macaulay Rings, Thm 2.1.2).
+    None when `draws` draws decide nothing (a small field may have no
+    regular forms).  The generator is seeded here, so the verdict is
+    reproducible."""
+    n = ring.nvars
+    small = PolyRing(ring.char, ring.vars[: n - k])
+    variables = [g.lm() for g in small.gens()]
+    rng = _rng(0)
+    for _ in range(draws):
+        forms = [small.from_dict({v: rng.randrange(ring.char) for v in variables}) for _ in range(k)]
+        cache = {}
+        got = section(small, lambda f: substitute(f, small, range(n - k), forms, cache))
+        if got == numer:
+            return True
+        if _finite_length(got, n - k):
+            return False
+    return None
+
+
 def _certified_cm(K: Ideal, d: int) -> bool | None:
     """Whether R/K is Cohen-Macaulay, for a proper homogeneous K with
     d = dim R/K.  dim 0 is Artinian, and a K generated by n - d = ht(K)
     elements is a complete intersection (K = 0 when d = n): both are CM
     (Bruns-Herzog, Cohen-Macaulay Rings, Thm 2.1.3), with no draw.
 
-    Otherwise, for linear forms l = l_1..l_d, each exact sequence
-    0 -> (0 :_M l_i)(-1) -> M(-1) -> M -> M/l_iM -> 0 adds t*HS(0 :_M l_i),
-    whose lowest coefficient is positive, to (1-t)*HS(M).  So l is an
-    R/K-regular sequence, and then R/K is CM, exactly when
-    HS(R/(K + l)) = (1-t)^d HS(R/K): when the Hilbert numerators of K and of
-    R/(K + l) agree.  Each draw replaces the last d variables by random
-    linear forms in the first n - d, so R/(K + l) is R'/K' for the image K'.
-    Equal numerators give True; otherwise a K' of dim 0 proves the forms a
-    system of parameters that is not regular, and R/K is not CM
-    (Bruns-Herzog, Thm 2.1.2), so False.  None when RETRY_CAP draws decide
-    nothing (a small field may have no system of parameters).  The
-    generator is seeded here, so the verdict is reproducible."""
+    Otherwise R/K is CM exactly when d linear forms are R/K-regular
+    (`_regular_forms`, whose section R/(K + l) is R'/K' for the image K'
+    of K's basis): True when a draw is regular, False when a draw is a
+    system of parameters that is not, None when RETRY_CAP draws decide
+    nothing."""
     ring = K.ring
-    n = ring.nvars
-    if d == 0 or len(K.gens) == n - d:
+    if d == 0 or len(K.gens) == ring.nvars - d:
         return True
-    numer = _ideal_numerator(K)
-    small = PolyRing(ring.char, ring.vars[: n - d])
-    variables = [g.lm() for g in small.gens()]
-    rng = _rng(0)
-    for _ in range(RETRY_CAP):
-        forms = [small.from_dict({v: rng.randrange(ring.char) for v in variables}) for _ in range(d)]
-        cache = {}
-        Kl = Ideal(small, [substitute(g, small, range(n - d), forms, cache) for g in K.groebner_basis()])
-        if _ideal_numerator(Kl) == numer:
-            return True
-        if krull_dimension(Kl) == 0:
-            return False
-    return None
+    basis = K.groebner_basis()
+    return _regular_forms(ring, d, _ideal_numerator(K),
+                          lambda small, cut: _ideal_numerator(Ideal(small, [cut(g) for g in basis])))
+
+
+def _total_numerator(M: PresentedModule):
+    """N(t) with HS(M) = t^g N(t) / (1-t)^n, g the lowest generator degree:
+    the sum of t^(g_pos - g) N_pos(t) over M's positions
+    (`PresentedModule.hilbert_numerators`)."""
+    low = min(M.gen_degrees, default=0)
+    total = []
+    for numer, g in zip(M.hilbert_numerators(), M.gen_degrees):
+        total = _add_series(total, [0] * (g - low) + numer)
+    return total
+
+
+def _pd_at_most(M: PresentedModule, j: int) -> bool:
+    """A certificate of pd M <= j, for j >= 1: one seeded draw of d - j
+    linear forms that is M-regular (`_regular_forms`), so that
+    depth M >= d - j, and pd M = d - depth M by graded Auslander-Buchsbaum.
+    M/lM is presented over R' by the cut relations on M's generators.
+    Every M has pd M <= d; otherwise False proves nothing."""
+    d = M.ring.nvars
+    if j >= d:
+        return True
+
+    def section(small, cut):
+        cols = [tuple(cut(f) for f in col) for col in M.relations]
+        return _total_numerator(PresentedModule(small, M.gen_degrees, cols, _validate=False))
+
+    return _regular_forms(M.ring, d - j, _total_numerator(M), section, draws=1) is True
 
 
 def residual_intersection(
@@ -396,7 +453,11 @@ def check_ext_vanishing(E: PresentedModule, t_cap: int = DEFAULT_T_CAP) -> ExtVa
     This reading checks one index per j, j + 1.  It is not the condition
     Polini-Ulrich put on ideals, depth R/I^j >= d - g - j + 1, which asks
     for Ext^i(R/I^j, R) = 0 at every i above g + j - 1; that condition is
-    not checked here."""
+    not checked here.
+
+    For j >= 2 a depth certificate of pd E^j <= j (`_pd_at_most`) decides
+    it first; E^j is resolved (`modalg.ext_module`) only when the
+    certificate does not say so."""
     ell = analytic_spread(E)
     e = rank(E)
     js = list(range(1, ell - e))
@@ -411,7 +472,9 @@ def check_ext_vanishing(E: PresentedModule, t_cap: int = DEFAULT_T_CAP) -> ExtVa
             verdicts[j] = "inconclusive"
             ok = False
             continue
-        verdicts[j] = ext_module(Ej, j + 1)
+        # for j >= 2, pd E^j <= j gives Ext^(j+1)(E^j, R) = 0 with no
+        # resolution; without that certificate E^j is resolved
+        verdicts[j] = (j > 1 and _pd_at_most(Ej, j)) or ext_module(Ej, j + 1)
         if not verdicts[j]:
             ok = False
     return ExtVanishingReport(ell, e, js, verdicts, ok, vacuous=not js)

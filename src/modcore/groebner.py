@@ -273,7 +273,7 @@ def _monic(d, p):
     return {t: (c * inv) % p for t, c in d.items()}
 
 
-def buchberger(gens, mkey, p, known=0):
+def buchberger(gens, mkey, p, known=0, coded=None):
     """Reduced Groebner basis (list of monic term dicts, ascending leading terms)
     of the term dicts `gens` under the position-over-term key `mkey`.
 
@@ -287,7 +287,10 @@ def buchberger(gens, mkey, p, known=0):
     (monic, as `buchberger` returns it).  They are taken as they are: no
     reduction, and no S-pair between two of them, since each such pair
     reduces to zero against them (Gebauer-Moeller, J. Symb. Comp. 6, 1988);
-    the chain criterion counts those pairs as done.
+    the chain criterion counts those pairs as done.  `coded`, when given,
+    holds the code dict and the divisor (`_add_divisor`) of each of them, so
+    that they are not encoded and sorted again: `_colon` passes shifted
+    copies of one encoded basis.
 
     Inputs that are all single terms need no loop: the S-polynomial of two
     terms is 0, so the reduced basis is the minimal terms (`_minimal_terms`).
@@ -309,10 +312,13 @@ def buchberger(gens, mkey, p, known=0):
     pairs = []
     done = set()
 
-    def add(d):
+    def add(d, div=None):
         idx = len(G)
         G.append(d)
-        div = _add_divisor(divs, d, codec, p)
+        if div is None:
+            div = _add_divisor(divs, d, codec, p)
+        else:
+            divs.setdefault(codec.pos(div[0]), []).append(div)
         D.append(div)
         leads.append(div[0])
         pos, m = codec.term(div[0])
@@ -325,8 +331,8 @@ def buchberger(gens, mkey, p, known=0):
                 heappush(pairs, (sum(map(max, lterms[j][1], m)), j, idx))
         same.append(idx)
 
-    for g in gens[:known]:
-        add(codec.encode(g))
+    for d, div in coded or [(codec.encode(g), None) for g in gens[:known]]:
+        add(d, div)
     for g in gens[known:]:
         r = nf_dict(codec.encode(g), divs, codec, p)
         if r:
@@ -485,16 +491,11 @@ def _back_substitute(rows, p):
     return rows
 
 
-def _independent_normal_forms(vs, basis, ring):
+def _independent_normal_forms(vs, divs, codec, p):
     """A GF(p)-basis of the span of the normal forms of the term dicts `vs`
-    modulo the reduced basis `basis` (ring's order), in echelon form by
-    leading term (`_echelon_add`).  A GF(p)-combination of normal forms is a
-    normal form, so every row is one."""
-    p = ring.char
-    codec = _codec(ring.order, ring.nvars)
-    divs = {}
-    for g in basis:
-        _add_divisor(divs, codec.encode(g), codec, p)
+    modulo the divisors `divs` of a reduced basis, in echelon form by
+    leading code (`_echelon_add`).  A GF(p)-combination of normal forms is
+    a normal form, so every row is one."""
     rows = {}
     for v in vs:
         _echelon_add(rows, nf_dict(codec.encode(v), divs, codec, p), p)
@@ -513,16 +514,28 @@ def _colon(vs, basis, ring, npos) -> Ideal:
     so the colon is what span((w_1, ..., w_k, 1), (b in block i, 0)) meets
     in position k*npos.  Shifted copies of a reduced basis that lead in
     disjoint positions are a reduced basis, so one `buchberger` call takes
-    them as known."""
-    ws = _independent_normal_forms(vs, basis, ring)
+    them as known.  The basis is encoded and its divisors are built once,
+    for the normal forms: a code is linear in the position, so block i's
+    are those plus i*npos position units."""
+    p = ring.char
+    codec = _codec(ring.order, ring.nvars)
+    divs = {}
+    coded = []
+    for b in basis:
+        d = codec.encode(b)
+        coded.append((d, _add_divisor(divs, d, codec, p)))
+    ws = _independent_normal_forms(vs, divs, codec, p)
     unit = (0,) * ring.nvars
     if not ws:
         return _basis_ideal(ring, [{(0, unit): 1}])
     blocks = [{(pos + i * npos, m): c for (pos, m), c in b.items()} for i in range(len(ws)) for b in basis]
+    shifts = [i * npos * codec.pos_unit for i in range(len(ws))]
+    coded = [({t + s: c for t, c in d.items()}, (lead + s, lcinv, tuple((t + s, c) for t, c in tail), bound))
+             for s in shifts for d, (lead, lcinv, tail, bound) in coded]
     tagged = {(pos + i * npos, m): c for i, w in enumerate(ws) for (pos, m), c in w.items()}
     last = len(ws) * npos
     tagged[(last, unit)] = 1
-    basis = buchberger(blocks + [tagged], _mkeyf(ring.order), ring.char, known=len(blocks))
+    basis = buchberger(blocks + [tagged], _mkeyf(ring.order), ring.char, known=len(blocks), coded=coded)
     return _basis_ideal(ring, _eliminate_to(basis, last))
 
 

@@ -214,10 +214,12 @@ def module_from_ideal(I: Ideal) -> PresentedModule:
     summands of its sums, share this one and all its memos.
 
     It is presented by a minimal set of the syzygies of I's generators
-    (`_minimal_columns`), and their reduced basis, which the syzygy step
-    returns, is its relation basis: both span the same module, whose
-    reduced basis is unique.  The syzygies of homogeneous generators are
-    homogeneous, so the columns need no check."""
+    (`_minimal_columns`), recorded as the input flag
+    `E._cache["minimal_relations"]` (`minimal_presentation`), and their
+    reduced basis, which the syzygy step returns, is its relation basis:
+    both span the same module, whose reduced basis is unique.  The syzygies
+    of homogeneous generators are homogeneous, so the columns need no
+    check."""
     if I.is_zero():
         raise ModcoreError("the zero ideal is not a module of positive rank")
     ring = I.ring
@@ -234,6 +236,7 @@ def module_from_ideal(I: Ideal) -> PresentedModule:
     # memo holds E, would make a reference cycle that only the garbage
     # collector can free
     E._cache["from_ideal"] = Ideal(ring, I.gens)
+    E._cache["minimal_relations"] = True
     _remember(E, "relation_gb", basis)
     # E is isomorphic to I inside the domain R
     _remember(E, "is_torsionfree", True)
@@ -259,7 +262,10 @@ def direct_sum(E1: PresentedModule, E2: PresentedModule, twist: int = 0) -> Pres
     `module_from_ideal`'s ideal, and the sum's derived data are read off
     theirs: `relation_gb`, `is_torsionfree`, `fitting_ideal` and
     `first_nonzero_maximal_minor` (when neither summand is free, see
-    `_block_summands`), and `rees.rees_ideal` (when E2 is free)."""
+    `_block_summands`), and `rees.rees_ideal` (when E2 is free).  Minimal
+    relations of the summands, flagged or none at all, are minimal for the
+    sum, as N1 + N2 modulo m(N1 + N2) is N1/mN1 + N2/mN2, so the sum
+    carries the flag `minimal_relations` then."""
     if E1.ring != E2.ring:
         raise RingMismatchError("direct sum across rings")
     ring = E1.ring
@@ -271,6 +277,8 @@ def direct_sum(E1: PresentedModule, E2: PresentedModule, twist: int = 0) -> Pres
     cols += [z1 + tuple(c) for c in E2.relations]
     E = PresentedModule(ring, degrees, cols)
     E._cache["summands"] = (E1, E2)
+    if all(S._cache.get("minimal_relations") or not S.relations for S in (E1, E2)):
+        E._cache["minimal_relations"] = True
     return E
 
 
@@ -336,8 +344,14 @@ def minimal_presentation(E: PresentedModule) -> PresentedModule:
     what is left is the reduced basis of the relations among the kept
     generators.  With no pivot it is E's own relation basis.
     `_minimal_columns` keeps a minimal set of it, and the basis is the
-    result's `relation_gb`."""
+    result's `relation_gb`.
+
+    With no pivot and E's relations known to be minimal, the input flag
+    `E._cache["minimal_relations"]` (`module_from_ideal`, `direct_sum`),
+    the result is E itself, so that the two share one memo table."""
     ring = E.ring
+    if E._cache.get("minimal_relations") and not _relation_echelon(E):
+        return E
     pivots = sorted(-k for k in _relation_echelon(E))
     kept = [q for q in range(E.n) if q not in pivots]
     if pivots:
@@ -384,16 +398,26 @@ def free_resolution(E: PresentedModule) -> FreeResolution:
     """Minimal resolution, built on term dicts: the first map is the minimal
     presentation's relations, and each next map is a minimal set of the
     syzygies of the last (`_minimal_columns`).  The kernel of a minimal
-    map lies in m times its source, so each next map is minimal as well."""
+    map lies in m times its source, so each next map is minimal as well.
+
+    A rank count ends it with no syzygy step of a zero kernel.  Map 1 has
+    rank r_1 = mu - rank E, and map k + 1, whose image is the kernel of map
+    k, has rank r_(k+1) = n_k - r_k, n_k the columns of map k.  Over the
+    domain R a map R^c -> R^n has zero kernel exactly when its rank is c,
+    so a map with r_k columns is the last one."""
     ring = E.ring
     M = minimal_presentation(E)
     degrees = [M.gen_degrees]
     maps = []
     cols = [_vec_to_dict(c) for c in M.relations]
+    r = M.n - rank(M)
     while cols:
         prev = degrees[-1]
         maps.append(cols)
         degrees.append(tuple(mono_deg(m) + prev[pos] for pos, m in (next(iter(c)) for c in cols)))
+        if len(cols) == r:
+            break
+        r = len(cols) - r
         cols = _minimal_columns(_syzygy_dicts(cols, len(prev), ring), degrees[-1], ring)
         if len(maps) > ring.nvars + 2:
             raise ModcoreError("resolution exceeded the syzygy-theorem bound; bug")

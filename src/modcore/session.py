@@ -233,26 +233,7 @@ def parse_session(src: str, char_override: int | None = None, t_cap: int = 6, x_
             name = m.group("name")
             _names_unique(name, session, line)
             parent = session.lookup("module", m.group("parent"), line)
-            vecs = []
-            for part in _split_top(m.group("body")):
-                if not part:
-                    continue
-                if not (part.startswith("[") and part.endswith("]")):
-                    raise ParseError("submodule vectors are bracketed poly lists", line)
-                coords = [
-                    _parse_poly_at(c, session.ring, line) if c.strip() else session.ring.zero()
-                    for c in _split_top(part[1:-1])
-                ]
-                if len(coords) != parent.n:
-                    raise ParseError(
-                        f"vector has {len(coords)} coordinates, module has {parent.n} generators",
-                        line,
-                    )
-                try:
-                    vector_degree(coords, parent.gen_degrees)
-                except NotHomogeneousError as exc:
-                    raise ParseError(f"submodule vector {part} is not homogeneous ({exc})", line) from None
-                vecs.append(tuple(coords))
+            vecs = _vectors(m.group("body"), parent.gen_degrees, "submodule vector", session.ring, line)
             session.submodules[name] = span(parent, vecs)
         elif head == "task":
             m = _TASK_RE.match(stmt)
@@ -289,6 +270,43 @@ def _excerpt(src, col):
     return ("..." if start else "") + src[start:end] + ("..." if end < len(src) else "")
 
 
+def _vectors(body, degrees, what, ring, line):
+    """The bracketed poly lists of `body`, comma-separated, each `what`
+    ("submodule vector" or "coker column") a homogeneous vector with one
+    coordinate per generator of the degrees `degrees`; an empty coordinate
+    is 0.  Any other list is a parse error at `line`."""
+    noun = what.split()[-1]
+    vecs = []
+    for part in _split_top(body):
+        if not part:
+            continue
+        if not (part.startswith("[") and part.endswith("]")):
+            raise ParseError(f"{what}s are bracketed poly lists", line)
+        coords = [_parse_poly_at(c, ring, line) if c.strip() else ring.zero() for c in _split_top(part[1:-1])]
+        if len(coords) != len(degrees):
+            raise ParseError(f"{noun} has {len(coords)} coordinates, module has {len(degrees)} generators", line)
+        try:
+            vector_degree(coords, degrees)
+        except NotHomogeneousError as exc:
+            raise ParseError(f"{what} {part} is not homogeneous ({exc})", line) from None
+        vecs.append(tuple(coords))
+    return vecs
+
+
+def _coker(body, session, line):
+    """coker(d_1, ..., d_n; [col], ...): the module on generators of the
+    integer degrees d_i with the homogeneous columns as its relations."""
+    head, sep, cols = body.partition(";")
+    if not sep:
+        raise ParseError("coker takes generator degrees, then ';', then columns", line)
+    try:
+        degrees = [int(d) for d in _split_top(head)]
+    except ValueError:
+        raise ParseError(f"coker generator degrees must be integers, got {head.strip()!r}", line) from None
+    relations = _vectors(cols, degrees, "coker column", session.ring, line)
+    return PresentedModule(session.ring, degrees, relations, _validate=False)
+
+
 def _module_expr(body, session, line):
     if body.startswith("ideal "):
         iname = body[len("ideal "):].strip()
@@ -307,6 +325,9 @@ def _module_expr(body, session, line):
         return direct_sum(
             session.lookup("module", parts[0], line), session.lookup("module", parts[1], line)
         )
+    m = re.match(r"^coker\((.*)\)$", body, re.S)
+    if m:
+        return _coker(m.group(1), session, line)
     m = re.match(r"^power_sum\(\s*(\w+)\s*,\s*(\d+)\s*\)$", body)
     if m:
         EI = module_from_ideal(session.lookup("ideal", m.group(1), line))

@@ -4,11 +4,12 @@ helpers used as independent oracles (never the engine under test)."""
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations
 
 import pytest
 
-from modcore.groebner import Ideal, _ideal_basis, _meet, _monomials_of_degree, _vec_to_dict
+from modcore.groebner import Ideal, _ideal_basis, _meet, _monomials_of_degree, _syzygy_dicts, _vec_to_dict
 from modcore.modalg import PresentedModule, direct_sum, free_module, module_from_ideal
 from modcore.orders import elimination_order
 from modcore.poly import PolyRing
@@ -137,6 +138,33 @@ def generic_cokernel(nvars, n, m, p=P):
 @pytest.fixture(scope="session")
 def E_coker53():
     return generic_cokernel(3, 5, 3)
+
+
+@cache
+def ladder_with_squares(p=P):
+    """The 5x3 and 6x4 rungs over GF(p) and their squares E^2 = [R(E)]_2,
+    built once per characteristic for the tests that share them."""
+    from modcore.rees import graded_component
+
+    rungs = [generic_cokernel(3, 5, 3, p), generic_cokernel(4, 6, 4, p)]
+    return rungs + [graded_component(E, 2) for E in rungs]
+
+
+def resolution_betti(E):
+    """Oracle: the graded Betti numbers of E, each step's degrees sorted,
+    from a minimal resolution of an unflagged copy of E's presentation that
+    takes syzygy steps until one returns nothing, with no rank count."""
+    from modcore.modalg import _minimal_columns, minimal_presentation
+
+    ring = E.ring
+    M = minimal_presentation(PresentedModule(ring, E.gen_degrees, E.relations))
+    degrees = [M.gen_degrees]
+    cols = [_vec_to_dict(c) for c in M.relations]
+    while cols:
+        prev = degrees[-1]
+        degrees.append(tuple(sum(m) + prev[pos] for pos, m in (next(iter(c)) for c in cols)))
+        cols = _minimal_columns(_syzygy_dicts(cols, len(prev), ring), degrees[-1], ring)
+    return [sorted(d) for d in degrees]
 
 
 # -- oracle-side linear algebra over GF(p) -------------------------------------

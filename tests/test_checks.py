@@ -45,7 +45,17 @@ from modcore.checks import (
     verify_pd1_core,
 )
 
-from conftest import P, generic_cokernel, image_ideal, random_homogeneous_poly, random_presentation, row_rank, seeded
+from conftest import (
+    P,
+    generic_cokernel,
+    image_ideal,
+    ladder_with_squares,
+    random_homogeneous_poly,
+    random_presentation,
+    resolution_betti,
+    row_rank,
+    seeded,
+)
 
 
 def test_check_gs_free(R2):
@@ -431,6 +441,44 @@ def test_ext_vanishing_resolves_only_E(R3, monkeypatch):
     assert hyp.ok
     assert resolved and all(M is E for M in resolved)
     assert check_ext_vanishing(E, t_cap=0).verdicts == {1: "inconclusive"}
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_pd_certificate_never_claims_more_than_the_resolution(p):
+    # the depth certificate says pd M <= j only where the resolution
+    # agrees, for every 1 <= j <= d: on the 5x3 and 6x4 rungs and their
+    # squares (pd 1 and 2), and on the square edge ideal, its sums
+    # I + R(-2) and I + I, and their squares and cubes, all of pd 2, so
+    # that j = 1 must say False.  Over GF(32003) its one draw is regular
+    # wherever pd M <= j, so it says True exactly there
+    R = PolyRing(p, ("x1", "x2", "x3", "x4"))
+    x1, x2, x3, x4 = R.gens()
+    EI = module_from_ideal(Ideal(R, [x1 * x2, x2 * x3, x3 * x4, x1 * x4]))
+    edges = [EI, direct_sum(EI, free_module(R, 1), twist=2), direct_sum(EI, EI)]
+    modules = list(ladder_with_squares(p)) + edges
+    modules += [rees.graded_component(E, j) for E in edges for j in (2, 3)]
+    verdicts = []
+    for M in modules:
+        pd = len(resolution_betti(M)) - 1
+        for j in range(1, M.ring.nvars + 1):
+            verdict = checks._pd_at_most(M, j)
+            assert not verdict or pd <= j, (M, j)
+            if p == P:
+                assert verdict == (pd <= j), (M, j)
+            verdicts.append((verdict, pd > j))
+    assert (False, True) in verdicts and (True, False) in verdicts
+
+
+def test_ext_vanishing_certifies_the_square_without_resolving_it(monkeypatch):
+    # on the 6x4 rung, Ext^3(E^2, R) = 0 comes from the depth certificate:
+    # the only module resolved is E itself, for pd(E) at j = 1
+    E = generic_cokernel(4, 6, 4)
+    resolved = []
+    resolve = modalg.free_resolution
+    monkeypatch.setattr(modalg, "free_resolution", lambda M: resolved.append(M) or resolve(M))
+    rep = check_ext_vanishing(E)
+    assert rep.verdicts == {1: True, 2: True} and rep.ok
+    assert resolved and all(M is E for M in resolved)
 
 
 def test_cm_rees_free(R2):
@@ -957,9 +1005,12 @@ def test_verify_balanced_kernel_calls(R2, monkeypatch):
     # of the 13 fiber tests has one free position, so it evaluates the fiber
     # basis at a point and takes no basis.  E's relation basis is read off
     # its summands': the ideal module keeps its syzygy basis, the free one
-    # has none.  What is left: the Rees saturation, two bases for
-    # dimensions, one for the CM certificate, one syzygy step for pd(E), the
-    # basis of I_1(phi) and the coset basis of K*E
+    # has none.  pd(E) takes no syzygy step: E is its own minimal
+    # presentation (its relations are flagged minimal), and its 2 relations
+    # are as many as the rank mu - rank E = 4 - 2 of the first map, which is
+    # therefore injective.  What is left: the Rees saturation, two bases for
+    # dimensions, one for the CM certificate, the basis of I_1(phi) and the
+    # coset basis of K*E
     x, y = R2.gens()
     E = direct_sum(module_from_ideal(Ideal(R2, [x**2, x * y, y**2])), free_module(R2, 1), twist=2)
     count = [0]
@@ -973,7 +1024,7 @@ def test_verify_balanced_kernel_calls(R2, monkeypatch):
     monkeypatch.setattr(modalg, "buchberger", counting)
     rep = verify_balanced(E, 6, rng=5)
     assert (rep.status, rep.independent, rep.products_equal, rep.equals_core) == ("ok", True, True, True)
-    assert count[0] == 7
+    assert count[0] == 6
 
 
 @pytest.mark.parametrize("p", [P, 7])

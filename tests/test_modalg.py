@@ -54,11 +54,13 @@ from conftest import (
     P,
     generic_cokernel,
     image_ideal,
+    ladder_with_squares,
     leibniz_minors,
     monomials_of_degree,
     random_poly,
     random_homogeneous_poly,
     random_presentation,
+    resolution_betti,
     row_rank,
     seeded,
     submodule_degree_basis,
@@ -533,8 +535,8 @@ def test_annihilator_matches_syzygy_route(R2, R3, seed, monkeypatch):
     bases = []
     kernel = groebner.buchberger
 
-    def recording(gens, mkey, p, known=0):
-        G = kernel(gens, mkey, p, known)
+    def recording(gens, mkey, p, known=0, coded=None):
+        G = kernel(gens, mkey, p, known, coded)
         bases.append((G, mkey))
         return G
 
@@ -632,9 +634,9 @@ def _record_known(monkeypatch):
     counts = []
     kernel = groebner.buchberger
 
-    def recording(gens, mkey, p, known=0):
+    def recording(gens, mkey, p, known=0, coded=None):
         counts.append(known)
-        return kernel(gens, mkey, p, known)
+        return kernel(gens, mkey, p, known, coded)
 
     monkeypatch.setattr(groebner, "buchberger", recording)
     return counts
@@ -1244,15 +1246,95 @@ def test_minimal_presentation_matches_the_degree_oracle(p):
 
 def test_resolution_syzygy_steps_take_minimal_columns(monkeypatch):
     # E^2 of the 5x3 rung is presented by 35 linear relations of which 15
-    # are minimal: each syzygy step gets only the minimal columns of the
-    # map before, 15 then 3, never the whole basis
+    # are minimal: the syzygy step gets only the minimal columns of the
+    # first map, 15, never the whole basis.  Its 3 syzygies are as many as
+    # the rank 15 - (15 - rank E^2) = 3 of the second map, so the rank count
+    # ends the resolution with no syzygy step on them
     E2 = graded_component(generic_cokernel(3, 5, 3), 2)
     columns = []
     kernel = modalg._syzygy_dicts
     monkeypatch.setattr(modalg, "_syzygy_dicts", lambda cols, *a: columns.append(len(cols)) or kernel(cols, *a))
     res = free_resolution(E2)
     assert [len(d) for d in res.degrees] == [15, 15, 3] and len(E2.relations) == 35
-    assert columns == [15, 3]
+    assert columns == [15]
+
+
+def _corpus_modules(p):
+    """The modules of every corpus session, read over GF(p)."""
+    modules = []
+    for path in sorted((Path(__file__).parent.parent / "corpus").glob("*.mc")):
+        modules += parse_session(path.read_text(), char_override=p).modules.values()
+    return modules
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_rank_count_resolution_matches_resolving_to_zero(p):
+    # the rank count ends the resolution exactly where the syzygies become
+    # zero: pd and the graded Betti numbers against a resolution that runs
+    # until a syzygy step returns nothing, on the 5x3 and 6x4 rungs and
+    # their squares, the corpus modules, I + R(-2) and I + I of the oracle
+    # ideals, cyclic modules of pd 2 and 3, and seeded random presentations
+    R = PolyRing(p, ("x", "y", "z"))
+    x, y, z = R.gens()
+    rng = seeded(p + 50)
+    modules = list(ladder_with_squares(p)) + _corpus_modules(p) + _mu_oracle_modules(p)
+    modules += [cyclic_module(R, Ideal(R, gens)) for gens in ([x, y], [x, y, z], [x * y, x * z, y * z])]
+    modules += [random_presentation(R, rng) for _ in range(60)]
+    pds = []
+    for E in modules:
+        betti = resolution_betti(E)
+        assert [sorted(d) for d in free_resolution(E).degrees] == betti, E
+        if not E.is_zero_module():
+            pds.append(projective_dimension(E))
+            assert pds[-1] == len(betti) - 1, E
+    assert {0, 1, 2, 3} <= set(pds)
+
+
+def test_pd1_resolution_takes_no_syzygy_step(RH, monkeypatch):
+    # pd(E) of a pd-1 module takes no syzygy step: its first map has as
+    # many columns as its rank mu - rank E, so the map is injective
+    x0, x1, x2, x3 = RH.gens()
+    H = module_from_ideal(Ideal(RH, [x1 * x3 - x2**2, x0 * x3 - x1 * x2, x0 * x2 - x1**2]))
+    modules = [generic_cokernel(4, 6, 4), generic_cokernel(3, 5, 3), H, direct_sum(H, free_module(RH, 1), twist=2)]
+    calls = []
+    kernel = modalg._syzygy_dicts
+    monkeypatch.setattr(modalg, "_syzygy_dicts", lambda *args: calls.append(args) or kernel(*args))
+    assert [projective_dimension(E) for E in modules] == [1] * 4
+    assert calls == []
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_flagged_relations_match_the_minimal_presentation(p):
+    # module_from_ideal flags its relations minimal, and direct_sum passes
+    # the flag on when each summand carries it or has no relations; an
+    # unflagged module never gets it.  A flagged E with minimal generators
+    # is its own minimal presentation, and every flagged E has the
+    # generator degrees and the relation span of the minimal presentation
+    # of an unflagged copy of its presentation
+    R = PolyRing(p, ("x", "y"))
+    x, y = R.gens()
+    EI = module_from_ideal(Ideal(R, [x**2, x * y, y**2]))
+    redundant = module_from_ideal(Ideal(R, [x**2, x * y, y**2, x**2 + x * y]))
+    C = PresentedModule(R, (0, 0), [(x, y)])
+    built = {
+        "ideal": EI, "redundant": redundant, "plus free": direct_sum(EI, free_module(R, 2), twist=2),
+        "free plus": direct_sum(free_module(R, 1), redundant), "sum": direct_sum(EI, redundant),
+        "plus coker": direct_sum(EI, C), "coker": C,
+    }
+    assert {name for name, E in built.items() if E._cache.get("minimal_relations")} == {
+        "ideal", "redundant", "plus free", "free plus", "sum"}
+    modules = list(built.values()) + _mu_oracle_modules(p) + _corpus_modules(p)
+    own = 0
+    for E in modules:
+        if not E._cache.get("minimal_relations"):
+            continue
+        M = minimal_presentation(PresentedModule(E.ring, E.gen_degrees, E.relations))
+        got = minimal_presentation(E)
+        assert (got is E) == (mu(E) == E.n), E
+        own += got is E
+        assert got.gen_degrees == M.gen_degrees and len(got.relations) == len(M.relations), E
+        assert module_gb(got.relations, E.ring) == module_gb(M.relations, E.ring), E
+    assert own >= 20
 
 
 @pytest.mark.parametrize("p", [P, 7])

@@ -120,6 +120,76 @@ def test_submodule_vector_must_be_homogeneous(vector, why):
     assert len(parse_session(ok).submodules["V"].gens) == 1
 
 
+@pytest.mark.parametrize("decl, why", [
+    ("coker(0, 0; [x, y, 1])", "column has 3 coordinates, module has 2 generators"),
+    ("coker(0, 1; [x, y], [x, 1])", "coker column [x, y] is not homogeneous (vector coordinates disagree in degree)"),
+    ("coker(0; [1 + x])", "coker column [1 + x] is not homogeneous (coordinate 0 is not homogeneous)"),
+    ("coker(0, a; [x, y])", "coker generator degrees must be integers, got '0, a'"),
+    ("coker(0, 0 [x, y])", "coker takes generator degrees, then ';', then columns"),
+    ("coker(0, 0; x, y)", "coker columns are bracketed poly lists"),
+    ("coker(0, 0; [x, w])", "in polynomial 'w': unknown variable 'w'"),
+])
+def test_coker_errors_name_their_line(decl, why):
+    # the columns of a coker are checked as they are parsed: their length,
+    # their homogeneity under the generator degrees, and every entry; each
+    # error names the declaration's line
+    src = f"ring R = GF(32003)[x,y];\n# a comment line\nmodule C = {decl};\ntask mu C;\n"
+    with pytest.raises(ParseError, match=re.escape(why) + ".* at line 3$"):
+        parse_session(src)
+
+
+def test_coker_declares_a_presented_module():
+    # generator degrees may be negative or mixed; a column homogeneous under
+    # them is a relation, an empty coordinate is 0, and coker(d; ) is free
+    session = parse_session(
+        "ring R = GF(32003)[x,y];\n"
+        "module C = coker(-1, 0, 1; [x^2, x, ], [0, y^2, x - y]);\n"
+        "module F = coker(2;);\n"
+        "task pdim C;\ntask mu F;\n"
+    )
+    C, F = session.modules["C"], session.modules["F"]
+    x, y = session.ring.gens()
+    zero = session.ring.zero()
+    assert C.gen_degrees == (-1, 0, 1) and C.relations == ((x**2, x, zero), (zero, y**2, x - y))
+    assert F.gen_degrees == (2,) and F.relations == ()
+    assert run_session(session).exit_code() == 0
+
+
+def _render_coker(E):
+    cols = ", ".join("[" + ", ".join(str(f) for f in col) + "]" for col in E.relations)
+    return f"coker({', '.join(map(str, E.gen_degrees))}; {cols})"
+
+
+@pytest.mark.parametrize("p", [32003, 7])
+def test_coker_render_parse_round_trip(p):
+    # a presentation written out as a coker declaration, entries as their
+    # text, parses back to the same generator degrees and relations: the
+    # ladder rungs and seeded random presentations, with mixed generator
+    # degrees, constant entries and zero coordinates
+    from conftest import generic_cokernel, random_presentation, seeded
+
+    rng = seeded(p + 41)
+    R = PolyRing(p, ("x", "y", "z"))
+    modules = [generic_cokernel(3, 5, 3, p), generic_cokernel(4, 6, 4, p)]
+    modules += [random_presentation(R, rng) for _ in range(40)]
+    assert any(len(set(E.gen_degrees)) > 1 for E in modules)
+    for E in modules:
+        src = f"ring R = GF({p})[{','.join(E.ring.vars)}];\nmodule C = {_render_coker(E)};\n"
+        C = parse_session(src).modules["C"]
+        assert C.gen_degrees == E.gen_degrees
+        assert [[f.terms for f in col] for col in C.relations] == [[f.terms for f in col] for col in E.relations]
+
+
+def test_generic_pd1_corpus_is_the_5x3_rung():
+    # the corpus session writes the 5 x 3 rung's entries as literals
+    from conftest import generic_cokernel
+
+    E = parse_session((CORPUS / "generic_pd1.mc").read_text()).modules["E"]
+    rung = generic_cokernel(3, 5, 3)
+    assert E.gen_degrees == rung.gen_degrees
+    assert [[f.terms for f in col] for col in E.relations] == [[f.terms for f in col] for col in rung.relations]
+
+
 def test_wide_task_vocabulary():
     src = ALL_TASKS.read_text()
     rep = run_session(parse_session(src))
@@ -493,6 +563,7 @@ def test_determinism_byte_identical_modulo_timings():
         ("twisted_cubic.mc", 0),
         ("negative_control.mc", 3),
         ("boundary_cubics.mc", 0),
+        ("generic_pd1.mc", 0),
     ],
 )
 def test_corpus_golden(name, expected_exit):

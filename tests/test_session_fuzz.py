@@ -1,6 +1,10 @@
-"""Property test: any task line, however malformed, is either a ParseError or
+"""Property tests: any task line, however malformed, is either a ParseError or
 runs into entries that carry no Python-level failure (an IndexError, TypeError
-or KeyError raised because the handler got something its spec rules out)."""
+or KeyError raised because the handler got something its spec rules out); any
+coker declaration is either a ParseError at its line or a graded module that
+the module tasks run on."""
+
+import random
 
 import pytest
 
@@ -8,6 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from modcore.errors import ParseError  # noqa: E402
+from modcore.modalg import vector_degree  # noqa: E402
 from modcore.session import SPECS, parse_session, run_session  # noqa: E402
 
 HEADER = (
@@ -64,3 +69,45 @@ def test_task_line_is_parse_error_or_clean_entry(line):
     for task in run_session(session).payload["tasks"]:
         if task["status"] == "error":
             assert not task["value"]["error"].startswith(("IndexError", "TypeError", "KeyError")), line
+
+
+# coker entries: mostly linear forms and zeros, so that many columns are
+# homogeneous, and now and then forms of degree 0 or 2, an inhomogeneous
+# one, or text that is no polynomial of the ring
+LINEAR = ("0", "", "x", "y", "x + y", "2*x - y")
+ENTRIES = LINEAR + ("1", "3", "x^2", "x*y + y^2", "x^2 + y", "z", "x +", "(x")
+
+
+@st.composite
+def coker_lines(draw):
+    """coker declarations near their shape, about one in five malformed: a
+    few generator degrees, now and then no integer, and columns mostly of the
+    right length, now and then unbracketed or unclosed, after a ';' that is
+    now and then missing."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+
+    def pick(common, rare):
+        return rnd.choice(rare if rnd.random() < 0.06 else common)
+
+    degrees = [pick(("0", "0", "0", "1", "-1"), ("a", "")) for _ in range(rnd.randint(1, 3))]
+    cols = []
+    for _ in range(rnd.randint(0, 3)):
+        length = len(degrees) if rnd.random() < 0.9 else rnd.randint(0, 4)
+        col = ", ".join(pick(LINEAR, ENTRIES) for _ in range(length))
+        cols.append(pick((f"[{col}]",), (col, f"[{col}")))
+    sep = pick(("; ",), (", ", " "))
+    return f"module C = coker({', '.join(degrees)}{sep}{', '.join(cols)});"
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(coker_lines())
+def test_coker_line_is_parse_error_or_a_graded_module(line):
+    try:
+        session = parse_session("ring R = GF(32003)[x,y];\n" + line + "\ntask mu C;\ntask rank C;\ntask pdim C;\n")
+    except ParseError as exc:
+        assert str(exc).endswith(" at line 2"), (line, exc)
+        return
+    C = session.modules["C"]
+    for col in C.relations:
+        vector_degree(col, C.gen_degrees)
+    assert [task["status"] for task in run_session(session).payload["tasks"]] == ["ok"] * 3, line
