@@ -34,7 +34,14 @@ class DegreeMixError(NotHomogeneousError):
 
 
 class CapExceededError(ModcoreError):
-    """A configured degree/size cap was hit; the result is inconclusive, not wrong."""
+    """A configured degree/size cap was hit; the result is inconclusive, not wrong.
+
+    `detail`, when given, is the report value of the inconclusive task: the
+    caps that stopped it, as a dict."""
+
+    def __init__(self, msg, detail=None):
+        super().__init__(msg)
+        self.detail = detail
 
 
 class RetryExhaustedError(ModcoreError):

@@ -41,7 +41,9 @@ _MISSING = object()  # no memo yet; any value a function returns is a memo
 def _memo(fn):
     """Compute fn(obj, *args) once per owner `obj`, and keep the value in
     obj._cache under fn's name and `args`.  A value found there is returned
-    as it is, whatever it is (False, 0 and [] included)."""
+    as it is, whatever it is (False, 0 and [] included).  A value that is
+    obj itself is returned but not kept: obj would hold itself, a reference
+    cycle that only the garbage collector frees."""
     name = fn.__name__
 
     @wraps(fn)
@@ -49,7 +51,9 @@ def _memo(fn):
         key = (name, args)
         value = obj._cache.get(key, _MISSING)
         if value is _MISSING:
-            value = obj._cache[key] = fn(obj, *args)
+            value = fn(obj, *args)
+            if value is not obj:
+                obj._cache[key] = value
         return value
 
     return memo

@@ -11,8 +11,9 @@ routine, `_minimal_columns`.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_left
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations, combinations_with_replacement, groupby
 from operator import or_
 
@@ -364,7 +365,7 @@ def minimal_presentation(E: PresentedModule) -> PresentedModule:
     cols = [_ordered_to_vec(c, ring, len(kept)) for c in _minimal_columns(basis, degrees, ring)]
     M = PresentedModule(ring, degrees, cols, _validate=False)
     _remember(M, "relation_gb", basis)
-    _remember(M, "minimal_presentation", M)
+    M._cache["minimal_relations"] = True
     return M
 
 
@@ -479,36 +480,39 @@ def _row_minors(E: PresentedModule):
     (r, rest) come from the nonzero minors on rest times the nonzero entries
     of row r: a zero row, and the zero minors of a block direct sum, cost
     nothing.  Each row set is expanded once."""
-    p = E.ring.char
     entries = [[(j, col[i].terms) for j, col in enumerate(E.relations) if col[i]] for i in range(E.n)]
     memo = {(): {(): {(0,) * E.ring.nvars: 1}}}
+    return partial(_minors_on, memo, entries, E.ring.char)
 
-    def minors(rset):
-        table = memo.get(rset)
-        if table is not None:
-            return table
-        below = minors(rset[1:])
-        table = {}
-        for cset, d in below.items():
-            for j, e in entries[rset[0]]:
-                k = bisect_left(cset, j)
-                if k < len(cset) and cset[k] == j:
-                    continue
-                acc = table.setdefault(cset[:k] + (j,) + cset[k:], {})
-                for m1, c1 in e:
-                    if k % 2:
-                        c1 = p - c1
-                    for m2, c2 in d.items():
-                        m = mono_mul(m1, m2)
-                        v = (acc.get(m, 0) + c1 * c2) % p
-                        if v:
-                            acc[m] = v
-                        else:
-                            acc.pop(m, None)
-        table = memo[rset] = {cset: d for cset, d in table.items() if d}
+
+def _minors_on(memo, entries, p, rset):
+    """The minors on the row set `rset`, for `_row_minors`: looked up in
+    `memo`, or expanded along the first row from those on the rest.  A
+    module-level recursion, so that a module's minors hold no reference
+    cycle."""
+    table = memo.get(rset)
+    if table is not None:
         return table
-
-    return minors
+    below = _minors_on(memo, entries, p, rset[1:])
+    table = {}
+    for cset, d in below.items():
+        for j, e in entries[rset[0]]:
+            k = bisect_left(cset, j)
+            if k < len(cset) and cset[k] == j:
+                continue
+            acc = table.setdefault(cset[:k] + (j,) + cset[k:], {})
+            for m1, c1 in e:
+                if k % 2:
+                    c1 = p - c1
+                for m2, c2 in d.items():
+                    m = mono_mul(m1, m2)
+                    v = (acc.get(m, 0) + c1 * c2) % p
+                    if v:
+                        acc[m] = v
+                    else:
+                        acc.pop(m, None)
+    table = memo[rset] = {cset: d for cset, d in table.items() if d}
+    return table
 
 
 def _nonzero_minors(E: PresentedModule, size: int):
@@ -605,7 +609,7 @@ def _colon_by_free(basis, ring, n) -> Ideal:
 class Submodule:
     """A submodule U of a presented module E, given by coordinate vectors."""
 
-    __slots__ = ("parent", "gens", "_cache")
+    __slots__ = ("parent", "gens", "_cache", "__weakref__")
 
     def __init__(self, parent: PresentedModule, gens):
         vecs = []
@@ -695,12 +699,27 @@ def _ideal_images(E: PresentedModule, vectors):
     return images
 
 
-@_memo
 def whole_module(E: PresentedModule) -> Submodule:
-    """E as a submodule of itself, one per E.  E's own relations present
-    it on its generators, so its `submodule_presentation` is E."""
-    W = Submodule(E, [E.basis_vector(i) for i in range(E.n)])
-    _remember(W, "submodule_presentation", E)
+    """E as a submodule of itself, W.  W's memo table is kept on E, as
+    `E._cache["whole_module"]`, so that the tasks of a session share W's
+    colon and bases.  The table holds W's generators and a weak reference
+    to W: W is one object for as long as anyone holds it, and a new one on
+    the same table after that.  A strong reference from E to W would make a
+    reference cycle with W's parent E, which only the garbage collector
+    frees.  E's own relations present W on its generators, so its
+    `submodule_presentation` is E, which the table's flag "whole" records."""
+    shared = E._cache.get("whole_module")
+    if shared is None:
+        gens = tuple(E.basis_vector(i) for i in range(E.n))
+        shared = E._cache["whole_module"] = {"whole": True, "gens": gens, "W": None}
+    ref = shared["W"]
+    W = ref() if ref is not None else None
+    if W is None:
+        # Submodule(E, gens) with no check of gens, E's basis vectors
+        W = object.__new__(Submodule)
+        for slot, value in (("parent", E), ("gens", shared["gens"]), ("_cache", shared)):
+            object.__setattr__(W, slot, value)
+        shared["W"] = weakref.ref(W)
     return W
 
 
@@ -744,22 +763,23 @@ def _scalar_quotient(U: Submodule):
     (`_change_of_generators`), and E/U = R^free / phi(N), N the relations."""
     if any(f and not f.is_constant() for v in U.gens for f in v):
         return None
-    p = U.parent.ring.char
     free, images = _change_of_generators(U)
+    return free, partial(_substitute_generators, images, U.parent.ring.char)
 
-    def phi(d):
-        out = {}
-        for (pos, m), c in d.items():
-            for k, a in images[pos]:
-                key = (k, m)
-                x = (out.get(key, 0) + a * c) % p
-                if x:
-                    out[key] = x
-                else:
-                    del out[key]
-        return out
 
-    return free, phi
+def _substitute_generators(images, p, d):
+    """phi of `_scalar_quotient`: the term dict d on R^n with each position
+    replaced by its image, a list of (free position, coefficient)."""
+    out = {}
+    for (pos, m), c in d.items():
+        for k, a in images[pos]:
+            key = (k, m)
+            x = (out.get(key, 0) + a * c) % p
+            if x:
+                out[key] = x
+            else:
+                del out[key]
+    return out
 
 
 @_memo
@@ -850,11 +870,18 @@ def _colon_into(U: Submodule) -> Ideal:
     return _colon_by_free(U.coset_gb(), ring, E.n)
 
 
-@_memo
 def submodule_presentation(U: Submodule) -> PresentedModule:
-    """U as an abstract module on its generators, computed once per U: the
-    relations are the heads of the syzygies of U's generators and the
-    parent's relations."""
+    """U as an abstract module on its generators: the parent itself for
+    `whole_module`, else `_presentation_by_syzygies`."""
+    if U._cache.get("whole"):
+        return U.parent
+    return _presentation_by_syzygies(U)
+
+
+@_memo
+def _presentation_by_syzygies(U: Submodule) -> PresentedModule:
+    """U's presentation, computed once per U: the relations are the heads
+    of the syzygies of U's generators and the parent's relations."""
     E = U.parent
     ring = E.ring
     k = len(U.gens)

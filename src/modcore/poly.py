@@ -287,12 +287,16 @@ class Polynomial:
 
 def render_poly(f: Polynomial) -> str:
     """Canonical text form: terms descending, balanced coefficients, '*' products."""
-    if not f.terms:
+    terms = f.terms
+    if not terms:
         return "0"
     p = f.ring.char
     half = p // 2
+    if len(terms) == 1 and not any(terms[0][0]):  # a constant
+        c = terms[0][1]
+        return str(c - p if c > half else c)
     parts = []
-    for i, (m, c) in enumerate(f.terms):
+    for i, (m, c) in enumerate(terms):
         cc = c - p if c > half else c
         neg = cc < 0
         cc = abs(cc)
@@ -352,6 +356,12 @@ def _tokenize(src: str):
 class _PolyParser:
     """Recursive descent for:  expr := ['-'] term (('+'|'-') term)*
     term := factor ('*' factor)* ;  factor := INT | VAR | VAR '^' INT | '(' expr ')'.
+
+    Each rule returns a term dict {monomial: coefficient}, its coefficients
+    in [1, p), so that every intermediate value is a polynomial's term set;
+    `parse` sorts the result once.  A product of two terms with an exponent
+    of _EXP_LIMIT or more, or a power x^e with e that large, raises
+    OverflowError where Polynomial arithmetic would.
     """
 
     def __init__(self, src: str, ring: PolyRing):
@@ -378,9 +388,10 @@ class _PolyParser:
         t = self.peek()
         if t.kind != "END":
             raise ParseError(f"trailing input starting with {t.text!r}", col=t.pos + 1)
-        return f
+        return self.ring.from_dict(f)
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> dict:
+        p = self.ring.char
         t = self.peek()
         negate = False
         if t.kind == "OP" and t.text == "-":
@@ -388,44 +399,67 @@ class _PolyParser:
             negate = True
         f = self.term()
         if negate:
-            f = -f
+            f = {m: p - c for m, c in f.items()}
         while True:
             t = self.peek()
             if t.kind == "OP" and t.text in "+-":
                 self.take()
                 g = self.term()
-                f = f + g if t.text == "+" else f - g
+                sign = 1 if t.text == "+" else -1
+                for m, c in g.items():
+                    v = (f.get(m, 0) + sign * c) % p
+                    if v:
+                        f[m] = v
+                    else:
+                        f.pop(m, None)
             else:
                 return f
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         f = self.factor()
         while True:
             t = self.peek()
             if t.kind == "OP" and t.text == "*":
                 self.take()
-                f = f * self.factor()
+                g = self.factor()
+                p = self.ring.char
+                d = {}
+                for m1, c1 in f.items():
+                    for m2, c2 in g.items():
+                        m = mono_mul(m1, m2)
+                        v = (d.get(m, 0) + c1 * c2) % p
+                        if v:
+                            d[m] = v
+                        else:
+                            d.pop(m, None)
+                f = d
             else:
                 return f
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> dict:
+        ring = self.ring
         t = self.take()
         if t.kind == "INT":
-            return self.ring.const(int(t.text))
+            c = int(t.text) % ring.char
+            return {(0,) * ring.nvars: c} if c else {}
         if t.kind == "NAME":
             try:
-                idx = self.ring.var_index(t.text)
+                idx = ring.var_index(t.text)
             except ParseError:
                 raise ParseError(f"unknown variable {t.text!r}", col=t.pos + 1) from None
-            v = self.ring.var(idx)
+            e = 1
             nxt = self.peek()
             if nxt.kind == "OP" and nxt.text == "^":
                 self.take()
-                e = self.take()
-                if e.kind != "INT":
-                    raise ParseError("exponent must be an integer", col=e.pos + 1)
-                return v ** int(e.text)
-            return v
+                et = self.take()
+                if et.kind != "INT":
+                    raise ParseError("exponent must be an integer", col=et.pos + 1)
+                e = int(et.text)
+                if e >= _EXP_LIMIT:
+                    raise OverflowError("monomial exponent overflow")
+            m = [0] * ring.nvars
+            m[idx] = e
+            return {tuple(m): 1}
         if t.kind == "OP" and t.text == "(":
             if self.depth == _NEST_LIMIT:
                 raise ParseError(f"parentheses nested deeper than {_NEST_LIMIT}", col=t.pos + 1)

@@ -8,10 +8,10 @@ plain text); any Monte Carlo value carries its seed and sample count.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import time
+from json.encoder import encode_basestring_ascii as _json_str
 from types import MappingProxyType
 
 from . import __version__
@@ -140,9 +140,14 @@ def _split_top(s: str, sep: str = ","):
     return [p.strip() for p in out]
 
 
+_SCAN_RE = re.compile(r"[();]")  # the characters that move a statement's paren depth or end it
+
+
 def _statements(src: str):
     """Yield (line_number, statement) pairs.  '#' comments; ';' terminates a
-    statement, but only at zero paren depth (span(...) uses ';' internally)."""
+    statement, but only at zero paren depth (span(...) uses ';' internally).
+    A statement's line is that of its first non-blank character, and each
+    line it spans adds one space to its text."""
     buf = []
     start = None
     depth = 0
@@ -150,23 +155,28 @@ def _statements(src: str):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        for ch in line:
-            if start is None and not ch.isspace():
-                start = lineno
+        pos = 0
+        for m in _SCAN_RE.finditer(line):
+            ch = m.group()
             if ch == "(":
                 depth += 1
             elif ch == ")":
                 depth -= 1
                 if depth < 0:
                     raise ParseError("unbalanced ')'", lineno)
-            if ch == ";" and depth == 0:
+            elif depth == 0:
+                end = m.start()
+                buf.append(line[pos:end])
                 stmt = "".join(buf).strip()
                 if stmt:
-                    yield start, stmt
+                    yield (lineno if start is None else start), stmt
                 buf = []
                 start = None
-            else:
-                buf.append(ch)
+                pos = end + 1
+        rest = line[pos:]
+        if start is None and rest.strip():
+            start = lineno
+        buf.append(rest)
         buf.append(" ")
     if "".join(buf).strip():
         raise ParseError("unterminated statement (missing ';')", start)
@@ -429,6 +439,16 @@ def _value(session, kind, token):
     return session.lookup(kind, token) if kind in ("ideal", "module", "submodule") else token
 
 
+# the JSON scalar types, by exact type, each with the text `_write_json`
+# writes for it; `_report_value` passes their values on as they are
+_JSON_SCALARS = {
+    str: _json_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def _report_value(value):
     """A task's value as report data, the one place verdicts become JSON.
 
@@ -436,6 +456,8 @@ def _report_value(value):
     reduced basis, a submodule its generators reduced modulo the parent's
     relations, and a polynomial its text; dict keys become strings and
     tuples lists."""
+    if type(value) in _JSON_SCALARS:
+        return value
     if isinstance(value, Ideal):
         return sorted(str(g) for g in value.groebner_basis())
     if isinstance(value, Submodule):
@@ -484,7 +506,7 @@ def _run_reduction_number(session, E, *, submodule=None, max_degree=None, seed=N
         max_degree = session.options["max_t_degree"]
     r = reduction_number(U, E, max_degree)
     if r is None:
-        raise CapExceededError(json.dumps({"max_degree": max_degree}))
+        raise CapExceededError(f"no reduction number up to degree {max_degree}", {"max_degree": max_degree})
     return {"r": r, "seed": seed, "max_degree": max_degree}
 
 
@@ -494,7 +516,9 @@ def _run_core(_, E, *, samples=12, seed=None):
     except RetryExhaustedError:
         # the sample count is a cap: a core that has not stabilized by then
         # is inconclusive, not an error
-        raise CapExceededError(json.dumps({"samples": samples, "seed": seed})) from None
+        raise CapExceededError(
+            f"the core has not stabilized after {samples} samples", {"samples": samples, "seed": seed}
+        ) from None
     return {
         "seed": seed,
         "samples": samples,
@@ -601,6 +625,10 @@ class Report(Record):
 
 
 def run_session(session: Session) -> Report:
+    # imported here, where the hash is taken, so that importing modcore
+    # does not pay for it (a CLI run still does, once)
+    import hashlib
+
     tasks_out = []
     statuses = []
     for idx, task in enumerate(session.tasks):
@@ -624,10 +652,7 @@ def run_session(session: Session) -> Report:
             entry["value"] = _report_value(value)
         except CapExceededError as exc:
             entry["status"] = "inconclusive"
-            try:
-                entry["value"] = json.loads(str(exc))
-            except (json.JSONDecodeError, ValueError):
-                entry["value"] = {"cap": str(exc)}
+            entry["value"] = exc.detail if exc.detail is not None else {"cap": str(exc)}
         except Exception as exc:
             # the task boundary: whatever fails inside a task becomes its
             # error entry, and the session goes on
@@ -656,9 +681,69 @@ def run_session(session: Session) -> Report:
     return Report(payload)
 
 
+def _write_json(value, nl, out):
+    """Append to the list `out` the text that json.dumps(value, indent=2)
+    writes for `value` at the indent `nl`, a newline and the spaces before a
+    line at the depth of `value`.
+
+    Exact dicts with str keys, lists, tuples, strs, ints, bools and None are
+    written here; any other value, floats, dicts with a key that is no str
+    and subclasses among them, is written by json.dumps.  A module-level
+    recursion, not a closure: writing a report makes no reference cycle."""
+    kind = type(value)
+    scalar = _JSON_SCALARS.get(kind)
+    if scalar is not None:
+        out.append(scalar(value))
+    elif kind is dict and value:
+        mark = len(out)
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, v in value.items():
+            if type(key) is not str:
+                del out[mark:]
+                out.append(json.dumps(value, indent=2).replace("\n", nl))
+                return
+            scalar = _JSON_SCALARS.get(type(v))
+            if scalar is not None:
+                out.append(sep + _json_str(key) + ": " + scalar(v))
+            else:
+                out.append(sep + _json_str(key) + ": ")
+                _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif (kind is list or kind is tuple) and value:
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in value:
+            scalar = _JSON_SCALARS.get(type(v))
+            if scalar is not None:
+                out.append(sep + scalar(v))
+            else:
+                out.append(sep)
+                _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif kind is dict:
+        out.append("{}")
+    elif kind is list or kind is tuple:
+        out.append("[]")
+    elif isinstance(value, (dict, list, tuple)):
+        # a JSON text holds no raw newline but the indent's own
+        out.append(json.dumps(value, indent=2).replace("\n", nl))
+    else:
+        # a scalar: json.dumps writes it alike with or without an indent,
+        # and without one it makes no encoder of its own
+        out.append(json.dumps(value))
+
+
 def emit_report(report: Report, format: str = "json") -> bytes:
+    """The report as bytes.  format="json" gives exactly the bytes of
+    json.dumps(report.payload, indent=2) + "\n", written by `_write_json`."""
     if format == "json":
-        return (json.dumps(report.payload, indent=2) + "\n").encode()
+        out = []
+        _write_json(report.payload, "\n", out)
+        out.append("\n")
+        return "".join(out).encode()
     if format == "text":
         lines = [
             f"modcore {report.payload['tool_version']} report "

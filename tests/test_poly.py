@@ -203,3 +203,82 @@ def test_pow_matches_repeated_mul(R2):
     for _ in range(5):
         g = g * f
     assert f**5 == g
+
+
+# -- the parser against Polynomial arithmetic ----------------------------------------
+
+
+def _random_factor(rng, ring, depth):
+    """(text, value) of a random factor: a coefficient, p and above among
+    them, a variable or a power of one, or an expression in parentheses."""
+    r = rng.random()
+    if r < 0.25:
+        p = ring.char
+        c = rng.choice([0, 1, 2, p - 1, p, p + 3, 3 * p, rng.randrange(10 * p)])
+        return str(c), ring.const(c)
+    if r < 0.7 or depth >= 3:
+        i = rng.randrange(ring.nvars)
+        e = rng.choice([None, 0, 1, 2, 3, 7])
+        if e is None:
+            return ring.vars[i], ring.var(i)
+        return f"{ring.vars[i]}^{e}", ring.var(i) ** e
+    text, value = _random_expression(rng, ring, depth + 1)
+    return f"({text})", value
+
+
+def _random_term(rng, ring, depth):
+    text, value = _random_factor(rng, ring, depth)
+    for _ in range(rng.randrange(3)):
+        t, v = _random_factor(rng, ring, depth)
+        text, value = text + rng.choice(["*", " * "]) + t, value * v
+    return text, value
+
+
+def _random_expression(rng, ring, depth=0):
+    """(text, value): a random expression in the parser's grammar, unary
+    minus included, and its value by Polynomial arithmetic."""
+    text, value = _random_term(rng, ring, depth)
+    if rng.random() < 0.3:
+        text, value = "-" + text, -value
+    for _ in range(rng.randrange(4)):
+        t, v = _random_term(rng, ring, depth)
+        if rng.random() < 0.5:
+            text, value = f"{text} + {t}", value + v
+        else:
+            text, value = f"{text} - {t}", value - v
+    return text, value
+
+
+@pytest.mark.parametrize("p", [32003, 7])
+def test_parser_matches_polynomial_arithmetic(p):
+    # the parser sums and multiplies term dicts and sorts once; Polynomial
+    # arithmetic sorts after every step
+    ring = PolyRing(p, ("x", "y", "z"))
+    rng = seeded(p)
+    for _ in range(400):
+        text, value = _random_expression(rng, ring)
+        assert parse_poly(text, ring) == value, text
+
+
+def test_parser_errors_keep_their_columns(R2):
+    cases = [
+        ("(" * 101 + "x" + ")" * 101, "parentheses nested deeper than 100 at col 101"),
+        ("x + (y - (z))", "unknown variable 'z' at col 11"),
+        ("x^", "exponent must be an integer at col 3"),
+        ("x + (y", "expected ')', found 'end of input' at col 7"),
+        ("2^3", "trailing input starting with '^' at col 2"),
+        ("x^32768", "exponent too large"),
+        ("x^20000 * y * x^20000", "exponent too large"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, R2)
+        assert str(exc.value).startswith(message), (text, str(exc.value))
+    x, y = R2.gens()
+    # a zero factor or a cancelled sum multiplies no term, so no exponent
+    # overflows, as in Polynomial arithmetic
+    assert parse_poly("x^32767", R2) == x**32767
+    assert parse_poly("0 * x^20000 * x^20000", R2).is_zero()
+    assert parse_poly("32003 * x^20000 * x^20000", R2).is_zero()
+    assert parse_poly("(x^20000 - x^20000) * x^20000 + y", R2) == y
+    assert parse_poly("(" * 100 + "x" + ")" * 100, R2) == x

@@ -2,8 +2,10 @@
 runs into entries that carry no Python-level failure (an IndexError, TypeError
 or KeyError raised because the handler got something its spec rules out); any
 coker declaration is either a ParseError at its line or a graded module that
-the module tasks run on."""
+the module tasks run on.  Differential tests: the statement scanner against a
+loop over every character, and the report writer against json.dumps."""
 
+import json
 import random
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from modcore.errors import ParseError  # noqa: E402
 from modcore.modalg import vector_degree  # noqa: E402
-from modcore.session import SPECS, parse_session, run_session  # noqa: E402
+from modcore.session import SPECS, Report, _statements, emit_report, parse_session, run_session  # noqa: E402
 
 HEADER = (
     "ring R = GF(32003)[x,y];\n"
@@ -111,3 +113,124 @@ def test_coker_line_is_parse_error_or_a_graded_module(line):
     for col in C.relations:
         vector_degree(col, C.gen_degrees)
     assert [task["status"] for task in run_session(session).payload["tasks"]] == ["ok"] * 3, line
+
+
+# -- the statement scanner against a loop over every character ----------------------
+
+
+def _statements_by_character(src):
+    """The oracle for session._statements: the same (line, statement) pairs
+    and ParseErrors, by one step per character."""
+    buf = []
+    start = None
+    depth = 0
+    for lineno, raw in enumerate(src.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        for ch in line:
+            if start is None and not ch.isspace():
+                start = lineno
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth < 0:
+                    raise ParseError("unbalanced ')'", lineno)
+            if ch == ";" and depth == 0:
+                stmt = "".join(buf).strip()
+                if stmt:
+                    yield start, stmt
+                buf = []
+                start = None
+            else:
+                buf.append(ch)
+        buf.append(" ")
+    if "".join(buf).strip():
+        raise ParseError("unterminated statement (missing ';')", start)
+
+
+def _scan(scanner, src):
+    """The pairs `scanner` yields for `src`, then the message of the
+    ParseError that ends them, or None."""
+    pairs = []
+    try:
+        for pair in scanner(src):
+            pairs.append(pair)
+    except ParseError as exc:
+        return pairs, str(exc)
+    return pairs, None
+
+
+# text near the shape of a session: the fuzzers' lines, and runs of the
+# characters that move the scanner (parens, ';', '#', blanks and the line
+# breaks str.splitlines knows) among a few others
+SCANNER_TEXT = st.text(alphabet=st.sampled_from(list("();#;( )\n\n\r\t\x0c\u2028 \u00a0abx=,[]")), max_size=80)
+SESSIONS = st.one_of(
+    task_lines().map(lambda line: HEADER + line + "\n"),
+    coker_lines().map(lambda line: "ring R = GF(32003)[x,y];\n" + line + "\ntask mu C;\n"),
+    st.lists(st.one_of(task_lines(), coker_lines(), SCANNER_TEXT), max_size=6).map("\n".join),
+    SCANNER_TEXT,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(SESSIONS)
+def test_statement_scanner_matches_the_character_loop(src):
+    assert _scan(_statements, src) == _scan(_statements_by_character, src)
+
+
+# -- the report writer against json.dumps -------------------------------------------
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not JSON"
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+_TEXT = st.text(st.one_of(st.characters(), st.characters(categories=["Cs", "Cc"])), max_size=8)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**400), 10**400),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e300]),
+    _TEXT,
+    st.integers().map(_Int),
+    _TEXT.map(_Str),
+)
+_KEYS = st.one_of(_TEXT, _TEXT, st.integers(), st.floats(), st.booleans(), st.none())
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=3).map(_List),
+        st.dictionaries(_TEXT, inner, max_size=4),
+        st.dictionaries(_KEYS, inner, max_size=4),
+        st.dictionaries(_TEXT, inner, max_size=3).map(_Dict),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(_VALUES)
+def test_report_writer_matches_json_dumps(value):
+    # emit_report writes what json.dumps(indent=2) writes, byte for byte,
+    # for every value json can write; a report payload is a dict, but the
+    # writer takes any value
+    assert emit_report(Report(value)) == (json.dumps(value, indent=2) + "\n").encode()
