@@ -9,7 +9,7 @@ and redrawn, never silently accepted.
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import combinations
 
 from .errors import (
     CapExceededError,
@@ -17,13 +17,23 @@ from .errors import (
     ModcoreError,
     RetryExhaustedError,
 )
-from .groebner import Ideal, _add_series, _ideal_numerator, _memo, height, krull_dimension
+from .groebner import (
+    RETRY_CAP,
+    Ideal,
+    _add_series,
+    _certified_cm,
+    _memo,
+    _regular_forms,
+    height,
+    krull_dimension,
+)
 from .modalg import (
     PresentedModule,
     Submodule,
     _constant_rank,
     _constant_row,
     _entry_ideal,
+    _gs_heights,
     _ideal_images,
     _scalar_quotient,
     colon_into,
@@ -45,11 +55,9 @@ from .modalg import (
     vector_degree,
     whole_module,
 )
-from .poly import PolyRing, substitute
 from .record import Record
 from .rees import (
     DEFAULT_T_CAP,
-    RETRY_CAP,
     analytic_spread,
     core_monte_carlo,
     graded_component,
@@ -61,12 +69,6 @@ from .rees import (
 
 SUBSET_LIMIT = 5  # residual_intersection checks every index subset up to this s
 COLON_SAMPLES = 5  # further reductions whose colon verify_pd1_core compares with the Fitting ideal
-
-
-def _height_at_least(I: Ideal, bound: int) -> bool:
-    """ht(I) >= bound, with the unit ideal passing vacuously (no prime
-    contains it, so height conditions on its primes hold trivially)."""
-    return I.is_unit() or height(I) >= bound
 
 
 def _generates(E: PresentedModule, vectors) -> bool:
@@ -115,15 +117,8 @@ def check_gs(E: PresentedModule, s: int) -> GsVerdict:
     session share it."""
     if s < 1:
         raise ModcoreError("G_s needs s >= 1")
-    e = rank(E)
-    heights = {}
-    for t in range(1, s):
-        F = fitting_ideal(E, t + e - 1)
-        h = height(F)
-        heights[t] = (h, t + 1)
-        if not _height_at_least(F, t + 1):
-            return GsVerdict(s, False, t, heights)
-    return GsVerdict(s, True, None, heights)
+    failing_t, heights = _gs_heights(E, s)
+    return GsVerdict(s, failing_t is None, failing_t, heights)
 
 
 # -- residual intersections -----------------------------------------------------------
@@ -187,72 +182,6 @@ def _mu_drop_holds(W: Submodule, coords, s: int) -> bool:
     the rank of those rows added to P's echelon (`modalg._constant_rank`)."""
     P = submodule_presentation(W)
     return P.n - _constant_rank(P, map(_constant_row, coords)) == max(0, mu(P) - s)
-
-
-def _finite_length(numer, m: int) -> bool:
-    """Whether N(t)/(1-t)^m is a polynomial, as the Hilbert series of a
-    module of finite length is: whether (1-t)^m divides N(t).  Each step
-    checks N(1) = 0 and divides by 1 - t, whose quotient has the partial
-    sums of N as coefficients."""
-    for _ in range(m):
-        if sum(numer):
-            return False
-        numer = list(accumulate(numer))[:-1]
-    return True
-
-
-def _regular_forms(ring: PolyRing, k: int, numer, section, draws: int = RETRY_CAP) -> bool | None:
-    """Whether k < n linear forms are regular on a graded module M, by
-    seeded draws; `numer` is M's Hilbert numerator over R.
-
-    For linear forms l = l_1..l_k, each exact sequence
-    0 -> (0 :_M l_i)(-1) -> M(-1) -> M -> M/l_iM -> 0 adds t*HS(0 :_M l_i),
-    whose lowest coefficient is positive, to (1-t)*HS(M).  So l is an
-    M-regular sequence exactly when HS(M/lM) = (1-t)^k HS(M): when the
-    Hilbert numerators of M over R and of M/lM over R' agree.  Each draw
-    replaces the last k variables by random linear forms in the first
-    n - k, a map onto R' = GF(p)[x_1..x_(n-k)] whose kernel is spanned by k
-    independent linear forms l, so M/lM is M over R';
-    `section(R', cut)` returns its numerator, `cut` that map on
-    polynomials.  Equal numerators give True: depth M >= k.  A section of
-    finite length (`_finite_length`) gives False: l is then a system of
-    parameters of M when k = dim M, and one that is not regular proves M
-    not Cohen-Macaulay (Bruns-Herzog, Cohen-Macaulay Rings, Thm 2.1.2).
-    None when `draws` draws decide nothing (a small field may have no
-    regular forms).  The generator is seeded here, so the verdict is
-    reproducible."""
-    n = ring.nvars
-    small = PolyRing(ring.char, ring.vars[: n - k])
-    variables = [g.lm() for g in small.gens()]
-    rng = _rng(0)
-    for _ in range(draws):
-        forms = [small.from_dict({v: rng.randrange(ring.char) for v in variables}) for _ in range(k)]
-        cache = {}
-        got = section(small, lambda f: substitute(f, small, range(n - k), forms, cache))
-        if got == numer:
-            return True
-        if _finite_length(got, n - k):
-            return False
-    return None
-
-
-def _certified_cm(K: Ideal, d: int) -> bool | None:
-    """Whether R/K is Cohen-Macaulay, for a proper homogeneous K with
-    d = dim R/K.  dim 0 is Artinian, and a K generated by n - d = ht(K)
-    elements is a complete intersection (K = 0 when d = n): both are CM
-    (Bruns-Herzog, Cohen-Macaulay Rings, Thm 2.1.3), with no draw.
-
-    Otherwise R/K is CM exactly when d linear forms are R/K-regular
-    (`_regular_forms`, whose section R/(K + l) is R'/K' for the image K'
-    of K's basis): True when a draw is regular, False when a draw is a
-    system of parameters that is not, None when RETRY_CAP draws decide
-    nothing."""
-    ring = K.ring
-    if d == 0 or len(K.gens) == ring.nvars - d:
-        return True
-    basis = K.groebner_basis()
-    return _regular_forms(ring, d, _ideal_numerator(K),
-                          lambda small, cut: _ideal_numerator(Ideal(small, [cut(g) for g in basis])))
 
 
 def _total_numerator(M: PresentedModule):
@@ -336,7 +265,7 @@ def residual_intersection(
                 K = J if J is not None and height(J) == s else colon_into(span(E, elems), E)
                 h, unit = height(K), K.is_unit()
             heights.append(h)
-            # a unit colon passes vacuously, as in _height_at_least
+            # a unit colon passes vacuously, as in modalg._gs_heights
             if not (unit or h >= len(S) - e + 1):
                 failures.append((attempt, label))
                 break

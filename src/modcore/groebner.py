@@ -13,10 +13,11 @@ Ideal values are immutable apart from their memo of derived data (`_memo`).
 
 from __future__ import annotations
 
+import random
 import warnings
 from functools import cache, reduce, wraps
 from heapq import heapify, heappop, heappush
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb
 from operator import mul, or_
 from struct import Struct
@@ -30,7 +31,10 @@ from .poly import (
     map_poly,
     mono_deg,
     mono_div,
+    substitute,
 )
+
+RETRY_CAP = 32  # seeded draws before a randomized test gives up
 
 # -- derived data, computed once per owning object -------------------------------
 
@@ -63,12 +67,6 @@ def _remember(obj, name, value):
     """Store `value` as the memo of the function called `name` at obj: a
     value known before anyone asks for it."""
     obj._cache[(name, ())] = value
-
-
-def _recall(obj, name):
-    """The memo of the function called `name` at obj, or None when it has
-    not been computed: a value read only if it is known already."""
-    return obj._cache.get((name, ()))
 
 
 # -- the kernel on term codes ------------------------------------------------------
@@ -892,3 +890,74 @@ def _ideal_numerator(I: Ideal) -> list:
 def hilbert_function(I: Ideal, deg: int) -> int:
     """dim_k (R/I)_deg: the one-position case of `_standard_count`."""
     return _standard_count(I.ring.nvars, [_ideal_numerator(I)], (0,), deg)
+
+
+# -- Cohen-Macaulay certificate ------------------------------------------------------
+
+
+def _finite_length(numer, m: int) -> bool:
+    """Whether N(t)/(1-t)^m is a polynomial, as the Hilbert series of a
+    module of finite length is: whether (1-t)^m divides N(t).  Each step
+    checks N(1) = 0 and divides by 1 - t, whose quotient has the partial
+    sums of N as coefficients."""
+    for _ in range(m):
+        if sum(numer):
+            return False
+        numer = list(accumulate(numer))[:-1]
+    return True
+
+
+def _regular_forms(ring: PolyRing, k: int, numer, section, draws: int = RETRY_CAP) -> bool | None:
+    """Whether k < n linear forms are regular on a graded module M, by
+    seeded draws; `numer` is M's Hilbert numerator over R.
+
+    For linear forms l = l_1..l_k, each exact sequence
+    0 -> (0 :_M l_i)(-1) -> M(-1) -> M -> M/l_iM -> 0 adds t*HS(0 :_M l_i),
+    whose lowest coefficient is positive, to (1-t)*HS(M).  So l is an
+    M-regular sequence exactly when HS(M/lM) = (1-t)^k HS(M): when the
+    Hilbert numerators of M over R and of M/lM over R' agree.  Each draw
+    replaces the last k variables by random linear forms in the first
+    n - k, a map onto R' = GF(p)[x_1..x_(n-k)] whose kernel is spanned by k
+    independent linear forms l, so M/lM is M over R';
+    `section(R', cut)` returns its numerator, `cut` that map on
+    polynomials.  Equal numerators give True: depth M >= k.  A section of
+    finite length (`_finite_length`) gives False: l is then a system of
+    parameters of M when k = dim M, and one that is not regular proves M
+    not Cohen-Macaulay (Bruns-Herzog, Cohen-Macaulay Rings, Thm 2.1.2).
+    None when `draws` draws decide nothing (a small field may have no
+    regular forms).  The generator is seeded here, so the verdict is
+    reproducible."""
+    n = ring.nvars
+    small = PolyRing(ring.char, ring.vars[: n - k])
+    variables = [g.lm() for g in small.gens()]
+    rng = random.Random(0)
+    for _ in range(draws):
+        forms = [small.from_dict({v: rng.randrange(ring.char) for v in variables}) for _ in range(k)]
+        cache = {}
+        got = section(small, lambda f: substitute(f, small, range(n - k), forms, cache))
+        if got == numer:
+            return True
+        if _finite_length(got, n - k):
+            return False
+    return None
+
+
+@_memo
+def _certified_cm(K: Ideal, d: int) -> bool | None:
+    """Whether R/K is Cohen-Macaulay, for a proper homogeneous K with
+    d = dim R/K, once per (K, d).  dim 0 is Artinian, and a K generated by
+    n - d = ht(K) elements is a complete intersection (K = 0 when d = n):
+    both are CM (Bruns-Herzog, Cohen-Macaulay Rings, Thm 2.1.3), with no
+    draw.
+
+    Otherwise R/K is CM exactly when d linear forms are R/K-regular
+    (`_regular_forms`, whose section R/(K + l) is R'/K' for the image K'
+    of K's basis): True when a draw is regular, False when a draw is a
+    system of parameters that is not, None when RETRY_CAP draws decide
+    nothing."""
+    ring = K.ring
+    if d == 0 or len(K.gens) == ring.nvars - d:
+        return True
+    basis = K.groebner_basis()
+    return _regular_forms(ring, d, _ideal_numerator(K),
+                          lambda small, cut: _ideal_numerator(Ideal(small, [cut(g) for g in basis])))

@@ -38,6 +38,7 @@ from .groebner import (
     _syzygy_dicts,
     _vec_to_dict,
     buchberger,
+    height,
 )
 from .poly import Polynomial, PolyRing, mono_deg, mono_mul
 
@@ -594,6 +595,23 @@ def first_nonzero_maximal_minor(E: PresentedModule) -> Polynomial:
     if v is None:
         raise ModcoreError("presentation rank is lower than expected")
     return v
+
+
+def _gs_heights(E: PresentedModule, s: int):
+    """The G_s test on E's Fitting ideals: (t, heights), heights mapping each
+    t = 1, 2, ... to (ht Fitt_(t+e-1)(E), t + 1), and t the first one whose
+    height falls short of t + 1, where the test stops; t is None when none
+    does, that is when E is G_s.  A unit ideal passes vacuously (no prime
+    contains it).  Both the Fitting ideals and their heights are memoized,
+    so the G_s verdicts of one module share them."""
+    e = rank(E)
+    heights = {}
+    for t in range(1, s):
+        F = fitting_ideal(E, t + e - 1)
+        heights[t] = (height(F), t + 1)
+        if not (F.is_unit() or heights[t][0] >= t + 1):
+            return t, heights
+    return None, heights
 
 
 # -- annihilators and colons ---------------------------------------------------------

@@ -3,7 +3,9 @@ components, reduction tests, reduction numbers, Monte Carlo cores.
 
 The Rees ideal is the saturation of the symmetric-algebra ideal at one fixed
 nonzero maximal minor of the presentation: inverting such a minor frees the
-module, so that saturation removes exactly the torsion of S(E).
+module, so that saturation removes exactly the torsion of S(E).  Where that
+saturation would need an extra variable, the Jacobian-dual ideal is taken
+instead whenever a certificate proves it equal (`_certifies_rees_ideal`).
 
 Every Rees datum is a function of E, computed once and kept on E by
 `groebner._memo`.
@@ -22,13 +24,13 @@ from .errors import (
     TorsionError,
 )
 from .groebner import (
+    RETRY_CAP,
     Ideal,
     _back_substitute,
+    _certified_cm,
     _echelon_add,
     _memo,
     _monomials_of_degree,
-    _recall,
-    _remember,
     hilbert_function,
     krull_dimension,
     saturate,
@@ -38,6 +40,8 @@ from .modalg import (
     Submodule,
     _basis_submodule,
     _change_of_generators,
+    _gs_heights,
+    _nonzero_minors,
     _quotient_basis,
     _scalar_quotient,
     first_nonzero_maximal_minor,
@@ -48,10 +52,9 @@ from .modalg import (
     submodule_intersect,
     whole_module,
 )
-from .poly import Polynomial, PolyRing, map_poly, substitute
+from .poly import PolyRing, map_poly, substitute
 
 DEFAULT_T_CAP = 6
-RETRY_CAP = 32
 STABILIZATION_WINDOW = 3  # unchanged draws in a row that end core_monte_carlo
 
 
@@ -103,55 +106,100 @@ def sym_ideal(E: PresentedModule) -> Ideal:
 
 @_memo
 def rees_ideal(E: PresentedModule) -> Ideal:
-    """The saturation of `sym_ideal(E)` at the fixed maximal minor, or, for
-    E = E1 + F with F free and the Rees ideal of E1 already known, that of
-    E1 read in R[T, S] (`_lifted_rees_ideal`)."""
+    """The saturation of `sym_ideal(E)` at the fixed maximal minor f, or,
+    where f is no monomial, so that the saturation would take Rabinowitsch's
+    extra variable, the Jacobian-dual ideal whenever its certificate holds
+    (`_certifies_rees_ideal`)."""
     big, _ = _rees_rings(E)
-    summands = E._cache.get("summands")
-    if summands is not None and not summands[1].relations:
-        known = _recall(summands[0], "rees_ideal")
-        if known is not None:
-            return _lifted_rees_ideal(known, big)
     sym = sym_ideal(E)
-    return sym if sym.is_zero() else saturate(sym, map_poly(first_nonzero_maximal_minor(E), sym.ring))
+    if sym.is_zero():
+        return sym
+    f = map_poly(first_nonzero_maximal_minor(E), big)
+    # sym is homogeneous, so a monomial f takes the graded divide-out
+    if len(f.terms) > 1:
+        J = _jacobian_dual_ideal(E)
+        if _certifies_rees_ideal(E, J):
+            return J
+    return saturate(sym, f)
 
 
-def _lifted_rees_ideal(K: Ideal, big: PolyRing) -> Ideal:
-    """K, the Rees ideal of E1 in R[T], as the Rees ideal of E1 + F in
-    big = R[T, S], F free of rank k: each exponent gets k zeros appended.
+def _jacobian_dual_ideal(E: PresentedModule) -> Ideal:
+    """J = L + I_d(B), L = `sym_ideal(E)` and d = dim R, for the Jacobian
+    dual B of E's presentation phi: [T]*phi = [x]*B, a d x m matrix over
+    R[T] (Vasconcelos, J. reine angew. Math. 418, 1991).  Each term of a
+    generator of L, from a column of positive degree, goes to the row of
+    the first variable x_k it contains, divided by x_k; a column of
+    constants has no such row and stays out of B.  J is L when B has fewer
+    than d columns.
 
-    Sym(E1 + F) = Sym(E1)[S], as F adds no relation, and inverting the
-    fixed minor (the same on the sum, whose rows at F are zero) commutes
-    with adjoining S; so R(E1 + F) = R(E1)[S], and its ideal is K extended.
-    Grevlex on R[T, S] restricted to monomials free of S is grevlex on
-    R[T], so every term keeps its place: K's generators, and its reduced
-    basis when it is known, are the sum's with no re-sort, no saturation
-    and no Buchberger call."""
-    pad = (0,) * (big.nvars - K.ring.nvars)
+    J lies in the Rees ideal A by Cramer's rule: for a d x d submatrix B'
+    of B, [x]*B' lies in L, so x_k*det(B') lies in L <= A for every k; A is
+    prime and meets R in 0, so det(B') lies in A."""
+    big, _ = _rees_rings(E)
+    nx = E.ring.nvars
+    L = sym_ideal(E)
+    cols = []
+    for g in L.gens:
+        col = [{} for _ in range(nx)]
+        for m, c in g.terms:
+            k = next((k for k in range(nx) if m[k]), None)
+            if k is None:
+                break
+            col[k][m[:k] + (m[k] - 1,) + m[k + 1:]] = c
+        else:
+            cols.append(tuple(map(big.from_dict, col)))
+    if len(cols) < nx:
+        return L
+    B = PresentedModule(big, (0,) * nx, cols, _validate=False)
+    return L + Ideal(big, _nonzero_minors(B, nx))
 
-    def lift(f):
-        return Polynomial(big, tuple((m + pad, c) for m, c in f.terms))
 
-    S = Ideal(big, map(lift, K.gens))
-    basis = _recall(K, "groebner_basis")
-    if basis is not None:
-        _remember(S, "groebner_basis", tuple(map(lift, basis)))
-    return S
+def _certifies_rees_ideal(E: PresentedModule, J: Ideal) -> bool:
+    """Whether J, an ideal of R[T] between L = `sym_ideal(E)` and the Rees
+    ideal A (as `_jacobian_dual_ideal(E)` is), equals A.  With d = dim R and
+    e = rank E, it does when
+      (a) dim R[T]/J = d + e and R[T]/J is Cohen-Macaulay (`_certified_cm`),
+      (b) E satisfies G_d (`modalg._gs_heights`), and
+      (c) dim k[T]/(J mod m) < d + e, m = (x).
+    By (a) J is unmixed: every associated prime P of J has dim d + e.  Let
+    q = P meet R, with mu(E_q) = t + e.  R[T]/P, a quotient of S(E), has
+    dim d + e <= dim R/q + mu(E_q), so t >= ht q.  If P contains
+    Fitt_e(E), then t >= 1 and q contains Fitt_(t+e-1)(E), of height
+    >= t + 1 for t <= d - 1 by (b); so t >= d, and q = m (q contains the
+    m-primary Fitt_(d+e-2)(E) when d >= 2, and is a nonzero homogeneous
+    prime of k[x] when d = 1).  Then dim R[T]/P <= dim k[T]/(J mod m)
+    < d + e by (c), which is absurd.  So no associated prime of J contains
+    the fixed minor f, J = J : f^inf, and J contains L : f^inf = A.
+
+    The fiber image is memoized on J (`_fiber_image`): when J is A it is
+    the fiber ideal, with its dimension, the analytic spread, known."""
+    _, fiber = _rees_rings(E)
+    d = E.ring.nvars
+    top = d + rank(E)
+    return (krull_dimension(_fiber_image(J, fiber)) < top
+            and _gs_heights(E, d)[0] is None
+            and krull_dimension(J) == top
+            and _certified_cm(J, top) is True)
+
+
+@_memo
+def _fiber_image(K: Ideal, fiber: PolyRing) -> Ideal:
+    """Image of K, an ideal of R[T], in k[T] = `fiber` under x -> 0.  That
+    map is onto, so the images of any generators of K generate it: no
+    basis of K is taken."""
+    nx = K.ring.nvars - fiber.nvars
+    gens = []
+    for g in K.gens:
+        kept = {m[nx:]: c for m, c in g.terms if not any(m[:nx])}
+        if kept:
+            gens.append(fiber.from_dict(kept))
+    return Ideal(fiber, gens)
 
 
 @_memo
 def fiber_ideal(E: PresentedModule) -> Ideal:
-    """Image of the Rees ideal in k[T] under x -> 0.  That map R[T] -> k[T]
-    is onto, so the images of any generators of the Rees ideal generate it:
-    no basis of the Rees ideal is taken."""
-    big, fiber = _rees_rings(E)
-    nx = E.ring.nvars
-    gens = []
-    for g in rees_ideal(E).gens:
-        kept = {m: c for m, c in g.terms if not any(m[:nx])}
-        if kept:
-            gens.append(map_poly(big.from_dict(kept), fiber))
-    return Ideal(fiber, gens)
+    """Image of the Rees ideal in k[T] under x -> 0 (`_fiber_image`)."""
+    return _fiber_image(rees_ideal(E), _rees_rings(E)[1])
 
 
 @_memo

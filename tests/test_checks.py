@@ -298,7 +298,7 @@ def test_depth_and_dim_non_cm_cases(R2, R4):
 def _count_draws(monkeypatch):
     """The certificate's substitutions, one per generator per draw."""
     draws = []
-    monkeypatch.setattr(checks, "substitute", lambda *a: draws.append(a) or substitute(*a))
+    monkeypatch.setattr(groebner, "substitute", lambda *a: draws.append(a) or substitute(*a))
     return draws
 
 
@@ -1397,16 +1397,25 @@ def test_closed_form_sum_fitting_ideals_and_minor_match_the_block_minors(p):
 @pytest.mark.parametrize("warm", ["cold", "rees", "basis"])
 def test_closed_form_rees_ideal_of_a_free_sum_matches_the_saturation(warm, p, monkeypatch):
     # oracle: for each oracle ideal module EI and k = 1, 2, the Rees ideal of
-    # E = EI + R(-D)^k is the saturation of Sym(E) at the fixed minor.  Cold,
-    # E's is taken by that saturation; once EI's Rees ideal is known (and
-    # with it, for "basis", its reduced basis) it is EI's read in R[T, S],
-    # with no saturation.  ell(E) = ell(EI) + k either way
-    saturations = []
-    saturate = rees.saturate
+    # E = EI + R(-D)^k is the saturation of Sym(E) at the fixed minor, and
+    # it has the closed form R(EI + F) = R(EI)[S]: its reduced basis is EI's
+    # with k zero exponents appended (grevlex on R[T, S] restricted to
+    # S-free monomials is grevlex on R[T]).  Cold or with EI's Rees ideal
+    # (and, for "basis", its reduced basis) already known, E's is taken by
+    # exactly one route: the saturation, or the certified Jacobian dual
+    # (H + R(-2)^k).  ell(E) = ell(EI) + k either way
+    routes = []
+    saturate, certifies = rees.saturate, rees._certifies_rees_ideal
 
     def counting(J, f):
-        saturations.append(J)
+        routes.append(J)
         return saturate(J, f)
+
+    def certified(E, J):
+        verdict = certifies(E, J)
+        if verdict:
+            routes.append(J)
+        return verdict
 
     for name, (names, gens) in _ORACLE_IDEALS.items():
         R = PolyRing(p, names)
@@ -1418,14 +1427,15 @@ def test_closed_form_rees_ideal_of_a_free_sum_matches_the_saturation(warm, p, mo
                 if warm == "basis":
                     K.groebner_basis()
             monkeypatch.setattr(rees, "saturate", counting)
-            saturations.clear()
-            lifted = rees_ideal(E)
-            known = groebner._recall(lifted, "groebner_basis")
+            monkeypatch.setattr(rees, "_certifies_rees_ideal", certified)
+            routes.clear()
+            got = rees_ideal(E)
             monkeypatch.undo()
-            assert len(saturations) == (warm == "cold"), (name, k)
-            if warm != "cold":
-                assert (known is None) == (groebner._recall(K, "groebner_basis") is None), (name, k)
-            minor = rees.map_poly(modalg.first_nonzero_maximal_minor(E), lifted.ring)
+            assert len(routes) == 1, (name, k, warm)
+            minor = rees.map_poly(modalg.first_nonzero_maximal_minor(E), got.ring)
             oracle = saturate(rees.sym_ideal(E), minor)
-            assert lifted.groebner_basis() == oracle.groebner_basis(), (name, k, warm)
+            assert got.groebner_basis() == oracle.groebner_basis(), (name, k, warm)
+            pad = (0,) * k
+            closed = [[(m + pad, c) for m, c in g.terms] for g in rees_ideal(EI).groebner_basis()]
+            assert [list(g.terms) for g in got.groebner_basis()] == closed, (name, k, warm)
             assert analytic_spread(E) == analytic_spread(EI) + k, (name, k, warm)

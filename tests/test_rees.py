@@ -4,10 +4,11 @@ reductions, reduction numbers, Monte Carlo cores."""
 import random
 from itertools import cycle
 from math import prod
+from pathlib import Path
 
 import pytest
 
-from modcore import groebner, modalg, rees
+from modcore import checks, groebner, modalg, rees
 from modcore.errors import DegreeMixError, ModcoreError, RetryExhaustedError, TorsionError
 from modcore.groebner import (
     Ideal,
@@ -47,8 +48,9 @@ from modcore.rees import (
     rees_ideal,
     sym_ideal,
 )
+from modcore.session import parse_session, run_session
 
-from conftest import eliminate, generic_cokernel, image_ideal, row_rank, two_block_intersect
+from conftest import P, eliminate, generic_cokernel, image_ideal, row_rank, two_block_intersect
 
 
 
@@ -981,3 +983,132 @@ def test_closed_form_core_rows_match_the_meet_loop(p, monkeypatch):
     assert routes["m^2 + R(-2)", "seeded"] == routes["m^2 + R(-2)", "first two"] == (False, True)
     assert routes["m^2 + R(-2)", "unit span"] == (True, True)
     assert all(routes[key][0] for key in routes if key[0].endswith("itself"))
+
+
+
+# -- the Jacobian-dual route to the Rees ideal ----------------------------------------
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def _saturated(E):
+    """The Rees ideal by its definition: Sym(E) saturated at the fixed minor."""
+    sym = sym_ideal(E)
+    return groebner.saturate(sym, map_poly(first_nonzero_maximal_minor(E), sym.ring))
+
+
+_IDEALS = {
+    "H": (("x0", "x1", "x2", "x3"), lambda x0, x1, x2, x3: [x1 * x3 - x2**2, x0 * x3 - x1 * x2, x0 * x2 - x1**2]),
+    "(xy,xz,yz)": (("x", "y", "z"), lambda x, y, z: [x * y, x * z, y * z]),
+    "boundary cubics": (("x", "y", "z"), lambda x, y, z: [x**3, x**2 * y, x * y**2 - x**2 * z, y**3 - 2 * x * y * z]),
+    "square edge": (("x1", "x2", "x3", "x4"), lambda x1, x2, x3, x4: [x1 * x2, x2 * x3, x3 * x4, x1 * x4]),
+}
+
+
+def _ideal_module(name, p):
+    names, gens = _IDEALS[name]
+    R = PolyRing(p, names)
+    return module_from_ideal(Ideal(R, gens(*R.gens())))
+
+
+def _plus_free(name, k, p):
+    EI = _ideal_module(name, p)
+    return direct_sum(EI, free_module(EI.ring, k), twist=2)
+
+
+# fresh modules (no memo yet) over GF(p): the 5x3 and 6x4 rungs, H,
+# H + R(-2)^k, the module of corpus/generic_pd1.mc, and the modules whose
+# Jacobian dual the certificate must refuse
+_MODULES = {
+    "5x3": lambda p: generic_cokernel(3, 5, 3, p),
+    "6x4": lambda p: generic_cokernel(4, 6, 4, p),
+    "H": lambda p: _ideal_module("H", p),
+    "H + R(-2)": lambda p: _plus_free("H", 1, p),
+    "H + R(-2)^2": lambda p: _plus_free("H", 2, p),
+    "generic_pd1": lambda p: parse_session((CORPUS / "generic_pd1.mc").read_text(), char_override=p).modules["E"],
+    "square edge": lambda p: _ideal_module("square edge", p),
+    "H + itself": lambda p: direct_sum(*[_ideal_module("H", p)] * 2),
+    "(xy,xz,yz) + itself": lambda p: direct_sum(*[_ideal_module("(xy,xz,yz)", p)] * 2),
+    "boundary cubics + itself": lambda p: direct_sum(*[_ideal_module("boundary cubics", p)] * 2),
+}
+
+
+_CERTIFIED = ["5x3", "6x4", "H", "H + R(-2)", "H + R(-2)^2", "generic_pd1"]
+
+
+@pytest.mark.parametrize("p", [P, 7])
+@pytest.mark.parametrize("name", _CERTIFIED)
+def test_jacobian_dual_certificate_matches_the_saturation(name, p):
+    # oracle: on every certified module J = L + I_d(B) has the reduced basis
+    # of Sym(E) saturated at the fixed minor.  rees_ideal takes J, and with
+    # it the fiber ideal and its dimension, ell, are known: the
+    # certificate's (c) computed them.  ell agrees with the saturation's
+    # fiber, and the route is the only one taken
+    E = _MODULES[name](p)
+    J = rees._jacobian_dual_ideal(E)
+    assert rees._certifies_rees_ideal(E, J), (name, p)
+    oracle = _saturated(E)
+    assert J.groebner_basis() == oracle.groebner_basis(), (name, p)
+    E = _MODULES[name](p)
+    K = rees_ideal(E)
+    assert K.gens == J.gens, (name, p)
+    assert ("krull_dimension", ()) in fiber_ideal(E)._cache, (name, p)
+    assert analytic_spread(E) == krull_dimension(rees._fiber_image(oracle, fiber_ideal(E).ring)), (name, p)
+
+
+@pytest.mark.parametrize("p", [P, 7])
+def test_jacobian_dual_certificate_refuses_where_it_must(p):
+    # the square edge ideal fails (a): its J = L + I_4(B) is not CM of
+    # dimension d + e.  H + H, (xy,xz,yz) + itself and the boundary cubics +
+    # themselves fail (b), G_d.  On each of them J is not the Rees ideal,
+    # so the certificate is what keeps the saturation
+    for name, fails in (("square edge", "a"), ("H + itself", "b"), ("(xy,xz,yz) + itself", "b"),
+                        ("boundary cubics + itself", "b")):
+        E = _MODULES[name](p)
+        J = rees._jacobian_dual_ideal(E)
+        top = E.ring.nvars + rank(E)
+        assert rees._certifies_rees_ideal(E, J) is False, (name, p)
+        if fails == "a":
+            assert not (krull_dimension(J) == top and groebner._certified_cm(J, top)), (name, p)
+        else:
+            assert modalg._gs_heights(E, E.ring.nvars)[0] is not None, (name, p)
+        assert J.groebner_basis() != _saturated(E).groebner_basis(), (name, p)
+        assert rees_ideal(E).groebner_basis() == _saturated(E).groebner_basis(), (name, p)
+
+
+def test_jacobian_dual_certificate_refuses_a_mutant():
+    # mutation: J on the 5x3 rung without its I_d(B) generators is L itself,
+    # which is not the Rees ideal; the certificate must refuse it
+    E = generic_cokernel(3, 5, 3)
+    J = rees._jacobian_dual_ideal(E)
+    mutant = Ideal(J.ring, [g for g in J.gens if g in sym_ideal(E).gens])
+    assert len(mutant.gens) < len(J.gens)
+    assert mutant.groebner_basis() != _saturated(E).groebner_basis()
+    assert rees._certifies_rees_ideal(E, mutant) is False
+
+
+def test_certificate_corpus_sessions_take_no_rabinowitsch_saturation(monkeypatch):
+    # count pin: no corpus session saturates with Rabinowitsch's extra
+    # variable; every Rees ideal that would need one is certified
+    calls = []
+    rabinowitsch = groebner._saturate_rabinowitsch
+    monkeypatch.setattr(groebner, "_saturate_rabinowitsch", lambda *a: calls.append(a) or rabinowitsch(*a))
+    for path in sorted(CORPUS.glob("*.mc")):
+        run_session(parse_session(path.read_text()))
+        assert calls == [], path.name
+
+
+@pytest.mark.parametrize("name", ["5x3", "generic_pd1"])
+def test_certificate_cm_verdict_is_drawn_once(name, monkeypatch):
+    # count pin: check_cm_rees reads the CM verdict that the certificate
+    # drew on the Rees ideal, with no draw of its own
+    calls = []
+    regular_forms = groebner._regular_forms
+    monkeypatch.setattr(groebner, "_regular_forms", lambda *a, **k: calls.append(a) or regular_forms(*a, **k))
+    E = _MODULES[name](P)
+    rees_ideal(E)
+    route = len(calls)
+    assert route >= 1, name
+    assert checks.check_cm_rees(E).cm
+    assert len(calls) == route, name
