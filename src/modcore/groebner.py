@@ -1,13 +1,14 @@
 """The Groebner/syzygy kernel and ideal-level operations.
 
 One engine serves ideals and submodules of free modules.  It works on term
-dicts {(position, monomial): coeff} with an explicit position-over-term sort
-key, so Groebner bases under temporary orders (elimination blocks,
-variable-last saturations) never touch the ring's default order.  An ideal
-is the one-position case {(0, m): c}.  Syzygies, intersections and colons
-are all read off a module basis by one helper, `_eliminate_to`; a colon is
-one Buchberger call over block copies of a reduced basis it already knows,
-one copy per GF(p)-independent normal form of its divisors.
+dicts {(position, monomial): coeff} under the position-over-term order of a
+ring it is handed: a basis under another order (an elimination block, a
+variable moved last) is taken in a ring that owns that order.  An ideal is
+the one-position case {(0, m): c}.  Syzygies, intersections and colons are
+all read off a module basis by one helper, `_eliminate_to`; a colon is one
+Buchberger call over block copies of a reduced basis it already knows, one
+copy per GF(p)-independent normal form of its divisors.  Only this module
+knows the term codes behind the kernel (`_Codec`).
 Ideal values are immutable apart from their memo of derived data (`_memo`).
 """
 
@@ -17,13 +18,13 @@ import random
 import warnings
 from functools import cache, reduce, wraps
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement, groupby
 from math import comb
 from operator import mul, or_
 from struct import Struct
 
 from .errors import ModcoreError, OrderError, RingMismatchError
-from .orders import GrevLex, GrevLexVarLast, elimination_order
+from .orders import GrevLex, elimination_order
 from .poly import (
     Polynomial,
     PolyRing,
@@ -81,19 +82,6 @@ _FIELD_BITS = 16  # one field per exponent; its top bit is the guard bit
 _FIELD = _EXP_LIMIT - 1  # the exponent bits of a field
 _POS_BITS = 32
 _POS_MASK = (1 << _POS_BITS) - 1
-
-
-def _mkeyf(order):
-    """Position-over-term key on (position, monomial), position 0 largest.
-
-    `key.order` is the order itself: the kernel codes terms by it (`_Codec`)."""
-    keyf = order.key
-
-    def key(pm):
-        return (-pm[0],) + keyf(pm[1])
-
-    key.order = order
-    return key
 
 
 class _Codec:
@@ -168,14 +156,6 @@ def _vec_to_dict(vec):
         for m, c in f.terms:
             d[(pos, m)] = c
     return d
-
-
-def _dict_to_vec(d, ring, npos):
-    """The vector of the term dict `d`, whose terms may come in any order."""
-    coords = [{} for _ in range(npos)]
-    for (pos, m), c in d.items():
-        coords[pos][m] = c
-    return tuple(ring.from_dict(cd) for cd in coords)
 
 
 def _ordered_to_vec(d, ring, npos):
@@ -275,9 +255,10 @@ def _monic(d, p):
     return {t: (c * inv) % p for t, c in d.items()}
 
 
-def buchberger(gens, mkey, p, known=0, coded=None):
+def buchberger(gens, ring, known=()):
     """Reduced Groebner basis (list of monic term dicts, ascending leading terms)
-    of the term dicts `gens` under the position-over-term key `mkey`.
+    of `known` and the term dicts `gens`, under the position-over-term order
+    of `ring`'s monomial order, over GF(ring.char).
 
     Normal selection strategy: S-pairs of elements with equal leading
     positions, processed by (lcm degree, pair index) for reproducibility and
@@ -285,25 +266,26 @@ def buchberger(gens, mkey, p, known=0, coded=None):
     monomials) holds only for ideals, so it prunes only when every input
     term lies in one position.
 
-    The first `known` inputs must form a reduced Groebner basis under `mkey`
-    (monic, as `buchberger` returns it).  They are taken as they are: no
-    reduction, and no S-pair between two of them, since each such pair
-    reduces to zero against them (Gebauer-Moeller, J. Symb. Comp. 6, 1988);
-    the chain criterion counts those pairs as done.  `coded`, when given,
-    holds the code dict and the divisor (`_add_divisor`) of each of them, so
-    that they are not encoded and sorted again: `_colon` passes shifted
-    copies of one encoded basis.
+    `known` is a reduced Groebner basis that is already encoded: a list of
+    (code dict, divisor) pairs (`_add_divisor`), as `_colon` builds them for
+    shifted copies of one basis.  It is taken as it is: no reduction, and
+    no S-pair between two of its elements, since each such pair reduces to
+    zero against them (Gebauer-Moeller, J. Symb. Comp. 6, 1988); the chain
+    criterion counts those pairs as done.
 
     Inputs that are all single terms need no loop: the S-polynomial of two
     terms is 0, so the reduced basis is the minimal terms (`_minimal_terms`).
     """
     gens = [g for g in gens if g]
-    if not gens:
+    if not gens and not known:
         return []
-    codec = _codec(mkey.order, len(next(iter(gens[0]))[1]))
-    if all(len(g) == 1 for g in gens):
-        return [{codec.term(t): 1} for t in _minimal_terms([codec.code(*pm) for g in gens for pm in g], codec)]
-    one_position = len({pm[0] for g in gens for pm in g}) <= 1
+    p = ring.char
+    codec = _codec(ring.order, ring.nvars)
+    if all(len(g) == 1 for g in gens) and all(len(d) == 1 for d, _ in known):
+        codes = [t for d, _ in known for t in d] + [codec.code(*pm) for g in gens for pm in g]
+        return [{codec.term(t): 1} for t in _minimal_terms(codes, codec)]
+    positions = {pm[0] for g in gens for pm in g}
+    one_position = len(positions) <= 1 and len(positions.union(codec.pos(t) for d, _ in known for t in d)) <= 1
     guard = codec.guard
     G = []  # monic code dicts
     D = []  # their divisors
@@ -313,6 +295,7 @@ def buchberger(gens, mkey, p, known=0, coded=None):
     divs = {}
     pairs = []
     done = set()
+    nknown = len(known)
 
     def add(d, div=None):
         idx = len(G)
@@ -327,15 +310,15 @@ def buchberger(gens, mkey, p, known=0, coded=None):
         lterms.append((pos, m))
         same = at.setdefault(pos, [])
         for j in same:
-            if idx < known:
+            if idx < nknown:
                 done.add((j, idx))
             else:
                 heappush(pairs, (sum(map(max, lterms[j][1], m)), j, idx))
         same.append(idx)
 
-    for d, div in coded or [(codec.encode(g), None) for g in gens[:known]]:
+    for d, div in known:
         add(d, div)
-    for g in gens[known:]:
+    for g in gens:
         r = nf_dict(codec.encode(g), divs, codec, p)
         if r:
             add(_monic(r, p))
@@ -442,7 +425,47 @@ def _syzygy_dicts(gens, npos, ring):
     npos + i, and the syzygies are what the span meets from npos on."""
     unit = (0,) * ring.nvars
     tagged = [{**g, (npos + i, unit): 1} for i, g in enumerate(gens)]
-    return _eliminate_to(buchberger(tagged, _mkeyf(ring.order), ring.char), npos)
+    return _eliminate_to(buchberger(tagged, ring), npos)
+
+
+def _minimal_columns(cols, degrees, ring):
+    """The columns of a minimal generating set of span(cols), in their given
+    order, for `cols` a reduced basis of homogeneous term dicts on positions
+    of degrees `degrees`.  No Buchberger call.
+
+    By graded Nakayama (Bruns-Herzog, Cohen-Macaulay Rings, 1.5.15) a column
+    of degree d can go exactly when it lies in the GF(p)-span of the degree-d
+    multiples of the columns of lower degree and of the degree-d columns
+    kept; taken in ascending degree, the lower columns kept span what all of
+    them do.  Columns of the lowest degree are all kept: a reduced basis has
+    distinct leading terms, so its columns of one degree are
+    GF(p)-independent.  The span lives on term codes in echelon form
+    (`_echelon_add`), a column times a monomial q being its codes plus
+    code(0, q), the sum of the codes of q's variables."""
+    degs = [mono_deg(m) + degrees[pos] for pos, m in (next(iter(c)) for c in cols)]
+    if len(set(degs)) <= 1:
+        return list(cols)
+    p = ring.char
+    codec = _codec(ring.order, ring.nvars)
+    guard = codec.guard
+    low = min(degs)
+    shifts = {}  # k -> the codes code(0, q) of the monomials q of degree k
+    kept = []  # (degree, codes, exponent bound, index) of the columns kept
+    for d, group in groupby(sorted(range(len(cols)), key=degs.__getitem__), key=degs.__getitem__):
+        rows = {}
+        for e, c, bound, _ in kept:
+            qs = shifts.get(d - e)
+            if qs is None:
+                qs = shifts[d - e] = [sum(us) for us in combinations_with_replacement(codec.units, d - e)]
+            for q in qs:
+                if (bound + q) & guard and _overflows(c.items(), q, guard):
+                    raise OverflowError("monomial exponent overflow")
+                _echelon_add(rows, {t + q: a for t, a in c.items()}, p)
+        for j in group:
+            c = codec.encode(cols[j])
+            if d == low or _echelon_add(rows, dict(c), p):
+                kept.append((d, c, reduce(or_, c) & codec.emask, j))
+    return [cols[j] for j in sorted(j for *_, j in kept)]
 
 
 def _meet(pairs, n, ring):
@@ -450,7 +473,7 @@ def _meet(pairs, n, ring):
     dicts on R^n: what span((a_i, b_i)) in R^n + R^n meets in the second
     block, as a reduced basis of R^n."""
     gens = [{**a, **{(pos + n, m): c for (pos, m), c in b.items()}} for a, b in pairs]
-    return _eliminate_to(buchberger(gens, _mkeyf(ring.order), ring.char), n)
+    return _eliminate_to(buchberger(gens, ring), n)
 
 
 def _echelon_add(rows, r, p):
@@ -530,15 +553,13 @@ def _colon(vs, basis, ring, npos) -> Ideal:
     unit = (0,) * ring.nvars
     if not ws:
         return _basis_ideal(ring, [{(0, unit): 1}])
-    blocks = [{(pos + i * npos, m): c for (pos, m), c in b.items()} for i in range(len(ws)) for b in basis]
     shifts = [i * npos * codec.pos_unit for i in range(len(ws))]
-    coded = [({t + s: c for t, c in d.items()}, (lead + s, lcinv, tuple((t + s, c) for t, c in tail), bound))
+    known = [({t + s: c for t, c in d.items()}, (lead + s, lcinv, tuple((t + s, c) for t, c in tail), bound))
              for s in shifts for d, (lead, lcinv, tail, bound) in coded]
     tagged = {(pos + i * npos, m): c for i, w in enumerate(ws) for (pos, m), c in w.items()}
     last = len(ws) * npos
     tagged[(last, unit)] = 1
-    basis = buchberger(blocks + [tagged], _mkeyf(ring.order), ring.char, known=len(blocks), coded=coded)
-    return _basis_ideal(ring, _eliminate_to(basis, last))
+    return _basis_ideal(ring, _eliminate_to(buchberger([tagged], ring, known), last))
 
 
 def _basis_ideal(ring, basis) -> Ideal:
@@ -552,13 +573,10 @@ def _basis_ideal(ring, basis) -> Ideal:
     return I
 
 
-def _ideal_basis(polys, order, ring):
-    """Reduced Groebner basis of the ideal spanned by `polys` under the
-    monomial order `order`, as polynomials of `ring`.  A basis under another
-    order than the ring's has its terms sorted again."""
-    basis = buchberger([_vec_to_dict((f,)) for f in polys], _mkeyf(order), ring.char)
-    to_vec = _ordered_to_vec if order == ring.order else _dict_to_vec
-    return [to_vec(d, ring, 1)[0] for d in basis]
+def _ideal_basis(polys, ring):
+    """Reduced Groebner basis of the ideal spanned by `polys` under `ring`'s
+    order, as polynomials of `ring`."""
+    return [_ordered_to_vec(d, ring, 1)[0] for d in buchberger([_vec_to_dict((f,)) for f in polys], ring)]
 
 
 # -- Ideal -----------------------------------------------------------------------
@@ -593,7 +611,7 @@ class Ideal:
         the zero ideal has the empty basis."""
         if len(self.gens) <= 1:
             return tuple(f.monic() for f in self.gens)
-        return tuple(_ideal_basis(self.gens, self.ring.order, self.ring))
+        return tuple(_ideal_basis(self.gens, self.ring))
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -684,23 +702,20 @@ def _is_std_homogeneous(I: Ideal) -> bool:
     return all(g.is_homogeneous() for g in I.gens)
 
 
-def _divide_out_variable(f: Polynomial, i: int) -> Polynomial:
-    e = min(m[i] for m, _ in f.terms)
-    if e == 0:
-        return f
-    d = {}
-    for m, c in f.terms:
-        mm = list(m)
-        mm[i] -= e
-        d[tuple(mm)] = c
-    return f.ring.from_dict(d)
-
-
 def _saturate_variable_graded(I: Ideal, i: int) -> Ideal:
-    # grevlex with x_i revlex-last: dividing the basis by x_i-content saturates
+    """(I : x_i^infinity) for a homogeneous I: I's reduced grevlex basis with
+    x_i moved last, each element divided by its x_i-content (Bayer-Stillman,
+    Invent. Math. 87, 1987).  The basis is taken in a ring whose variables
+    are R's with x_i moved last, on term dicts whose exponents are permuted
+    to match; the divided elements go back to R by one `from_dict` each."""
     ring = I.ring
-    basis = _ideal_basis(I.gens, GrevLexVarLast(i), ring)
-    return Ideal(ring, tuple(_divide_out_variable(f, i) for f in basis))
+    moved = PolyRing(ring.char, ring.vars[:i] + ring.vars[i + 1:] + ring.vars[i:i + 1])
+    gens = [{(0, m[:i] + m[i + 1:] + m[i:i + 1]): c for m, c in f.terms} for f in I.gens]
+    out = []
+    for g in buchberger(gens, moved):
+        e = min(m[-1] for _, m in g)
+        out.append(ring.from_dict({m[:i] + (m[-1] - e,) + m[i:-1]: c for (_, m), c in g.items()}))
+    return Ideal(ring, out)
 
 
 def _saturate_rabinowitsch(I: Ideal, f: Polynomial) -> Ideal:
@@ -714,7 +729,7 @@ def _saturate_rabinowitsch(I: Ideal, f: Polynomial) -> Ideal:
     t = big.var(0)
     gens = [map_poly(g, big) for g in I.gens]
     gens.append(t * map_poly(f, big) - big.one())
-    basis = _ideal_basis(gens, big.order, big)
+    basis = _ideal_basis(gens, big)
     S = Ideal(ring, [map_poly(g, ring) for g in basis if all(m[0] == 0 for m, _ in g.terms)])
     if ring.order == GrevLex():
         _remember(S, "groebner_basis", S.gens)

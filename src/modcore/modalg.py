@@ -5,7 +5,7 @@ Groebner/syzygy kernel in `groebner` works on their term dicts
 {(position, monomial): coeff}.  Presentations are stored column-wise (each
 column is one relation among the generators).  Minimal presentations and
 resolutions keep a minimal set of columns of a reduced basis by one
-routine, `_minimal_columns`.
+routine, `groebner._minimal_columns`.
 """
 
 from __future__ import annotations
@@ -13,25 +13,22 @@ from __future__ import annotations
 import math
 import weakref
 from bisect import bisect_left
-from functools import partial, reduce
-from itertools import combinations, combinations_with_replacement, groupby
-from operator import or_
+from functools import partial
+from itertools import combinations
 
 from .errors import ModcoreError, NotHomogeneousError, RingMismatchError
 from .groebner import (
     Ideal,
     _back_substitute,
     _basis_ideal,
-    _codec,
     _colon,
     _echelon_add,
     _eliminate_to,
     _hilbert_numerator,
     _meet,
     _memo,
-    _mkeyf,
+    _minimal_columns,
     _ordered_to_vec,
-    _overflows,
     _reducer,
     _remember,
     _standard_count,
@@ -48,7 +45,7 @@ from .poly import Polynomial, PolyRing, mono_deg, mono_mul
 
 def module_gb(vectors, ring: PolyRing):
     """Reduced Groebner basis of the span of `vectors` inside a free module."""
-    return buchberger([_vec_to_dict(v) for v in vectors], _mkeyf(ring.order), ring.char)
+    return buchberger([_vec_to_dict(v) for v in vectors], ring)
 
 
 def module_member(vec, gb_dicts, ring: PolyRing) -> bool:
@@ -175,9 +172,6 @@ class PresentedModule:
         n1 = E1.n
         return [{(pos + n1, m): c for (pos, m), c in g.items()} for g in E2.relation_gb()] + E1.relation_gb()
 
-    def element_is_zero(self, vec) -> bool:
-        return module_member(vec, self.relation_gb(), self.ring)
-
     def is_zero_module(self) -> bool:
         return mu(self) == 0
 
@@ -196,11 +190,12 @@ class PresentedModule:
         """N_pos for each generator position: the Hilbert numerator of the
         leading monomials of the relation basis there, so that
         HS_E(t) = sum_pos t^gen_degrees[pos] N_pos(t) / (1-t)^n.  E is graded,
-        so in(N) has the Hilbert function of the relations N."""
-        keyf = _mkeyf(self.ring.order)
+        so in(N) has the Hilbert function of the relations N.  Each basis
+        element lists its terms in descending order, as `buchberger` returns
+        them, so its first key is its leading term."""
         leads = [[] for _ in self.gen_degrees]
         for g in self.relation_gb():
-            pos, m = max(g, key=keyf)
+            pos, m = next(iter(g))
             leads[pos].append(m)
         return [_hilbert_numerator(ms) for ms in leads]
 
@@ -264,7 +259,7 @@ def direct_sum(E1: PresentedModule, E2: PresentedModule, twist: int = 0) -> Pres
     `module_from_ideal`'s ideal, and the sum's derived data are read off
     theirs: `relation_gb`, `is_torsionfree`, `fitting_ideal` and
     `first_nonzero_maximal_minor` (when neither summand is free, see
-    `_block_summands`), and `rees.rees_ideal` (when E2 is free).  Minimal
+    `_block_summands`).  Minimal
     relations of the summands, flagged or none at all, are minimal for the
     sum, as N1 + N2 modulo m(N1 + N2) is N1/mN1 + N2/mN2, so the sum
     carries the flag `minimal_relations` then."""
@@ -295,46 +290,6 @@ def rank(E: PresentedModule) -> int:
 # -- minimal presentations and resolutions ---------------------------------------
 
 
-def _minimal_columns(cols, degrees, ring):
-    """The columns of a minimal generating set of span(cols), in their given
-    order, for `cols` a reduced basis of homogeneous term dicts on positions
-    of degrees `degrees`.  No Buchberger call.
-
-    By graded Nakayama (Bruns-Herzog, Cohen-Macaulay Rings, 1.5.15) a column
-    of degree d can go exactly when it lies in the GF(p)-span of the degree-d
-    multiples of the columns of lower degree and of the degree-d columns
-    kept; taken in ascending degree, the lower columns kept span what all of
-    them do.  Columns of the lowest degree are all kept: a reduced basis has
-    distinct leading terms, so its columns of one degree are
-    GF(p)-independent.  The span lives on term codes in echelon form
-    (`_echelon_add`), a column times a monomial q being its codes plus
-    code(0, q), the sum of the codes of q's variables."""
-    degs = [mono_deg(m) + degrees[pos] for pos, m in (next(iter(c)) for c in cols)]
-    if len(set(degs)) <= 1:
-        return list(cols)
-    p = ring.char
-    codec = _codec(ring.order, ring.nvars)
-    guard = codec.guard
-    low = min(degs)
-    shifts = {}  # k -> the codes code(0, q) of the monomials q of degree k
-    kept = []  # (degree, codes, exponent bound, index) of the columns kept
-    for d, group in groupby(sorted(range(len(cols)), key=degs.__getitem__), key=degs.__getitem__):
-        rows = {}
-        for e, c, bound, _ in kept:
-            qs = shifts.get(d - e)
-            if qs is None:
-                qs = shifts[d - e] = [sum(us) for us in combinations_with_replacement(codec.units, d - e)]
-            for q in qs:
-                if (bound + q) & guard and _overflows(c.items(), q, guard):
-                    raise OverflowError("monomial exponent overflow")
-                _echelon_add(rows, {t + q: a for t, a in c.items()}, p)
-        for j in group:
-            c = codec.encode(cols[j])
-            if d == low or _echelon_add(rows, dict(c), p):
-                kept.append((d, c, reduce(or_, c) & codec.emask, j))
-    return [cols[j] for j in sorted(j for *_, j in kept)]
-
-
 @_memo
 def minimal_presentation(E: PresentedModule) -> PresentedModule:
     """E on minimal generators and minimal relations.
@@ -359,7 +314,7 @@ def minimal_presentation(E: PresentedModule) -> PresentedModule:
     if pivots:
         at = {q: k for k, q in enumerate(pivots + kept)}
         moved = [{(at[pos], m): c for (pos, m), c in _vec_to_dict(col).items()} for col in E.relations]
-        basis = _eliminate_to(buchberger(moved, _mkeyf(ring.order), ring.char), len(pivots))
+        basis = _eliminate_to(buchberger(moved, ring), len(pivots))
     else:
         basis = E.relation_gb()
     degrees = tuple(E.gen_degrees[q] for q in kept)
@@ -465,7 +420,8 @@ def ext_module(E: PresentedModule, i: int) -> bool:
         kern = [D.basis_vector(j) for j in range(D.n)]
     else:
         kern = syzygies(_transpose_cols(res.maps[i], D.n), ring, len(res.degrees[i + 1]))
-    return all(D.element_is_zero(v) for v in kern)
+    nf = _reducer(D.relation_gb(), ring)
+    return not any(nf(_vec_to_dict(v)) for v in kern)
 
 
 # -- Fitting ideals ------------------------------------------------------------------
@@ -659,9 +615,12 @@ class Submodule:
     def __le__(self, other: "Submodule") -> bool:
         if self.parent is not other.parent and self.parent.relations != other.parent.relations:
             raise ModcoreError("submodules of different parents")
+        # every generator reduces to 0, through one reducer: modulo other's
+        # coset basis, or for a scalar other modulo its image in E/other
         quotient = _scalar_quotient(other)
         if quotient is None:
-            return all(other.contains(g) for g in self.gens)
+            nf = _reducer(other.coset_gb(), self.parent.ring)
+            return not any(nf(_vec_to_dict(g)) for g in self.gens)
         # other + N is the kernel of R^n -> E/other = R^free / phi(N)
         phi = quotient[1]
         nf = _reducer(_quotient_basis(other), self.parent.ring)
@@ -825,7 +784,7 @@ def _entry_forms(E: PresentedModule):
 def _entry_basis(E: PresentedModule):
     """The reduced basis of I_1(phi), as term dicts in position 0."""
     entries = [_vec_to_dict((f,)) for f in _entry_ideal(E).gens]
-    return buchberger(entries, _mkeyf(E.ring.order), E.ring.char)
+    return buchberger(entries, E.ring)
 
 
 def _spans_entries(E: PresentedModule, forms) -> bool:
@@ -861,7 +820,7 @@ def _quotient_basis(U: Submodule):
     forms = [phi(_vec_to_dict(col)) for col in E.relations]
     if len(free) == 1 and _spans_entries(E, forms):
         return _entry_basis(E)
-    return buchberger(forms, _mkeyf(E.ring.order), E.ring.char)
+    return buchberger(forms, E.ring)
 
 
 def colon_into(U: Submodule, E: PresentedModule | None = None) -> Ideal:

@@ -72,25 +72,6 @@ class BlockOrder(MonomialOrder):
         return tuple(out)
 
 
-class GrevLexVarLast(MonomialOrder):
-    """Grevlex with variable `last` playing the revlex-smallest role.
-
-    Used for saturating a homogeneous ideal by a single variable: in this
-    order, dividing each basis element by its `last`-variable content yields
-    the saturation directly.
-    """
-
-    __slots__ = ("last",)
-
-    def __init__(self, last: int):
-        object.__setattr__(self, "last", last)
-        super().__init__(last)
-
-    def key(self, m: Mono) -> tuple:
-        tail = tuple(-m[i] for i in reversed(range(len(m))) if i != self.last)
-        return (sum(m), -m[self.last]) + tail
-
-
 def elimination_order(nvars: int, drop: tuple) -> BlockOrder:
     """Block order whose Groebner bases eliminate the variables in `drop`."""
     dropset = set(drop)

@@ -154,7 +154,8 @@ def resolution_betti(E):
     """Oracle: the graded Betti numbers of E, each step's degrees sorted,
     from a minimal resolution of an unflagged copy of E's presentation that
     takes syzygy steps until one returns nothing, with no rank count."""
-    from modcore.modalg import _minimal_columns, minimal_presentation
+    from modcore.groebner import _minimal_columns
+    from modcore.modalg import minimal_presentation
 
     ring = E.ring
     M = minimal_presentation(PresentedModule(ring, E.gen_degrees, E.relations))
@@ -309,8 +310,9 @@ def eliminate(I, keep):
     drop = tuple(i for i in range(ring.nvars) if i not in keep_idx)
     if not drop:
         return Ideal(ring, I.gens)
-    basis = _ideal_basis(I.gens, elimination_order(ring.nvars, drop), ring)
-    return Ideal(ring, [g for g in basis if all(m[i] == 0 for m, _ in g.terms for i in drop)])
+    eliminating = PolyRing(ring.char, ring.vars, elimination_order(ring.nvars, drop))
+    basis = _ideal_basis(I.gens, eliminating)
+    return Ideal(ring, [ring.from_dict(dict(g.terms)) for g in basis if all(m[i] == 0 for m, _ in g.terms for i in drop)])
 
 
 def two_block_intersect(U1, U2):

@@ -35,6 +35,7 @@ from modcore.modalg import (
     minimal_presentation,
     module_from_ideal,
     module_gb,
+    module_member,
     mu,
     projective_dimension,
     rank,
@@ -412,6 +413,22 @@ def test_torsionfree_examples(R2, E_msq, E_msq_plus):
     assert not is_torsionfree(T)
 
 
+def test_general_containment_builds_one_reducer(R2, E_msq, monkeypatch):
+    # U <= V for a V that is not scalar normal-forms every generator of U
+    # through one reducer on V's coset basis, not one per generator
+    x, y = R2.gens()
+    zero = R2.zero()
+    V = span(E_msq, [(x, zero, y), (zero, y, zero)])
+    inside = span(E_msq, [(x * x, zero, x * y), (zero, x * y, zero), (x * y, y * y, y * y)])
+    outside = span(E_msq, [(x * x, zero, x * y), (y, zero, zero)])
+    assert modalg._scalar_quotient(V) is None
+    builds = _counting(monkeypatch, modalg, "_reducer")
+    assert inside <= V
+    assert len(builds) == 1
+    assert not outside <= V
+    assert len(builds) == 2
+
+
 def test_submodule_intersect_trivial(R2, E_msq):
     U = span(E_msq, [E_msq.basis_vector(0), E_msq.basis_vector(2)])
     W = whole_module(E_msq)
@@ -459,7 +476,7 @@ def test_annihilator_kills_generators(R3, tri, R2, msq):
         Q = cyclic_module(ring, I)
         A = annihilator(Q)
         for f in A.gens:
-            assert Q.element_is_zero((f,))
+            assert module_member((f,), Q.relation_gb(), ring)
 
 
 def test_colon_soundness_random(R2, E_msq):
@@ -513,9 +530,15 @@ def _random_presented_module(ring, rng, least=2):
     return PresentedModule(ring, degrees, cols)
 
 
-def _assert_reduced_basis(G, mkey):
-    """Monic, strictly ascending leading terms, and no term of any element
-    divisible by another element's leading term in the same position."""
+def _assert_reduced_basis(G, ring):
+    """Monic, strictly ascending leading terms under the position-over-term
+    order of `ring`'s order, and no term of any element divisible by another
+    element's leading term in the same position."""
+    keyf = ring.order.key
+
+    def mkey(pm):
+        return (-pm[0],) + keyf(pm[1])
+
     lms = [max(g, key=mkey) for g in G]
     assert all(g[lm] == 1 for g, lm in zip(G, lms))
     assert all(mkey(a) < mkey(b) for a, b in zip(lms, lms[1:]))
@@ -535,14 +558,14 @@ def test_annihilator_matches_syzygy_route(R2, R3, seed, monkeypatch):
     bases = []
     kernel = groebner.buchberger
 
-    def recording(gens, mkey, p, known=0, coded=None):
-        G = kernel(gens, mkey, p, known, coded)
-        bases.append((G, mkey))
+    def recording(gens, ring, known=()):
+        G = kernel(gens, ring, known)
+        bases.append((G, ring))
         return G
 
     monkeypatch.setattr(groebner, "buchberger", recording)
     cols = [_vec_to_dict(c) for c in E.relations]
-    basis = groebner.buchberger(cols, groebner._mkeyf(ring.order), ring.char)
+    basis = groebner.buchberger(cols, ring)
     unit = (0,) * ring.nvars
     reference = None
     for i in range(E.n):
@@ -551,8 +574,8 @@ def test_annihilator_matches_syzygy_route(R2, R3, seed, monkeypatch):
         reference = Qi if reference is None else _syzygy_intersect(reference, Qi)
     assert annihilator(E) == reference
     assert bases
-    for G, mkey in bases:
-        _assert_reduced_basis(G, mkey)
+    for G, kernel_ring in bases:
+        _assert_reduced_basis(G, kernel_ring)
 
 
 def _tagged_colon(v, cols, ring, npos):
@@ -560,7 +583,7 @@ def _tagged_colon(v, cols, ring, npos):
     of span((v, 1), (col, 0)) in R^npos + R with every term in position npos."""
     tagged = dict(v)
     tagged[(npos, (0,) * ring.nvars)] = 1
-    basis = groebner.buchberger([tagged] + cols, groebner._mkeyf(ring.order), ring.char)
+    basis = groebner.buchberger([tagged] + cols, ring)
     return Ideal(ring, [ring.from_dict({m: c for (_, m), c in g.items()})
                         for g in basis if all(pm[0] == npos for pm in g)])
 
@@ -629,14 +652,15 @@ def test_colon_edge_cases_match_loop_route(R2, msq):
 
 
 def _record_known(monkeypatch):
-    """Patch `groebner.buchberger` to record each call's `known` count: in a
-    colon, the number of block copies times the length of the basis."""
+    """Patch `groebner.buchberger` to record the length of each call's
+    `known` basis: in a colon, the number of block copies times the length
+    of the basis."""
     counts = []
     kernel = groebner.buchberger
 
-    def recording(gens, mkey, p, known=0, coded=None):
-        counts.append(known)
-        return kernel(gens, mkey, p, known, coded)
+    def recording(gens, ring, known=()):
+        counts.append(len(known))
+        return kernel(gens, ring, known)
 
     monkeypatch.setattr(groebner, "buchberger", recording)
     return counts
@@ -867,7 +891,7 @@ def _syzygy_is_torsionfree(E):
         return True
     cols = list(E.relations)
     scaled = [tuple(a if k == i else ring.zero() for k in range(E.n)) for i in range(E.n)]
-    return all(E.element_is_zero(tuple(s[len(cols):])) for s in syzygies(cols + scaled, ring, E.n))
+    return all(module_member(tuple(s[len(cols):]), E.relation_gb(), ring) for s in syzygies(cols + scaled, ring, E.n))
 
 
 def _random_vector(E, rng):
@@ -1484,8 +1508,7 @@ def test_closed_form_quotient_basis_matches_buchberger(p):
         free, phi = modalg._scalar_quotient(U)
         if len(free) != 1:
             continue
-        expected = groebner.buchberger([phi(_vec_to_dict(col)) for col in E.relations],
-                                       groebner._mkeyf(E.ring.order), p)
+        expected = groebner.buchberger([phi(_vec_to_dict(col)) for col in E.relations], E.ring)
         basis = modalg._quotient_basis(U)
         assert [list(d.items()) for d in basis] == [list(d.items()) for d in expected], (route, E)
         rk = modalg._entry_forms(E)

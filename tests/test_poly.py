@@ -5,7 +5,7 @@ import math
 import pytest
 
 from modcore.errors import OrderError, ParseError, RingMismatchError
-from modcore.orders import BlockOrder, GrevLex, GrevLexVarLast, elimination_order
+from modcore.orders import BlockOrder, GrevLex, elimination_order
 from modcore.poly import PolyRing, parse_poly, render_poly
 
 from conftest import monomials_of_degree, random_poly, seeded
@@ -134,19 +134,19 @@ def test_block_order_eliminates_first_block():
 
 def test_orders_are_immutable_values():
     # equal orders hash alike, so rings and the term codecs key on them
-    for a, b in ((GrevLex(), GrevLex()), (GrevLexVarLast(1), GrevLexVarLast(1)),
+    for a, b in ((GrevLex(), GrevLex()), (BlockOrder(((1,), (0,))), BlockOrder(((1,), (0,)))),
                  (elimination_order(3, (0,)), BlockOrder(((0,), (1, 2))))):
         assert a == b and a is not b and hash(a) == hash(b)
-    assert GrevLexVarLast(0) != GrevLexVarLast(1)
-    assert GrevLex() != GrevLexVarLast(0) and BlockOrder(((0, 1),)) != GrevLexVarLast((0, 1))
-    assert PolyRing(7, ("x", "y"), GrevLexVarLast(0)) != PolyRing(7, ("x", "y"), GrevLexVarLast(1))
-    assert repr(GrevLexVarLast(1)) == "GrevLexVarLast(1)" and repr(GrevLex()) == "GrevLex()"
+    assert elimination_order(2, (0,)) != elimination_order(2, (1,))
+    assert GrevLex() != BlockOrder(((0, 1),)) and BlockOrder(((0, 1),)) != BlockOrder(((1, 0),))
+    assert PolyRing(7, ("x", "y"), elimination_order(2, (0,))) != PolyRing(7, ("x", "y"), elimination_order(2, (1,)))
+    assert repr(BlockOrder(((1,), (0,)))) == "BlockOrder(((1,), (0,)))" and repr(GrevLex()) == "GrevLex()"
     with pytest.raises(AttributeError, match="immutable"):
-        GrevLexVarLast(1).last = 0
+        BlockOrder(((1,), (0,))).blocks = ((0,), (1,))
 
 
 @pytest.mark.parametrize(
-    "order", [GrevLex(), GrevLexVarLast(1), elimination_order(3, (2,)), BlockOrder(((0, 1), (2,)))]
+    "order", [GrevLex(), elimination_order(3, (2,)), BlockOrder(((0, 1), (2,)))]
 )
 def test_order_axioms(order):
     rng = seeded(7)

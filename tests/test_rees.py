@@ -163,11 +163,11 @@ def test_rees_msq_reduced_gb_under_block_order(E_msq):
     from modcore.orders import BlockOrder
 
     R = rees_ideal(E_msq)
-    big = R.ring
+    order = BlockOrder(((2, 3, 4), (0, 1)))
+    big = PolyRing(R.ring.char, R.ring.vars, order)
     x, y = big.var(0), big.var(1)
     T1, T2, T3 = big.var(2), big.var(3), big.var(4)
-    order = BlockOrder(((2, 3, 4), (0, 1)))
-    gb = set(_ideal_basis(R.gens, order, big))
+    gb = set(_ideal_basis(R.gens, big))
     keyf = order.key
     expected = set()
     for f in (y * T1 - x * T2, y * T2 - x * T3, T1 * T3 - T2**2):
