@@ -491,12 +491,8 @@ def verify_free_quotient(E: PresentedModule, U: Submodule) -> FreeQuotientVerdic
     P = minimal_presentation(submodule_presentation(U))
     mu_U = P.n
     K = colon_into(U, E)
-    if K.is_unit():
-        # zero quotient ring: the criterion is vacuous
-        return FreeQuotientVerdict(ok=True, mu_U=mu_U, ell=ell, K=K, entries_in_K=True)
-    if mu_U != ell:
-        return FreeQuotientVerdict(ok=False, mu_U=mu_U, ell=ell, K=K, entries_in_K=False)
-    entries_ok = _entry_ideal(P) <= K
+    # over the zero quotient ring (K = R) the criterion is vacuous
+    entries_ok = K.is_unit() or (mu_U == ell and _entry_ideal(P) <= K)
     return FreeQuotientVerdict(ok=entries_ok, mu_U=mu_U, ell=ell, K=K, entries_in_K=entries_ok)
 
 
@@ -504,16 +500,19 @@ def verify_free_quotient(E: PresentedModule, U: Submodule) -> FreeQuotientVerdic
 
 
 class BalancedReport(Record):
+    """The defaults are those of a report whose hypotheses fail: no draw is
+    made and no equivalence is tested."""
+
     status: str  # ok | failed-hypothesis | partial
     hypothesis: HypothesisReport
     reductions: int
     seed: object
-    K_values: list  # the ideals (U_i : E)
-    independent: bool | None  # (iii): (U:E) same for all sampled U
-    products_equal: bool | None  # (ii): (U:E)U = (U:E)E for each sample
-    equals_core: bool | None  # (ii): these equal the Monte Carlo core
-    core_samples: int | None
-    core_label: str | None
+    K_values: list = ()  # the ideals (U_i : E)
+    independent: bool | None = None  # (iii): (U:E) same for all sampled U
+    products_equal: bool | None = None  # (ii): (U:E)U = (U:E)E for each sample
+    equals_core: bool | None = None  # (ii): these equal the Monte Carlo core
+    core_samples: int | None = None
+    core_label: str | None = None
 
 
 def _balanced_products(E: PresentedModule, Us, Ks):
@@ -562,18 +561,7 @@ def verify_balanced(E: PresentedModule, reductions: int, rng=None) -> BalancedRe
         ext = hyp.ext_vanishing
         status = "partial" if (ext.inconclusive() and not ext.refuted()
                                and hyp.gs.ok and hyp.cm_rees.cm and hyp.torsionfree) else "failed-hypothesis"
-        return BalancedReport(
-            status=status,
-            hypothesis=hyp,
-            reductions=reductions,
-            seed=seed,
-            K_values=[],
-            independent=None,
-            products_equal=None,
-            equals_core=None,
-            core_samples=None,
-            core_label=None,
-        )
+        return BalancedReport(status=status, hypothesis=hyp, reductions=reductions, seed=seed)
     Us = [random_reduction(E, rng=rng) for _ in range(reductions)]
     Ks = [colon_into(U, E) for U in Us]
     independent = all(K == Ks[0] for K in Ks[1:])
@@ -610,15 +598,17 @@ def verify_balanced(E: PresentedModule, reductions: int, rng=None) -> BalancedRe
 
 
 class Pd1CoreVerdict(Record):
+    """The defaults are those of a verdict whose hypotheses are unmet."""
+
     status: str  # ok | hypotheses-unmet | partial (the core did not stabilize)
     pd: int
     torsionfree: bool
     gs_ok: bool
     r_value: int | None
     r_bound: int
-    fitting_equals_core: bool | None
-    colons_equal_fitting: bool | None
-    fitting_ideal: Ideal | None  # Fitt_ell(E), once the hypotheses hold
+    fitting_equals_core: bool | None = None
+    colons_equal_fitting: bool | None = None
+    fitting_ideal: Ideal | None = None  # Fitt_ell(E), once the hypotheses hold
 
 
 def verify_pd1_core(E: PresentedModule, rng=None) -> Pd1CoreVerdict:
@@ -635,17 +625,7 @@ def verify_pd1_core(E: PresentedModule, rng=None) -> Pd1CoreVerdict:
     U = random_reduction(E, rng=rng)
     r = reduction_number(U, E)
     if pd != 1 or not tf or not gs.ok or r is None or r > bound:
-        return Pd1CoreVerdict(
-            status="hypotheses-unmet",
-            pd=pd,
-            torsionfree=tf,
-            gs_ok=gs.ok,
-            r_value=r,
-            r_bound=bound,
-            fitting_equals_core=None,
-            colons_equal_fitting=None,
-            fitting_ideal=None,
-        )
+        return Pd1CoreVerdict(status="hypotheses-unmet", pd=pd, torsionfree=tf, gs_ok=gs.ok, r_value=r, r_bound=bound)
     F = fitting_ideal(E, ell)
     status, fit_core, colons_ok = "ok", None, None
     try:

@@ -37,7 +37,7 @@ from .groebner import (
     buchberger,
     height,
 )
-from .poly import Polynomial, PolyRing, mono_deg, mono_mul
+from .poly import Polynomial, PolyRing, _add_products, _add_terms, mono_deg
 
 
 # -- submodules of free modules, on the kernel in groebner ---------------------
@@ -46,10 +46,6 @@ from .poly import Polynomial, PolyRing, mono_deg, mono_mul
 def module_gb(vectors, ring: PolyRing):
     """Reduced Groebner basis of the span of `vectors` inside a free module."""
     return buchberger([_vec_to_dict(v) for v in vectors], ring)
-
-
-def module_member(vec, gb_dicts, ring: PolyRing) -> bool:
-    return not _reducer(gb_dicts, ring)(_vec_to_dict(vec))
 
 
 def syzygies(vectors, ring: PolyRing, npos: int):
@@ -410,16 +406,16 @@ def ext_module(E: PresentedModule, i: int) -> bool:
     ring = E.ring
     res = free_resolution(E)
     pd = res.length()
-    if i > pd:
-        return True
+    if i >= pd:
+        # Ext^pd is the cokernel of M_pd^T, whose entries lie in m, as the
+        # resolution is minimal: by graded Nakayama it is zero only when
+        # F_pd = 0, that is when E = 0
+        return i > pd or not res.degrees[i]
     # Ext^i = (kernel of M_{i+1}^T) / (image of M_i^T) inside the dual of F_i:
     # it vanishes when every kernel generator is zero in D = F_i^* / image
     img = _transpose_cols(res.maps[i - 1], len(res.degrees[i - 1])) if i >= 1 else []
     D = PresentedModule(ring, tuple(-d for d in res.degrees[i]), img, _validate=False)
-    if i == pd:
-        kern = [D.basis_vector(j) for j in range(D.n)]
-    else:
-        kern = syzygies(_transpose_cols(res.maps[i], D.n), ring, len(res.degrees[i + 1]))
+    kern = syzygies(_transpose_cols(res.maps[i], D.n), ring, len(res.degrees[i + 1]))
     nf = _reducer(D.relation_gb(), ring)
     return not any(nf(_vec_to_dict(v)) for v in kern)
 
@@ -436,10 +432,15 @@ def _row_minors(E: PresentedModule):
     the minor on rest and C - {j}, j the k-th column of C.  So the minors on
     (r, rest) come from the nonzero minors on rest times the nonzero entries
     of row r: a zero row, and the zero minors of a block direct sum, cost
-    nothing.  Each row set is expanded once."""
-    entries = [[(j, col[i].terms) for j, col in enumerate(E.relations) if col[i]] for i in range(E.n)]
+    nothing.  Each row set is expanded once.  Each row lists its nonzero
+    entries as (column, terms, negated terms)."""
+    p = E.ring.char
+    entries = []
+    for i in range(E.n):
+        row = [(j, col[i].terms) for j, col in enumerate(E.relations) if col[i]]
+        entries.append([(j, t, tuple((m, p - c) for m, c in t)) for j, t in row])
     memo = {(): {(): {(0,) * E.ring.nvars: 1}}}
-    return partial(_minors_on, memo, entries, E.ring.char)
+    return partial(_minors_on, memo, entries, p)
 
 
 def _minors_on(memo, entries, p, rset):
@@ -453,21 +454,12 @@ def _minors_on(memo, entries, p, rset):
     below = _minors_on(memo, entries, p, rset[1:])
     table = {}
     for cset, d in below.items():
-        for j, e in entries[rset[0]]:
+        for j, e, neg in entries[rset[0]]:
             k = bisect_left(cset, j)
             if k < len(cset) and cset[k] == j:
                 continue
             acc = table.setdefault(cset[:k] + (j,) + cset[k:], {})
-            for m1, c1 in e:
-                if k % 2:
-                    c1 = p - c1
-                for m2, c2 in d.items():
-                    m = mono_mul(m1, m2)
-                    v = (acc.get(m, 0) + c1 * c2) % p
-                    if v:
-                        acc[m] = v
-                    else:
-                        acc.pop(m, None)
+            _add_products(acc, neg if k % 2 else e, d.items(), p)
     table = memo[rset] = {cset: d for cset, d in table.items() if d}
     return table
 
@@ -609,9 +601,6 @@ class Submodule:
         `submodule_intersect` stores it with its result."""
         return module_gb(list(self.gens) + list(self.parent.relations), self.parent.ring)
 
-    def contains(self, vec) -> bool:
-        return module_member(vec, self.coset_gb(), self.parent.ring)
-
     def __le__(self, other: "Submodule") -> bool:
         if self.parent is not other.parent and self.parent.relations != other.parent.relations:
             raise ModcoreError("submodules of different parents")
@@ -668,10 +657,7 @@ def _ideal_images(E: PresentedModule, vectors):
     for v in vectors:
         d = {}
         for c, g in zip(v, I.gens):
-            for m1, c1 in c.terms:
-                for m2, c2 in g.terms:
-                    m = mono_mul(m1, m2)
-                    d[m] = (d.get(m, 0) + c1 * c2) % p
+            _add_products(d, c.terms, g.terms, p)
         images.append(ring.from_dict(d))
     return images
 
@@ -747,16 +733,7 @@ def _scalar_quotient(U: Submodule):
 def _substitute_generators(images, p, d):
     """phi of `_scalar_quotient`: the term dict d on R^n with each position
     replaced by its image, a list of (free position, coefficient)."""
-    out = {}
-    for (pos, m), c in d.items():
-        for k, a in images[pos]:
-            key = (k, m)
-            x = (out.get(key, 0) + a * c) % p
-            if x:
-                out[key] = x
-            else:
-                del out[key]
-    return out
+    return _add_terms({}, (((k, m), a * c) for (pos, m), c in d.items() for k, a in images[pos]), p)
 
 
 @_memo

@@ -39,6 +39,33 @@ def mono_mul(a, b):
     return m
 
 
+def _add_terms(d, terms, p):
+    """Add the (monomial, coefficient) pairs `terms` into the term dict d,
+    mod p, and drop each monomial whose coefficient becomes 0.  Returns d."""
+    for m, c in terms:
+        v = (d.get(m, 0) + c) % p
+        if v:
+            d[m] = v
+        elif m in d:
+            del d[m]
+    return d
+
+
+def _add_products(d, a, b, p):
+    """Add the product of the term sequences a and b into d, as
+    `_add_terms` does.  Each monomial product goes through `mono_mul`, so an
+    exponent of _EXP_LIMIT or more raises OverflowError.  Returns d."""
+    for m1, c1 in a:
+        for m2, c2 in b:
+            m = mono_mul(m1, m2)
+            v = (d.get(m, 0) + c1 * c2) % p
+            if v:
+                d[m] = v
+            elif m in d:
+                del d[m]
+    return d
+
+
 def mono_div(a, b):
     """a / b as an exponent vector, or None if b does not divide a."""
     out = []
@@ -147,9 +174,6 @@ class Polynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def lm(self):
         """Leading monomial in the ring's order."""
         if not self.terms:
@@ -188,27 +212,12 @@ class Polynomial:
 
     def __add__(self, other):
         self._check(other)
-        d = dict(self.terms)
-        p = self.ring.char
-        for m, c in other.terms:
-            v = (d.get(m, 0) + c) % p
-            if v:
-                d[m] = v
-            elif m in d:
-                del d[m]
-        return self.ring.from_dict(d)
+        return self.ring.from_dict(_add_terms(dict(self.terms), other.terms, self.ring.char))
 
     def __sub__(self, other):
         self._check(other)
-        d = dict(self.terms)
         p = self.ring.char
-        for m, c in other.terms:
-            v = (d.get(m, 0) - c) % p
-            if v:
-                d[m] = v
-            elif m in d:
-                del d[m]
-        return self.ring.from_dict(d)
+        return self.ring.from_dict(_add_terms(dict(self.terms), ((m, p - c) for m, c in other.terms), p))
 
     def __neg__(self):
         p = self.ring.char
@@ -225,17 +234,7 @@ class Polynomial:
             return self.scale(other.terms[0][1])
         if len(self.terms) == 1 and not any(self.terms[0][0]):
             return other.scale(self.terms[0][1])
-        p = self.ring.char
-        d = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = mono_mul(m1, m2)
-                v = (d.get(m, 0) + c1 * c2) % p
-                if v:
-                    d[m] = v
-                elif m in d:
-                    del d[m]
-        return self.ring.from_dict(d)
+        return self.ring.from_dict(_add_products({}, self.terms, other.terms, self.ring.char))
 
     __rmul__ = __mul__
 
@@ -359,9 +358,11 @@ class _PolyParser:
 
     Each rule returns a term dict {monomial: coefficient}, its coefficients
     in [1, p), so that every intermediate value is a polynomial's term set;
-    `parse` sorts the result once.  A product of two terms with an exponent
-    of _EXP_LIMIT or more, or a power x^e with e that large, raises
-    OverflowError where Polynomial arithmetic would.
+    `parse` sorts the result once.  Sums and products go through
+    `_add_terms` and `_add_products`, as Polynomial arithmetic does, so a
+    product with an exponent of _EXP_LIMIT or more raises OverflowError
+    where Polynomial arithmetic would; so does a power x^e with e that
+    large.
     """
 
     def __init__(self, src: str, ring: PolyRing):
@@ -402,39 +403,20 @@ class _PolyParser:
             f = {m: p - c for m, c in f.items()}
         while True:
             t = self.peek()
-            if t.kind == "OP" and t.text in "+-":
-                self.take()
-                g = self.term()
-                sign = 1 if t.text == "+" else -1
-                for m, c in g.items():
-                    v = (f.get(m, 0) + sign * c) % p
-                    if v:
-                        f[m] = v
-                    else:
-                        f.pop(m, None)
-            else:
+            if t.kind != "OP" or t.text not in "+-":
                 return f
+            self.take()
+            g = self.term().items()
+            _add_terms(f, g if t.text == "+" else ((m, p - c) for m, c in g), p)
 
     def term(self) -> dict:
         f = self.factor()
         while True:
             t = self.peek()
-            if t.kind == "OP" and t.text == "*":
-                self.take()
-                g = self.factor()
-                p = self.ring.char
-                d = {}
-                for m1, c1 in f.items():
-                    for m2, c2 in g.items():
-                        m = mono_mul(m1, m2)
-                        v = (d.get(m, 0) + c1 * c2) % p
-                        if v:
-                            d[m] = v
-                        else:
-                            d.pop(m, None)
-                f = d
-            else:
+            if t.kind != "OP" or t.text != "*":
                 return f
+            self.take()
+            f = _add_products({}, f.items(), self.factor().items(), self.ring.char)
 
     def factor(self) -> dict:
         ring = self.ring
@@ -515,8 +497,5 @@ def substitute(f: Polynomial, target: PolyRing, keep, forms, cache: dict) -> Pol
                 if e:
                     img = img * l**e
             cache[tail] = img
-        head = tuple(m[i] for i in keep)
-        for mm, cc in img.terms:
-            key = mono_mul(head, mm)
-            out[key] = out.get(key, 0) + c * cc
+        _add_products(out, ((tuple(m[i] for i in keep), c),), img.terms, target.char)
     return target.from_dict(out)

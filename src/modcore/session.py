@@ -321,12 +321,9 @@ def _module_expr(body, session, line):
     if body.startswith("ideal "):
         iname = body[len("ideal "):].strip()
         return module_from_ideal(session.lookup("ideal", iname, line))
-    m = re.match(r"^free\s+(\d+)\s+twist\s+(-?\d+)$", body)
+    m = re.match(r"^free\s+(\d+)(?:\s+twist\s+(-?\d+))?$", body)
     if m:
-        return free_module(session.ring, int(m.group(1)), int(m.group(2)))
-    m = re.match(r"^free\s+(\d+)$", body)
-    if m:
-        return free_module(session.ring, int(m.group(1)), 0)
+        return free_module(session.ring, int(m.group(1)), int(m.group(2) or 0))
     m = re.match(r"^sum\((.*)\)$", body, re.S)
     if m:
         parts = _split_top(m.group(1))

@@ -70,21 +70,21 @@ def test_gb_is_groebner_and_generates(R3):
     gb = I.groebner_basis()
     for i in range(len(gb)):
         for j in range(i + 1, len(gb)):
-            assert normal_form(spoly_reference(gb[i], gb[j]), gb).is_zero()
+            assert not normal_form(spoly_reference(gb[i], gb[j]), gb)
     for g in I.gens:
-        assert normal_form(g, gb).is_zero()
+        assert not normal_form(g, gb)
     for g in gb:
         assert ideal_membership(g, Ideal(R3, I.gens))
 
 
 def test_nf_examples(R2):
     x, y = R2.gens()
-    assert normal_form(x**2, [x]).is_zero()
+    assert not normal_form(x**2, [x])
     f = parse_poly("x^2 + y", R2)
     assert normal_form(f, []) == f
     # membership with explicit cofactors: x^2*y = y*x^2, y^3 = y*y^2
     I = Ideal(R2, [x**2, y**2])
-    assert normal_form(x**2 * y + y**3, I.groebner_basis()).is_zero()
+    assert not normal_form(x**2 * y + y**3, I.groebner_basis())
 
 
 def test_membership_examples(R2):

@@ -17,7 +17,7 @@ def test_parse_basic(R2):
 
 
 def test_parse_cancellation(R2):
-    assert parse_poly("x - x", R2).is_zero()
+    assert not parse_poly("x - x", R2)
 
 
 def test_parse_edge_ideal_sum(R4):
@@ -278,7 +278,7 @@ def test_parser_errors_keep_their_columns(R2):
     # a zero factor or a cancelled sum multiplies no term, so no exponent
     # overflows, as in Polynomial arithmetic
     assert parse_poly("x^32767", R2) == x**32767
-    assert parse_poly("0 * x^20000 * x^20000", R2).is_zero()
-    assert parse_poly("32003 * x^20000 * x^20000", R2).is_zero()
+    assert not parse_poly("0 * x^20000 * x^20000", R2)
+    assert not parse_poly("32003 * x^20000 * x^20000", R2)
     assert parse_poly("(x^20000 - x^20000) * x^20000 + y", R2) == y
     assert parse_poly("(" * 100 + "x" + ")" * 100, R2) == x

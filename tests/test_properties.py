@@ -72,9 +72,9 @@ def suite_gb_spolys(n_cases=N_CASES):
         gb = I.groebner_basis()
         for i in range(len(gb)):
             for j in range(i + 1, len(gb)):
-                assert normal_form(_spoly(gb[i], gb[j]), gb).is_zero()
+                assert not normal_form(_spoly(gb[i], gb[j]), gb)
         for g in I.gens:
-            assert normal_form(g, gb).is_zero()
+            assert not normal_form(g, gb)
 
 
 def suite_nf_idempotent(n_cases=N_CASES):
@@ -158,7 +158,7 @@ def suite_resolution_identities(n_cases=N_CASES):
                 for c, prev_col in zip(col, res.maps[k]):
                     for i, e in enumerate(prev_col):
                         acc[i] = acc[i] + c * e
-                assert all(a.is_zero() for a in acc)
+                assert not any(acc)
         # Hilbert function equals the alternating Betti sum through degree 8
         for d in range(9):
             expected = sum(

@@ -454,9 +454,7 @@ def test_core_no_proper_reductions(E_H):
 def test_core_contained_in_sampled_reductions(E_msq):
     C, _ = core_monte_carlo(E_msq, samples=12, rng=9)
     for seed in (21, 22, 23):
-        U = random_reduction(E_msq, rng=seed)
-        for g in C.gens:
-            assert U.contains(g)
+        assert C <= random_reduction(E_msq, rng=seed)
 
 
 def test_core_msq_plus_free(R2, E_msq_plus):

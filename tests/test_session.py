@@ -65,6 +65,19 @@ def test_unknown_task_op():
         parse_session(src)
 
 
+@pytest.mark.parametrize("body, degrees", [("free 2", (0, 0)), ("free 2 twist 3", (3, 3)), ("free  1   twist  -1", (-1,))])
+def test_free_module_expression(body, degrees):
+    session = parse_session(f"ring R = GF(32003)[x,y];\nmodule F = {body};\n")
+    F = session.modules["F"]
+    assert F.gen_degrees == degrees and not F.relations
+
+
+@pytest.mark.parametrize("body", ["free", "free 2 twist", "free 2 3", "free -2", "free 2 twist 1 twist 1", "free 2 twist x"])
+def test_malformed_free_module_expression(body):
+    with pytest.raises(ParseError, match=re.escape(f"unknown module expression {body!r} at line 2")):
+        parse_session(f"ring R = GF(32003)[x,y];\nmodule F = {body};\n")
+
+
 def test_duplicate_name_rejected():
     src = "ring R = GF(32003)[x,y];\nideal I = (x);\nideal I = (y);\n"
     with pytest.raises(ParseError, match="already declared"):
