@@ -23,12 +23,12 @@ from math import comb
 from operator import mul, or_
 from struct import Struct
 
-from .errors import ModcoreError, OrderError, RingMismatchError
-from .orders import GrevLex, elimination_order
+from .errors import ModcoreError, RingMismatchError
+from .orders import _EXP_LIMIT, GrevLex, elimination_order, linear_key
 from .poly import (
     Polynomial,
     PolyRing,
-    _EXP_LIMIT,
+    _poly,
     map_poly,
     mono_deg,
     mono_div,
@@ -88,35 +88,26 @@ class _Codec:
     """Term codes for one monomial order on `nvars` variables.
 
     The code of (pos, m) is one int, laid out high to low as
-      - the position-over-term key (-pos, k_1(m), ..., k_r(m)), as the digits
-        of a number in base 2^b;
+      - -pos, one digit above the order's int key of m
+        (`orders.linear_key`), which lies strictly between -2^w and 2^w;
       - pos, in _POS_BITS bits;
       - the exponents of m, one _FIELD_BITS-bit field each, whose top bit is
         a guard bit.
-    Every k_j is a linear form in the exponents, zero at the monomial 1
-    (orders.py), and 2^b exceeds the spread of every digit over exponents
-    below 2^15, so the code is a linear form in (pos, m) and int order is
-    term order.  Hence code(pos, m) + code(0, q) = code(pos, m*q) as long as
-    m*q sets no guard bit, and lm divides m in the same position exactly when
-    (code(pos, m) | guard) - code(pos, lm) keeps every guard bit; the
-    difference minus the guard bits is then code(0, m / lm).
+    The int key is a linear form in the exponents, so the code is a linear
+    form in (pos, m) and int order is term order.  Hence code(pos, m) +
+    code(0, q) = code(pos, m*q) as long as m*q sets no guard bit, and lm
+    divides m in the same position exactly when (code(pos, m) | guard) -
+    code(pos, lm) keeps every guard bit; the difference minus the guard
+    bits is then code(0, m / lm).
     """
 
     def __init__(self, order, nvars):
-        zero = order.key((0,) * nvars)
-        units = [order.key(tuple(int(i == j) for j in range(nvars))) for i in range(nvars)]
-        probe = tuple(range(1, nvars + 1))
-        if any(zero) or tuple(order.key(probe)) != tuple(
-                sum(e * u[k] for e, u in zip(probe, units)) for k in range(len(zero))):
-            raise OrderError(f"{order!r} has no linear sort key")
-        r = len(zero)
-        b = (max(sum(abs(u[k]) for u in units) for k in range(r)) * _FIELD).bit_length()
+        keys, w = linear_key(order, nvars)
         shifts = tuple(_FIELD_BITS * (nvars - 1 - i) for i in range(nvars))
         self.ebits = _FIELD_BITS * nvars
         low = self.ebits + _POS_BITS
-        digits = [1 << (b * (r - 1 - k)) for k in range(r)]
-        self.units = tuple((sum(map(mul, u, digits)) << low) + (1 << s) for u, s in zip(units, shifts))
-        self.pos_unit = (1 << self.ebits) - (1 << (b * r + low))
+        self.units = tuple((k << low) + (1 << s) for k, s in zip(keys, shifts))
+        self.pos_unit = (1 << self.ebits) - (1 << (w + low))
         self.guard = sum(1 << (s + _FIELD_BITS - 1) for s in shifts)
         self.emask = (1 << self.ebits) - 1
         self.low_mask = (1 << low) - 1
@@ -167,7 +158,7 @@ def _ordered_to_vec(d, ring, npos):
     coords = [[] for _ in range(npos)]
     for (pos, m), c in d.items():
         coords[pos].append((m, c))
-    return tuple(Polynomial(ring, tuple(t)) for t in coords)
+    return tuple(_poly(ring, tuple(t)) for t in coords)
 
 
 def _add_divisor(divs, d, codec, p):
@@ -591,7 +582,7 @@ class Ideal:
     def __init__(self, ring: PolyRing, gens):
         gens = tuple(g for g in gens if g)
         for g in gens:
-            if g.ring != ring:
+            if g.ring is not ring:
                 raise RingMismatchError("generator from a different ring")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "gens", gens)
@@ -628,7 +619,7 @@ class Ideal:
     def __le__(self, other: "Ideal") -> bool:
         """Every generator reduces to 0 modulo other's basis, through one
         reducer."""
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise RingMismatchError("containment across rings")
         if not self.gens:
             return True
@@ -636,7 +627,7 @@ class Ideal:
         return not any(nf(_vec_to_dict((f,))) for f in self.gens)
 
     def __eq__(self, other):
-        if not isinstance(other, Ideal) or self.ring != other.ring:
+        if not isinstance(other, Ideal) or self.ring is not other.ring:
             return NotImplemented
         return self.groebner_basis() == other.groebner_basis()
 
@@ -644,12 +635,12 @@ class Ideal:
         return hash((self.ring, self.groebner_basis()))
 
     def __add__(self, other: "Ideal") -> "Ideal":
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise RingMismatchError("ideal sum across rings")
         return Ideal(self.ring, self.gens + other.gens)
 
     def __mul__(self, other: "Ideal") -> "Ideal":
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise RingMismatchError("ideal product across rings")
         return Ideal(self.ring, tuple(dict.fromkeys(f * g for f in self.gens for g in other.gens)))
 
@@ -665,7 +656,7 @@ def normal_form(f: Polynomial, G) -> Polynomial:
 
 
 def ideal_membership(f: Polynomial, I: Ideal) -> bool:
-    if f.ring != I.ring:
+    if f.ring is not I.ring:
         raise RingMismatchError("membership across rings")
     if not f:
         return True
@@ -677,7 +668,7 @@ def ideal_membership(f: Polynomial, I: Ideal) -> bool:
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I cap J: the meet of the pairs (f, f), f in I, and (g, 0), g in J."""
-    if I.ring != J.ring:
+    if I.ring is not J.ring:
         raise RingMismatchError("intersection across rings")
     ring = I.ring
     if I.is_zero() or J.is_zero():
@@ -688,7 +679,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
 
 def quotient_ideal(J: Ideal, I: Ideal) -> Ideal:
     """(J :_R I): one colon over J's reduced basis by all generators of I."""
-    if J.ring != I.ring:
+    if J.ring is not I.ring:
         raise RingMismatchError("quotient across rings")
     ring = J.ring
     if I.is_zero():

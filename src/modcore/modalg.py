@@ -259,7 +259,7 @@ def direct_sum(E1: PresentedModule, E2: PresentedModule, twist: int = 0) -> Pres
     relations of the summands, flagged or none at all, are minimal for the
     sum, as N1 + N2 modulo m(N1 + N2) is N1/mN1 + N2/mN2, so the sum
     carries the flag `minimal_relations` then."""
-    if E1.ring != E2.ring:
+    if E1.ring is not E2.ring:
         raise RingMismatchError("direct sum across rings")
     ring = E1.ring
     n1, n2 = E1.n, E2.n

@@ -9,31 +9,40 @@ so the leading term is terms[0].
 from __future__ import annotations
 
 import re
-from functools import cache
+from operator import add, mul
 
 from .errors import ModcoreError, ParseError, RingMismatchError
-from .orders import GrevLex, MonomialOrder
+from .orders import _EXP_LIMIT, GrevLex, MonomialOrder, linear_key
 
-_EXP_LIMIT = 1 << 15  # overflow guard; corpus degrees stay far below this
 _NEST_LIMIT = 100  # parentheses a polynomial may nest; each level costs the parser 3 frames
+_CHAR_LIMIT = 1 << 64  # below it, Miller-Rabin to the bases _MR_BASES decides primality exactly
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@cache
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin to the bases 2..37, exact for n < 2^64."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
 def mono_mul(a, b):
-    m = tuple(x + y for x, y in zip(a, b))
+    m = tuple(map(add, a, b))
     if m and max(m) >= _EXP_LIMIT:
         raise OverflowError("monomial exponent overflow")
     return m
@@ -80,34 +89,43 @@ def mono_deg(m):
     return sum(m)
 
 
+_GREVLEX = GrevLex()
+_RINGS = {}  # (char, vars, order) -> its one PolyRing
+
+
 class PolyRing:
-    """GF(char)[vars] with a monomial order.  Immutable and hashable."""
+    """GF(char)[vars] with a monomial order.  Immutable and interned: each
+    (char, vars, order) has one PolyRing, so rings are equal exactly when
+    they are the same object.  The hash is that of (char, vars, order), so
+    set and dict orders do not depend on addresses.  The ring keeps its
+    order's int sort key (`orders.linear_key`) in `_units`."""
 
-    __slots__ = ("char", "vars", "order", "nvars", "_var_index", "_hash")
+    __slots__ = ("char", "vars", "order", "nvars", "_var_index", "_units", "_hash")
 
-    def __init__(self, char: int = 32003, vars=("x", "y"), order: MonomialOrder | None = None):
+    def __new__(cls, char: int = 32003, vars=("x", "y"), order: MonomialOrder | None = None):
+        vars = tuple(vars)
+        if order is None:
+            order = _GREVLEX
+        key = (char, vars, order)
+        ring = _RINGS.get(key)
+        if ring is not None:
+            return ring
+        if char >= _CHAR_LIMIT:
+            raise ModcoreError(f"characteristic {char} is too large: it must be below 2^64")
         if not _is_prime(char):
             raise ModcoreError(f"characteristic {char} is not prime")
-        vars = tuple(vars)
         if not vars or len(set(vars)) != len(vars):
             raise ModcoreError("variable names must be nonempty and distinct")
-        object.__setattr__(self, "char", char)
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "order", order if order is not None else GrevLex())
-        object.__setattr__(self, "nvars", len(vars))
-        object.__setattr__(self, "_var_index", {v: i for i, v in enumerate(vars)})
-        object.__setattr__(self, "_hash", hash((char, vars, self.order)))
+        units = linear_key(order, len(vars))[0]
+        ring = _RINGS[key] = object.__new__(cls)
+        for name, value in (("char", char), ("vars", vars), ("order", order), ("nvars", len(vars)),
+                            ("_var_index", {v: i for i, v in enumerate(vars)}), ("_units", units),
+                            ("_hash", hash(key))):
+            object.__setattr__(ring, name, value)
+        return ring
 
     def __setattr__(self, *a):
         raise AttributeError("PolyRing is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyRing)
-            and self.char == other.char
-            and self.vars == other.vars
-            and self.order == other.order
-        )
 
     def __hash__(self):
         return self._hash
@@ -118,7 +136,7 @@ class PolyRing:
     # -- element construction ------------------------------------------------
 
     def zero(self) -> Polynomial:
-        return Polynomial(self, ())
+        return _poly(self, ())
 
     def one(self) -> Polynomial:
         return self.const(1)
@@ -126,31 +144,38 @@ class PolyRing:
     def const(self, c: int) -> Polynomial:
         c %= self.char
         if c == 0:
-            return Polynomial(self, ())
-        return Polynomial(self, (((0,) * self.nvars, c),))
+            return _poly(self, ())
+        return _poly(self, (((0,) * self.nvars, c),))
 
     def var(self, i) -> Polynomial:
         if isinstance(i, str):
             i = self.var_index(i)
         m = [0] * self.nvars
         m[i] = 1
-        return Polynomial(self, ((tuple(m), 1),))
+        return _poly(self, ((tuple(m), 1),))
 
     def gens(self):
         return [self.var(i) for i in range(self.nvars)]
 
     def from_dict(self, d: dict) -> Polynomial:
+        """The polynomial with the terms {monomial: coefficient} of d, sorted
+        by the ring's int key.  An exponent of _EXP_LIMIT or more raises
+        OverflowError, as in `mono_mul`: the int key orders no such term."""
         p = self.char
+        n = self.nvars
         items = []
         for m, c in d.items():
             c %= p
             if c:
-                if len(m) != self.nvars:
+                if len(m) != n:
                     raise ModcoreError("exponent vector length mismatch")
-                items.append((tuple(m), c))
-        keyf = self.order.key
-        items.sort(key=lambda t: keyf(t[0]), reverse=True)
-        return Polynomial(self, tuple(items))
+                if max(m) >= _EXP_LIMIT:
+                    raise OverflowError("monomial exponent overflow")
+                items.append((m, c))
+        if len(items) > 1:
+            units = self._units
+            items.sort(key=lambda t: sum(map(mul, t[0], units)), reverse=True)
+        return _poly(self, tuple(items))
 
     def var_index(self, name: str) -> int:
         try:
@@ -160,11 +185,13 @@ class PolyRing:
 
 
 class Polynomial:
+    """An element of `ring`, its terms sorted descending in the ring's
+    order.  `Polynomial(ring, terms)` takes `terms` as they are."""
+
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: PolyRing, terms: tuple):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
+    def __new__(cls, ring: PolyRing, terms: tuple):
+        return _poly(ring, terms)
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -189,14 +216,13 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(mono_deg(m) for m, _ in self.terms)
+        return max([sum(m) for m, _ in self.terms])
 
     def is_homogeneous(self) -> bool:
-        degs = {mono_deg(m) for m, _ in self.terms}
-        return len(degs) <= 1
+        return len({sum(m) for m, _ in self.terms}) <= 1
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and mono_deg(self.terms[0][0]) == 0)
+        return not self.terms or (len(self.terms) == 1 and not any(self.terms[0][0]))
 
     def constant_coeff(self) -> int:
         # 1 is the least monomial in every monomial order: a constant term comes last
@@ -207,7 +233,7 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise RingMismatchError(f"{self.ring!r} vs {other.ring!r}")
 
     def __add__(self, other):
@@ -221,7 +247,7 @@ class Polynomial:
 
     def __neg__(self):
         p = self.ring.char
-        return Polynomial(self.ring, tuple((m, p - c) for m, c in self.terms))
+        return _poly(self.ring, tuple((m, p - c) for m, c in self.terms))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -243,7 +269,7 @@ class Polynomial:
         if c == 0:
             return self.ring.zero()
         p = self.ring.char
-        return Polynomial(self.ring, tuple((m, (k * c) % p) for m, k in self.terms))
+        return _poly(self.ring, tuple((m, (k * c) % p) for m, k in self.terms))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -268,7 +294,7 @@ class Polynomial:
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
-            and self.ring == other.ring
+            and self.ring is other.ring
             and self.terms == other.terms
         )
 
@@ -282,6 +308,21 @@ class Polynomial:
 
     def __str__(self):
         return render_poly(self)
+
+
+_new_object = object.__new__
+_set_ring = Polynomial.ring.__set__
+_set_terms = Polynomial.terms.__set__
+
+
+def _poly(ring, terms):
+    """The polynomial of `ring` with the (monomial, coefficient) pairs
+    `terms`, already sorted descending with coefficients in [1, p): set
+    through the slots' descriptors, past the blocked `__setattr__`."""
+    f = _new_object(Polynomial)
+    _set_ring(f, ring)
+    _set_terms(f, terms)
+    return f
 
 
 def render_poly(f: Polynomial) -> str:

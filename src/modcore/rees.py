@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from math import prod
+from operator import mul
 
 from .errors import (
     CapExceededError,
@@ -52,6 +53,7 @@ from .modalg import (
     submodule_intersect,
     whole_module,
 )
+from .orders import linear_key
 from .poly import PolyRing, map_poly, substitute
 
 DEFAULT_T_CAP = 6
@@ -212,8 +214,10 @@ def analytic_spread(E: PresentedModule) -> int:
 
 def _t_monomials(E: PresentedModule, j: int):
     """T-monomials of degree j, sorted descending in the fiber order."""
+    fiber = _rees_rings(E)[1]
+    units = linear_key(fiber.order, fiber.nvars)[0]
     monos = list(_monomials_of_degree(E.n, j))
-    monos.sort(key=_rees_rings(E)[1].order.key, reverse=True)
+    monos.sort(key=lambda m: sum(map(mul, m, units)), reverse=True)
     return monos
 
 

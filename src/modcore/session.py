@@ -214,7 +214,10 @@ def parse_session(src: str, char_override: int | None = None, t_cap: int = 6, x_
             if not vars_:
                 raise ParseError("ring needs at least one variable", line)
             session.ring_name = m.group("name")
-            session.ring = PolyRing(chars, vars_)
+            try:
+                session.ring = PolyRing(chars, vars_)
+            except ModcoreError as exc:
+                raise ParseError(str(exc), line) from None
         elif head == "ideal":
             m = _IDEAL_RE.match(stmt)
             if not m:

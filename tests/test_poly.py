@@ -78,6 +78,18 @@ def test_ring_mismatch(R2, R3):
         R2.var(0) + R3.var(0)
 
 
+def test_exponents_stay_below_the_limit(R2):
+    # the int sort key orders exponents below 2^15 only, so a polynomial
+    # with a larger one is refused, whether built or multiplied
+    x, y = R2.gens()
+    assert R2.from_dict({(0, 2**15 - 1): 1, (2**15 - 1, 0): 1}).lm() == (2**15 - 1, 0)
+    for d in ({(2**15, 0): 1}, {(1, 0): 1, (0, 2**15 + 5): 3}):
+        with pytest.raises(OverflowError):
+            R2.from_dict(d)
+    with pytest.raises(OverflowError):
+        x**(2**14) * (x * y)**(2**14)
+
+
 def test_char_must_be_prime():
     with pytest.raises(Exception, match="not prime"):
         PolyRing(32004, ("x",))

@@ -677,6 +677,26 @@ def test_cli_missing_file():
     assert out.returncode == 4
 
 
+def test_characteristic_at_or_above_2_64_is_refused_at_its_line(tmp_path):
+    # primality is decided exactly below 2^64 only; 2^89 - 1 is a prime
+    # that trial division would never finish, refused by the ring's line
+    src = "# a session\nring R = GF(32003)[x,y];\nideal I = (x^2, y^2);\ntask height I;\n"
+    message = re.escape("characteristic 618970019642690137449562111 is too large: it must be below 2^64 at line 2")
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_session(src.replace("32003", str(2**89 - 1)))
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_session(src, char_override=2**89 - 1)
+    with pytest.raises(ParseError, match=r"^characteristic 9 is not prime at line 2$"):
+        parse_session(src, char_override=9)
+    f = tmp_path / "s.mc"
+    f.write_text(src)
+    for char, code in ((2**89 - 1, 4), (10**18 + 3, 0)):
+        out = subprocess.run([sys.executable, "-m", "modcore.cli", "run", str(f), "--char", str(char)],
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == code and "Traceback" not in out.stderr
+    assert json.loads(out.stdout)["tasks"][0]["value"] == 2
+
+
 def test_cli_char_override(tmp_path):
     f = tmp_path / "s.mc"
     f.write_text("ring R = GF(32003)[x,y];\nideal I = (x^2 - 101*y^2);\ntask groebner I;\n")

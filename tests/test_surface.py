@@ -10,8 +10,9 @@ only by loads in its own class's module, where the name can mean that
 method.  `__init__.py` only re-exports, and the tests do not count: a name
 that only tests call is dead code, unless `PUBLIC_API` names it.
 
-Layering: only `groebner` knows the term codes of the kernel, and only
-`poly` multiplies monomials."""
+Layering: only `groebner` knows the term codes of the kernel, only `poly`
+multiplies monomials, and only `orders` reads an order's key tuple; rings
+are interned, so `PolyRing` compares by identity."""
 
 import ast
 from pathlib import Path
@@ -130,3 +131,19 @@ def test_only_poly_multiplies_monomials():
             if name == "mono_mul":
                 leaks.append(f"{path.name}:{line}")
     assert not leaks, "mono_mul outside poly.py:\n" + "\n".join(leaks)
+
+
+def test_only_orders_reads_the_order_key_and_rings_compare_by_identity():
+    # every sort of monomials goes through the int key that orders.linear_key
+    # derives, so no other module reads `.key`; rings are interned, so
+    # PolyRing keeps object identity as its equality
+    leaks = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        if path.name != "orders.py":
+            leaks += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr == "key"]
+        if path.name == "poly.py":
+            ring = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "PolyRing")
+            assert not [sub for sub in ring.body if isinstance(sub, ast.FunctionDef) and sub.name in ("__eq__", "__ne__")]
+    assert not leaks, "order.key read outside orders.py:\n" + "\n".join(leaks)

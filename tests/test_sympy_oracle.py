@@ -1,7 +1,8 @@
 """Differential oracle for the kernel: reduced Groebner bases, intersections
 and colons on seeded random small homogeneous ideals over GF(32003), compared
-with sympy's modular `groebner`.  sympy is used by this test only, so the
-runtime stays free of dependencies.
+with sympy's modular `groebner`, and the primality test behind every ring's
+characteristic, compared with `sympy.isprime`.  sympy is used by this test
+only, so the runtime stays free of dependencies.
 
 The soundness tests elsewhere (C <= I cap J, IJ <= C, Q*I <= J) would still
 pass for a route that lost generators; equal reduced bases would not.
@@ -12,7 +13,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from modcore.groebner import Ideal, intersect, quotient_ideal
-from modcore.poly import PolyRing
+from modcore.poly import PolyRing, _is_prime
 
 from conftest import P, random_homogeneous_poly, seeded
 
@@ -90,3 +91,14 @@ def test_quotient_matches_sympy(seed):
     F = [_to_sympy(g, syms) for g in I.gens]
     G = [_to_sympy(g, syms) for g in J.gens]
     assert _canon_ours(quotient_ideal(J, I)) == _canon_sympy(_sympy_quotient(G, F, syms), syms)
+
+
+def test_primality_matches_sympy():
+    # every n up to 10^5, then the strong pseudoprimes to the first bases
+    # (2047 to base 2, 1373653 to 2 and 3, 3215031751 to 2, 3, 5 and 7,
+    # 3825123056546413051 to every base up to 23), the Carmichael number 561,
+    # and primes near 2^64
+    assert [n for n in range(10**5 + 1) if _is_prime(n)] == list(sympy.primerange(0, 10**5 + 1))
+    for n in (561, 2047, 1373653, 3215031751, 3825123056546413051, 1000000000000000003,
+              2**61 - 1, 2**64 - 59, 2**64 - 1):
+        assert _is_prime(n) == sympy.isprime(n), n
