@@ -70,6 +70,12 @@ def _remember(obj, name, value):
     obj._cache[(name, ())] = value
 
 
+def _recall(obj, name):
+    """The memo of the function called `name` at obj, or None while it has
+    none: a value read only once someone else has computed it."""
+    return obj._cache.get((name, ()))
+
+
 # -- the kernel on term codes ------------------------------------------------------
 #
 # The Buchberger loop and the normal form work on term codes: each module term

@@ -29,6 +29,7 @@ from .groebner import (
     _memo,
     _minimal_columns,
     _ordered_to_vec,
+    _recall,
     _reducer,
     _remember,
     _standard_count,
@@ -37,7 +38,7 @@ from .groebner import (
     buchberger,
     height,
 )
-from .poly import Polynomial, PolyRing, _add_products, _add_terms, mono_deg
+from .poly import Polynomial, PolyRing, _add_products, _add_terms, _poly, mono_deg
 
 
 # -- submodules of free modules, on the kernel in groebner ---------------------
@@ -258,7 +259,13 @@ def direct_sum(E1: PresentedModule, E2: PresentedModule, twist: int = 0) -> Pres
     `_block_summands`).  Minimal
     relations of the summands, flagged or none at all, are minimal for the
     sum, as N1 + N2 modulo m(N1 + N2) is N1/mN1 + N2/mN2, so the sum
-    carries the flag `minimal_relations` then."""
+    carries the flag `minimal_relations` then.
+
+    The columns take no degree check.  Every PresentedModule's columns are
+    homogeneous, checked when it was built or homogeneous by construction,
+    and padding a column with zeros keeps its degree; a twist adds the
+    same shift to every degree of E2, so each of its columns keeps one
+    degree as well."""
     if E1.ring is not E2.ring:
         raise RingMismatchError("direct sum across rings")
     ring = E1.ring
@@ -268,7 +275,7 @@ def direct_sum(E1: PresentedModule, E2: PresentedModule, twist: int = 0) -> Pres
     z2 = (ring.zero(),) * n2
     cols = [tuple(c) + z2 for c in E1.relations]
     cols += [z1 + tuple(c) for c in E2.relations]
-    E = PresentedModule(ring, degrees, cols)
+    E = PresentedModule(ring, degrees, cols, _validate=False)
     E._cache["summands"] = (E1, E2)
     if all(S._cache.get("minimal_relations") or not S.relations for S in (E1, E2)):
         E._cache["minimal_relations"] = True
@@ -678,16 +685,36 @@ def whole_module(E: PresentedModule) -> Submodule:
     ref = shared["W"]
     W = ref() if ref is not None else None
     if W is None:
-        # Submodule(E, gens) with no check of gens, E's basis vectors
-        W = object.__new__(Submodule)
-        for slot, value in (("parent", E), ("gens", shared["gens"]), ("_cache", shared)):
-            object.__setattr__(W, slot, value)
+        W = _trusted_submodule(E, shared["gens"], shared)
         shared["W"] = weakref.ref(W)
     return W
 
 
+def _trusted_submodule(E: PresentedModule, gens, cache) -> Submodule:
+    """Submodule(E, gens) on the memo table `cache`, with no check of gens:
+    nonzero vectors of length E.n, known to be so by construction."""
+    U = object.__new__(Submodule)
+    for slot, value in (("parent", E), ("gens", gens), ("_cache", cache)):
+        object.__setattr__(U, slot, value)
+    return U
+
+
 def span(E: PresentedModule, vectors) -> Submodule:
     return Submodule(E, vectors)
+
+
+def _row_span(E: PresentedModule, rows) -> Submodule:
+    """span(E, consts) for the constant vectors whose entries are the GF(p)
+    rows `rows`, lists of E.n ints in [0, p), as `rees.random_reduction`
+    draws them.  Zero rows are left out of the generators, as
+    `Submodule.__init__` leaves out zero vectors, and the rows are kept on
+    U as `U._cache["draws"]`: `_change_of_generators` reads its echelon off
+    them, and `_scalar_quotient` knows U to be scalar from them."""
+    ring = E.ring
+    zero = _poly(ring, ())
+    unit = (0,) * ring.nvars
+    gens = tuple(tuple(_poly(ring, ((unit, c),)) if c else zero for c in row) for row in rows if any(row))
+    return _trusted_submodule(E, gens, {"draws": rows})
 
 
 @_memo
@@ -699,7 +726,7 @@ def _change_of_generators(U: Submodule):
     with e_i = sum c*e_free[k] modulo L.  A free position is itself, and a
     pivot is minus its echelon row at the free positions, so GF(p)^n / L has
     the basis e_free.  The rows of a random draw are the ints it drew,
-    recorded on U as `U._cache["draws"]` (`rees.random_reduction`)."""
+    recorded on U as `U._cache["draws"]` (`_row_span`)."""
     E = U.parent
     p = E.ring.char
     rows = {}
@@ -723,8 +750,10 @@ def _scalar_quotient(U: Submodule):
     U is then spanned over R by GF(p)-combinations of E's generators, and
     their echelon form writes each pivot generator in the free ones modulo
     U: phi sends a term dict on R^n to one on R^free by that substitution
-    (`_change_of_generators`), and E/U = R^free / phi(N), N the relations."""
-    if any(f and not f.is_constant() for v in U.gens for f in v):
+    (`_change_of_generators`), and E/U = R^free / phi(N), N the relations.
+    A U built from GF(p) rows (`_row_span`) is scalar by construction, and
+    only the generators of any other U are scanned."""
+    if "draws" not in U._cache and any(f and not f.is_constant() for v in U.gens for f in v):
         return None
     free, images = _change_of_generators(U)
     return free, partial(_substitute_generators, images, U.parent.ring.char)
@@ -764,6 +793,19 @@ def _entry_basis(E: PresentedModule):
     return buchberger(entries, E.ring)
 
 
+@_memo
+def _entry_colon(E: PresentedModule) -> Ideal:
+    """I_1(phi) by its reduced basis (`_entry_basis`): the one colon
+    (U : E) of every U that `_quotient_basis` reads off I_1(phi)."""
+    return _basis_ideal(E.ring, _entry_basis(E))
+
+
+@_memo
+def _relation_dicts(E: PresentedModule):
+    """E's relations as term dicts, once per E."""
+    return [_vec_to_dict(col) for col in E.relations]
+
+
 def _spans_entries(E: PresentedModule, forms) -> bool:
     """Whether the forms, term dicts in position 0 that are GF(p)-combinations
     of the entries of E's presentation, span the entries over GF(p).  Fewer
@@ -794,7 +836,7 @@ def _quotient_basis(U: Submodule):
     per E, and no basis of phi(N) is taken."""
     E = U.parent
     free, phi = _scalar_quotient(U)
-    forms = [phi(_vec_to_dict(col)) for col in E.relations]
+    forms = [phi(d) for d in _relation_dicts(E)]
     if len(free) == 1 and _spans_entries(E, forms):
         return _entry_basis(E)
     return buchberger(forms, E.ring)
@@ -820,7 +862,11 @@ def _colon_into(U: Submodule) -> Ideal:
         # (Eisenbud, Commutative Algebra, Prop 20.7); no colon is taken
         if not quotient[0]:
             return _basis_ideal(ring, [{(0, (0,) * ring.nvars): 1}])
-        return _basis_ideal(ring, _quotient_basis(U))
+        basis = _quotient_basis(U)
+        # I_1(phi)'s basis, handed out by `_quotient_basis`, is one ideal per E
+        if basis is _recall(E, "_entry_basis"):
+            return _entry_colon(E)
+        return _basis_ideal(ring, basis)
     return _colon_by_free(U.coset_gb(), ring, E.n)
 
 
@@ -855,7 +901,7 @@ def submodule_intersect(U1: Submodule, U2: Submodule) -> Submodule:
     E = U1.parent
     if U2.parent is not E and U2.parent.relations != E.relations:
         raise ModcoreError("parent mismatch")
-    relations = [_vec_to_dict(c) for c in E.relations]
+    relations = _relation_dicts(E)
     kill = [_vec_to_dict(w) for w in U2.gens] + relations
     keep = [_vec_to_dict(u) for u in U1.gens] + relations
     pairs = [(h, {}) for h in kill] + [(c, c) for c in keep]

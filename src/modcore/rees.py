@@ -44,12 +44,12 @@ from .modalg import (
     _gs_heights,
     _nonzero_minors,
     _quotient_basis,
+    _row_span,
     _scalar_quotient,
     first_nonzero_maximal_minor,
     is_torsionfree,
     mu,
     rank,
-    span,
     submodule_intersect,
     whole_module,
 )
@@ -333,12 +333,9 @@ def random_reduction(E: PresentedModule, count: int | None = None, rng=None) -> 
         count = analytic_spread(E)
     if count == analytic_spread(E) == mu(E):
         return whole_module(E)
-    ring = E.ring
-    p = ring.char
+    p = E.ring.char
     for _ in range(RETRY_CAP):
-        draws = [[rng.randrange(p) for _ in range(E.n)] for _ in range(count)]
-        U = span(E, [tuple(map(ring.const, row)) for row in draws])
-        U._cache["draws"] = draws  # its GF(p) rows, for `_change_of_generators`
+        U = _row_span(E, [[rng.randrange(p) for _ in range(E.n)] for _ in range(count)])
         if is_reduction(U, E):
             return U
     raise RetryExhaustedError(

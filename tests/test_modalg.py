@@ -117,6 +117,38 @@ def test_direct_sum_edge_plus_free(E_edge_plus):
     assert rank(E_edge_plus) == 2 and mu(E_edge_plus) == 5
 
 
+@pytest.mark.parametrize("p", [P, 7])
+def test_direct_sum_takes_its_summands_columns_unchecked(p, monkeypatch):
+    # the summands' columns are homogeneous already, and a twist shifts
+    # every degree of a column of E2 together: the sum, built with no
+    # degree check, against the validated construction on the same padded
+    # columns (degrees, relations and relation basis), over ideal modules,
+    # a cyclic torsion module, free modules, a cokernel and nested sums
+    R = PolyRing(p, ("x", "y", "z"))
+    x, y, z = R.gens()
+    tri = module_from_ideal(Ideal(R, [x * y, x * z, y * z]))
+    cubics = module_from_ideal(Ideal(R, [x**3, x**2 * y, x * y**2 - x**2 * z, y**3 - 2 * x * y * z]))
+    torsion = cyclic_module(R, Ideal(R, [x, y**2]))
+    coker = PresentedModule(R, (0, 0, 1), [(x, y, R.zero()), (y**2, z**2, x), (R.zero(), x * z, y)])
+    modules = [tri, cubics, torsion, free_module(R, 2, twist=1), coker, direct_sum(tri, free_module(R, 1), twist=2)]
+    checks = _counting(monkeypatch, modalg, "vector_degree")
+    cases = 0
+    for E1 in modules:
+        for E2 in modules:
+            for twist in (0, 1, -1, 3):
+                before = len(checks)
+                S = direct_sum(E1, E2, twist=twist)
+                assert len(checks) == before, (E1, E2, twist)
+                zeros1, zeros2 = (R.zero(),) * E1.n, (R.zero(),) * E2.n
+                cols = [c + zeros2 for c in E1.relations] + [zeros1 + c for c in E2.relations]
+                ref = PresentedModule(R, E1.gen_degrees + tuple(d + twist for d in E2.gen_degrees), cols)
+                assert len(checks) - before == len(cols)
+                assert S.gen_degrees == ref.gen_degrees and S.relations == ref.relations, (E1, E2, twist)
+                assert S.relation_gb() == ref.relation_gb(), (E1, E2, twist)
+                cases += 1
+    assert cases == 144
+
+
 def test_syzygies_koszul(R2):
     x, y = R2.gens()
     syz = module_gb([v for v in syzygies([(x,), (y,)], R2, 1)], R2)

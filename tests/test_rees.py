@@ -33,7 +33,7 @@ from modcore.modalg import (
     submodule_intersect,
     whole_module,
 )
-from modcore.poly import PolyRing, map_poly
+from modcore.poly import Polynomial, PolyRing, map_poly
 from modcore.rees import (
     DEFAULT_T_CAP,
     _t_monomials,
@@ -382,6 +382,147 @@ def test_random_reduction_edge_plus_free(E_edge_plus):
     U = random_reduction(E_edge_plus, rng=11)
     assert len(U.gens) == 4
     assert is_reduction(U, E_edge_plus)
+
+
+class _ScriptedRandom(random.Random):
+    """A seeded generator whose `randrange` returns the scripted values
+    first, then the seeded stream."""
+
+    def __init__(self, script, seed):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def randrange(self, *args):
+        return self.script.pop(0) if self.script else super().randrange(*args)
+
+
+def _draw_oracle_modules(p):
+    """{name: module} over GF(p): m^2, (xy,xz,yz) and H plus R(-2), with one
+    free position left by a minimal reduction of the first and none by the
+    others (ell = mu); (xy,xz,yz) + (xy,xz,yz), with two; and the generic
+    5 x 3 cokernel, with one."""
+    x, y = PolyRing(p, ("x", "y")).gens()
+    a, b, c = PolyRing(p, ("x", "y", "z")).gens()
+    x0, x1, x2, x3 = PolyRing(p, ("x0", "x1", "x2", "x3")).gens()
+    msq = module_from_ideal(Ideal(x.ring, [x**2, x * y, y**2]))
+    tri = module_from_ideal(Ideal(a.ring, [a * b, a * c, b * c]))
+    H = module_from_ideal(Ideal(x0.ring, [x1 * x3 - x2**2, x0 * x3 - x1 * x2, x0 * x2 - x1**2]))
+    return {
+        "m^2+R(-2)": direct_sum(msq, free_module(x.ring, 1), twist=2),
+        "tri+R(-2)": direct_sum(tri, free_module(a.ring, 1), twist=2),
+        "H+R(-2)": direct_sum(H, free_module(x0.ring, 1), twist=2),
+        "tri+tri": direct_sum(tri, tri),
+        "coker": generic_cokernel(3, 5, 3, p),
+    }
+
+
+def _assert_row_span_matches(E, U, rows):
+    """U, built from the GF(p) rows `rows`, against span(E, consts) on the
+    same rows: generators, change of generators, quotient basis, the colon
+    by its reduced basis (also against the colon by the unit vectors over
+    the coset basis), the fiber test and the reduction number."""
+    ring = E.ring
+    V = span(E, [tuple(map(ring.const, row)) for row in rows])
+    assert U.gens == V.gens
+    assert modalg._change_of_generators(U) == modalg._change_of_generators(V)
+    assert modalg._scalar_quotient(U)[0] == modalg._scalar_quotient(V)[0]
+    as_items = lambda basis: [list(d.items()) for d in basis]
+    assert as_items(modalg._quotient_basis(U)) == as_items(modalg._quotient_basis(V))
+    K = modalg.colon_into(U, E)
+    assert K.gens == modalg.colon_into(V, E).gens
+    reference = modalg._colon_by_free(span(E, V.gens).coset_gb(), ring, E.n)
+    assert K.groebner_basis() == reference.groebner_basis()
+    verdict = is_reduction(U, E)
+    assert verdict == is_reduction(V, E)
+    assert reduction_number(U, E) == reduction_number(V, E)
+    return verdict
+
+
+@pytest.mark.parametrize("p", [P, 7, 3])
+def test_row_built_draws_match_spans_of_constants(p):
+    # a draw carries its GF(p) rows from the draw on (`modalg._row_span`),
+    # with no constant polynomials checked on the way: the result against
+    # span(E, consts) on the same rows.  Draws of `random_reduction` at
+    # ell = count (ell + 1 where ell = mu, which draws nothing at ell), and
+    # spans of ell - 1 and ell + 1 rows with a zero row among them; then a
+    # scripted draw whose first attempt, ell + 1 copies of one row, is no
+    # reduction and is retried, and whose second holds a zero row
+    free_counts, verdicts = set(), set()
+    for name, E in _draw_oracle_modules(p).items():
+        ell, n = analytic_spread(E), E.n
+        count = ell + 1 if ell == mu(E) else ell
+        rng = random.Random(f"rows:{name}:{p}")
+        for seed in range(3):
+            U = random_reduction(E, count=count, rng=rng)
+            assert _assert_row_span_matches(E, U, U._cache["draws"]), (name, p)
+            free_counts.add(len(modalg._scalar_quotient(U)[0]))
+        for k in (ell - 1, ell + 1):
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+            rows[rng.randrange(k)] = [0] * n
+            U = modalg._row_span(E, rows)
+            assert len(U.gens) == sum(map(any, rows)) < k and U._cache["draws"] is rows
+            verdicts.add(_assert_row_span_matches(E, U, rows))
+        # the reduction the script ends on: a zero row and ell rows that
+        # span(E, consts) certifies
+        while True:
+            good = [[0] * n] + [[rng.randrange(p) for _ in range(n)] for _ in range(ell)]
+            if is_reduction(span(E, [tuple(map(E.ring.const, row)) for row in good]), E):
+                break
+        bad = [[1] * n] * (ell + 1)
+        script = [c for row in bad + good for c in row]
+        stub = _ScriptedRandom(script, 0)
+        U = random_reduction(E, count=ell + 1, rng=stub)
+        assert stub.script == [] and U._cache["draws"] == good, (name, p)
+        assert not _assert_row_span_matches(E, modalg._row_span(E, bad), bad)
+        assert _assert_row_span_matches(E, U, good)
+    # one free position at points of the fiber variety of m^2 + R(-2), once
+    # a reduction has taken the closed form: no reduction, and a colon
+    # below I_1(phi)
+    x, y = PolyRing(p, ("x", "y")).gens()
+    E, spans = _fiber_point_spans(Ideal(x.ring, [x**2, x * y, y**2]), 1, random.Random(f"fiber:{p}"), 4)
+    U = random_reduction(E, rng=p)
+    assert _assert_row_span_matches(E, U, U._cache["draws"])
+    for V in spans:
+        rows = [[f.constant_coeff() for f in v] for v in V.gens]
+        U = modalg._row_span(E, rows)
+        assert not _assert_row_span_matches(E, U, rows)
+        assert len(modalg._scalar_quotient(U)[0]) == 1 and modalg.colon_into(U, E) != modalg._entry_colon(E)
+    assert free_counts == {0, 1, 2} and verdicts == {False, True}
+
+
+def test_row_built_draws_take_no_constants_and_no_scan(monkeypatch):
+    # a draw builds its constant coordinates without `PolyRing.const` and is
+    # known to be scalar without an `is_constant` scan, which a span of the
+    # same vectors still takes
+    E = _draw_oracle_modules(P)["m^2+R(-2)"]
+    consts, scans = [], []
+    const, is_constant = PolyRing.const, Polynomial.is_constant
+    monkeypatch.setattr(PolyRing, "const", lambda *args: consts.append(args) or const(*args))
+    monkeypatch.setattr(Polynomial, "is_constant", lambda f: scans.append(f) or is_constant(f))
+    for seed in range(5):
+        U = random_reduction(E, rng=seed)
+        assert consts == []
+        scans.clear()
+        assert modalg._scalar_quotient(U) is not None and scans == []
+    assert modalg._scalar_quotient(span(E, U.gens)) is not None and scans
+
+
+def test_one_free_position_draws_share_the_colon_of_their_module():
+    # with one free position and the closed form of `_quotient_basis`, the
+    # colon (U : E) is I_1(phi): one Ideal for every draw of E.  A draw of
+    # (xy,xz,yz) + (xy,xz,yz) leaves two free positions and takes its own
+    modules = _draw_oracle_modules(P)
+    E = modules["m^2+R(-2)"]
+    U1, U2 = random_reduction(E, rng=1), random_reduction(E, rng=2)
+    K = modalg.colon_into(U1, E)
+    assert modalg.colon_into(U2, E) is K is modalg._entry_colon(E)
+    assert K.groebner_basis() == modalg._entry_ideal(E).groebner_basis()
+    E = modules["tri+tri"]
+    U1, U2 = random_reduction(E, rng=1), random_reduction(E, rng=2)
+    assert len(modalg._scalar_quotient(U1)[0]) == 2
+    K1, K2 = modalg.colon_into(U1, E), modalg.colon_into(U2, E)
+    assert K1 is not K2 and modalg.colon_into(U1, E) is K1
+    assert ("_entry_colon", ()) not in E._cache
 
 
 def test_reduction_number_trivial(E_msq):
